@@ -392,6 +392,15 @@ def _read_manifest(out_dir: str) -> dict:
 # --- commands ----------------------------------------------------------------
 
 
+def _interrupted(out_dir: str, manifest: dict) -> int:
+    """Record a Ctrl-C in the manifest; the run stays resumable."""
+    manifest["status"] = "interrupted"
+    manifest["updated_at"] = time.strftime("%Y-%m-%dT%H:%M:%S")
+    _write_manifest(out_dir, manifest)
+    print(f"interrupted; resume with: gearevo resume {out_dir}", file=sys.stderr)
+    return EXIT_PARTIAL
+
+
 def cmd_run(args) -> int:
     from . import codesign
 
@@ -428,11 +437,7 @@ def cmd_run(args) -> int:
     try:
         result = codesign.run(cfg, out_dir=out_dir, stop_after=args.stop_after)
     except KeyboardInterrupt:
-        manifest["status"] = "interrupted"
-        manifest["updated_at"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-        _write_manifest(out_dir, manifest)
-        print(f"interrupted; resume with: gearevo resume {out_dir}", file=sys.stderr)
-        return 130
+        return _interrupted(out_dir, manifest)
     manifest["iterations_done"] = len(result.history)
     manifest["status"] = "complete" if result.completed else "interrupted"
     manifest["updated_at"] = time.strftime("%Y-%m-%dT%H:%M:%S")
@@ -464,7 +469,10 @@ def cmd_resume(args) -> int:
     if manifest.get("status") == "complete":
         print(f"run {manifest['run_id']} already complete; nothing to do")
         return EXIT_OK
-    result = codesign.run(cfg, out_dir=out_dir, resume=True)
+    try:
+        result = codesign.run(cfg, out_dir=out_dir, resume=True)
+    except KeyboardInterrupt:
+        return _interrupted(out_dir, manifest)
     manifest["iterations_done"] = len(result.history)
     manifest["status"] = "complete" if result.completed else "interrupted"
     manifest["updated_at"] = time.strftime("%Y-%m-%dT%H:%M:%S")

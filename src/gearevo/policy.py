@@ -9,7 +9,12 @@ an affine scalar critic head.  The encoder is trained jointly end to end.
 Gradients are computed by manual reverse-mode differentiation; the network
 is small and fixed, and every layer is verifiable against finite
 differences.  Snapshots are treated as immutable: updates return new
-parameter sets.
+parameter sets.  `loss_and_grads` runs its minibatch through the network in
+blocks of 1024 rows, so that the element-wise passes work on activations in
+cache and the activations held at once do not grow with the minibatch.  A
+minibatch of at most 1024 rows gives the same bits as one unblocked pass; a
+larger one sums its gradients block by block, about 1e-14 relative from one
+pass.
 
 Checkpoint format: one JSON header line (format version, dims, snapshot
 id, seed, parameter count) followed by the flat little-endian float64
@@ -32,6 +37,9 @@ LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
 LOG_STD_INIT = -0.5
 CHECKPOINT_VERSION = 1
+# Rows per block in loss_and_grads: a block's (rows, hidden) activations stay
+# in cache through the element-wise passes.
+_BLOCK_ROWS = 1024
 
 PARAM_ORDER = (
     "enc_w", "enc_b", "w1", "b1", "w2", "b2",
@@ -147,13 +155,29 @@ def _check_finite(name: str, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _forward(params: PolicyParams, design: np.ndarray, proprio: np.ndarray) -> dict:
-    """Batched forward pass keeping the activations needed for backprop."""
-    latent = _check_finite("encoder", np.tanh(design @ params.enc_w.T + params.enc_b))
+def _dense_tanh(
+    x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """tanh(x @ w.T + b), with the bias add and tanh done in place (in `out`)."""
+    h = np.matmul(x, w.T, out=out)
+    h += b
+    return np.tanh(h, out=h)
+
+
+def _forward(
+    params: PolicyParams, design: np.ndarray, proprio: np.ndarray, hidden_out=(None, None)
+) -> dict:
+    """Batched forward pass keeping the activations needed for backprop.
+
+    `hidden_out` may give the (rows, hidden) arrays to write h1 and h2 into.
+    """
+    latent = _check_finite("encoder", _dense_tanh(design, params.enc_w, params.enc_b))
     obs = np.concatenate([proprio, latent], axis=-1)
-    h1 = _check_finite("trunk1", np.tanh(obs @ params.w1.T + params.b1))
-    h2 = _check_finite("trunk2", np.tanh(h1 @ params.w2.T + params.b2))
-    mean = _check_finite("actor", h2 @ params.actor_w.T + params.actor_b)
+    h1 = _check_finite("trunk1", _dense_tanh(obs, params.w1, params.b1, hidden_out[0]))
+    h2 = _check_finite("trunk2", _dense_tanh(h1, params.w2, params.b2, hidden_out[1]))
+    mean = h2 @ params.actor_w.T
+    mean += params.actor_b
+    mean = _check_finite("actor", mean)
     value = _check_finite("critic", h2 @ params.critic_w + params.critic_b[0])
     return {"latent": latent, "obs": obs, "h1": h1, "h2": h2, "mean": mean, "value": value}
 
@@ -216,6 +240,14 @@ def loss_and_grads(
 
     loss = -mean(min(r*A, clip(r)*A)) + value_coef*mean((v-ret)^2)
            - entropy_coef*entropy
+
+    The forward and backward passes run over blocks of `_BLOCK_ROWS` rows
+    and sum each block's gradients into the result; the loss and its
+    statistics are then taken over the whole minibatch.  A minibatch of at
+    most `_BLOCK_ROWS` rows is one block and gives the same bits as an
+    unblocked pass.  A larger one sums its gradients in a different order,
+    and BLAS may round a row's matmuls differently in a block of another
+    shape; the results move by about 1e-14 relative.
     """
     proprio = minibatch["proprio"]
     design = minibatch["design"]
@@ -223,56 +255,72 @@ def loss_and_grads(
     old_lp = minibatch["old_log_prob"]
     adv = minibatch["advantage"]
     ret = minibatch["ret"]
-    batch = proprio.shape[0]
+    batch, n_proprio = proprio.shape
     eps = ppo_cfg.clip_epsilon
-
-    acts = _forward(params, design, proprio)
-    mean, value = acts["mean"], acts["value"]
     std = np.exp(params.log_std)
-    z = (action - mean) / std
     n_act = params.action_dim
-    new_lp = -0.5 * np.sum(z**2, axis=1) - np.sum(params.log_std) - 0.5 * n_act * np.log(2.0 * np.pi)
 
-    ratio = np.exp(new_lp - old_lp)
-    surr1 = ratio * adv
-    surr2 = np.clip(ratio, 1.0 - eps, 1.0 + eps) * adv
-    policy_loss = -np.mean(np.minimum(surr1, surr2))
-    value_err = value - ret
-    value_loss = np.mean(value_err**2)
+    new_lp = np.empty(batch)
+    value = np.empty(batch)
+    ratio = np.empty(batch)
+    surrogate = np.empty(batch)
+    grads = {name: np.zeros_like(arr) for name, arr in params.arrays().items()}
+    # (rows, hidden) arrays that every block reuses; scratch holds the
+    # critic's share of d_h2, then each 1 - h*h.  Five separate arrays: as
+    # slices of one (5, rows, hidden) array they ran slower.
+    work = [np.empty((min(batch, _BLOCK_ROWS), params.hidden)) for _ in range(5)]
+    for lo in range(0, batch, _BLOCK_ROWS):
+        n = min(_BLOCK_ROWS, batch - lo)
+        rows = slice(lo, lo + n)
+        h1_out, h2_out, d_h2_out, d_h1_out, scratch = (w[:n] for w in work)
+        design_b = design[rows]
+        acts = _forward(params, design_b, proprio[rows], (h1_out, h2_out))
+        z = (action[rows] - acts["mean"]) / std
+        lp = -0.5 * np.sum(z**2, axis=1) - np.sum(params.log_std) - 0.5 * n_act * np.log(2.0 * np.pi)
+        new_lp[rows] = lp
+        value[rows] = acts["value"]
+        ratio_b = np.exp(lp - old_lp[rows])
+        ratio[rows] = ratio_b
+
+        # d(policy_loss)/d(new_lp): gradient flows only where the unclipped
+        # branch is selected by the min.
+        adv_b = adv[rows]
+        surr1 = ratio_b * adv_b
+        surr2 = np.clip(ratio_b, 1.0 - eps, 1.0 + eps) * adv_b
+        surrogate[rows] = np.minimum(surr1, surr2)
+        d_lp = np.where(surr1 <= surr2, -ratio_b * adv_b / batch, 0.0)
+        d_mean = d_lp[:, None] * (z / std)
+        grads["log_std"] += d_lp @ (z**2 - 1.0)
+        d_value = ppo_cfg.value_coef * 2.0 * (acts["value"] - ret[rows]) / batch
+
+        h2, h1, obs = acts["h2"], acts["h1"], acts["obs"]
+        d_h2 = np.matmul(d_mean, params.actor_w, out=d_h2_out)
+        d_h2 += np.multiply(d_value[:, None], params.critic_w[None, :], out=scratch)
+        grads["actor_w"] += d_mean.T @ h2
+        grads["actor_b"] += d_mean.sum(axis=0)
+        grads["critic_w"] += h2.T @ d_value
+        grads["critic_b"] += d_value.sum()
+        d_z2 = d_h2
+        d_z2 *= _one_minus_square(h2, scratch)
+        grads["w2"] += d_z2.T @ h1
+        grads["b2"] += d_z2.sum(axis=0)
+        d_z1 = np.matmul(d_z2, params.w2, out=d_h1_out)
+        d_z1 *= _one_minus_square(h1, scratch)
+        grads["w1"] += d_z1.T @ obs
+        grads["b1"] += d_z1.sum(axis=0)
+        d_obs = d_z1 @ params.w1
+        d_latent = d_obs[:, n_proprio:]
+        d_ze = d_latent * (1.0 - acts["latent"]**2)
+        grads["enc_w"] += d_ze.T @ design_b
+        grads["enc_b"] += d_ze.sum(axis=0)
+    grads["log_std"] -= ppo_cfg.entropy_coef
+
+    policy_loss = -np.mean(surrogate)
+    value_loss = np.mean((value - ret)**2)
     ent = entropy(params.log_std)
     total = policy_loss + ppo_cfg.value_coef * value_loss - ppo_cfg.entropy_coef * ent
     if not np.isfinite(total):
         raise NumericError("non-finite PPO loss")
-
-    # d(policy_loss)/d(new_lp): gradient flows only where the unclipped
-    # branch is selected by the min.
-    unclipped = surr1 <= surr2
-    d_lp = np.where(unclipped, -ratio * adv / batch, 0.0)
-    d_mean = d_lp[:, None] * (z / std)
-    d_log_std = d_lp @ (z**2 - 1.0) - ppo_cfg.entropy_coef
-    d_value = ppo_cfg.value_coef * 2.0 * value_err / batch
-
-    h2, h1, obs = acts["h2"], acts["h1"], acts["obs"]
-    d_h2 = d_mean @ params.actor_w + d_value[:, None] * params.critic_w[None, :]
-    grads = {
-        "actor_w": d_mean.T @ h2,
-        "actor_b": d_mean.sum(axis=0),
-        "critic_w": h2.T @ d_value,
-        "critic_b": np.array([d_value.sum()]),
-        "log_std": d_log_std,
-    }
-    d_z2 = d_h2 * (1.0 - h2**2)
-    grads["w2"] = d_z2.T @ h1
-    grads["b2"] = d_z2.sum(axis=0)
-    d_h1 = d_z2 @ params.w2
-    d_z1 = d_h1 * (1.0 - h1**2)
-    grads["w1"] = d_z1.T @ obs
-    grads["b1"] = d_z1.sum(axis=0)
-    d_obs = d_z1 @ params.w1
-    d_latent = d_obs[:, proprio.shape[1]:]
-    d_ze = d_latent * (1.0 - acts["latent"]**2)
-    grads["enc_w"] = d_ze.T @ design
-    grads["enc_b"] = d_ze.sum(axis=0)
 
     losses = {
         "total": float(total),
@@ -283,6 +331,12 @@ def loss_and_grads(
         "approx_kl": float(np.mean(old_lp - new_lp)),
     }
     return losses, grads
+
+
+def _one_minus_square(h: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """1 - h*h written into `out`: the tanh derivative at output h."""
+    np.multiply(h, h, out=out)
+    return np.subtract(1.0, out, out=out)
 
 
 def adam_init(params: PolicyParams, learning_rate: float) -> AdamState:

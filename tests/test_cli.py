@@ -11,7 +11,7 @@ import os
 
 import pytest
 
-from gearevo import cli
+from gearevo import cli, codesign
 from gearevo.cli import (
     CONFIG_SNAPSHOT_FILE,
     EXIT_ERROR,
@@ -245,6 +245,44 @@ def test_stop_after_then_resume_matches_straight_through(
     assert manifest["status"] == "complete"
     assert manifest["iterations_done"] == 2
     assert read_bytes(out, EVOLUTION_FILE) == read_bytes(completed_run, EVOLUTION_FILE)
+
+
+def _raise_keyboard_interrupt(*args, **kwargs):
+    raise KeyboardInterrupt
+
+
+def test_run_ctrl_c_exits_partial_and_marks_interrupted(
+    micro_ini, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr(codesign, "run", _raise_keyboard_interrupt)
+    out = str(tmp_path / "ctrl-c")
+    code = main(["run", "--config", micro_ini, "--out", out, "--seed", "0"])
+    assert code == EXIT_PARTIAL
+    assert read_manifest(out)["status"] == "interrupted"
+    assert f"gearevo resume {out}" in capsys.readouterr().err
+
+
+def test_resume_ctrl_c_exits_partial_and_marks_interrupted(
+    micro_ini, tmp_path, monkeypatch, capsys
+):
+    out = str(tmp_path / "killed")
+    main(
+        [
+            "run", "--config", micro_ini, "--out", out,
+            "--seed", "0", "--stop-after", "1",
+        ]
+    )
+    # a run killed outright never updates its manifest from "running"
+    manifest = read_manifest(out)
+    manifest["status"] = "running"
+    with open(os.path.join(out, MANIFEST_FILE), "w") as fh:
+        json.dump(manifest, fh)
+    capsys.readouterr()
+
+    monkeypatch.setattr(codesign, "run", _raise_keyboard_interrupt)
+    assert main(["resume", out]) == EXIT_PARTIAL
+    assert read_manifest(out)["status"] == "interrupted"
+    assert f"gearevo resume {out}" in capsys.readouterr().err
 
 
 def test_resume_completed_run_is_noop(completed_run, capsys):

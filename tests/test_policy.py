@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gearevo import policy
 from gearevo.errors import ConfigError, ContractError, NumericError
 from gearevo.policy import (
     LOG_STD_INIT,
@@ -197,15 +198,13 @@ def test_zero_advantage_ratio_one_policy_loss_zero():
     assert np.allclose(grads["actor_w"], 0.0, atol=1e-15)
 
 
-def test_gradients_match_finite_differences():
-    params = policy_init(6, 2, 2, 1, hidden=8, latent=2)
-    rng = np.random.default_rng(5)
-    n = 10
-    proprio = rng.standard_normal((n, 4))
-    design = rng.uniform(0.5, 4.0, (n, 2))
+def _random_minibatch(params, n, seed):
+    rng = np.random.default_rng(seed)
+    proprio = rng.standard_normal((n, params.obs_dim - params.latent))
+    design = rng.uniform(0.5, 4.0, (n, params.design_dim))
     means, values, log_std = policy_forward_batch(params, design, proprio)
     actions, log_probs = sample_action(ActionDistribution(means, log_std), rng)
-    minibatch = {
+    return {
         "proprio": proprio,
         "design": design,
         "action": actions,
@@ -213,6 +212,21 @@ def test_gradients_match_finite_differences():
         "advantage": rng.standard_normal(n),
         "ret": rng.standard_normal(n),
     }
+
+
+def test_gradients_match_finite_differences():
+    _assert_gradients_match_finite_differences()
+
+
+def test_blocked_gradients_match_finite_differences(monkeypatch):
+    # 10 rows in blocks of 3/3/3/1: the gradient summed across blocks
+    monkeypatch.setattr(policy, "_BLOCK_ROWS", 3)
+    _assert_gradients_match_finite_differences()
+
+
+def _assert_gradients_match_finite_differences():
+    params = policy_init(6, 2, 2, 1, hidden=8, latent=2)
+    minibatch = _random_minibatch(params, 10, 5)
     cfg = PpoConfig()
     _, grads = loss_and_grads(params, minibatch, cfg)
 
@@ -240,6 +254,33 @@ def test_gradients_match_finite_differences():
         fd = (loss_at(up) - loss_at(down)) / (2 * eps)
         denom = max(1e-8, abs(fd) + abs(flat_grads[i]))
         assert abs(fd - flat_grads[i]) / denom < 1e-4
+
+
+def test_blocked_pass_matches_single_block(monkeypatch):
+    params = policy_init(6, 2, 2, 1, hidden=8, latent=2)
+    minibatch = _random_minibatch(params, 10, 7)
+    monkeypatch.setattr(policy, "_BLOCK_ROWS", 16)
+    whole_losses, whole_grads = loss_and_grads(params, minibatch, PpoConfig())
+    monkeypatch.setattr(policy, "_BLOCK_ROWS", 3)  # blocks 3/3/3/1
+    losses, grads = loss_and_grads(params, minibatch, PpoConfig())
+    # not bitwise: BLAS may round a row's matmul differently in a block of
+    # another shape (the 1-row tail goes through gemv)
+    assert losses == pytest.approx(whole_losses, rel=1e-12, abs=0.0)
+    for name in PARAM_ORDER:
+        np.testing.assert_allclose(grads[name], whole_grads[name], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "key, match",
+    [("proprio", "non-finite activation in layer trunk1"), ("ret", "non-finite PPO loss")],
+)
+def test_nonfinite_in_last_block_raises(monkeypatch, key, match):
+    monkeypatch.setattr(policy, "_BLOCK_ROWS", 3)
+    params = policy_init(6, 2, 2, 1, hidden=8, latent=2)
+    minibatch = _random_minibatch(params, 10, 7)
+    minibatch[key][9] = np.nan  # row 9 is the one-row tail block
+    with pytest.raises(NumericError, match=match):
+        loss_and_grads(params, minibatch, PpoConfig())
 
 
 def test_loss_raises_on_nonfinite():
