@@ -72,6 +72,33 @@ class CmaEsState:
         return self.mean.size
 
 
+_STATE_ARRAYS = ("mean", "cov", "path_sigma", "path_c", "weights")
+
+
+def state_to_json(state: CmaEsState) -> dict:
+    """The optimizer state as JSON-ready values; floats round-trip exactly."""
+    out = {}
+    for f in dataclasses.fields(state):
+        value = getattr(state, f.name)
+        out[f.name] = value.tolist() if f.name in _STATE_ARRAYS else value
+    return out
+
+
+def state_from_json(data: dict) -> CmaEsState:
+    """Inverse of state_to_json."""
+    names = {f.name for f in dataclasses.fields(CmaEsState)}
+    if set(data) != names:
+        raise ContractError(
+            f"CMA-ES state fields {sorted(set(data) ^ names)} missing or unexpected"
+        )
+    return CmaEsState(
+        **{
+            k: np.array(v, dtype=np.float64) if k in _STATE_ARRAYS else v
+            for k, v in data.items()
+        }
+    )
+
+
 @dataclass
 class EvaluatedCandidate:
     design: DesignVector
@@ -248,17 +275,22 @@ class GenerationLogRow:
     mean: np.ndarray
 
 
-def write_generation_log(rows: list[GenerationLogRow], path) -> None:
-    """CSV log: generation,best_fitness,mean_fitness,sigma,mean_0,..."""
+GENERATION_LOG_COLUMNS = ("generation", "best_fitness", "mean_fitness", "sigma")
+
+
+def write_generation_log(rows: list[GenerationLogRow], path, append: bool = False) -> None:
+    """CSV log: generation,best_fitness,mean_fitness,sigma,mean_0,...
+
+    With append=True the rows go to the end of `path`, and the header is
+    written only when the file is empty.
+    """
     if not rows:
         raise ContractError("cannot write an empty generation log")
     dim = rows[0].mean.size
-    with open(path, "w", newline="") as fh:
+    with open(path, "a" if append else "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["generation", "best_fitness", "mean_fitness", "sigma"]
-            + [f"mean_{i}" for i in range(dim)]
-        )
+        if fh.tell() == 0:
+            writer.writerow(list(GENERATION_LOG_COLUMNS) + [f"mean_{i}" for i in range(dim)])
         for r in rows:
             writer.writerow(
                 [r.generation, repr(r.best_fitness), repr(r.mean_fitness), repr(r.sigma)]
@@ -269,7 +301,7 @@ def write_generation_log(rows: list[GenerationLogRow], path) -> None:
 def read_generation_log(path) -> list[GenerationLogRow]:
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    if not rows or rows[0][:4] != ["generation", "best_fitness", "mean_fitness", "sigma"]:
+    if not rows or tuple(rows[0][:4]) != GENERATION_LOG_COLUMNS:
         raise ValueError(f"{path}: not a generation log CSV")
     out = []
     for row in rows[1:]:

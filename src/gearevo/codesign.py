@@ -16,15 +16,18 @@ Two modes differ only in the fine-tune source from iteration 2 on:
 Runs checkpoint every outer iteration into a run directory and can resume
 to a byte-identical continuation because every random stream is derived
 from (seed, structural position) rather than carried across iterations.
+A checkpoint appends one record per iteration and commits a small JSON
+file last, so its cost does not grow with the length of the run.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import hashlib
+import json
 import logging
 import os
-import pickle
 import time
 from dataclasses import dataclass, field
 
@@ -38,6 +41,8 @@ from .cma_es import (
     cma_ask,
     cma_init,
     cma_tell,
+    state_from_json,
+    state_to_json,
     write_generation_log,
 )
 from .design_space import (
@@ -65,7 +70,7 @@ from .seeding import stream
 
 logger = logging.getLogger("gearevo.codesign")
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 POLICY_LATENT = 4
 
 
@@ -225,15 +230,17 @@ def _run(cfg, out_dir, fitness_fn, stop_after, resume) -> CodesignResult:
     if resume:
         if out_dir is None:
             raise CheckpointError("resume requires a run directory")
-        state, start_iter, j_star, d_star, history, wall_accum = _load_checkpoint(
-            cfg, out_dir
-        )
-        if fitness_fn is None:
-            params_base = load_policy(os.path.join(out_dir, "policies", "base.bin"))
-            params_best = load_policy(os.path.join(out_dir, "policies", "best.bin"))
+        ckpt = _load_checkpoint(cfg, out_dir, load_policies=fitness_fn is None)
+        state, j_star, d_star = ckpt.state, ckpt.j_star, ckpt.d_star
+        history, wall_accum = ckpt.history, ckpt.wall_time_s
+        params_base, params_best = ckpt.params_base, ckpt.params_best
+        start_iter = ckpt.iteration + 1
     else:
         state = cma_init(dataclasses.replace(cfg.cma, seed=cfg.seed))
         start_iter = 1
+        if out_dir is not None:
+            # A stale commit record would describe files this run truncates.
+            _remove_if_exists(os.path.join(out_dir, CHECKPOINT_FILE))
 
     last_iter = cfg.cma.max_iterations
     if stop_after is not None:
@@ -247,7 +254,8 @@ def _run(cfg, out_dir, fitness_fn, stop_after, resume) -> CodesignResult:
 
         if fitness_fn is not None:
             j_pop = np.array([float(fitness_fn(d)) for d in designs])
-            mean_returns = -j_pop
+            # As in evaluate_population: a design without a finite score has no return.
+            mean_returns = np.where(j_pop == np.inf, np.nan, -j_pop)
             source_id = 0
         elif i == 1:
             source = policy_init(
@@ -305,7 +313,7 @@ def _run(cfg, out_dir, fitness_fn, stop_after, resume) -> CodesignResult:
 
         if out_dir is not None:
             _checkpoint(
-                cfg, out_dir, state, i, j_star, d_star, history,
+                cfg, out_dir, state, record, j_star, d_star,
                 wall_accum + (time.monotonic() - t_start),
                 params_base, params_best,
                 params_i if fitness_fn is None else None,
@@ -328,30 +336,51 @@ def _run(cfg, out_dir, fitness_fn, stop_after, resume) -> CodesignResult:
 # --- run directory layout ---------------------------------------------------
 
 EVOLUTION_FILE = "evolution.csv"
-CMA_STATE_FILE = "cma_state"
-CHECKPOINT_FILE = "checkpoint.pkl"
 CMA_LOG_FILE = "cma_log.csv"
+HISTORY_FILE = "history.jsonl"
+CHECKPOINT_FILE = "checkpoint.json"
+LEGACY_CHECKPOINT_FILE = "checkpoint.pkl"
 POLICY_DIR = "policies"
 BEST_DESIGN_FILE = "best_design.csv"
+# Files that grow by one record per iteration.  checkpoint.json holds the
+# byte length of each at the last commit; resume cuts them back to it.
+APPEND_FILES = (EVOLUTION_FILE, CMA_LOG_FILE, HISTORY_FILE)
+EVOLUTION_COLUMNS = ("iteration", "population_best", "global_best")
 
 
-def _atomic_write(path: str, write_fn) -> None:
+def _atomic_write(path: str, write_fn):
     tmp = path + ".tmp"
-    write_fn(tmp)
+    result = write_fn(tmp)
     os.replace(tmp, path)
+    return result
 
 
-def write_evolution_csv(history: list[FitnessRecord], path) -> None:
-    """Fitness trajectory: per-design fitness plus bests, one row per iteration."""
+def _write_json(payload, path) -> None:
+    text = json.dumps(payload)  # one string: json's C encoder, not its chunked one
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
+
+
+def _remove_if_exists(path: str) -> None:
+    try:
+        os.remove(path)
+    except FileNotFoundError:
+        pass
+
+
+def write_evolution_csv(history: list[FitnessRecord], path, append: bool = False) -> None:
+    """Fitness trajectory: per-design fitness plus bests, one row per iteration.
+
+    With append=True the rows go to the end of `path`, and the header is
+    written only when the file is empty.
+    """
     import csv
 
     n_pop = len(history[0].j_pop) if history else 0
-    with open(path, "w", newline="") as fh:
+    with open(path, "a" if append else "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["iteration", "population_best", "global_best"]
-            + [f"j_{k}" for k in range(n_pop)]
-        )
+        if fh.tell() == 0:
+            writer.writerow(list(EVOLUTION_COLUMNS) + [f"j_{k}" for k in range(n_pop)])
         for rec in history:
             writer.writerow(
                 [rec.iteration, repr(rec.population_best_j), repr(rec.global_best_j)]
@@ -364,7 +393,7 @@ def read_evolution_csv(path) -> list[dict]:
 
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    if not rows or rows[0][:3] != ["iteration", "population_best", "global_best"]:
+    if not rows or tuple(rows[0][:3]) != EVOLUTION_COLUMNS:
         raise ValueError(f"{path}: not an evolution CSV")
     out = []
     for row in rows[1:]:
@@ -379,92 +408,222 @@ def read_evolution_csv(path) -> list[dict]:
     return out
 
 
+def _record_to_json(rec: FitnessRecord) -> str:
+    """One history.jsonl line; json writes floats with repr, inf and NaN included."""
+    best = rec.global_best_design
+    return json.dumps(
+        {
+            "iteration": rec.iteration,
+            "designs": [d.factors.tolist() for d in rec.designs],
+            "j_pop": rec.j_pop.tolist(),
+            "mean_returns": rec.mean_returns.tolist(),
+            "population_best_j": float(rec.population_best_j),
+            "population_best_idx": rec.population_best_idx,
+            "global_best_j": float(rec.global_best_j),
+            "global_best_design": None if best is None else best.factors.tolist(),
+            "snapshot_id": rec.snapshot_id,
+            "source_snapshot_id": rec.source_snapshot_id,
+            "sigma": float(rec.sigma),
+            "dist_mean": rec.dist_mean.tolist(),
+            "failed": rec.failed,
+        }
+    )
+
+
+def _write_history(history: list[FitnessRecord], path, append: bool = False) -> None:
+    """history.jsonl: one JSON line per record."""
+    with open(path, "ab" if append else "wb") as fh:
+        fh.writelines(_record_to_json(rec).encode("ascii") + b"\n" for rec in history)
+
+
+def _record_from_json(line) -> FitnessRecord:
+    d = json.loads(line)
+    best = d["global_best_design"]
+    return FitnessRecord(
+        iteration=d["iteration"],
+        designs=[DesignVector(f) for f in d["designs"]],
+        j_pop=np.array(d["j_pop"], dtype=np.float64),
+        mean_returns=np.array(d["mean_returns"], dtype=np.float64),
+        population_best_j=d["population_best_j"],
+        population_best_idx=d["population_best_idx"],
+        global_best_j=d["global_best_j"],
+        global_best_design=None if best is None else DesignVector(best),
+        snapshot_id=d["snapshot_id"],
+        source_snapshot_id=d["source_snapshot_id"],
+        sigma=d["sigma"],
+        dist_mean=np.array(d["dist_mean"], dtype=np.float64),
+        failed=d["failed"],
+    )
+
+
 def _checkpoint(
-    cfg, out_dir, state, iteration, j_star, d_star, history, wall_time,
+    cfg, out_dir, state, record, j_star, d_star, wall_time,
     params_base, params_best, params_current, train_history,
 ) -> None:
-    os.makedirs(out_dir, exist_ok=True)
+    """Persist one finished iteration, committing checkpoint.json last.
+
+    Order: one row onto each of APPEND_FILES (the first iteration creates
+    or truncates them); then the best design, the policies and the learning
+    curve, each written atomically; then checkpoint.json, atomically, with
+    the byte length of each append-only file and the SHA-256 of the base
+    and best policies.  A crash before the commit leaves the previous one
+    valid: resume cuts the appends back to its lengths and redoes the
+    iteration, which rewrites every other file with the same bytes.
+    """
+    iteration = record.iteration
     policies = os.path.join(out_dir, POLICY_DIR)
     os.makedirs(policies, exist_ok=True)
+    append = iteration > 1
 
-    payload = {
-        "version": CHECKPOINT_VERSION,
-        "mode": cfg.mode.value,
-        "iteration": iteration,
-        "cma_state": state,
-        "j_star": float(j_star),
-        "d_star": None if d_star is None else d_star.factors.copy(),
-        "history": history,
-        "wall_time_s": float(wall_time),
-    }
-    _atomic_write(
-        os.path.join(out_dir, CHECKPOINT_FILE),
-        lambda p: pickle.dump(payload, open(p, "wb")),
+    write_evolution_csv([record], os.path.join(out_dir, EVOLUTION_FILE), append=append)
+    log_row = GenerationLogRow(
+        generation=iteration,
+        best_fitness=record.population_best_j,
+        mean_fitness=float(np.mean(record.j_pop)),
+        sigma=record.sigma,
+        mean=record.dist_mean,
     )
-    _atomic_write(
-        os.path.join(out_dir, CMA_STATE_FILE),
-        lambda p: pickle.dump(state, open(p, "wb")),
-    )
-    _atomic_write(
-        os.path.join(out_dir, EVOLUTION_FILE),
-        lambda p: write_evolution_csv(history, p),
-    )
-    log_rows = [
-        GenerationLogRow(
-            generation=rec.iteration,
-            best_fitness=rec.population_best_j,
-            mean_fitness=float(np.mean(rec.j_pop)),
-            sigma=rec.sigma,
-            mean=rec.dist_mean,
-        )
-        for rec in history
-    ]
-    _atomic_write(
-        os.path.join(out_dir, CMA_LOG_FILE), lambda p: write_generation_log(log_rows, p)
-    )
+    write_generation_log([log_row], os.path.join(out_dir, CMA_LOG_FILE), append=append)
+    _write_history([record], os.path.join(out_dir, HISTORY_FILE), append=append)
+
     if d_star is not None:
         _atomic_write(
             os.path.join(out_dir, BEST_DESIGN_FILE),
             lambda p: write_designs_csv([d_star], p),
         )
-    if params_base is not None:
-        save_policy(params_base, os.path.join(policies, "base.bin"))
-    if params_best is not None:
-        save_policy(params_best, os.path.join(policies, "best.bin"))
+    snapshots = None
     if params_current is not None:
-        save_policy(params_current, os.path.join(policies, f"iter_{iteration:04d}.bin"))
+        _atomic_write(
+            os.path.join(policies, f"iter_{iteration:04d}.bin"),
+            lambda p: save_policy(params_current, p),
+        )
+        snapshots = {}
+        for name, params in (("base", params_base), ("best", params_best)):
+            digest = _atomic_write(
+                os.path.join(policies, f"{name}.bin"), lambda p: save_policy(params, p)
+            )
+            snapshots[name] = {"snapshot_id": params.snapshot_id, "sha256": digest}
     if train_history:
-        write_learning_curve_csv(
-            train_history,
+        _atomic_write(
             os.path.join(out_dir, f"learning_curve_iter_{iteration:04d}.csv"),
+            lambda p: write_learning_curve_csv(train_history, p),
         )
 
+    payload = {
+        "version": CHECKPOINT_VERSION,
+        "mode": cfg.mode.value,
+        "iteration": iteration,
+        "cma_state": state_to_json(state),
+        "j_star": float(j_star),
+        "d_star": None if d_star is None else d_star.factors.tolist(),
+        "wall_time_s": float(wall_time),
+        "files": {
+            name: os.path.getsize(os.path.join(out_dir, name)) for name in APPEND_FILES
+        },
+        "policies": snapshots,
+    }
+    _atomic_write(os.path.join(out_dir, CHECKPOINT_FILE), lambda p: _write_json(payload, p))
 
-def _load_checkpoint(cfg, out_dir):
-    path = os.path.join(out_dir, CHECKPOINT_FILE)
+
+@dataclass
+class _Resumed:
+    """Everything _run needs to continue after the last committed iteration."""
+
+    iteration: int
+    state: CmaEsState
+    j_star: float
+    d_star: DesignVector | None
+    history: list[FitnessRecord]
+    wall_time_s: float
+    params_base: PolicyParams | None
+    params_best: PolicyParams | None
+
+
+def _load_snapshot(out_dir, entry: dict) -> PolicyParams:
+    """The per-iteration policy file of a committed snapshot, digest-checked."""
+    path = os.path.join(out_dir, POLICY_DIR, f"iter_{entry['snapshot_id']:04d}.bin")
     try:
         with open(path, "rb") as fh:
-            payload = pickle.load(fh)
-    except (OSError, pickle.UnpicklingError, EOFError) as exc:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+    except OSError as exc:
+        raise CheckpointError(f"cannot read policy snapshot {path}: {exc}") from exc
+    if digest != entry["sha256"]:
+        raise CheckpointError(
+            f"{path}: SHA-256 {digest[:12]} does not match the committed "
+            f"{entry['sha256'][:12]}; refusing to resume"
+        )
+    return load_policy(path)
+
+
+def _load_checkpoint(cfg, out_dir, load_policies: bool) -> _Resumed:
+    """Read checkpoint.json, verify the run directory against it, roll back.
+
+    Nothing is modified unless every check passes; then each append-only
+    file is cut back to its committed length, dropping the rows of an
+    iteration that crashed before its commit.
+    """
+    path = os.path.join(out_dir, CHECKPOINT_FILE)
+    legacy = os.path.join(out_dir, LEGACY_CHECKPOINT_FILE)
+    if not os.path.exists(path) and os.path.exists(legacy):
+        raise CheckpointError(
+            f"{legacy}: unsupported checkpoint format (a version 1 pickle); this "
+            f"version resumes only from {CHECKPOINT_FILE}, version {CHECKPOINT_VERSION}"
+        )
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except (OSError, ValueError) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version")
+    version = payload.get("version") if isinstance(payload, dict) else None
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version!r}")
     if payload["mode"] != cfg.mode.value:
         raise CheckpointError(
             f"{path}: checkpoint mode {payload['mode']} does not match config "
             f"mode {cfg.mode.value}"
         )
-    state: CmaEsState = payload["cma_state"]
-    start_iter = payload["iteration"] + 1
-    d_star = None if payload["d_star"] is None else DesignVector(payload["d_star"])
-    return (
-        state,
-        start_iter,
-        payload["j_star"],
-        d_star,
-        payload["history"],
-        payload["wall_time_s"],
+    iteration = payload["iteration"]
+    lengths = payload["files"]
+    for name in APPEND_FILES:
+        file = os.path.join(out_dir, name)
+        size = os.path.getsize(file) if os.path.exists(file) else 0
+        if size < lengths[name]:
+            raise CheckpointError(
+                f"{file}: {size} bytes, shorter than the {lengths[name]} committed "
+                f"at iteration {iteration}; refusing to resume"
+            )
+    with open(os.path.join(out_dir, HISTORY_FILE), "rb") as fh:
+        lines = fh.read(lengths[HISTORY_FILE]).splitlines()
+    if len(lines) != iteration:
+        raise CheckpointError(
+            f"{HISTORY_FILE}: {len(lines)} committed records, expected {iteration}"
+        )
+    try:
+        history = [_record_from_json(line) for line in lines]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CheckpointError(f"{HISTORY_FILE}: corrupt record: {exc}") from exc
+    params_base = params_best = None
+    if load_policies:
+        snapshots = payload["policies"]
+        if snapshots is None:
+            raise CheckpointError(f"{path}: the run saved no policy snapshots")
+        params_base = _load_snapshot(out_dir, snapshots["base"])
+        params_best = _load_snapshot(out_dir, snapshots["best"])
+    d_star = payload["d_star"]
+    resumed = _Resumed(
+        iteration=iteration,
+        state=state_from_json(payload["cma_state"]),
+        j_star=payload["j_star"],
+        d_star=None if d_star is None else DesignVector(d_star),
+        history=history,
+        wall_time_s=payload["wall_time_s"],
+        params_base=params_base,
+        params_best=params_best,
     )
+
+    for name in APPEND_FILES:
+        os.truncate(os.path.join(out_dir, name), lengths[name])
+    return resumed
 
 
 # --- rollout-only evaluation -------------------------------------------------

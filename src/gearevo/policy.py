@@ -25,6 +25,7 @@ ACTOR_B, LOG_STD, CRITIC_W, CRITIC_B (C order within each array).
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 from dataclasses import dataclass
 
@@ -376,7 +377,8 @@ def adam_step(
     return new_params, new_opt
 
 
-def save_policy(params: PolicyParams, path) -> None:
+def save_policy(params: PolicyParams, path) -> str:
+    """Write `params` to `path`; returns the SHA-256 hex digest of the file."""
     header = {
         "format_version": CHECKPOINT_VERSION,
         "obs_dim": params.obs_dim,
@@ -389,9 +391,10 @@ def save_policy(params: PolicyParams, path) -> None:
         "n_params": params.n_params,
     }
     flat = np.concatenate([params.arrays()[name].ravel() for name in PARAM_ORDER])
+    blob = json.dumps(header).encode("utf-8") + b"\n" + flat.astype("<f8").tobytes()
     with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode("utf-8") + b"\n")
-        fh.write(flat.astype("<f8").tobytes())
+        fh.write(blob)
+    return hashlib.sha256(blob).hexdigest()
 
 
 def load_policy(path) -> PolicyParams:

@@ -7,6 +7,7 @@ learning quality.  Learning-level behaviour lives in the acceptance suite.
 """
 
 import dataclasses
+import json
 import os
 import pickle
 
@@ -15,11 +16,15 @@ import pytest
 
 from gearevo.chinup_env import ACTION_DIM, PROPRIO_DIM, EnvConfig
 from gearevo.cma_es import CmaEsConfig
+from gearevo import codesign
 from gearevo.codesign import (
+    APPEND_FILES,
     BEST_DESIGN_FILE,
     CHECKPOINT_FILE,
     CMA_LOG_FILE,
     EVOLUTION_FILE,
+    HISTORY_FILE,
+    LEGACY_CHECKPOINT_FILE,
     POLICY_LATENT,
     CodesignConfig,
     Mode,
@@ -31,6 +36,7 @@ from gearevo.codesign import (
     run,
     run_ea_corl,
     run_pt_ft,
+    write_evolution_csv,
     write_heatmap_csv,
 )
 from gearevo.design_space import DesignSpace, DesignVector, read_designs_csv
@@ -333,11 +339,11 @@ def test_resume_rejects_unknown_version(tmp_path):
         fitness_fn=sphere_at_1p5, stop_after=2,
     )
     path = os.path.join(str(tmp_path), CHECKPOINT_FILE)
-    with open(path, "rb") as fh:
-        payload = pickle.load(fh)
+    with open(path) as fh:
+        payload = json.load(fh)
     payload["version"] = 999
-    with open(path, "wb") as fh:
-        pickle.dump(payload, fh)
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
     with pytest.raises(CheckpointError, match="version"):
         run_ea_corl(
             synthetic_config(iterations=3), out_dir=str(tmp_path),
@@ -375,6 +381,227 @@ def test_rl_resume_matches_straight_through(tmp_path):
         with open(os.path.join(dir_full, name), "rb") as fa:
             with open(os.path.join(dir_split, name), "rb") as fb:
                 assert fa.read() == fb.read(), name
+
+
+def _tree(root):
+    """{relative path: bytes} of every file under `root`."""
+    out = {}
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, root)] = fh.read()
+    return out
+
+
+def _without_wall_time(data: bytes) -> dict:
+    payload = json.loads(data)
+    del payload["wall_time_s"]
+    return payload
+
+
+def assert_same_tree(got, want):
+    """Same files, byte for byte; the commit record's wall time may differ."""
+    got_tree, want_tree = _tree(got), _tree(want)
+    assert sorted(got_tree) == sorted(want_tree)
+    for name, data in want_tree.items():
+        if name == CHECKPOINT_FILE:
+            assert _without_wall_time(got_tree[name]) == _without_wall_time(data)
+        else:
+            assert got_tree[name] == data, name
+
+
+def assert_same_history(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for f in dataclasses.fields(b):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            if f.name == "designs":
+                assert len(x) == len(y)
+                for dx, dy in zip(x, y):
+                    np.testing.assert_array_equal(dx.factors, dy.factors)
+            elif f.name == "global_best_design":
+                assert (x is None) == (y is None)
+                if y is not None:
+                    np.testing.assert_array_equal(x.factors, y.factors)
+            elif isinstance(y, np.ndarray):
+                assert x.dtype == y.dtype and x.shape == y.shape, f.name
+                np.testing.assert_array_equal(x, y, err_msg=f.name)
+            else:
+                assert type(x) is type(y) and x == y, f.name
+
+
+def test_run_directory_layout(tmp_path):
+    """A JSON commit record plus append-only files; no pickled state."""
+    out = str(tmp_path)
+    run_ea_corl(micro_config(iterations=2), out_dir=out)
+    names = set(os.listdir(out))
+    assert {CHECKPOINT_FILE, HISTORY_FILE, *APPEND_FILES} <= names
+    assert LEGACY_CHECKPOINT_FILE not in names and "cma_state" not in names
+    assert not [n for n in names if n.endswith(".tmp")]
+    with open(os.path.join(out, CHECKPOINT_FILE)) as fh:
+        payload = json.load(fh)
+    assert payload["iteration"] == 2
+    for name in APPEND_FILES:
+        assert payload["files"][name] == os.path.getsize(os.path.join(out, name))
+    assert payload["policies"]["base"]["snapshot_id"] == 1
+
+
+def test_evolution_csv_append_matches_whole_file(tmp_path):
+    res = run_ea_corl(synthetic_config(iterations=4), fitness_fn=sphere_at_1p5)
+    whole, appended = str(tmp_path / "whole.csv"), str(tmp_path / "appended.csv")
+    write_evolution_csv(res.history, whole)
+    for rec in res.history:
+        write_evolution_csv([rec], appended, append=True)
+    with open(whole, "rb") as fa, open(appended, "rb") as fb:
+        assert fa.read() == fb.read()
+
+
+def test_resume_history_round_trips_inf_and_nan(tmp_path):
+    """The resumed history equals the straight-through one field by field."""
+
+    def walled(design):
+        return np.inf if design.factors[0] > 1.0 else sphere_at_1p5(design)
+
+    cfg = synthetic_config(iterations=8)
+    full = run_ea_corl(cfg, out_dir=str(tmp_path / "full"), fitness_fn=walled)
+    assert any(np.isinf(rec.j_pop).any() for rec in full.history)
+    assert any(np.isnan(rec.mean_returns).any() for rec in full.history)
+    split = str(tmp_path / "split")
+    run_ea_corl(cfg, out_dir=split, fitness_fn=walled, stop_after=5)
+    resumed = run_ea_corl(cfg, out_dir=split, fitness_fn=walled, resume=True)
+    assert_same_history(resumed.history, full.history)
+    assert_same_tree(split, str(tmp_path / "full"))
+
+
+def test_resume_rolls_back_uncommitted_rows(tmp_path):
+    cfg = synthetic_config(iterations=6)
+    full = str(tmp_path / "full")
+    run_ea_corl(cfg, out_dir=full, fitness_fn=sphere_at_1p5)
+    split = str(tmp_path / "split")
+    run_ea_corl(cfg, out_dir=split, fitness_fn=sphere_at_1p5, stop_after=3)
+    for name in APPEND_FILES:
+        with open(os.path.join(split, name), "ab") as fh:
+            fh.write(b"4,half a row")
+    run_ea_corl(cfg, out_dir=split, fitness_fn=sphere_at_1p5, resume=True)
+    assert_same_tree(split, full)
+
+
+@pytest.mark.parametrize("name", APPEND_FILES)
+def test_resume_rejects_short_append_file(tmp_path, name):
+    out = str(tmp_path)
+    cfg = synthetic_config(iterations=6)
+    run_ea_corl(cfg, out_dir=out, fitness_fn=sphere_at_1p5, stop_after=3)
+    path = os.path.join(out, name)
+    size = os.path.getsize(path)
+    os.truncate(path, size - 1)
+    with pytest.raises(CheckpointError, match="shorter"):
+        run_ea_corl(cfg, out_dir=out, fitness_fn=sphere_at_1p5, resume=True)
+    assert os.path.getsize(path) == size - 1
+
+
+def test_resume_rejects_v1_pickle_checkpoint(tmp_path):
+    out = str(tmp_path)
+    with open(os.path.join(out, LEGACY_CHECKPOINT_FILE), "wb") as fh:
+        pickle.dump({"version": 1}, fh)
+    with pytest.raises(CheckpointError, match="unsupported checkpoint format"):
+        run_ea_corl(synthetic_config(), out_dir=out, fitness_fn=sphere_at_1p5, resume=True)
+
+
+def test_resume_rejects_tampered_policy_snapshot(tmp_path):
+    out = str(tmp_path)
+    run_ea_corl(micro_config(iterations=4), out_dir=out, stop_after=3)
+    with open(os.path.join(out, CHECKPOINT_FILE)) as fh:
+        best_id = json.load(fh)["policies"]["best"]["snapshot_id"]
+    path = os.path.join(out, "policies", f"iter_{best_id:04d}.bin")
+    with open(path, "r+b") as fh:
+        fh.seek(-1, os.SEEK_END)
+        last = fh.read(1)
+        fh.seek(-1, os.SEEK_END)
+        fh.write(bytes([last[0] ^ 1]))
+    with pytest.raises(CheckpointError, match="SHA-256"):
+        run_ea_corl(micro_config(iterations=4), out_dir=out, resume=True)
+
+
+def test_fresh_run_into_used_directory(tmp_path):
+    """A non-resume run replaces what an earlier run left, rows included."""
+    used, clean = str(tmp_path / "used"), str(tmp_path / "clean")
+    run_ea_corl(micro_config(iterations=3, seed=1), out_dir=used)
+    run_ea_corl(micro_config(iterations=3), out_dir=used)
+    run_ea_corl(micro_config(iterations=3), out_dir=clean)
+    assert_same_tree(used, clean)
+
+
+# Functions _checkpoint writes through; the path is each one's second argument.
+CHECKPOINT_WRITERS = (
+    "write_evolution_csv",
+    "write_generation_log",
+    "_write_history",
+    "write_designs_csv",
+    "save_policy",
+    "write_learning_curve_csv",
+    "_write_json",
+)
+
+
+class InjectedCrash(RuntimeError):
+    pass
+
+
+def _patch_writers(monkeypatch, crash_at=None):
+    """Record each checkpoint write; the `crash_at`-th one is torn, then raises.
+
+    A torn write keeps half of the bytes the call added to its file, as a
+    process killed in the middle of the write would.
+    """
+    calls = []
+    for name in CHECKPOINT_WRITERS:
+        original = getattr(codesign, name)
+
+        def wrapped(*args, _original=original, _name=name, **kwargs):
+            path = args[1]
+            before = os.path.getsize(path) if os.path.exists(path) else 0
+            result = _original(*args, **kwargs)
+            calls.append((_name, os.path.basename(path)))
+            if len(calls) - 1 == crash_at:
+                after = os.path.getsize(path)
+                os.truncate(path, before + max(0, after - before) // 2)
+                raise InjectedCrash(f"{_name} {path}")
+            return result
+
+        monkeypatch.setattr(codesign, name, wrapped)
+    return calls
+
+
+def test_crash_at_any_checkpoint_write_resumes_byte_identically(tmp_path, monkeypatch):
+    """Kill each write of one iteration in turn; resume must match straight through.
+
+    Iteration 3 of the micro run promotes a new best snapshot, so it writes
+    every kind of file: CSV and history appends, best design, per-iteration,
+    base and best policies, learning curve and the commit record.
+    """
+    cfg = micro_config(iterations=4)
+    full = str(tmp_path / "full")
+    with monkeypatch.context() as m:
+        calls = _patch_writers(m)
+        straight = run_ea_corl(cfg, out_dir=full)
+    assert straight.history[2].snapshot_id == 3 != straight.history[1].snapshot_id
+    # An iteration's writes run from its evolution row to the next one's.
+    starts = [k for k, (name, _) in enumerate(calls) if name == "write_evolution_csv"]
+    targets = range(starts[2], starts[3])
+    written = {calls[k] for k in targets}
+    assert {("save_policy", "best.bin.tmp"), ("_write_json", "checkpoint.json.tmp"),
+            ("_write_history", HISTORY_FILE)} <= written
+    for k in targets:
+        out = str(tmp_path / f"crash{k}")
+        with monkeypatch.context() as m:
+            _patch_writers(m, crash_at=k)
+            with pytest.raises(InjectedCrash):
+                run_ea_corl(cfg, out_dir=out)
+        resumed = run_ea_corl(cfg, out_dir=out, resume=True)
+        assert resumed.best_fitness == straight.best_fitness, calls[k]
+        assert_same_history(resumed.history, straight.history)
+        assert_same_tree(out, full)
 
 
 def test_evolution_csv_round_trip(tmp_path):
