@@ -487,24 +487,20 @@ def cmd_resume(args) -> int:
 
 
 def _load_run(out_dir: str):
-    from .codesign import POLICY_DIR
-    from .errors import CheckpointError
-    from .policy import load_policy
+    """Config, best policy and best design of the run's last committed iteration."""
+    from .codesign import load_committed_best
 
     cfg = parse_config(os.path.join(out_dir, CONFIG_SNAPSHOT_FILE))
-    best_path = os.path.join(out_dir, POLICY_DIR, "best.bin")
-    if not os.path.exists(best_path):
-        raise CheckpointError(f"no best-policy checkpoint at {best_path}")
-    return cfg, load_policy(best_path)
+    params, d_star = load_committed_best(out_dir)
+    return cfg, params, d_star
 
 
 def cmd_sweep(args) -> int:
     import itertools
 
     from . import codesign
-    from .design_space import read_designs_csv
 
-    cfg, params = _load_run(args.run_dir)
+    cfg, params, fixed = _load_run(args.run_dir)
     dim = cfg.space.dim
     if args.axes == "all":
         pairs = list(itertools.combinations(range(dim), 2))
@@ -517,10 +513,6 @@ def cmd_sweep(args) -> int:
                 f"--axes expects 'all' or an 'a,b' integer pair, got {args.axes!r}"
             )
         pairs = [(a, b)]
-    best_design_path = os.path.join(args.run_dir, codesign.BEST_DESIGN_FILE)
-    fixed = None
-    if os.path.exists(best_design_path):
-        fixed = read_designs_csv(best_design_path)[0]
     for a, b in pairs:
         grid = codesign.heatmap_sweep(cfg, params, a, b, args.resolution, fixed=fixed)
         path = os.path.join(args.run_dir, f"heatmap_{a}_{b}.csv")
@@ -535,10 +527,11 @@ def cmd_evaluate(args) -> int:
     from . import codesign
     from .chinup_env import rollout_trajectory, write_trajectory_csv
     from .design_space import DesignVector, clamp_to_bounds
+    from .errors import CheckpointError
     from .policy import policy_forward
     from .reward import write_breakdown_csv
 
-    cfg, params = _load_run(args.run_dir)
+    cfg, params, design = _load_run(args.run_dir)
     if args.design is not None:
         try:
             factors = np.array([float(x) for x in args.design.split(",")])
@@ -547,11 +540,8 @@ def cmd_evaluate(args) -> int:
                 f"--design expects comma-separated numbers, got {args.design!r}"
             )
         design = DesignVector(factors)
-    else:
-        best_path = os.path.join(args.run_dir, codesign.BEST_DESIGN_FILE)
-        from .design_space import read_designs_csv
-
-        design = read_designs_csv(best_path)[0]
+    elif design is None:
+        raise CheckpointError(f"{args.run_dir}: no committed best design; pass --design")
     design = clamp_to_bounds(design, cfg.space)
     episodes = args.episodes or cfg.n_env // cfg.n_pop
     returns = codesign.rollout_returns(

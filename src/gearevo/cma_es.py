@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design_space import DesignSpace, DesignVector, clamp_to_bounds
-from .errors import ConfigError, ContractError, OptimizerDegenerateError
+from .design_space import DesignSpace, DesignVector
+from .errors import ConfigError, ContractError, DimensionError, OptimizerDegenerateError
 from .seeding import stream
 
 
@@ -170,13 +170,18 @@ def cma_ask(
     eigvals, eigvecs = _cov_eigh(state)
     z = rng.standard_normal((state.lam, state.dim))
     samples = state.mean + state.sigma * (z * np.sqrt(eigvals)) @ eigvecs.T
-    candidates = []
-    for x in samples:
-        design = DesignVector(x.copy())
-        if space is not None:
-            design = clamp_to_bounds(design, space)
-        candidates.append(EvaluatedCandidate(design=design, raw_sample=x))
-    return candidates
+    if not np.all(np.isfinite(samples)):
+        raise ContractError("design factors must be finite")
+    if space is None:
+        factors = samples.copy()
+    else:
+        if space.dim != state.dim:
+            raise DimensionError(f"design dim {state.dim} != space dim {space.dim}")
+        factors = np.clip(samples, space.lower_bound, space.upper_bound)
+    return [
+        EvaluatedCandidate(design=DesignVector(f), raw_sample=x)
+        for f, x in zip(factors, samples)
+    ]
 
 
 def cma_tell(state: CmaEsState, evaluated: list[EvaluatedCandidate]) -> CmaEsState:

@@ -555,13 +555,8 @@ def _load_snapshot(out_dir, entry: dict) -> PolicyParams:
     return load_policy(path)
 
 
-def _load_checkpoint(cfg, out_dir, load_policies: bool) -> _Resumed:
-    """Read checkpoint.json, verify the run directory against it, roll back.
-
-    Nothing is modified unless every check passes; then each append-only
-    file is cut back to its committed length, dropping the rows of an
-    iteration that crashed before its commit.
-    """
+def _read_commit(out_dir) -> dict:
+    """The checkpoint.json payload of a run directory, version-checked."""
     path = os.path.join(out_dir, CHECKPOINT_FILE)
     legacy = os.path.join(out_dir, LEGACY_CHECKPOINT_FILE)
     if not os.path.exists(path) and os.path.exists(legacy):
@@ -577,6 +572,37 @@ def _load_checkpoint(cfg, out_dir, load_policies: bool) -> _Resumed:
     version = payload.get("version") if isinstance(payload, dict) else None
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version!r}")
+    return payload
+
+
+def load_committed_best(out_dir) -> tuple[PolicyParams, DesignVector | None]:
+    """The best policy and design of the last committed iteration.
+
+    The policy is the per-iteration snapshot checkpoint.json names, checked
+    against its SHA-256; `policies/best.bin` and `best_design.csv` may hold
+    an iteration that crashed before its commit.
+    """
+    payload = _read_commit(out_dir)
+    if payload["policies"] is None:
+        raise CheckpointError(
+            f"{os.path.join(out_dir, CHECKPOINT_FILE)}: the run saved no policy snapshots"
+        )
+    d_star = payload["d_star"]
+    return (
+        _load_snapshot(out_dir, payload["policies"]["best"]),
+        None if d_star is None else DesignVector(d_star),
+    )
+
+
+def _load_checkpoint(cfg, out_dir, load_policies: bool) -> _Resumed:
+    """Read checkpoint.json, verify the run directory against it, roll back.
+
+    Nothing is modified unless every check passes; then each append-only
+    file is cut back to its committed length, dropping the rows of an
+    iteration that crashed before its commit.
+    """
+    path = os.path.join(out_dir, CHECKPOINT_FILE)
+    payload = _read_commit(out_dir)
     if payload["mode"] != cfg.mode.value:
         raise CheckpointError(
             f"{path}: checkpoint mode {payload['mode']} does not match config "

@@ -171,15 +171,23 @@ def _forward(
     """Batched forward pass keeping the activations needed for backprop.
 
     `hidden_out` may give the (rows, hidden) arrays to write h1 and h2 into.
+    Only the two heads are checked for finiteness: every hidden layer is a
+    tanh, non-finite only as NaN, and a NaN reaches both heads.  When a head
+    is non-finite, the layers are checked in order so that the error names
+    the first bad one.
     """
-    latent = _check_finite("encoder", _dense_tanh(design, params.enc_w, params.enc_b))
+    latent = _dense_tanh(design, params.enc_w, params.enc_b)
     obs = np.concatenate([proprio, latent], axis=-1)
-    h1 = _check_finite("trunk1", _dense_tanh(obs, params.w1, params.b1, hidden_out[0]))
-    h2 = _check_finite("trunk2", _dense_tanh(h1, params.w2, params.b2, hidden_out[1]))
+    h1 = _dense_tanh(obs, params.w1, params.b1, hidden_out[0])
+    h2 = _dense_tanh(h1, params.w2, params.b2, hidden_out[1])
     mean = h2 @ params.actor_w.T
     mean += params.actor_b
-    mean = _check_finite("actor", mean)
-    value = _check_finite("critic", h2 @ params.critic_w + params.critic_b[0])
+    value = h2 @ params.critic_w + params.critic_b[0]
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(value))):
+        layers = zip(("encoder", "trunk1", "trunk2", "actor", "critic"),
+                     (latent, h1, h2, mean, value))
+        for name, x in layers:
+            _check_finite(name, x)
     return {"latent": latent, "obs": obs, "h1": h1, "h2": h2, "mean": mean, "value": value}
 
 
@@ -231,8 +239,20 @@ def entropy(log_std: np.ndarray) -> float:
     return float(np.sum(log_std) + 0.5 * n * (1.0 + np.log(2.0 * np.pi)))
 
 
+def loss_workspace(rows: int, hidden: int) -> list[np.ndarray]:
+    """The five (min(rows, _BLOCK_ROWS), hidden) work arrays of loss_and_grads.
+
+    h1, h2, d_h2, d_h1, and a scratch for the critic's share of d_h2, then
+    each 1 - h*h.  Every block overwrites them before reading, so one
+    workspace serves any number of calls with at most `rows` rows each.
+    Five separate arrays: as slices of one (5, rows, hidden) array they
+    ran slower.
+    """
+    return [np.empty((min(rows, _BLOCK_ROWS), hidden)) for _ in range(5)]
+
+
 def loss_and_grads(
-    params: PolicyParams, minibatch: dict, ppo_cfg
+    params: PolicyParams, minibatch: dict, ppo_cfg, work: list[np.ndarray] | None = None
 ) -> tuple[dict, dict[str, np.ndarray]]:
     """PPO clipped-surrogate loss and exact gradients for one minibatch.
 
@@ -249,6 +269,10 @@ def loss_and_grads(
     unblocked pass.  A larger one sums its gradients in a different order,
     and BLAS may round a row's matmuls differently in a block of another
     shape; the results move by about 1e-14 relative.
+
+    `work` is a `loss_workspace` for at least this many rows; without one,
+    the call allocates its own.  A caller making many calls passes one, so
+    that the work arrays are not freed and faulted in again on every call.
     """
     proprio = minibatch["proprio"]
     design = minibatch["design"]
@@ -266,10 +290,13 @@ def loss_and_grads(
     ratio = np.empty(batch)
     surrogate = np.empty(batch)
     grads = {name: np.zeros_like(arr) for name, arr in params.arrays().items()}
-    # (rows, hidden) arrays that every block reuses; scratch holds the
-    # critic's share of d_h2, then each 1 - h*h.  Five separate arrays: as
-    # slices of one (5, rows, hidden) array they ran slower.
-    work = [np.empty((min(batch, _BLOCK_ROWS), params.hidden)) for _ in range(5)]
+    if work is None:
+        work = loss_workspace(batch, params.hidden)
+    elif any(w.shape[0] < min(batch, _BLOCK_ROWS) or w.shape[1:] != (params.hidden,)
+             for w in work):
+        raise ContractError(
+            f"loss workspace too small for {batch} rows of hidden size {params.hidden}"
+        )
     for lo in range(0, batch, _BLOCK_ROWS):
         n = min(_BLOCK_ROWS, batch - lo)
         rows = slice(lo, lo + n)

@@ -27,6 +27,7 @@ from .policy import (
     PolicyParams,
     adam_step,
     loss_and_grads,
+    loss_workspace,
     policy_forward_batch,
     sample_action,
 )
@@ -145,7 +146,11 @@ def compute_gae(
 def ppo_update(
     params: PolicyParams, opt: AdamState, batch: RolloutBatch, cfg: PpoConfig, rng
 ) -> tuple[PolicyParams, AdamState, dict]:
-    """One PPO update: epochs of seeded-shuffle minibatch gradient steps."""
+    """One PPO update: epochs of seeded-shuffle minibatch gradient steps.
+
+    Every minibatch step shares one loss workspace, sized for the largest
+    minibatch and freed when the update returns.
+    """
     n, horizon = batch.rewards.shape
     total = n * horizon
     flat = {
@@ -156,13 +161,15 @@ def ppo_update(
         "advantage": batch.advantages.reshape(total),
         "ret": batch.returns.reshape(total),
     }
+    # np.array_split makes its first chunks the largest: ceil(total / minibatches).
+    work = loss_workspace(-(-total // cfg.minibatches), params.hidden)
     stats_acc: dict[str, list] = {}
     for epoch in range(cfg.epochs):
         perm = rng.permutation(total)
         for mb_idx, chunk in enumerate(np.array_split(perm, cfg.minibatches)):
-            minibatch = {k: v[chunk] for k, v in flat.items()}
+            minibatch = {k: v.take(chunk, axis=0) for k, v in flat.items()}
             try:
-                losses, grads = loss_and_grads(params, minibatch, cfg)
+                losses, grads = loss_and_grads(params, minibatch, cfg, work)
             except NumericError as exc:
                 raise NumericError(
                     f"PPO update aborted at epoch {epoch}, minibatch {mb_idx}: {exc}"
@@ -222,6 +229,8 @@ def train_on_env(
                 "approx_kl": stats["approx_kl"],
             }
         )
+        # Free this batch before the next rollout fills a new one.
+        del batch
     n_designs = int(np.max(vec_env.env_to_design)) + 1 if n_iterations > 0 else 0
     per_design = _per_design_returns(episodes_by_iter, n_designs)
     return params, history, per_design

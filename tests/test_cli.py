@@ -8,6 +8,7 @@ each invocation finishes in well under a second.
 import hashlib
 import json
 import os
+import shutil
 
 import pytest
 
@@ -24,7 +25,8 @@ from gearevo.cli import (
     render_config,
 )
 from gearevo.codesign import EVOLUTION_FILE, Mode, read_evolution_csv
-from gearevo.errors import ConfigError
+from gearevo.errors import CheckpointError, ConfigError
+from gearevo.policy import load_policy
 
 MICRO_INI = """\
 [run]
@@ -384,6 +386,61 @@ def test_evaluate_malformed_design(completed_run, capsys):
 def test_evaluate_wrong_design_dim(completed_run, capsys):
     assert main(["evaluate", completed_run, "--design", "1.0,1.0,1.0"]) == EXIT_ERROR
     assert "dim" in capsys.readouterr().err
+
+
+def test_evaluate_and_sweep_use_the_committed_best(micro_ini, tmp_path, monkeypatch, capsys):
+    """A crash before the commit of iteration 3 leaves best.bin holding its
+    snapshot 3; evaluate and sweep still use snapshot 1, which the commit of
+    iteration 2 names, and the committed best design."""
+    out = str(tmp_path / "run")
+    write_json = codesign._write_json
+
+    def failing_commit(payload, path):
+        if payload["iteration"] == 3:
+            raise CheckpointError("injected failure of the iteration 3 commit")
+        write_json(payload, path)
+
+    with monkeypatch.context() as m:
+        m.setattr(codesign, "_write_json", failing_commit)
+        args = ["run", "--config", micro_ini, "--out", out, "--iterations", "4"]
+        assert main(args) == EXIT_ERROR
+    with open(os.path.join(out, codesign.CHECKPOINT_FILE)) as fh:
+        commit = json.load(fh)
+    assert commit["iteration"] == 2 and commit["policies"]["best"]["snapshot_id"] == 1
+    assert load_policy(os.path.join(out, "policies", "best.bin")).snapshot_id == 3
+
+    seen = []
+    rollout_returns, heatmap_sweep = codesign.rollout_returns, codesign.heatmap_sweep
+
+    def recording_returns(env_cfg, reward_cfg, params, design, *args, **kwargs):
+        seen.append((params.snapshot_id, design.factors.tolist()))
+        return rollout_returns(env_cfg, reward_cfg, params, design, *args, **kwargs)
+
+    def recording_sweep(cfg, params, a, b, resolution, fixed=None):
+        seen.append((params.snapshot_id, fixed.factors.tolist()))
+        return heatmap_sweep(cfg, params, a, b, resolution, fixed=fixed)
+
+    monkeypatch.setattr(codesign, "rollout_returns", recording_returns)
+    assert main(["evaluate", out, "--episodes", "1"]) == EXIT_OK
+    monkeypatch.setattr(codesign, "rollout_returns", rollout_returns)
+    monkeypatch.setattr(codesign, "heatmap_sweep", recording_sweep)
+    assert main(["sweep", out, "--resolution", "2"]) == EXIT_OK
+    assert seen == [(1, commit["d_star"])] * 2
+
+
+def test_evaluate_refuses_tampered_best_snapshot(completed_run, tmp_path, capsys):
+    with open(os.path.join(completed_run, codesign.CHECKPOINT_FILE)) as fh:
+        best_id = json.load(fh)["policies"]["best"]["snapshot_id"]
+    run_dir = str(tmp_path / "copy")
+    shutil.copytree(completed_run, run_dir)
+    path = os.path.join(run_dir, "policies", f"iter_{best_id:04d}.bin")
+    with open(path, "r+b") as fh:
+        fh.seek(-1, os.SEEK_END)
+        last = fh.read(1)
+        fh.seek(-1, os.SEEK_END)
+        fh.write(bytes([last[0] ^ 1]))
+    assert main(["evaluate", run_dir]) == EXIT_ERROR
+    assert "SHA-256" in capsys.readouterr().err
 
 
 def test_evaluate_without_run_directory(tmp_path, capsys):

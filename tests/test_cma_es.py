@@ -20,8 +20,8 @@ from gearevo.cma_es import (
     state_to_json,
     write_generation_log,
 )
-from gearevo.design_space import DesignSpace, DesignVector
-from gearevo.errors import ConfigError, ContractError
+from gearevo.design_space import DesignSpace, DesignVector, clamp_to_bounds
+from gearevo.errors import ConfigError, ContractError, DimensionError
 
 
 def small_config(**kw) -> CmaEsConfig:
@@ -150,6 +150,29 @@ def test_ask_clamps_design_keeps_raw_sample():
             clamped = np.clip(c.raw_sample, 0.5, 4.0)
             assert np.array_equal(c.design.factors, clamped)
     assert out_of_bounds > 0  # sigma=5 guarantees excursions
+
+
+@pytest.mark.parametrize("space", [None, DesignSpace(dim=2, lower_bound=0.5, upper_bound=4.0)])
+def test_ask_designs_match_per_candidate_construction(space):
+    """The whole-population clip gives each candidate's own clamp, bit for bit."""
+    state = dataclasses.replace(cma_init(small_config()), sigma=5.0)
+    for c in cma_ask(state, space):
+        want = DesignVector(c.raw_sample.copy())
+        if space is not None:
+            want = clamp_to_bounds(want, space)
+        assert c.design.factors.tobytes() == want.factors.tobytes()
+        assert not np.shares_memory(c.design.factors, c.raw_sample)
+
+
+def test_ask_rejects_nonfinite_samples():
+    state = dataclasses.replace(cma_init(small_config()), mean=np.array([0.2, np.nan]))
+    with pytest.raises(ContractError, match="finite"):
+        cma_ask(state, DesignSpace(dim=2))
+
+
+def test_ask_rejects_space_of_other_dim():
+    with pytest.raises(DimensionError, match="space dim"):
+        cma_ask(cma_init(small_config()), DesignSpace(dim=3))
 
 
 # --- tell ------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from gearevo.policy import (
     gaussian_log_prob,
     load_policy,
     loss_and_grads,
+    loss_workspace,
     policy_forward,
     policy_forward_batch,
     policy_init,
@@ -280,6 +281,55 @@ def test_nonfinite_in_last_block_raises(monkeypatch, key, match):
     minibatch = _random_minibatch(params, 10, 7)
     minibatch[key][9] = np.nan  # row 9 is the one-row tail block
     with pytest.raises(NumericError, match=match):
+        loss_and_grads(params, minibatch, PpoConfig())
+
+
+@pytest.mark.parametrize("rows, block_rows", [(1024, 1024), (10, 3)])
+def test_reused_workspace_gives_same_bits(monkeypatch, rows, block_rows):
+    """A workspace left holding NaN from earlier use changes no output bit."""
+    monkeypatch.setattr(policy, "_BLOCK_ROWS", block_rows)  # 10 rows: blocks 3/3/3/1
+    params = policy_init(14, 4, 2, 3)
+    minibatch = _random_minibatch(params, rows, 11)
+    fresh_losses, fresh_grads = loss_and_grads(params, minibatch, PpoConfig())
+    work = loss_workspace(rows, params.hidden)
+    assert [w.shape for w in work] == [(block_rows, params.hidden)] * 5
+    for w in work:
+        w.fill(np.nan)
+    losses, grads = loss_and_grads(params, minibatch, PpoConfig(), work)
+    assert losses == fresh_losses
+    for name in PARAM_ORDER:
+        assert grads[name].tobytes() == fresh_grads[name].tobytes(), name
+
+
+def test_loss_rejects_small_workspace():
+    params = policy_init(6, 2, 2, 1, hidden=8, latent=2)
+    minibatch = _random_minibatch(params, 10, 7)
+    with pytest.raises(ContractError, match="workspace"):
+        loss_and_grads(params, minibatch, PpoConfig(), loss_workspace(9, params.hidden))
+
+
+# Where to put a non-finite value so that each layer is the first bad one.
+POISON = {
+    "encoder": ("design", np.nan),
+    "trunk1": ("proprio", np.nan),
+    "trunk2": ("w2", np.nan),
+    "actor": ("actor_b", np.inf),
+    "critic": ("critic_b", np.inf),
+}
+
+
+@pytest.mark.parametrize("layer", list(POISON))
+def test_nonfinite_error_names_first_bad_layer(layer):
+    params = policy_init(6, 2, 2, 1, hidden=8, latent=2)
+    minibatch = _random_minibatch(params, 10, 7)
+    key, value = POISON[layer]
+    if key in minibatch:
+        minibatch[key][4] = value
+    else:
+        arr = params.arrays()[key].copy()
+        arr.flat[0] = value
+        params = params.with_arrays({key: arr})
+    with pytest.raises(NumericError, match=f"non-finite activation in layer {layer}$"):
         loss_and_grads(params, minibatch, PpoConfig())
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gearevo import policy, ppo
 from gearevo.chinup_env import ACTION_DIM, EnvConfig, VecChinupEnv
 from gearevo.errors import ConfigError
 from gearevo.policy import PARAM_ORDER, adam_init, policy_init
@@ -240,6 +241,30 @@ def test_update_is_deterministic():
     for name in PARAM_ORDER:
         assert np.array_equal(p1.arrays()[name], p2.arrays()[name])
     assert s1 == s2
+
+
+def test_update_allocates_one_loss_workspace(monkeypatch):
+    """Every minibatch step of one update shares a single workspace."""
+    workspaces, used = [], []
+
+    def counting_workspace(rows, hidden):
+        workspaces.append(policy.loss_workspace(rows, hidden))
+        return workspaces[-1]
+
+    def recording_loss(params, minibatch, cfg, work=None):
+        used.append(work)
+        return policy.loss_and_grads(params, minibatch, cfg, work)
+
+    monkeypatch.setattr(ppo, "loss_workspace", counting_workspace)
+    monkeypatch.setattr(ppo, "loss_and_grads", recording_loss)
+    env = HoldPositionEnv(4, seed=0)
+    params = hold_policy()
+    batch = compute_gae(collect_rollouts(env, params, 9, stream("rollout", 0, 0)), 0.99, 0.95)
+    cfg = PpoConfig(epochs=2, minibatches=4)  # 36 rows: minibatches of 9
+    ppo_update(params, adam_init(params, 1e-3), batch, cfg, stream("shuffle", 0, 0))
+    assert len(workspaces) == 1
+    assert len(used) == 8 and all(w is workspaces[0] for w in used)
+    assert workspaces[0][0].shape == (9, params.hidden)
 
 
 # --- training loop ----------------------------------------------------------------
