@@ -18,20 +18,23 @@ and position clamps of the final substep), while dynamics and observations
 use the clamped actual state.  Without this the clamps would make those
 terms identically zero.
 
-All physics helpers broadcast over leading batch axes; the single-env
-operations and the vectorized batch environment share the same code path
-bit for bit.
+The physics helpers take joint arrays of shape (..., 2) and broadcast over
+the leading axes.  `VecChinupEnv.step` is the one control-step
+implementation.  It keeps the bank's (n_envs, 2) joint arrays in column
+(Fortran) order, so each joint is one contiguous column and a whole
+substep costs about fifty NumPy calls however many environments it steps.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
-from .design_space import ActuatorLimits, DesignVector, scale_actuator_limits
-from .errors import ConfigError, ContractError, EnvDivergedError
+from .design_space import DesignVector
+from .errors import ConfigError, ContractError
 from .reward import RewardBreakdown, RewardConfig, RewardInputs, reward_terms, total_reward
 from .seeding import stream
 
@@ -83,54 +86,48 @@ class EnvConfig:
             raise ConfigError("reset_noise must be non-negative")
 
 
-@dataclass
-class EnvState:
-    q: np.ndarray
-    qdot: np.ndarray
-    prev_action: np.ndarray
-    prev_qdot: np.ndarray  # previous step's reward-side velocity signal
-    step_count: int
-    rng: np.random.Generator
-    limits: ActuatorLimits
-    diverged: bool = False
+def _mass_entries(q: np.ndarray, config: EnvConfig):
+    """M11(q), M12(q) and the constant M22 of the joint-space mass matrix."""
+    a = (config.m1 + config.m2) * config.l1**2
+    b = config.m2 * config.l2**2
+    c = config.m2 * config.l1 * config.l2
+    c2 = np.cos(q[..., 1])
+    return a + b + 2.0 * c * c2, b + c * c2, b
 
 
 def mass_matrix(q: np.ndarray, config: EnvConfig) -> np.ndarray:
     """Joint-space mass matrix M(q), shape (..., 2, 2)."""
     q = np.asarray(q, dtype=np.float64)
-    a = (config.m1 + config.m2) * config.l1**2
-    b = config.m2 * config.l2**2
-    c = config.m2 * config.l1 * config.l2
-    c2 = np.cos(q[..., 1])
-    m11 = a + b + 2.0 * c * c2
-    m12 = b + c * c2
-    m22 = np.broadcast_to(b, m11.shape)
+    m11, m12, m22 = _mass_entries(q, config)
+    m22 = np.broadcast_to(m22, m11.shape)
     return np.stack(
         [np.stack([m11, m12], axis=-1), np.stack([m12, m22], axis=-1)], axis=-2
     )
 
 
 def coriolis_forces(q: np.ndarray, qdot: np.ndarray, config: EnvConfig) -> np.ndarray:
-    """Velocity-product forces C(q, qdot), shape (..., 2)."""
+    """Velocity-product forces C(q, qdot), shape (..., 2), laid out like qdot."""
     q = np.asarray(q, dtype=np.float64)
     qdot = np.asarray(qdot, dtype=np.float64)
     c = config.m2 * config.l1 * config.l2
     s2 = np.sin(q[..., 1])
     qd1, qd2 = qdot[..., 0], qdot[..., 1]
-    c1 = -c * s2 * (2.0 * qd1 * qd2 + qd2**2)
-    c2 = c * s2 * qd1**2
-    return np.stack([c1, c2], axis=-1)
+    out = np.empty_like(qdot)
+    np.multiply(-c * s2, 2.0 * qd1 * qd2 + qd2**2, out=out[..., 0])
+    np.multiply(c * s2, qd1**2, out=out[..., 1])
+    return out
 
 
 def gravity_forces(q: np.ndarray, config: EnvConfig) -> np.ndarray:
-    """Gravity torques G(q), shape (..., 2)."""
+    """Gravity torques G(q), shape (..., 2), laid out like q."""
     q = np.asarray(q, dtype=np.float64)
     g = config.gravity
     s1 = np.sin(q[..., 0])
     s12 = np.sin(q[..., 0] + q[..., 1])
-    g1 = (config.m1 + config.m2) * g * config.l1 * s1 + config.m2 * g * config.l2 * s12
-    g2 = config.m2 * g * config.l2 * s12
-    return np.stack([g1, g2], axis=-1)
+    out = np.empty_like(q)
+    np.multiply(config.m2 * g * config.l2, s12, out=out[..., 1])
+    np.add((config.m1 + config.m2) * g * config.l1 * s1, out[..., 1], out=out[..., 0])
+    return out
 
 
 def total_energy(q: np.ndarray, qdot: np.ndarray, config: EnvConfig) -> np.ndarray:
@@ -147,105 +144,14 @@ def total_energy(q: np.ndarray, qdot: np.ndarray, config: EnvConfig) -> np.ndarr
 
 
 def forward_kinematics(q: np.ndarray, config: EnvConfig) -> np.ndarray:
-    """Head position (tip of link 2), bar at origin, y up; shape (..., 2)."""
+    """Head position (tip of link 2), bar at origin, y up; shape (..., 2), laid out like q."""
     q = np.asarray(q, dtype=np.float64)
     q1 = q[..., 0]
     q12 = q[..., 0] + q[..., 1]
-    x = config.l1 * np.sin(q1) + config.l2 * np.sin(q12)
-    y = -config.l1 * np.cos(q1) - config.l2 * np.cos(q12)
-    return np.stack([x, y], axis=-1)
-
-
-def _accel(q, qdot, tau, config):
-    """Closed-form solve of M qdd = tau - C - G for the 2x2 system."""
-    a = (config.m1 + config.m2) * config.l1**2
-    b = config.m2 * config.l2**2
-    c = config.m2 * config.l1 * config.l2
-    c2 = np.cos(q[..., 1])
-    m11 = a + b + 2.0 * c * c2
-    m12 = b + c * c2
-    rhs = tau - coriolis_forces(q, qdot, config) - gravity_forces(q, config)
-    r1, r2 = rhs[..., 0], rhs[..., 1]
-    det = m11 * b - m12 * m12  # = m2 l1^2 l2^2 (m1 + m2 sin^2 q2) > 0
-    qdd1 = (b * r1 - m12 * r2) / det
-    qdd2 = (m11 * r2 - m12 * r1) / det
-    return np.stack([qdd1, qdd2], axis=-1)
-
-
-def _substep(q, qdot, tau, qdot_max, q_lo, q_hi, config):
-    """One semi-implicit Euler step with velocity and position clamps.
-
-    Returns (q_new, qdot_new, q_pre, qdot_pre) where the *_pre values are
-    the unclamped excursions the reward terms observe.
-    """
-    qdd = _accel(q, qdot, tau, config)
-    qdot_pre = qdot + config.dt_sim * qdd
-    qdot_new = np.clip(qdot_pre, -qdot_max, qdot_max)
-    q_pre = q + config.dt_sim * qdot_new
-    q_new = np.clip(q_pre, q_lo, q_hi)
-    at_stop = q_pre != q_new
-    qdot_new = np.where(at_stop, 0.0, qdot_new)
-    return q_new, qdot_new, q_pre, qdot_pre
-
-
-def _pd_raw(q, qdot, action, config):
-    """Unclamped PD torque for action layout [q_target (2), qdot_target (2)]."""
-    q_target = action[..., :2]
-    qdot_target = action[..., 2:]
-    return config.kp * (q_target - q) + config.kd * (qdot_target - qdot)
-
-
-def pd_torque(
-    state: EnvState, action: np.ndarray, limits: ActuatorLimits, config: EnvConfig
-) -> np.ndarray:
-    """PD torque clamped to the design-scaled limits."""
-    action = np.asarray(action, dtype=np.float64)
-    if action.shape[-1] != ACTION_DIM:
-        raise ContractError(f"action must have {ACTION_DIM} entries")
-    raw = _pd_raw(state.q, state.qdot, action, config)
-    return np.clip(raw, -limits.tau_max, limits.tau_max)
-
-
-def env_reset(config: EnvConfig, design: DesignVector, rng: np.random.Generator) -> EnvState:
-    """Fresh episode: small random joint angles, zero velocity."""
-    q = rng.uniform(-config.reset_noise, config.reset_noise, size=N_JOINTS)
-    limits = scale_actuator_limits(
-        design, np.array(config.tau_default), np.array(config.qdot_default)
-    )
-    return EnvState(
-        q=q,
-        qdot=np.zeros(N_JOINTS),
-        prev_action=np.zeros(ACTION_DIM),
-        prev_qdot=np.zeros(N_JOINTS),
-        step_count=0,
-        rng=rng,
-        limits=limits,
-    )
-
-
-def dynamics_step(state: EnvState, tau: np.ndarray, config: EnvConfig) -> EnvState:
-    """Advance one sim substep under the given (already clamped) torque."""
-    q_new, qdot_new, _, _ = _substep(
-        state.q,
-        state.qdot,
-        np.asarray(tau, dtype=np.float64),
-        state.limits.qdot_max,
-        np.array(config.q_min),
-        np.array(config.q_max),
-        config,
-    )
-    if not (np.all(np.isfinite(q_new)) and np.all(np.isfinite(qdot_new))):
-        raise EnvDivergedError(f"non-finite state at step {state.step_count}")
-    return EnvState(
-        q=q_new,
-        qdot=qdot_new,
-        prev_action=state.prev_action,
-        prev_qdot=state.prev_qdot,
-        step_count=state.step_count,
-        rng=state.rng,
-        limits=state.limits,
-        diverged=state.diverged,
-    )
+    head = np.empty_like(q)
+    np.add(config.l1 * np.sin(q1), config.l2 * np.sin(q12), out=head[..., 0])
+    np.subtract(-config.l1 * np.cos(q1), config.l2 * np.cos(q12), out=head[..., 1])
+    return head
 
 
 def _base_ok(head: np.ndarray) -> np.ndarray:
@@ -258,127 +164,12 @@ def _base_ok(head: np.ndarray) -> np.ndarray:
     return (head[..., 0] <= 0.0) | (head[..., 1] <= 0.0)
 
 
-def _step_core(q, qdot, prev_action, prev_qdot, action, limits, config, reward_cfg):
-    """Shared control-step body for the single and batched environments.
-
-    Runs `decimation` substeps with the action held, recomputing the PD
-    torque each substep, then evaluates the reward.  Returns the new state
-    arrays, the reward breakdown, and the reward-side velocity signal that
-    becomes prev_qdot.
-    """
-    q_lo = np.array(config.q_min)
-    q_hi = np.array(config.q_max)
-    tau_raw = None
-    q_pre = q
-    qdot_pre = qdot
-    for _ in range(config.decimation):
-        tau_raw = _pd_raw(q, qdot, action, config)
-        tau = np.clip(tau_raw, -limits.tau_max, limits.tau_max)
-        q, qdot, q_pre, qdot_pre = _substep(
-            q, qdot, tau, limits.qdot_max, q_lo, q_hi, config
-        )
-
-    head = forward_kinematics(q, config)
-    inputs = RewardInputs(
-        pos_head=head,
-        pos_goal=np.array(config.goal),
-        cyl_gap=config.cyl_gap,
-        base_ok=_base_ok(head),
-        sym_pairs=config.sym_pairs,
-        g_proj_xy=np.zeros(q.shape[:-1] + (2,)),
-        tau=tau_raw,
-        qdot=qdot_pre,
-        prev_qdot=prev_qdot,
-        dt=config.dt_sim * config.decimation,
-        action=action,
-        prev_action=prev_action,
-        q=q_pre,
-        q_min=q_lo,
-        q_max=q_hi,
-        qdot_max=limits.qdot_max,
-        tau_max=limits.tau_max,
-    )
-    breakdown = reward_terms(inputs, reward_cfg)
-    total_reward(breakdown, reward_cfg)
-    return q, qdot, breakdown, qdot_pre
-
-
-def env_step(
-    state: EnvState,
-    action: np.ndarray,
-    design: DesignVector,
-    config: EnvConfig,
-    reward_cfg: RewardConfig,
-) -> tuple[EnvState, RewardBreakdown, bool, float]:
-    """One control step: PD torque, decimated substeps, reward, termination."""
-    if state.step_count >= config.episode_length:
-        raise ContractError("env_step called after episode end")
-    action = np.asarray(action, dtype=np.float64)
-    if action.shape != (ACTION_DIM,):
-        raise ContractError(f"action must have shape ({ACTION_DIM},)")
-    limits = scale_actuator_limits(
-        design, np.array(config.tau_default), np.array(config.qdot_default)
-    )
-    q, qdot, breakdown, qdot_signal = _step_core(
-        state.q, state.qdot, state.prev_action, state.prev_qdot,
-        action, limits, config, reward_cfg,
-    )
-    diverged = not (np.all(np.isfinite(q)) and np.all(np.isfinite(qdot)))
-    if diverged:
-        breakdown = RewardBreakdown()
-    new_state = EnvState(
-        q=q,
-        qdot=qdot,
-        prev_action=action.copy(),
-        prev_qdot=qdot_signal,
-        step_count=state.step_count + 1,
-        rng=state.rng,
-        limits=limits,
-        diverged=diverged,
-    )
-    done = diverged or new_state.step_count >= config.episode_length
-    return new_state, breakdown, done, float(breakdown.total)
-
-
 def observation_proprio(state_q, state_qdot, prev_action, config: EnvConfig) -> np.ndarray:
     """Proprioceptive observation block: goal delta, q, scaled qdot, prev action."""
     head = forward_kinematics(state_q, config)
     goal_delta = np.array(config.goal) - head
     return np.concatenate(
         [goal_delta, state_q, state_qdot * config.qdot_obs_scale, prev_action], axis=-1
-    )
-
-
-@dataclass
-class Observation:
-    """Typed view of the 14-dim observation the policy trunk consumes."""
-
-    goal_delta: np.ndarray
-    q: np.ndarray
-    qdot: np.ndarray
-    prev_action: np.ndarray
-    design_latent: np.ndarray
-
-    DIM = PROPRIO_DIM + 4
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.concatenate(
-            [self.goal_delta, self.q, self.qdot, self.prev_action, self.design_latent]
-        )
-
-
-def split_observation(obs: np.ndarray) -> Observation:
-    """Decompose a flat observation vector into its named blocks."""
-    obs = np.asarray(obs, dtype=np.float64)
-    if obs.shape != (Observation.DIM,):
-        raise ContractError(f"observation must have {Observation.DIM} entries")
-    return Observation(
-        goal_delta=obs[0:2],
-        q=obs[2:4],
-        qdot=obs[4:6],
-        prev_action=obs[6:10],
-        design_latent=obs[10:14],
     )
 
 
@@ -397,6 +188,9 @@ class VecChinupEnv:
     completed episode returns are reported tagged by design index.
     Per-environment random streams are derived from (seed, phase, env
     index), so trajectories depend only on those keys and the actions.
+
+    `q`, `qdot` and `prev_qdot` are (n_envs, 2) arrays in column order;
+    `step` replaces them with new arrays rather than writing into them.
     """
 
     def __init__(
@@ -416,22 +210,31 @@ class VecChinupEnv:
         self.design_mat = design_mat
         self.env_to_design = np.asarray(env_to_design, dtype=np.int64)
         self.n_envs = design_mat.shape[0]
-        self.tau_max = np.array(config.tau_default) * design_mat
-        self.qdot_max = np.array(config.qdot_default) / design_mat
-        self.limits = ActuatorLimits(tau_max=self.tau_max, qdot_max=self.qdot_max)
+        self.tau_max = np.asfortranarray(np.array(config.tau_default) * design_mat)
+        self.qdot_max = np.asfortranarray(np.array(config.qdot_default) / design_mat)
         self.rngs = [stream("env", seed, phase, k) for k in range(self.n_envs)]
+        # Per-bank constants of the control step.
+        self._neg_tau_max = -self.tau_max
+        self._neg_qdot_max = -self.qdot_max
+        self._q_lo = np.array(config.q_min)
+        self._q_hi = np.array(config.q_max)
+        self._goal = np.array(config.goal)
+        self._g_proj_xy = np.zeros((self.n_envs, 2))
+        # The reward breakdown of the last step, before a diverged
+        # environment's reward is zeroed.
+        self.breakdown: RewardBreakdown | None = None
 
-        self.q = np.zeros((self.n_envs, N_JOINTS))
-        self.qdot = np.zeros((self.n_envs, N_JOINTS))
+        self.q = np.zeros((self.n_envs, N_JOINTS), order="F")
+        self.qdot = np.zeros((self.n_envs, N_JOINTS), order="F")
         self.prev_action = np.zeros((self.n_envs, ACTION_DIM))
-        self.prev_qdot = np.zeros((self.n_envs, N_JOINTS))
+        self.prev_qdot = np.zeros((self.n_envs, N_JOINTS), order="F")
         self.step_count = np.zeros(self.n_envs, dtype=np.int64)
         self.ep_return = np.zeros(self.n_envs)
         self.reset_mask(np.ones(self.n_envs, dtype=bool))
 
     def reset_mask(self, mask: np.ndarray) -> None:
         noise = self.config.reset_noise
-        for k in np.nonzero(mask)[0]:
+        for k in np.flatnonzero(mask):
             self.q[k] = self.rngs[k].uniform(-noise, noise, size=N_JOINTS)
         self.qdot[mask] = 0.0
         self.prev_action[mask] = 0.0
@@ -442,43 +245,112 @@ class VecChinupEnv:
     def proprio(self) -> np.ndarray:
         return observation_proprio(self.q, self.qdot, self.prev_action, self.config)
 
-    def step(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[EpisodeRecord]]:
-        """Advance every environment one control step.
+    def _torque(self, target, q, qdot):
+        """PD torque toward target [q (2), qdot (2)]: (unsaturated, saturated)."""
+        raw = target[:, :2] - q
+        raw *= self.config.kp
+        damping = target[:, 2:] - qdot
+        damping *= self.config.kd
+        raw += damping
+        tau = np.maximum(raw, self._neg_tau_max)
+        return raw, np.minimum(tau, self.tau_max, out=tau)
 
-        Returns (rewards, dones, completed episode records); environments
-        that finished are reset in place after their record is taken.
-        """
+    def _checked(self, actions) -> np.ndarray:
         actions = np.asarray(actions, dtype=np.float64)
         if actions.shape != (self.n_envs, ACTION_DIM):
             raise ContractError(f"actions must be ({self.n_envs}, {ACTION_DIM})")
-        q, qdot, breakdown, qdot_signal = _step_core(
-            self.q, self.qdot, self.prev_action, self.prev_qdot,
-            actions, self.limits, self.config, self.reward_cfg,
+        return actions
+
+    def pd_torque(self, actions: np.ndarray) -> np.ndarray:
+        """The saturated PD torque (n_envs, 2) that `actions` command now."""
+        return self._torque(self._checked(actions), self.q, self.qdot)[1]
+
+    def step(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[EpisodeRecord]]:
+        """Advance every environment one control step.
+
+        Runs `decimation` semi-implicit Euler substeps with the action held
+        (PD torque recomputed each substep, velocity then position clamped,
+        velocity zeroed at a position stop), then evaluates the reward.
+        Returns (rewards, dones, completed episode records); environments
+        that finished are reset in place after their record is taken.
+        """
+        actions = self._checked(actions)
+        cfg = self.config
+        dt = cfg.dt_sim
+        target = np.asfortranarray(actions)
+        q, qdot = self.q, self.qdot
+        # Each in-place product or sum below only swaps the operands of one
+        # IEEE operation of qdd = (b r1 - m12 r2) / det, qdot + dt qdd and
+        # q + dt qdot, so the results have the bits of the (..., 2) form.
+        for _ in range(cfg.decimation):
+            tau_raw, tau = self._torque(target, q, qdot)
+            # Closed-form solve of M qdd = tau - C - G for the 2x2 system.
+            m11, m12, m22 = _mass_entries(q, cfg)
+            rhs = tau - coriolis_forces(q, qdot, cfg)
+            rhs -= gravity_forces(q, cfg)
+            r1, r2 = rhs[:, 0], rhs[:, 1]
+            det = m11 * m22  # = m2 l1^2 l2^2 (m1 + m2 sin^2 q2) > 0
+            det -= m12 * m12
+            qdot_pre = np.empty_like(rhs)
+            np.subtract(m22 * r1, m12 * r2, out=qdot_pre[:, 0])
+            np.subtract(m11 * r2, m12 * r1, out=qdot_pre[:, 1])
+            qdot_pre /= det[:, None]
+            qdot_pre *= dt
+            qdot_pre += qdot
+            qdot = np.maximum(qdot_pre, self._neg_qdot_max)
+            np.minimum(qdot, self.qdot_max, out=qdot)
+            q_pre = dt * qdot
+            q_pre += q
+            q = np.maximum(q_pre, self._q_lo)
+            np.minimum(q, self._q_hi, out=q)
+            np.copyto(qdot, 0.0, where=q_pre != q)
+
+        head = forward_kinematics(q, cfg)
+        inputs = RewardInputs(
+            pos_head=head,
+            pos_goal=self._goal,
+            cyl_gap=cfg.cyl_gap,
+            base_ok=_base_ok(head),
+            sym_pairs=cfg.sym_pairs,
+            g_proj_xy=self._g_proj_xy,
+            tau=tau_raw,
+            qdot=qdot_pre,
+            prev_qdot=self.prev_qdot,
+            dt=dt * cfg.decimation,
+            action=actions,
+            prev_action=self.prev_action,
+            q=q_pre,
+            q_min=self._q_lo,
+            q_max=self._q_hi,
+            qdot_max=self.qdot_max,
+            tau_max=self.tau_max,
         )
-        rewards = np.asarray(breakdown.total, dtype=np.float64)
-        diverged = ~(np.all(np.isfinite(q), axis=1) & np.all(np.isfinite(qdot), axis=1))
-        if np.any(diverged):
+        self.breakdown = reward_terms(inputs, self.reward_cfg)
+        rewards = np.asarray(total_reward(self.breakdown, self.reward_cfg), dtype=np.float64)
+        diverged = ~(np.isfinite(q).all(axis=1) & np.isfinite(qdot).all(axis=1))
+        if diverged.any():
             rewards = np.where(diverged, 0.0, rewards)
-            q = np.where(diverged[:, None], 0.0, q)
-            qdot = np.where(diverged[:, None], 0.0, qdot)
+            np.copyto(q, 0.0, where=diverged[:, None])
+            np.copyto(qdot, 0.0, where=diverged[:, None])
 
         self.q = q
         self.qdot = qdot
         self.prev_action = actions.copy()
-        self.prev_qdot = qdot_signal
+        self.prev_qdot = qdot_pre
         self.step_count += 1
         self.ep_return += rewards
 
-        dones = diverged | (self.step_count >= self.config.episode_length)
-        completed = [
-            EpisodeRecord(
-                design_idx=int(self.env_to_design[k]),
-                episode_return=float(self.ep_return[k]),
-                failed=bool(diverged[k]),
-            )
-            for k in np.nonzero(dones)[0]
-        ]
-        if np.any(dones):
+        dones = diverged | (self.step_count >= cfg.episode_length)
+        completed = []
+        if dones.any():
+            completed = [
+                EpisodeRecord(
+                    design_idx=int(self.env_to_design[k]),
+                    episode_return=float(self.ep_return[k]),
+                    failed=bool(diverged[k]),
+                )
+                for k in np.flatnonzero(dones)
+            ]
             self.reset_mask(dones)
         return rewards, dones, completed
 
@@ -492,30 +364,49 @@ def rollout_trajectory(
 ) -> tuple[list[dict], float, list[RewardBreakdown]]:
     """Run one episode; action_fn(proprio, design) -> 4-vector action.
 
-    Returns per-step rows for the trajectory CSV, the episode return, and
-    the per-step reward breakdowns.
+    Steps a one-environment bank from a start drawn from the
+    ("trajectory", seed) stream.  Returns per-step rows for the trajectory
+    CSV (the torque column is the saturated torque at the start of the
+    step), the episode return, and the per-step reward breakdowns.  A step
+    that diverges ends the episode with a zero breakdown and NaN state.
     """
-    rng = stream("trajectory", seed)
-    state = env_reset(config, design, rng)
+    # One step longer than the episode, so that the bank does not reset
+    # the state of the last step before it is recorded.
+    long_config = dataclasses.replace(config, episode_length=config.episode_length + 1)
+    env = VecChinupEnv(
+        long_config, reward_cfg, design.factors[None, :], np.zeros(1, dtype=np.int64),
+        seed=seed, phase="trajectory",
+    )
+    env.q[0] = stream("trajectory", seed).uniform(
+        -config.reset_noise, config.reset_noise, size=N_JOINTS
+    )
     rows = []
     breakdowns = []
     episode_return = 0.0
-    done = False
-    while not done:
-        proprio = observation_proprio(state.q, state.qdot, state.prev_action, config)
-        action = np.asarray(action_fn(proprio, design), dtype=np.float64)
-        tau = pd_torque(state, action, state.limits, config)
-        state, breakdown, done, contrib = env_step(state, action, design, config, reward_cfg)
+    for step in range(config.episode_length):
+        proprio = env.proprio()[0]
+        action = np.asarray(action_fn(proprio, design), dtype=np.float64)[None, :]
+        tau = env.pd_torque(action)[0]
+        rewards, dones, _ = env.step(action)
+        contrib = float(rewards[0])
         episode_return += contrib
-        breakdowns.append(breakdown)
-        head = forward_kinematics(state.q, config)
+        if dones[0]:
+            q = qdot = head = np.full(N_JOINTS, np.nan)
+            breakdowns.append(RewardBreakdown())
+        else:
+            q, qdot = env.q[0], env.qdot[0]
+            head = forward_kinematics(q, config)
+            breakdowns.append(RewardBreakdown(**{
+                f.name: np.broadcast_to(getattr(env.breakdown, f.name), (1,))[0]
+                for f in dataclasses.fields(RewardBreakdown)
+            }))
         rows.append(
             {
-                "step": state.step_count - 1,
-                "q1": state.q[0],
-                "q2": state.q[1],
-                "qd1": state.qdot[0],
-                "qd2": state.qdot[1],
+                "step": step,
+                "q1": q[0],
+                "q2": q[1],
+                "qd1": qdot[0],
+                "qd2": qdot[1],
                 "tau1": tau[0],
                 "tau2": tau[1],
                 "head_x": head[0],
@@ -523,6 +414,8 @@ def rollout_trajectory(
                 "reward_total": contrib,
             }
         )
+        if dones[0]:
+            break
     return rows, episode_return, breakdowns
 
 

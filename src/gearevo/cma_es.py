@@ -250,27 +250,6 @@ def cma_tell(state: CmaEsState, evaluated: list[EvaluatedCandidate]) -> CmaEsSta
     )
 
 
-def best_candidate(history: list[EvaluatedCandidate]) -> EvaluatedCandidate:
-    """Candidate with minimum fitness; ties broken by earliest occurrence."""
-    if not history:
-        raise ContractError("candidate history is empty")
-    best = None
-    for cand in history:
-        if cand.fitness is None or np.isnan(cand.fitness):
-            raise ContractError("history contains unevaluated candidates")
-        if best is None or cand.fitness < best.fitness:
-            best = cand
-    return best
-
-
-def cma_best(
-    state: CmaEsState, history: list[EvaluatedCandidate]
-) -> tuple[DesignVector, float]:
-    """Best design ever told and its fitness."""
-    cand = best_candidate(history)
-    return cand.design, float(cand.fitness)
-
-
 @dataclass
 class GenerationLogRow:
     generation: int

@@ -28,6 +28,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import time
 from dataclasses import dataclass, field
 
@@ -599,7 +600,8 @@ def _load_checkpoint(cfg, out_dir, load_policies: bool) -> _Resumed:
 
     Nothing is modified unless every check passes; then each append-only
     file is cut back to its committed length, dropping the rows of an
-    iteration that crashed before its commit.
+    iteration that crashed before its commit, and the other files of such
+    an iteration are undone (`_restore_committed_files`).
     """
     path = os.path.join(out_dir, CHECKPOINT_FILE)
     payload = _read_commit(out_dir)
@@ -649,7 +651,40 @@ def _load_checkpoint(cfg, out_dir, load_policies: bool) -> _Resumed:
 
     for name in APPEND_FILES:
         os.truncate(os.path.join(out_dir, name), lengths[name])
+    _restore_committed_files(out_dir, resumed)
     return resumed
+
+
+# An iteration's own files: its policy snapshot and its learning curve.
+_ITERATION_FILE = re.compile(r"(?:iter|learning_curve_iter)_(\d+)\.(?:bin|csv)")
+
+
+def _restore_committed_files(out_dir, resumed: _Resumed) -> None:
+    """Make the files that are not append-only match the verified commit.
+
+    An iteration that crashed before its commit may have replaced the best
+    design, base.bin and best.bin, written its own snapshot and learning
+    curve, and left the .tmp file of a write it did not finish.  A resume
+    that runs no further iteration would leave them all; so the best design
+    and the two policies are rewritten from the commit, and the rest are
+    deleted.
+    """
+    best_design = os.path.join(out_dir, BEST_DESIGN_FILE)
+    if resumed.d_star is None:
+        _remove_if_exists(best_design)
+    else:
+        _atomic_write(best_design, lambda p: write_designs_csv([resumed.d_star], p))
+    policies = os.path.join(out_dir, POLICY_DIR)
+    for name, params in (("base", resumed.params_base), ("best", resumed.params_best)):
+        if params is not None:
+            _atomic_write(os.path.join(policies, f"{name}.bin"), lambda p: save_policy(params, p))
+    for folder in (out_dir, policies):
+        if not os.path.isdir(folder):
+            continue
+        for name in os.listdir(folder):
+            match = _ITERATION_FILE.fullmatch(name)
+            if name.endswith(".tmp") or (match and int(match.group(1)) > resumed.iteration):
+                os.remove(os.path.join(folder, name))
 
 
 # --- rollout-only evaluation -------------------------------------------------

@@ -25,9 +25,5 @@ class OptimizerDegenerateError(RuntimeError):
         self.generation = generation
 
 
-class EnvDivergedError(NumericError):
-    """Simulation state became non-finite."""
-
-
 class CheckpointError(RuntimeError):
     """A run directory or checkpoint failed an integrity check."""

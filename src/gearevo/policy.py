@@ -24,9 +24,9 @@ ACTOR_B, LOG_STD, CRITIC_W, CRITIC_B (C order within each array).
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,13 +77,29 @@ class PolicyParams:
         return {name: getattr(self, name) for name in PARAM_ORDER}
 
     def with_arrays(self, arrays: dict[str, np.ndarray]) -> "PolicyParams":
-        return dataclasses.replace(self, **arrays)
+        """A copy with the named parameter arrays replaced.
+
+        Calls the constructor directly: adam_step makes one copy per
+        minibatch, and `dataclasses.replace` took several times as long.
+        """
+        return PolicyParams(
+            **{**self.arrays(), **arrays},
+            obs_dim=self.obs_dim,
+            action_dim=self.action_dim,
+            design_dim=self.design_dim,
+            hidden=self.hidden,
+            latent=self.latent,
+            snapshot_id=self.snapshot_id,
+            seed=self.seed,
+        )
 
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    """Adam moments as flat vectors over the parameters in PARAM_ORDER."""
+
+    m: np.ndarray
+    v: np.ndarray
     step: int
     learning_rate: float
     beta1: float = 0.9
@@ -289,7 +305,10 @@ def loss_and_grads(
     value = np.empty(batch)
     ratio = np.empty(batch)
     surrogate = np.empty(batch)
-    grads = {name: np.zeros_like(arr) for name, arr in params.arrays().items()}
+    # Named views of one zeroed vector, fresh for every call.
+    grads = _views(
+        np.zeros(params.n_params), {name: a.shape for name, a in params.arrays().items()}
+    )
     if work is None:
         work = loss_workspace(batch, params.hidden)
     elif any(w.shape[0] < min(batch, _BLOCK_ROWS) or w.shape[1:] != (params.hidden,)
@@ -367,11 +386,28 @@ def _one_minus_square(h: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.subtract(1.0, out, out=out)
 
 
+def _flatten(arrays: dict[str, np.ndarray]) -> np.ndarray:
+    """One new vector holding the arrays in PARAM_ORDER, each in C order."""
+    return np.concatenate([arrays[name] for name in PARAM_ORDER], axis=None)
+
+
+def _views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Named views of consecutive slices of `flat`, in PARAM_ORDER."""
+    out = {}
+    pos = 0
+    for name in PARAM_ORDER:
+        shape = shapes[name]
+        size = math.prod(shape)
+        view = flat[pos : pos + size]
+        out[name] = view if len(shape) == 1 else view.reshape(shape)
+        pos += size
+    return out
+
+
 def adam_init(params: PolicyParams, learning_rate: float) -> AdamState:
-    zeros = {name: np.zeros_like(arr) for name, arr in params.arrays().items()}
     return AdamState(
-        m=zeros,
-        v={name: arr.copy() for name, arr in zeros.items()},
+        m=np.zeros(params.n_params),
+        v=np.zeros(params.n_params),
         step=0,
         learning_rate=learning_rate,
     )
@@ -380,24 +416,47 @@ def adam_init(params: PolicyParams, learning_rate: float) -> AdamState:
 def adam_step(
     params: PolicyParams, grads: dict[str, np.ndarray], opt: AdamState
 ) -> tuple[PolicyParams, AdamState]:
-    """Standard Adam with bias correction; returns new snapshots of both."""
+    """Standard Adam with bias correction; returns new snapshots of both.
+
+    The update runs once over the parameters and gradients flattened in
+    PARAM_ORDER; the new parameter arrays are named views of one new
+    vector.  Every operation is element-wise, so the result has the same
+    bits as an update array by array.
+    """
     t = opt.step + 1
-    new_m, new_v, new_arrays = {}, {}, {}
-    for name, arr in params.arrays().items():
-        g = grads[name]
-        if g.shape != arr.shape:
+    arrays = params.arrays()
+    shapes = {}
+    for name, arr in arrays.items():
+        shapes[name] = arr.shape
+        if grads[name].shape != arr.shape:
             raise ContractError(f"gradient shape mismatch for {name}")
-        m = opt.beta1 * opt.m[name] + (1.0 - opt.beta1) * g
-        v = opt.beta2 * opt.v[name] + (1.0 - opt.beta2) * g**2
-        m_hat = m / (1.0 - opt.beta1**t)
-        v_hat = v / (1.0 - opt.beta2**t)
-        new_arrays[name] = arr - opt.learning_rate * m_hat / (np.sqrt(v_hat) + opt.eps)
-        new_m[name] = m
-        new_v[name] = v
-    new_arrays["log_std"] = np.clip(new_arrays["log_std"], LOG_STD_MIN, LOG_STD_MAX)
+    # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2 and
+    # theta - lr*m_hat / (sqrt(v_hat) + eps), each product and sum formed
+    # in place in one of two work vectors (g and w): the operands commute,
+    # so the bits do not change, and fewer fresh vectors are allocated.
+    g = _flatten(grads)
+    w = g * (1.0 - opt.beta1)
+    m = opt.m * opt.beta1
+    m += w
+    np.multiply(g, g, out=w)
+    w *= 1.0 - opt.beta2
+    v = opt.v * opt.beta2
+    v += w
+    step = np.divide(m, 1.0 - opt.beta1**t, out=g)
+    step *= opt.learning_rate
+    denom = np.divide(v, 1.0 - opt.beta2**t, out=w)
+    np.sqrt(denom, out=denom)
+    denom += opt.eps
+    step /= denom
+    flat = _flatten(arrays)
+    flat -= step
+    new_arrays = _views(flat, shapes)
+    log_std = new_arrays["log_std"]
+    np.maximum(log_std, LOG_STD_MIN, out=log_std)
+    np.minimum(log_std, LOG_STD_MAX, out=log_std)
     new_params = params.with_arrays(new_arrays)
     new_opt = AdamState(
-        m=new_m, v=new_v, step=t,
+        m=m, v=v, step=t,
         learning_rate=opt.learning_rate,
         beta1=opt.beta1, beta2=opt.beta2, eps=opt.eps,
     )
@@ -417,7 +476,7 @@ def save_policy(params: PolicyParams, path) -> str:
         "seed": params.seed,
         "n_params": params.n_params,
     }
-    flat = np.concatenate([params.arrays()[name].ravel() for name in PARAM_ORDER])
+    flat = _flatten(params.arrays())
     blob = json.dumps(header).encode("utf-8") + b"\n" + flat.astype("<f8").tobytes()
     with open(path, "wb") as fh:
         fh.write(blob)
@@ -450,14 +509,8 @@ def load_policy(path) -> PolicyParams:
         "actor_w": (act, h), "actor_b": (act,),
         "log_std": (act,), "critic_w": (h,), "critic_b": (1,),
     }
-    arrays = {}
-    pos = 0
-    for name in PARAM_ORDER:
-        size = int(np.prod(shapes[name]))
-        arrays[name] = flat[pos : pos + size].reshape(shapes[name]).copy()
-        pos += size
     return PolicyParams(
-        **arrays,
+        **_views(flat, shapes),
         obs_dim=obs_dim,
         action_dim=act,
         design_dim=p,

@@ -113,7 +113,7 @@ class RewardConfig:
 
 
 def _sq_norm(x: np.ndarray) -> np.ndarray:
-    return np.sum(np.square(x), axis=-1)
+    return np.add.reduce(np.square(x), axis=-1)
 
 
 def reward_terms(inputs: RewardInputs, cfg: RewardConfig) -> RewardBreakdown:
@@ -124,15 +124,14 @@ def reward_terms(inputs: RewardInputs, cfg: RewardConfig) -> RewardBreakdown:
     out = RewardBreakdown(**{t: zero for t in TERM_NAMES}, total=zero)
 
     if "chinup" in active:
-        out.chinup = np.exp(-_sq_norm(np.asarray(inputs.pos_head) - np.asarray(inputs.pos_goal)))
+        out.chinup = np.exp(-_sq_norm(np.subtract(inputs.pos_head, inputs.pos_goal)))
     if "hollow_cylinder" in active:
         lo, hi = cfg.cyl_window
-        gap = np.asarray(inputs.cyl_gap)
+        gap = inputs.cyl_gap
         in_window = (gap > lo) & (gap < hi)
         out.hollow_cylinder = np.where(in_window, 0.0, cfg.cyl_out_value) + zero
     if "base_position" in active:
-        ok = np.asarray(inputs.base_ok)
-        out.base_position = np.where(ok, 0.0, cfg.base_out_value) + zero
+        out.base_position = np.where(inputs.base_ok, 0.0, cfg.base_out_value) + zero
     if "joint_regularization" in active:
         q = np.asarray(inputs.q)
         term = zero
@@ -140,25 +139,25 @@ def reward_terms(inputs: RewardInputs, cfg: RewardConfig) -> RewardBreakdown:
             term = term + np.exp(-np.square(q[..., i] - q[..., j]))
         out.joint_regularization = term
     if "orientation" in active:
-        out.orientation = _sq_norm(np.asarray(inputs.g_proj_xy))
+        out.orientation = _sq_norm(inputs.g_proj_xy)
     if "torque" in active:
-        out.torque = _sq_norm(np.asarray(inputs.tau))
+        out.torque = _sq_norm(inputs.tau)
     if "joint_acceleration" in active:
-        accel = (np.asarray(inputs.qdot) - np.asarray(inputs.prev_qdot)) / inputs.dt
+        accel = np.subtract(inputs.qdot, inputs.prev_qdot) / inputs.dt
         out.joint_acceleration = _sq_norm(accel)
     if "action_rate" in active:
-        out.action_rate = _sq_norm(np.asarray(inputs.action) - np.asarray(inputs.prev_action))
+        out.action_rate = _sq_norm(np.subtract(inputs.action, inputs.prev_action))
     if "joint_position_limit" in active:
         q = np.asarray(inputs.q)
-        under = np.maximum(0.0, np.asarray(inputs.q_min) - q)
-        over = np.maximum(0.0, q - np.asarray(inputs.q_max))
-        out.joint_position_limit = np.sum(under + over, axis=-1)
+        under = np.maximum(0.0, np.subtract(inputs.q_min, q))
+        over = np.maximum(0.0, np.subtract(q, inputs.q_max))
+        out.joint_position_limit = np.add.reduce(under + over, axis=-1)
     if "joint_velocity_limit" in active:
-        excess = np.abs(np.asarray(inputs.qdot)) - np.asarray(inputs.qdot_max)
-        out.joint_velocity_limit = np.sum(np.clip(excess, 0.0, 1.0), axis=-1)
+        excess = np.abs(inputs.qdot) - inputs.qdot_max
+        out.joint_velocity_limit = np.add.reduce(np.clip(excess, 0.0, 1.0), axis=-1)
     if "joint_torque_limit" in active:
-        excess = np.abs(np.asarray(inputs.tau)) - np.asarray(inputs.tau_max)
-        out.joint_torque_limit = np.sum(np.clip(excess, 0.0, 1.0), axis=-1)
+        excess = np.abs(inputs.tau) - inputs.tau_max
+        out.joint_torque_limit = np.add.reduce(np.clip(excess, 0.0, 1.0), axis=-1)
     return out
 
 

@@ -1,0 +1,164 @@
+"""The (..., 2)-form control step of the chin-up bank, kept as an oracle.
+
+This is the environment step as it was before the bank moved to column
+form: every physics quantity is built with `np.stack` over the last axis,
+torques and velocities are clamped with `np.clip`, and the reward reads
+the same inputs.  It shares only the config dataclasses and the reward
+formulas with the package under test, so bitwise agreement between the
+two is evidence that the column-form rewrite kept every operand order.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from gearevo.chinup_env import ACTION_DIM, N_JOINTS, EpisodeRecord
+from gearevo.reward import RewardInputs, reward_terms, total_reward
+from gearevo.seeding import stream
+
+
+def _coriolis(q, qdot, config):
+    c = config.m2 * config.l1 * config.l2
+    s2 = np.sin(q[..., 1])
+    qd1, qd2 = qdot[..., 0], qdot[..., 1]
+    c1 = -c * s2 * (2.0 * qd1 * qd2 + qd2**2)
+    c2 = c * s2 * qd1**2
+    return np.stack([c1, c2], axis=-1)
+
+
+def _gravity(q, config):
+    g = config.gravity
+    s1 = np.sin(q[..., 0])
+    s12 = np.sin(q[..., 0] + q[..., 1])
+    g1 = (config.m1 + config.m2) * g * config.l1 * s1 + config.m2 * g * config.l2 * s12
+    g2 = config.m2 * g * config.l2 * s12
+    return np.stack([g1, g2], axis=-1)
+
+
+def _head(q, config):
+    q1 = q[..., 0]
+    q12 = q[..., 0] + q[..., 1]
+    x = config.l1 * np.sin(q1) + config.l2 * np.sin(q12)
+    y = -config.l1 * np.cos(q1) - config.l2 * np.cos(q12)
+    return np.stack([x, y], axis=-1)
+
+
+def _accel(q, qdot, tau, config):
+    a = (config.m1 + config.m2) * config.l1**2
+    b = config.m2 * config.l2**2
+    c = config.m2 * config.l1 * config.l2
+    c2 = np.cos(q[..., 1])
+    m11 = a + b + 2.0 * c * c2
+    m12 = b + c * c2
+    rhs = tau - _coriolis(q, qdot, config) - _gravity(q, config)
+    r1, r2 = rhs[..., 0], rhs[..., 1]
+    det = m11 * b - m12 * m12
+    qdd1 = (b * r1 - m12 * r2) / det
+    qdd2 = (m11 * r2 - m12 * r1) / det
+    return np.stack([qdd1, qdd2], axis=-1)
+
+
+def _substep(q, qdot, tau, qdot_max, q_lo, q_hi, config):
+    qdd = _accel(q, qdot, tau, config)
+    qdot_pre = qdot + config.dt_sim * qdd
+    qdot_new = np.clip(qdot_pre, -qdot_max, qdot_max)
+    q_pre = q + config.dt_sim * qdot_new
+    q_new = np.clip(q_pre, q_lo, q_hi)
+    qdot_new = np.where(q_pre != q_new, 0.0, qdot_new)
+    return q_new, qdot_new, q_pre, qdot_pre
+
+
+def _step_core(q, qdot, prev_action, prev_qdot, action, tau_max, qdot_max, config, reward_cfg):
+    q_lo = np.array(config.q_min)
+    q_hi = np.array(config.q_max)
+    tau_raw = None
+    q_pre, qdot_pre = q, qdot
+    for _ in range(config.decimation):
+        tau_raw = config.kp * (action[..., :2] - q) + config.kd * (action[..., 2:] - qdot)
+        tau = np.clip(tau_raw, -tau_max, tau_max)
+        q, qdot, q_pre, qdot_pre = _substep(q, qdot, tau, qdot_max, q_lo, q_hi, config)
+    head = _head(q, config)
+    inputs = RewardInputs(
+        pos_head=head,
+        pos_goal=np.array(config.goal),
+        cyl_gap=config.cyl_gap,
+        base_ok=(head[..., 0] <= 0.0) | (head[..., 1] <= 0.0),
+        sym_pairs=config.sym_pairs,
+        g_proj_xy=np.zeros(q.shape[:-1] + (2,)),
+        tau=tau_raw,
+        qdot=qdot_pre,
+        prev_qdot=prev_qdot,
+        dt=config.dt_sim * config.decimation,
+        action=action,
+        prev_action=prev_action,
+        q=q_pre,
+        q_min=q_lo,
+        q_max=q_hi,
+        qdot_max=qdot_max,
+        tau_max=tau_max,
+    )
+    breakdown = reward_terms(inputs, reward_cfg)
+    total_reward(breakdown, reward_cfg)
+    return q, qdot, breakdown, qdot_pre
+
+
+class ReferenceBank:
+    """The bank's state, resets and episode bookkeeping around `_step_core`."""
+
+    def __init__(self, config, reward_cfg, design_mat, env_to_design, seed, phase=0):
+        self.config = config
+        self.reward_cfg = reward_cfg
+        self.env_to_design = np.asarray(env_to_design, dtype=np.int64)
+        n = design_mat.shape[0]
+        self.n_envs = n
+        self.tau_max = np.array(config.tau_default) * design_mat
+        self.qdot_max = np.array(config.qdot_default) / design_mat
+        self.rngs = [stream("env", seed, phase, k) for k in range(n)]
+        self.q = np.zeros((n, N_JOINTS))
+        self.qdot = np.zeros((n, N_JOINTS))
+        self.prev_action = np.zeros((n, ACTION_DIM))
+        self.prev_qdot = np.zeros((n, N_JOINTS))
+        self.step_count = np.zeros(n, dtype=np.int64)
+        self.ep_return = np.zeros(n)
+        self.reset_mask(np.ones(n, dtype=bool))
+
+    def reset_mask(self, mask):
+        noise = self.config.reset_noise
+        for k in np.nonzero(mask)[0]:
+            self.q[k] = self.rngs[k].uniform(-noise, noise, size=N_JOINTS)
+        self.qdot[mask] = 0.0
+        self.prev_action[mask] = 0.0
+        self.prev_qdot[mask] = 0.0
+        self.step_count[mask] = 0
+        self.ep_return[mask] = 0.0
+
+    def step(self, actions):
+        actions = np.asarray(actions, dtype=np.float64)
+        q, qdot, breakdown, qdot_signal = _step_core(
+            self.q, self.qdot, self.prev_action, self.prev_qdot,
+            actions, self.tau_max, self.qdot_max, self.config, self.reward_cfg,
+        )
+        rewards = np.asarray(breakdown.total, dtype=np.float64)
+        diverged = ~(np.all(np.isfinite(q), axis=1) & np.all(np.isfinite(qdot), axis=1))
+        if np.any(diverged):
+            rewards = np.where(diverged, 0.0, rewards)
+            q = np.where(diverged[:, None], 0.0, q)
+            qdot = np.where(diverged[:, None], 0.0, qdot)
+        self.q = q
+        self.qdot = qdot
+        self.prev_action = actions.copy()
+        self.prev_qdot = qdot_signal
+        self.step_count += 1
+        self.ep_return += rewards
+        dones = diverged | (self.step_count >= self.config.episode_length)
+        completed = [
+            EpisodeRecord(
+                design_idx=int(self.env_to_design[k]),
+                episode_return=float(self.ep_return[k]),
+                failed=bool(diverged[k]),
+            )
+            for k in np.nonzero(dones)[0]
+        ]
+        if np.any(dones):
+            self.reset_mask(dones)
+        return rewards, dones, completed, breakdown

@@ -1,19 +1,25 @@
-"""Minimal 1-DoF hold-position environment for PPO learnability checks.
+"""Small environments for sanity checks.
 
-A bank of torque-controlled unit-inertia joints must drive q to a target
-angle and hold it there.  Reward is exp(-4 (q - q_ref)^2) per control
-step, so random actuation earns almost nothing while parking on the
-target earns ~1 per step.  The class duck-types the vectorized-env
+`HoldPositionEnv` is a minimal 1-DoF hold-position environment for PPO
+learnability checks.  A bank of torque-controlled unit-inertia joints
+must drive q to a target angle and hold it there.  Reward is
+exp(-4 (q - q_ref)^2) per control step, so random actuation earns almost
+nothing while parking on the target earns ~1 per step.  The class duck-types the vectorized-env
 interface the PPO loop consumes (n_envs, design_mat, env_to_design,
 proprio(), step()), which lets train_on_env run unchanged on a system
 whose learnability is obvious by inspection.
+
+`free_swing` runs the chin-up bank with its controller and clamps switched
+off, for the energy checks of the physics.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from gearevo.chinup_env import EpisodeRecord
+from gearevo.chinup_env import ACTION_DIM as CHINUP_ACTION_DIM
+from gearevo.chinup_env import EnvConfig, EpisodeRecord, VecChinupEnv
+from gearevo.reward import RewardConfig
 from gearevo.seeding import stream
 
 PROPRIO_DIM = 2
@@ -85,3 +91,23 @@ def random_policy_baseline(n_envs: int, seed: int, n_episodes: int = 50, **env_k
         _, _, completed = env.step(actions)
         returns.extend(e.episode_return for e in completed)
     return float(np.mean(returns[:n_episodes]))
+
+
+def free_swing(q0, dt_sim: float, substeps: int, per_step: int = 100):
+    """(q, qdot) of a zero-torque, unclamped swing of the chin-up bank from rest at q0.
+
+    One environment with zero PD gains, speed limits and joint limits far
+    out of reach, stepped `substeps // per_step` control steps of
+    `per_step` substeps each.
+    """
+    big = 1e12
+    steps = substeps // per_step
+    cfg = EnvConfig(
+        dt_sim=dt_sim, decimation=per_step, episode_length=steps + 1, kp=0.0, kd=0.0,
+        qdot_default=(big, big), q_min=(-big, -big), q_max=(big, big),
+    )
+    env = VecChinupEnv(cfg, RewardConfig(), np.ones((1, 2)), np.zeros(1), seed=0)
+    env.q[0] = q0
+    for _ in range(steps):
+        env.step(np.zeros((1, CHINUP_ACTION_DIM)))
+    return env.q[0].copy(), env.qdot[0].copy()

@@ -24,9 +24,7 @@ from gearevo.chinup_env import (
     ACTION_DIM,
     PROPRIO_DIM,
     EnvConfig,
-    _substep,
-    dynamics_step,
-    env_reset,
+    VecChinupEnv,
     mass_matrix,
     total_energy,
 )
@@ -49,12 +47,11 @@ from gearevo.policy import (
 )
 from gearevo.ppo import PpoConfig, RolloutBatch, compute_gae, train_on_env
 from gearevo.reward import RewardConfig, RewardInputs, reward_terms, total_reward
-from gearevo.seeding import stream
 
 import reference_cma
 from sanity_env import ACTION_DIM as HOLD_ACTION_DIM
 from sanity_env import PROPRIO_DIM as HOLD_PROPRIO_DIM
-from sanity_env import HoldPositionEnv, random_policy_baseline
+from sanity_env import HoldPositionEnv, free_swing, random_policy_baseline
 
 # --- shared desk-scale runs ------------------------------------------------------
 
@@ -387,21 +384,22 @@ def test_criterion_07_physics_sanity():
 
     # 10 s zero-torque free swing at dt=1e-4: energy drift below 1%
     cfg = EnvConfig(dt_sim=1e-4)
-    big = np.array([1e12, 1e12])
-    q = np.array([0.3, 0.0])
-    qdot = np.zeros(2)
-    e0 = total_energy(q, qdot, cfg)
-    for _ in range(100_000):
-        q, qdot, _, _ = _substep(q, qdot, np.zeros(2), big, -big, big, cfg)
+    q0 = np.array([0.3, 0.0])
+    e0 = total_energy(q0, np.zeros(2), cfg)
+    q, qdot = free_swing(q0, cfg.dt_sim, 100_000)
     drift = abs(total_energy(q, qdot, cfg) - e0) / abs(e0)
     assert drift < 0.01
 
     # hanging rest is exactly stationary under zero torque
     env_cfg = EnvConfig(reset_noise=0.0)
-    state = env_reset(env_cfg, DesignVector(np.ones(2)), stream("accept-eq", 0))
-    nxt = dynamics_step(state, np.zeros(2), env_cfg)
-    np.testing.assert_array_equal(nxt.q, np.zeros(2))
-    np.testing.assert_array_equal(nxt.qdot, np.zeros(2))
+    env = VecChinupEnv(
+        env_cfg, RewardConfig(), np.ones((1, 2)), np.zeros(1), seed=0, phase="accept-eq"
+    )
+    rest = np.zeros((1, ACTION_DIM))
+    np.testing.assert_array_equal(env.pd_torque(rest), np.zeros((1, 2)))
+    env.step(rest)
+    np.testing.assert_array_equal(env.q, np.zeros((1, 2)))
+    np.testing.assert_array_equal(env.qdot, np.zeros((1, 2)))
 
     # mass matrix symmetric positive-definite across the joint box
     env_cfg = EnvConfig()

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -7,34 +5,40 @@ from gearevo.chinup_env import (
     ACTION_DIM,
     PROPRIO_DIM,
     EnvConfig,
-    EnvState,
-    Observation,
     VecChinupEnv,
     coriolis_forces,
-    env_reset,
-    env_step,
     forward_kinematics,
     gravity_forces,
     mass_matrix,
     observation_proprio,
-    pd_torque,
     read_trajectory_csv,
     rollout_trajectory,
-    split_observation,
     total_energy,
     write_trajectory_csv,
 )
 from gearevo.design_space import DesignVector
 from gearevo.errors import ConfigError, ContractError
-from gearevo.reward import RewardConfig
+from gearevo.reward import TERM_NAMES, RewardBreakdown, RewardConfig
 from gearevo.seeding import stream
+
+from reference_env import ReferenceBank
+from sanity_env import free_swing
 
 UNIT = DesignVector(np.array([1.0, 1.0]))
 
 
-def reset(config=None, design=UNIT, key=0):
-    config = config or EnvConfig()
-    return env_reset(config, design, stream("env", key, 0, 0))
+def bank(config=None, design=UNIT, key=0, rcfg=None):
+    """A one-environment bank; its start comes from stream("env", key, 0, 0)."""
+    return VecChinupEnv(
+        config or EnvConfig(), rcfg or RewardConfig(), design.factors[None, :],
+        np.zeros(1, dtype=np.int64), seed=key, phase=0,
+    )
+
+
+def at_state(env, q, qdot):
+    env.q[0] = q
+    env.qdot[0] = qdot
+    return env
 
 
 # --- kinematics -------------------------------------------------------------------
@@ -87,35 +91,19 @@ def test_coriolis_vanishes_at_zero_velocity():
 
 
 def test_equilibrium_is_stationary():
-    cfg = EnvConfig()
-    state = EnvState(
-        q=np.zeros(2),
-        qdot=np.zeros(2),
-        prev_action=np.zeros(ACTION_DIM),
-        prev_qdot=np.zeros(2),
-        step_count=0,
-        rng=stream("env", 0, 0, 0),
-        limits=None,
-        diverged=False,
-    )
-    state = dataclasses.replace(reset(cfg), q=np.zeros(2), qdot=np.zeros(2))
-    new, _, _, _ = env_step(state, np.zeros(ACTION_DIM), UNIT, cfg, RewardConfig())
-    assert np.array_equal(new.q, np.zeros(2))
-    assert np.array_equal(new.qdot, np.zeros(2))
+    env = at_state(bank(), np.zeros(2), np.zeros(2))
+    env.step(np.zeros((1, ACTION_DIM)))
+    assert np.array_equal(env.q, np.zeros((1, 2)))
+    assert np.array_equal(env.qdot, np.zeros((1, 2)))
 
 
 def test_energy_drift_small_at_fine_timestep():
     # zero torque free swing from q=[0.3, 0]; a fast coarse check, the
     # acceptance suite runs the full ten-second version
     cfg = EnvConfig(dt_sim=1e-4)
-    from gearevo.chinup_env import _substep
-
-    big = np.array([1e12, 1e12])
-    q = np.array([0.3, 0.0])
-    qdot = np.zeros(2)
-    e0 = total_energy(q, qdot, cfg)
-    for _ in range(20_000):  # 2 s
-        q, qdot, _, _ = _substep(q, qdot, np.zeros(2), big, -big, big, cfg)
+    q0 = np.array([0.3, 0.0])
+    e0 = total_energy(q0, np.zeros(2), cfg)
+    q, qdot = free_swing(q0, cfg.dt_sim, 20_000)  # 2 s
     e1 = total_energy(q, qdot, cfg)
     assert abs(e1 - e0) / abs(e0) < 0.01
 
@@ -124,14 +112,9 @@ def test_energy_non_creation_at_episode_timestep():
     # at the production dt (0.005) over one 5 s episode the semi-implicit
     # integrator may drift, but must stay within 5%
     cfg = EnvConfig()  # dt_sim=0.005
-    from gearevo.chinup_env import _substep
-
-    big = np.array([1e12, 1e12])
-    q = np.array([0.3, 0.0])
-    qdot = np.zeros(2)
-    e0 = total_energy(q, qdot, cfg)
-    for _ in range(cfg.episode_length * cfg.decimation):  # 1000 substeps = 5 s
-        q, qdot, _, _ = _substep(q, qdot, np.zeros(2), big, -big, big, cfg)
+    q0 = np.array([0.3, 0.0])
+    e0 = total_energy(q0, np.zeros(2), cfg)
+    q, qdot = free_swing(q0, cfg.dt_sim, cfg.episode_length * cfg.decimation)  # 5 s
     e1 = total_energy(q, qdot, cfg)
     assert abs(e1 - e0) / abs(e0) < 0.05
 
@@ -169,15 +152,15 @@ def test_small_oscillation_frequency_with_frozen_elbow():
 
 def test_reset_zero_noise_is_hanging_rest():
     cfg = EnvConfig(reset_noise=0.0)
-    state = reset(cfg)
-    assert np.array_equal(state.q, np.zeros(2))
-    assert np.array_equal(state.qdot, np.zeros(2))
-    assert np.allclose(forward_kinematics(state.q, cfg), [0.0, -1.3], atol=1e-15)
+    env = bank(cfg)
+    assert np.array_equal(env.q, np.zeros((1, 2)))
+    assert np.array_equal(env.qdot, np.zeros((1, 2)))
+    assert np.allclose(forward_kinematics(env.q[0], cfg), [0.0, -1.3], atol=1e-15)
 
 
 def test_reset_same_stream_identical():
-    a = env_reset(EnvConfig(), UNIT, stream("env", 3, 0, 0))
-    b = env_reset(EnvConfig(), UNIT, stream("env", 3, 0, 0))
+    a = bank(key=3)
+    b = bank(key=3)
     assert np.array_equal(a.q, b.q)
     assert np.array_equal(a.qdot, b.qdot)
 
@@ -185,121 +168,130 @@ def test_reset_same_stream_identical():
 def test_reset_noise_within_bounds():
     cfg = EnvConfig()
     for key in range(20):
-        s = reset(cfg, key=key)
-        assert np.all(np.abs(s.q) <= cfg.reset_noise)
-        assert np.array_equal(s.qdot, np.zeros(2))
+        env = bank(cfg, key=key)
+        assert np.all(np.abs(env.q) <= cfg.reset_noise)
+        assert np.array_equal(env.qdot, np.zeros((1, 2)))
 
 
 # --- PD controller ---------------------------------------------------------------------
 
 
 def test_pd_zero_error_zero_torque():
-    cfg = EnvConfig()
-    state = dataclasses.replace(reset(cfg), q=np.array([0.4, -0.2]), qdot=np.array([1.0, 2.0]))
-    action = np.array([0.4, -0.2, 1.0, 2.0])
-    tau = pd_torque(state, action, state.limits, cfg)
-    assert np.allclose(tau, 0.0, atol=1e-12)
+    env = at_state(bank(), [0.4, -0.2], [1.0, 2.0])
+    action = np.array([[0.4, -0.2, 1.0, 2.0]])
+    assert np.allclose(env.pd_torque(action), 0.0, atol=1e-12)
 
 
 def test_pd_saturates_at_limit():
-    cfg = EnvConfig()
-    state = dataclasses.replace(reset(cfg), q=np.zeros(2), qdot=np.zeros(2))
-    action = np.array([1.0, 0.0, 0.0, 0.0])  # kp * 1 = 60 >> 12
-    tau = pd_torque(state, action, state.limits, cfg)
-    assert tau[0] == 12.0
-    assert tau[1] == 0.0
+    env = at_state(bank(), np.zeros(2), np.zeros(2))
+    tau = env.pd_torque(np.array([[1.0, 0.0, 0.0, 0.0]]))  # kp * 1 = 60 >> 12
+    assert tau[0, 0] == 12.0
+    assert tau[0, 1] == 0.0
 
 
 def test_pd_limit_scales_with_design():
-    cfg = EnvConfig()
-    design = DesignVector(np.array([2.0, 1.0]))
-    state = env_reset(cfg, design, stream("env", 0, 0, 0))
-    state = dataclasses.replace(state, q=np.zeros(2), qdot=np.zeros(2))
-    action = np.array([1.0, -1.0, 0.0, 0.0])
-    tau = pd_torque(state, action, state.limits, cfg)
-    assert tau[0] == 24.0
-    assert tau[1] == -12.0
+    env = at_state(bank(design=DesignVector(np.array([2.0, 1.0]))), np.zeros(2), np.zeros(2))
+    tau = env.pd_torque(np.array([[1.0, -1.0, 0.0, 0.0]]))
+    assert tau[0, 0] == 24.0
+    assert tau[0, 1] == -12.0
 
 
-# --- env_step ----------------------------------------------------------------------------
+def test_pd_torque_is_per_environment():
+    # three designs in one bank, each saturating at its own limit
+    designs = np.array([[0.5, 1.0], [1.0, 2.0], [4.0, 0.25]])
+    env = VecChinupEnv(EnvConfig(), RewardConfig(), designs, np.arange(3), seed=0)
+    env.q[:] = 0.0
+    env.qdot[:] = 0.0
+    tau = env.pd_torque(np.tile([1.0, -1.0, 0.0, 0.0], (3, 1)))
+    assert np.array_equal(tau, [[6.0, -12.0], [12.0, -24.0], [48.0, -3.0]])
+
+
+# --- control step ----------------------------------------------------------------------------
 
 
 def test_step_zero_action_from_rest_chinup_value():
-    cfg = EnvConfig(reset_noise=0.0)
-    state = reset(cfg)
-    _, breakdown, done, _ = env_step(state, np.zeros(ACTION_DIM), UNIT, cfg, RewardConfig())
-    assert breakdown.chinup == pytest.approx(0.140858420921045, abs=1e-13)
-    assert breakdown.torque == 0.0
-    assert not done
+    env = bank(EnvConfig(reset_noise=0.0))
+    _, dones, _ = env.step(np.zeros((1, ACTION_DIM)))
+    assert env.breakdown.chinup[0] == pytest.approx(0.140858420921045, abs=1e-13)
+    assert env.breakdown.torque[0] == 0.0
+    assert not dones[0]
 
 
 def test_step_horizon_termination_and_contract():
+    # the episode ends at the horizon; its record is reported and the
+    # environment restarts from its reset stream
     cfg = EnvConfig(episode_length=5)
-    state = reset(cfg)
-    rcfg = RewardConfig()
+    env = bank(cfg)
     for t in range(5):
-        state, _, done, _ = env_step(state, np.zeros(ACTION_DIM), UNIT, cfg, rcfg)
-        assert done == (t == 4)
-    with pytest.raises(ContractError):
-        env_step(state, np.zeros(ACTION_DIM), UNIT, cfg, rcfg)
+        _, dones, completed = env.step(np.zeros((1, ACTION_DIM)))
+        assert dones[0] == (t == 4)
+        assert len(completed) == (t == 4)
+    assert env.step_count[0] == 0
+    assert np.array_equal(env.q[0], stream("env", 0, 0, 0).uniform(-0.05, 0.05, 4)[2:])
 
 
 def test_step_rejects_bad_action_shape():
-    state = reset()
+    env = bank()
     with pytest.raises(ContractError):
-        env_step(state, np.zeros(3), UNIT, EnvConfig(), RewardConfig())
+        env.step(np.zeros((1, 3)))
+    with pytest.raises(ContractError):
+        env.step(np.zeros(ACTION_DIM))
+    with pytest.raises(ContractError):
+        env.pd_torque(np.zeros(ACTION_DIM))
 
 
 def test_step_velocity_and_position_stay_clamped():
     cfg = EnvConfig()
-    rcfg = RewardConfig()
-    design = DesignVector(np.array([4.0, 4.0]))  # strongest torque, tight qdot limit
-    state = env_reset(cfg, design, stream("env", 5, 0, 0))
+    env = bank(cfg, DesignVector(np.array([4.0, 4.0])), key=5)  # strongest torque, tight qdot limit
     rng = np.random.default_rng(2)
-    done = False
-    while not done:
-        action = rng.uniform(-3, 3, ACTION_DIM)
-        state, _, done, _ = env_step(state, action, design, cfg, rcfg)
-        assert np.all(np.abs(state.qdot) <= state.limits.qdot_max + 1e-12)
-        assert np.all(state.q >= np.array(cfg.q_min) - 1e-12)
-        assert np.all(state.q <= np.array(cfg.q_max) + 1e-12)
+    for _ in range(cfg.episode_length - 1):
+        env.step(rng.uniform(-3, 3, (1, ACTION_DIM)))
+        assert np.all(np.abs(env.qdot) <= env.qdot_max + 1e-12)
+        assert np.all(env.q >= np.array(cfg.q_min) - 1e-12)
+        assert np.all(env.q <= np.array(cfg.q_max) + 1e-12)
 
 
 def test_limit_rewards_observe_preclamp_excursions():
     # command a violent swing: the post-clamp state respects every limit, yet
     # the velocity/torque rows must see the raw excursions
     cfg = EnvConfig()
-    rcfg = RewardConfig()
-    design = DesignVector(np.array([0.5, 0.5]))
-    state = env_reset(cfg, design, stream("env", 1, 0, 0))
-    action = np.array([2.8, -2.8, 8.0, -8.0])
+    env = bank(cfg, DesignVector(np.array([0.5, 0.5])), key=1)
+    action = np.array([[2.8, -2.8, 8.0, -8.0]])
     saw_torque_violation = False
-    done = False
-    while not done:
-        state, breakdown, done, _ = env_step(state, action, design, cfg, rcfg)
-        if breakdown.joint_torque_limit > 0:
+    for _ in range(cfg.episode_length):
+        env.step(action)
+        if env.breakdown.joint_torque_limit[0] > 0:
             saw_torque_violation = True
     assert saw_torque_violation
 
 
 def test_step_determinism_same_seed_same_actions():
     cfg = EnvConfig()
-    rcfg = RewardConfig()
 
     def trajectory():
-        state = env_reset(cfg, UNIT, stream("env", 11, 0, 0))
+        env = bank(cfg, key=11)
         rng = np.random.default_rng(7)
         totals = []
-        done = False
-        while not done:
-            state, _, done, r = env_step(state, rng.uniform(-1, 1, ACTION_DIM), UNIT, cfg, rcfg)
-            totals.append(r)
-        return np.array(totals), state.q
+        for _ in range(cfg.episode_length - 1):
+            rewards, _, _ = env.step(rng.uniform(-1, 1, (1, ACTION_DIM)))
+            totals.append(rewards[0])
+        return np.array(totals), env.q.copy()
 
     t1, q1 = trajectory()
     t2, q2 = trajectory()
     assert np.array_equal(t1, t2)
     assert np.array_equal(q1, q2)
+
+
+def test_step_does_not_write_into_returned_arrays():
+    # callers keep proprio() and the state arrays across a step
+    env = bank(EnvConfig(episode_length=2))
+    before = [env.proprio(), env.q, env.qdot, env.prev_qdot]
+    copies = [x.copy() for x in before]
+    rng = np.random.default_rng(0)
+    env.step(rng.uniform(-1, 1, (1, ACTION_DIM)))
+    for x, c in zip(before, copies):
+        assert np.array_equal(x, c)
 
 
 # --- observations ---------------------------------------------------------------------------
@@ -319,16 +311,6 @@ def test_proprio_layout():
     assert np.array_equal(prop[6:], prev_action)
 
 
-def test_observation_split_round_trip():
-    vec = np.arange(Observation.DIM, dtype=float)
-    obs = split_observation(vec)
-    assert np.array_equal(obs.vector, vec)
-    assert obs.goal_delta.shape == (2,)
-    assert obs.design_latent.shape == (4,)
-    with pytest.raises(ContractError):
-        split_observation(np.zeros(Observation.DIM + 1))
-
-
 # --- vectorized bank -------------------------------------------------------------------------
 
 
@@ -342,32 +324,39 @@ def make_vec(n_designs=3, per=2, seed=0, cfg=None, rcfg=None):
     return VecChinupEnv(cfg, rcfg, design_mat, env_to_design, seed=seed, phase=0), designs
 
 
-def test_vec_env_matches_single_env_bitwise():
-    cfg = EnvConfig()
-    rcfg = RewardConfig()
-    vec, _ = make_vec(cfg=cfg, rcfg=rcfg)
-    singles = []
-    for k in range(vec.n_envs):
-        s = env_reset(cfg, DesignVector(vec.design_mat[k]), stream("env", 0, 0, 0))
-        s = dataclasses.replace(
-            s,
-            q=vec.q[k].copy(),
-            qdot=vec.qdot[k].copy(),
-            prev_action=vec.prev_action[k].copy(),
-            prev_qdot=vec.prev_qdot[k].copy(),
-        )
-        singles.append(s)
-    rng = np.random.default_rng(3)
-    for _ in range(40):
-        actions = rng.uniform(-1, 1, (vec.n_envs, ACTION_DIM))
-        rewards, dones, _ = vec.step(actions)
-        for k in range(vec.n_envs):
-            singles[k], _, _, r = env_step(
-                singles[k], actions[k], DesignVector(vec.design_mat[k]), cfg, rcfg
-            )
-            assert r == rewards[k]
-            assert np.array_equal(singles[k].q, vec.q[k])
-            assert np.array_equal(singles[k].qdot, vec.qdot[k])
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n_envs", [1, 64])
+def test_vec_env_matches_reference_step_bitwise(n_envs):
+    # 600 steps of 50-step episodes, actions far past every limit, and a
+    # NaN action at steps 100 and 377 that diverges one environment
+    cfg = EnvConfig(episode_length=50)
+    rcfg = RewardConfig(active=TERM_NAMES)
+    rng = np.random.default_rng(n_envs)
+    design_mat = rng.uniform(0.25, 4.0, (n_envs, 2))
+    env_to_design = np.arange(n_envs) % 5
+    env = VecChinupEnv(cfg, rcfg, design_mat, env_to_design, seed=4, phase=1)
+    ref = ReferenceBank(cfg, rcfg, design_mat, env_to_design, seed=4, phase=1)
+    records = []
+    for t in range(600):
+        actions = rng.uniform(-3, 3, (n_envs, ACTION_DIM)) * rng.choice([1.0, 10.0], (n_envs, 1))
+        if t in (100, 377):
+            actions[n_envs // 2, t % ACTION_DIM] = np.nan
+        rewards, dones, completed = env.step(actions)
+        ref_rewards, ref_dones, ref_completed, ref_breakdown = ref.step(actions)
+        assert _same_bits(rewards, ref_rewards), t
+        assert _same_bits(dones, ref_dones), t
+        assert completed == ref_completed, t
+        for name in ("q", "qdot", "prev_qdot", "prev_action", "ep_return", "step_count"):
+            assert _same_bits(getattr(env, name), getattr(ref, name)), (t, name)
+        for name in TERM_NAMES:
+            assert _same_bits(getattr(env.breakdown, name), getattr(ref_breakdown, name)), (t, name)
+        records.extend(completed)
+    assert sum(r.failed for r in records) == 2
+    assert len(records) >= 12 * n_envs
 
 
 def test_vec_env_autoreset_and_tagging():
@@ -419,6 +408,65 @@ def test_rollout_trajectory_csv_round_trip(tmp_path):
     for a, b in zip(rows, back):
         for key in a:
             assert float(a[key]) == pytest.approx(b[key], abs=1e-12)
+
+
+def test_rollout_trajectory_matches_reference_step():
+    # the episode starts from stream("trajectory", seed), records the state
+    # after each step and the saturated torque at its start
+    cfg = EnvConfig(episode_length=30)
+    rcfg = RewardConfig()
+    design = DesignVector(np.array([2.5, 0.5]))
+    rng = np.random.default_rng(5)
+    actions = rng.uniform(-3, 3, (30, ACTION_DIM))
+    proprios = []
+
+    def action_fn(proprio, dsn):
+        proprios.append(proprio)
+        return actions[len(proprios) - 1]
+
+    rows, episode_return, breakdowns = rollout_trajectory(cfg, design, rcfg, action_fn, seed=8)
+    ref = ReferenceBank(
+        EnvConfig(episode_length=31), rcfg, design.factors[None, :], np.zeros(1), seed=0
+    )
+    ref.q[0] = stream("trajectory", 8).uniform(-cfg.reset_noise, cfg.reset_noise, 2)
+    total = 0.0
+    for t, row in enumerate(rows):
+        assert np.array_equal(
+            proprios[t], observation_proprio(ref.q[0], ref.qdot[0], ref.prev_action[0], cfg)
+        )
+        tau = np.clip(
+            cfg.kp * (actions[t, :2] - ref.q[0]) + cfg.kd * (actions[t, 2:] - ref.qdot[0]),
+            -ref.tau_max[0], ref.tau_max[0],
+        )
+        rewards, _, _, breakdown = ref.step(actions[t][None, :])
+        total += float(rewards[0])
+        head = forward_kinematics(ref.q[0], cfg)
+        expected = {
+            "step": t, "q1": ref.q[0, 0], "q2": ref.q[0, 1], "qd1": ref.qdot[0, 0],
+            "qd2": ref.qdot[0, 1], "tau1": tau[0], "tau2": tau[1], "head_x": head[0],
+            "head_y": head[1], "reward_total": rewards[0],
+        }
+        assert row == expected
+        for name in (*TERM_NAMES, "total"):
+            assert getattr(breakdowns[t], name) == getattr(breakdown, name)[0]
+    assert len(rows) == 30
+    assert episode_return == total
+
+
+def test_rollout_trajectory_ends_at_divergence():
+    cfg = EnvConfig(episode_length=20)
+    calls = []
+
+    def action_fn(proprio, dsn):  # NaN at step 3
+        calls.append(proprio)
+        return np.full(ACTION_DIM, np.nan if len(calls) == 4 else 0.0)
+
+    rows, episode_return, breakdowns = rollout_trajectory(cfg, UNIT, RewardConfig(), action_fn, 0)
+    assert [r["step"] for r in rows] == [0, 1, 2, 3]
+    assert np.isnan(rows[-1]["q1"]) and np.isnan(rows[-1]["head_y"])
+    assert rows[-1]["reward_total"] == 0.0
+    assert breakdowns[-1] == RewardBreakdown()
+    assert np.isfinite(episode_return)
 
 
 # --- config validation ------------------------------------------------------------------------

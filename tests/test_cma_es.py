@@ -10,9 +10,7 @@ from gearevo.cma_es import (
     CmaEsConfig,
     EvaluatedCandidate,
     GenerationLogRow,
-    best_candidate,
     cma_ask,
-    cma_best,
     cma_init,
     cma_tell,
     read_generation_log,
@@ -299,42 +297,8 @@ def test_sphere_converges_with_default_config():
         state = cma_tell(state, cands)
     assert best < 1e-9
     # best candidate near the origin in pre-clamp coordinates
-    top = best_candidate(history)
+    top = min(history, key=lambda c: c.fitness)
     assert np.linalg.norm(top.raw_sample) < 1e-4
-
-
-# --- best_candidate ----------------------------------------------------------------
-
-
-def cand(x, f):
-    arr = np.asarray(x, dtype=float)
-    return EvaluatedCandidate(design=DesignVector(arr.copy()), raw_sample=arr, fitness=f)
-
-
-def test_best_candidate_minimum():
-    d1, d2 = cand([1.0, 1.0], -3.0), cand([2.0, 2.0], -5.0)
-    assert best_candidate([d1, d2]) is d2
-
-
-def test_best_candidate_tie_prefers_earlier():
-    d1, d2 = cand([1.0, 1.0], -5.0), cand([2.0, 2.0], -5.0)
-    assert best_candidate([d1, d2]) is d1
-
-
-def test_best_candidate_rejects_empty_and_unevaluated():
-    with pytest.raises(ContractError):
-        best_candidate([])
-    c = cand([1.0, 1.0], -5.0)
-    with pytest.raises(ContractError):
-        best_candidate([c, dataclasses.replace(c, fitness=None)])
-
-
-def test_cma_best_returns_design_and_fitness():
-    history = [cand([1.0, 1.0], 2.0), cand([0.5, 0.5], 1.0)]
-    state = cma_init(small_config())
-    design, fitness = cma_best(state, history)
-    assert fitness == 1.0
-    assert np.array_equal(design.factors, [0.5, 0.5])
 
 
 # --- generation log -----------------------------------------------------------------

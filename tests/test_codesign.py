@@ -604,6 +604,45 @@ def test_crash_at_any_checkpoint_write_resumes_byte_identically(tmp_path, monkey
         assert_same_tree(out, full)
 
 
+
+def test_resume_that_runs_no_iteration_restores_the_commit(tmp_path, monkeypatch):
+    """Tear the commit of iteration 3, then resume with stop_after=2.
+
+    Iteration 3 promotes a new best, so before its commit it has replaced
+    best_design.csv, base.bin and best.bin, written its own snapshot and
+    learning curve, and it leaves a torn checkpoint.json.tmp.  The resumed
+    directory must equal a straight run stopped at 2.
+    """
+    cfg = micro_config(iterations=4)
+    want = str(tmp_path / "straight")
+    run_ea_corl(cfg, out_dir=want, stop_after=2)
+    with monkeypatch.context() as m:
+        calls = _patch_writers(m)
+        run_ea_corl(cfg, out_dir=str(tmp_path / "probe"))
+    starts = [k for k, (name, _) in enumerate(calls) if name == "write_evolution_csv"]
+    commit_3 = next(
+        k for k in range(starts[2], starts[3])
+        if calls[k] == ("_write_json", "checkpoint.json.tmp")
+    )
+    got = str(tmp_path / "crashed")
+    with monkeypatch.context() as m:
+        _patch_writers(m, crash_at=commit_3)
+        with pytest.raises(InjectedCrash):
+            run_ea_corl(cfg, out_dir=got)
+    left, straight = _tree(got), _tree(want)
+    assert {
+        os.path.join("policies", "iter_0003.bin"), "learning_curve_iter_0003.csv",
+        "checkpoint.json.tmp",
+    } <= set(left)
+    assert left[os.path.join("policies", "best.bin")] != straight[os.path.join("policies", "best.bin")]
+    # Its best design rounds to the committed one in the CSV; write another.
+    with open(os.path.join(got, BEST_DESIGN_FILE), "w") as fh:
+        fh.write("design_id,factor_0,factor_1\n0,3.25,1.75\n")
+    resumed = run_ea_corl(cfg, out_dir=got, resume=True, stop_after=2)
+    assert [rec.iteration for rec in resumed.history] == [1, 2]
+    assert_same_tree(got, want)
+
+
 def test_evolution_csv_round_trip(tmp_path):
     out = str(tmp_path)
     res = run_ea_corl(

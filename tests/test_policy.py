@@ -408,6 +408,74 @@ def test_adam_shape_mismatch_rejected():
         adam_step(params, grads, opt)
 
 
+
+def reference_adam_step(arrays, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam array by array, the way the update ran before it was flattened."""
+    t += 1
+    new, new_m, new_v = {}, {}, {}
+    for name, arr in arrays.items():
+        g = grads[name]
+        new_m[name] = beta1 * m[name] + (1.0 - beta1) * g
+        new_v[name] = beta2 * v[name] + (1.0 - beta2) * g**2
+        m_hat = new_m[name] / (1.0 - beta1**t)
+        v_hat = new_v[name] / (1.0 - beta2**t)
+        new[name] = arr - lr * m_hat / (np.sqrt(v_hat) + eps)
+    new["log_std"] = np.clip(new["log_std"], LOG_STD_MIN, LOG_STD_MAX)
+    return new, new_m, new_v, t
+
+
+def test_flat_adam_matches_per_array_reference_bitwise():
+    # lr 0.7 with a steady log_std gradient drives two log_std entries into
+    # the upper clip bound and two into the lower one by step 8; steps 9-20
+    # reverse the gradient, and once the first moment turns, the clipped
+    # entries leave their bounds again
+    params = policy_init(14, 4, 2, 5)
+    lr = 0.7
+    opt = adam_init(params, lr)
+    ref = params.arrays()
+    ref_m = {name: np.zeros_like(a) for name, a in ref.items()}
+    ref_v = {name: np.zeros_like(a) for name, a in ref.items()}
+    t = 0
+    rng = np.random.default_rng(11)
+    hit = set()
+    for step in range(20):
+        grads = {name: rng.standard_normal(a.shape) * 10.0 ** rng.uniform(-4, 2)
+                 for name, a in ref.items()}
+        grads["log_std"] = np.array([-1.0, 1.0, -1.0, 1.0]) * (1.0 if step < 8 else -1.0)
+        given = {name: g.copy() for name, g in grads.items()}
+        old_params, old_m = params.arrays(), opt.m.copy()
+        params, new_opt = adam_step(params, grads, opt)
+        assert np.array_equal(opt.m, old_m)  # the old state is a snapshot
+        opt = new_opt
+        for name, g in grads.items():
+            assert np.array_equal(g, given[name])
+        ref, ref_m, ref_v, t = reference_adam_step(ref, grads, ref_m, ref_v, t, lr)
+        for name in PARAM_ORDER:
+            got = params.arrays()[name]
+            assert got.shape == ref[name].shape and got.tobytes() == ref[name].tobytes(), name
+            assert not np.shares_memory(got, old_params[name])
+        assert opt.step == t
+        assert opt.m.tobytes() == np.concatenate([ref_m[n].ravel() for n in PARAM_ORDER]).tobytes()
+        assert opt.v.tobytes() == np.concatenate([ref_v[n].ravel() for n in PARAM_ORDER]).tobytes()
+        hit.update(float(x) for x in params.log_std if x in (LOG_STD_MIN, LOG_STD_MAX))
+    assert hit == {LOG_STD_MIN, LOG_STD_MAX}
+    assert LOG_STD_MIN < params.log_std.min() and params.log_std.max() < LOG_STD_MAX
+
+
+def test_gradients_survive_a_later_call():
+    # each call returns gradients in its own buffer, even with one workspace
+    params = policy_init(14, 4, 2, 3)
+    cfg = PpoConfig()
+    work = loss_workspace(50, params.hidden)
+    _, first = loss_and_grads(params, _random_minibatch(params, 50, 1), cfg, work)
+    kept = {name: g.copy() for name, g in first.items()}
+    _, second = loss_and_grads(params, _random_minibatch(params, 50, 2), cfg, work)
+    for name in PARAM_ORDER:
+        assert np.array_equal(first[name], kept[name]), name
+        assert not np.array_equal(second[name], kept[name]), name
+        assert not np.shares_memory(first[name], second[name]), name
+
+
 # --- serialization ---------------------------------------------------------------------
 
 
