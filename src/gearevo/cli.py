@@ -1,8 +1,9 @@
 """Command-line interface: run / resume / sweep / evaluate.
 
 Configuration is an INI file with sections [run], [design], [cma], [ppo],
-[env], [reward]; every hyperparameter maps to a documented key (see
-SCHEMA below and the README).  Resolution order: built-in defaults, then
+[env], [reward].  The keys, their value kinds and their defaults are the
+fields of the config dataclasses (CodesignConfig and its sub-configs; see
+_schema below and the README).  Resolution order: dataclass defaults, then
 file values, then --set overrides, then explicit flags.  The fully
 resolved config is echoed to <out>/config.snapshot and hashed; the hash is
 recorded in the run manifest and must match on resume.
@@ -16,11 +17,23 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
+import enum
+import functools
 import hashlib
 import json
 import os
 import sys
 import time
+
+from .errors import (
+    CheckpointError,
+    ConfigError,
+    ContractError,
+    DimensionError,
+    NumericError,
+    OptimizerDegenerateError,
+)
 
 # Exit codes: 0 success (manifest complete / no-op), 1 error,
 # 3 deliberate partial run (resumable, manifest interrupted).
@@ -38,79 +51,60 @@ _PAIR = "pair"  # two comma-separated floats
 _NAMES = "names"  # comma-separated identifiers
 _PAIRS = "pairs"  # comma-separated i:j index pairs
 
-# (section, key) -> value kind; insertion order defines the canonical
-# config.snapshot layout.
-SCHEMA: dict[tuple[str, str], str] = {
-    ("run", "mode"): _STR,
-    ("run", "seed"): _INT,
-    ("run", "n_env"): _INT,
-    ("run", "n_pop"): _INT,
-    ("run", "base_train_iters"): _INT,
-    ("run", "adapt_train_iters"): _INT,
-    ("run", "adapt_learning_rate"): _FLOAT,
-    ("design", "dim"): _INT,
-    ("design", "lower_bound"): _FLOAT,
-    ("design", "upper_bound"): _FLOAT,
-    ("cma", "initial_mean"): _FLOAT,
-    ("cma", "initial_sigma"): _FLOAT,
-    ("cma", "parent_count"): _INT,
-    ("cma", "max_iterations"): _INT,
-    ("ppo", "gamma"): _FLOAT,
-    ("ppo", "gae_lambda"): _FLOAT,
-    ("ppo", "clip_epsilon"): _FLOAT,
-    ("ppo", "epochs"): _INT,
-    ("ppo", "minibatches"): _INT,
-    ("ppo", "value_coef"): _FLOAT,
-    ("ppo", "entropy_coef"): _FLOAT,
-    ("ppo", "learning_rate"): _FLOAT,
-    ("ppo", "horizon"): _INT,
-    ("ppo", "reward_scale"): _FLOAT,
-    ("env", "m1"): _FLOAT,
-    ("env", "m2"): _FLOAT,
-    ("env", "l1"): _FLOAT,
-    ("env", "l2"): _FLOAT,
-    ("env", "gravity"): _FLOAT,
-    ("env", "dt_sim"): _FLOAT,
-    ("env", "decimation"): _INT,
-    ("env", "episode_length"): _INT,
-    ("env", "tau_default"): _PAIR,
-    ("env", "qdot_default"): _PAIR,
-    ("env", "kp"): _FLOAT,
-    ("env", "kd"): _FLOAT,
-    ("env", "goal"): _PAIR,
-    ("env", "q_min"): _PAIR,
-    ("env", "q_max"): _PAIR,
-    ("env", "reset_noise"): _FLOAT,
-    ("env", "cyl_gap"): _FLOAT,
-    ("env", "qdot_obs_scale"): _FLOAT,
-    ("env", "sym_pairs"): _PAIRS,
-    ("reward", "w_chinup"): _FLOAT,
-    ("reward", "w_hollow_cylinder"): _FLOAT,
-    ("reward", "w_base_position"): _FLOAT,
-    ("reward", "w_joint_regularization"): _FLOAT,
-    ("reward", "w_orientation"): _FLOAT,
-    ("reward", "w_torque"): _FLOAT,
-    ("reward", "w_joint_acceleration"): _FLOAT,
-    ("reward", "w_action_rate"): _FLOAT,
-    ("reward", "w_joint_position_limit"): _FLOAT,
-    ("reward", "w_joint_velocity_limit"): _FLOAT,
-    ("reward", "w_joint_torque_limit"): _FLOAT,
-    ("reward", "active"): _NAMES,
-    ("reward", "cyl_window"): _PAIR,
-    ("reward", "cyl_out_value"): _FLOAT,
-    ("reward", "base_out_value"): _FLOAT,
+# Config dataclass field annotation -> value kind.
+_KINDS = {
+    "int": _INT,
+    "float": _FLOAT,
+    "Mode": _STR,
+    "tuple[float, float]": _PAIR,
+    "tuple[str, ...]": _NAMES,
+    "tuple[tuple[int, int], ...]": _PAIRS,
 }
 
+# Config section -> the CodesignConfig field it sets ([run] sets the outer
+# config's own scalar fields).  This order is the config.snapshot layout and
+# the order in which the sub-configs are built.
+_SECTIONS = {
+    "run": None,
+    "design": "space",
+    "cma": "cma",
+    "ppo": "ppo",
+    "env": "env",
+    "reward": "reward",
+}
 
-def _config_error(message: str):
-    from .errors import ConfigError
+# CmaEsConfig fields that are not keys: _build_config sets them from
+# design.dim, run.n_pop and run.seed.
+_CMA_DERIVED = ("dim", "population_size", "seed")
 
-    raise ConfigError(message)
+
+@functools.cache
+def _schema() -> dict[tuple[str, str], str]:
+    """(section, key) -> value kind, in config.snapshot order.
+
+    Derived from the config dataclasses' fields.  Built on first use, not at
+    import, because those modules import numpy (see the module docstring).
+    """
+    from .codesign import CodesignConfig
+    from .reward import TERM_NAMES
+
+    defaults = CodesignConfig()
+    schema = {}
+    for section, attr in _SECTIONS.items():
+        obj = getattr(defaults, attr) if attr else defaults
+        for f in dataclasses.fields(obj):
+            if dataclasses.is_dataclass(getattr(obj, f.name)) or (
+                section == "cma" and f.name in _CMA_DERIVED
+            ):
+                continue
+            if section == "reward" and f.name == "weights":
+                schema.update({(section, f"w_{term}"): _FLOAT for term in TERM_NAMES})
+            else:
+                schema[(section, f.name)] = _KINDS[f.type]
+    return schema
 
 
 def _parse_value(kind: str, raw: str, key: str):
-    from .errors import ConfigError
-
     try:
         if kind == _INT:
             return int(raw)
@@ -121,7 +115,7 @@ def _parse_value(kind: str, raw: str, key: str):
         if kind == _PAIR:
             parts = [float(x) for x in raw.split(",")]
             if len(parts) != 2:
-                _config_error(f"key {key!r} expects two comma-separated numbers")
+                raise ConfigError(f"key {key!r} expects two comma-separated numbers")
             return tuple(parts)
         if kind == _NAMES:
             return tuple(x.strip() for x in raw.split(",") if x.strip())
@@ -137,134 +131,76 @@ def _parse_value(kind: str, raw: str, key: str):
     except ConfigError:
         raise
     except ValueError:
-        _config_error(f"key {key!r}: cannot parse value {raw!r} as {kind}")
+        raise ConfigError(f"key {key!r}: cannot parse value {raw!r} as {kind}")
     raise AssertionError(f"unhandled kind {kind}")
 
 
 def _read_config_file(path: str) -> dict[tuple[str, str], object]:
     if not os.path.exists(path):
-        _config_error(f"config file not found: {path}")
+        raise ConfigError(f"config file not found: {path}")
+    schema = _schema()
     parser = configparser.ConfigParser()
     parser.read(path)
     values: dict[tuple[str, str], object] = {}
     for section in parser.sections():
         for key, raw in parser.items(section):
             skey = (section, key)
-            if skey not in SCHEMA:
-                _config_error(f"unknown config key [{section}] {key!r}")
-            values[skey] = _parse_value(SCHEMA[skey], raw, f"{section}.{key}")
+            if skey not in schema:
+                raise ConfigError(f"unknown config key [{section}] {key!r}")
+            values[skey] = _parse_value(schema[skey], raw, f"{section}.{key}")
     return values
 
 
 def _apply_overrides(values: dict, overrides: list[str]) -> None:
+    schema = _schema()
     for item in overrides:
         if "=" not in item:
-            _config_error(f"override {item!r} must look like key=value")
+            raise ConfigError(f"override {item!r} must look like key=value")
         key, raw = item.split("=", 1)
         key = key.strip()
         if "." in key:
             section, name = key.split(".", 1)
             skey = (section.strip(), name.strip())
-            if skey not in SCHEMA:
-                _config_error(f"unknown config key {key!r}")
+            if skey not in schema:
+                raise ConfigError(f"unknown config key {key!r}")
         else:
-            matches = [sk for sk in SCHEMA if sk[1] == key]
+            matches = [sk for sk in schema if sk[1] == key]
             if not matches:
-                _config_error(f"unknown config key {key!r}")
+                raise ConfigError(f"unknown config key {key!r}")
             if len(matches) > 1:
                 names = ", ".join(f"{s}.{k}" for s, k in matches)
-                _config_error(f"ambiguous config key {key!r}; use one of: {names}")
+                raise ConfigError(f"ambiguous config key {key!r}; use one of: {names}")
             skey = matches[0]
-        values[skey] = _parse_value(SCHEMA[skey], raw.strip(), key)
+        values[skey] = _parse_value(schema[skey], raw.strip(), key)
 
 
 def _build_config(values: dict):
-    """Construct the resolved CodesignConfig from a (section,key)->value map."""
-    from .chinup_env import EnvConfig
-    from .cma_es import CmaEsConfig
+    """Resolve a CodesignConfig: the dataclass defaults overlaid with `values`."""
     from .codesign import CodesignConfig, Mode
-    from .design_space import DesignSpace
-    from .ppo import PpoConfig
-    from .reward import DEFAULT_ACTIVE, DEFAULT_WEIGHTS, RewardConfig
 
-    def get(section, key, default):
-        return values.get((section, key), default)
-
-    seed = get("run", "seed", 0)
-    n_pop = get("run", "n_pop", 50)
-    dim = get("design", "dim", 2)
-    space = DesignSpace(
-        dim=dim,
-        lower_bound=get("design", "lower_bound", 0.5),
-        upper_bound=get("design", "upper_bound", 4.0),
-    )
-    cma = CmaEsConfig(
-        dim=dim,
-        initial_mean=get("cma", "initial_mean", 0.2),
-        initial_sigma=get("cma", "initial_sigma", 0.3),
-        population_size=n_pop,
-        parent_count=get("cma", "parent_count", 10),
-        max_iterations=get("cma", "max_iterations", 50),
-        seed=seed,
-    )
-    ppo = PpoConfig(
-        gamma=get("ppo", "gamma", 0.99),
-        gae_lambda=get("ppo", "gae_lambda", 0.95),
-        clip_epsilon=get("ppo", "clip_epsilon", 0.2),
-        epochs=get("ppo", "epochs", 4),
-        minibatches=get("ppo", "minibatches", 4),
-        value_coef=get("ppo", "value_coef", 0.5),
-        entropy_coef=get("ppo", "entropy_coef", 0.005),
-        learning_rate=get("ppo", "learning_rate", 3e-4),
-        horizon=get("ppo", "horizon", 64),
-        reward_scale=get("ppo", "reward_scale", 1.0),
-    )
-    env_defaults = EnvConfig()
-    env = EnvConfig(
-        m1=get("env", "m1", env_defaults.m1),
-        m2=get("env", "m2", env_defaults.m2),
-        l1=get("env", "l1", env_defaults.l1),
-        l2=get("env", "l2", env_defaults.l2),
-        gravity=get("env", "gravity", env_defaults.gravity),
-        dt_sim=get("env", "dt_sim", env_defaults.dt_sim),
-        decimation=get("env", "decimation", env_defaults.decimation),
-        episode_length=get("env", "episode_length", env_defaults.episode_length),
-        tau_default=get("env", "tau_default", env_defaults.tau_default),
-        qdot_default=get("env", "qdot_default", env_defaults.qdot_default),
-        kp=get("env", "kp", env_defaults.kp),
-        kd=get("env", "kd", env_defaults.kd),
-        goal=get("env", "goal", env_defaults.goal),
-        q_min=get("env", "q_min", env_defaults.q_min),
-        q_max=get("env", "q_max", env_defaults.q_max),
-        reset_noise=get("env", "reset_noise", env_defaults.reset_noise),
-        cyl_gap=get("env", "cyl_gap", env_defaults.cyl_gap),
-        qdot_obs_scale=get("env", "qdot_obs_scale", env_defaults.qdot_obs_scale),
-        sym_pairs=get("env", "sym_pairs", env_defaults.sym_pairs),
-    )
-    weights = dict(DEFAULT_WEIGHTS)
-    for term in weights:
-        weights[term] = get("reward", f"w_{term}", weights[term])
-    reward = RewardConfig(
-        weights=weights,
-        active=get("reward", "active", DEFAULT_ACTIVE),
-        cyl_window=get("reward", "cyl_window", (0.5, 0.8)),
-        cyl_out_value=get("reward", "cyl_out_value", 10.0),
-        base_out_value=get("reward", "base_out_value", 20.0),
-    )
-    return CodesignConfig(
-        mode=Mode.parse(get("run", "mode", "ea-corl")),
-        cma=cma,
-        ppo=ppo,
-        env=env,
-        reward=reward,
-        space=space,
-        n_env=get("run", "n_env", 4000),
-        n_pop=n_pop,
-        base_train_iters=get("run", "base_train_iters", 5000),
-        adapt_train_iters=get("run", "adapt_train_iters", 2500),
-        adapt_learning_rate=get("run", "adapt_learning_rate", 1e-5),
-        seed=seed,
-    )
+    keys = {section: {} for section in _SECTIONS}
+    for (section, key), value in values.items():
+        keys[section][key] = value
+    defaults = CodesignConfig()
+    run = keys.pop("run")
+    parts = {}
+    for section, kwargs in keys.items():
+        default = getattr(defaults, _SECTIONS[section])
+        if section == "cma":
+            kwargs.update(
+                dim=parts["space"].dim,
+                population_size=run.get("n_pop", defaults.n_pop),
+                seed=run.get("seed", defaults.seed),
+            )
+        elif section == "reward":
+            kwargs["weights"] = {
+                term: kwargs.pop(f"w_{term}", weight)
+                for term, weight in default.weights.items()
+            }
+        parts[_SECTIONS[section]] = dataclasses.replace(default, **kwargs)
+    if "mode" in run:
+        run["mode"] = Mode.parse(run["mode"])
+    return dataclasses.replace(defaults, **parts, **run)
 
 
 def _format_value(kind: str, value) -> str:
@@ -273,7 +209,7 @@ def _format_value(kind: str, value) -> str:
     if kind == _FLOAT:
         return repr(float(value))
     if kind == _STR:
-        return str(value)
+        return value.value if isinstance(value, enum.Enum) else str(value)
     if kind == _PAIR:
         return ",".join(repr(float(x)) for x in value)
     if kind == _NAMES:
@@ -283,74 +219,22 @@ def _format_value(kind: str, value) -> str:
     raise AssertionError(f"unhandled kind {kind}")
 
 
-def _config_values(cfg) -> dict[tuple[str, str], object]:
-    """Read every schema key back out of a resolved CodesignConfig."""
-    values = {
-        ("run", "mode"): cfg.mode.value,
-        ("run", "seed"): cfg.seed,
-        ("run", "n_env"): cfg.n_env,
-        ("run", "n_pop"): cfg.n_pop,
-        ("run", "base_train_iters"): cfg.base_train_iters,
-        ("run", "adapt_train_iters"): cfg.adapt_train_iters,
-        ("run", "adapt_learning_rate"): cfg.adapt_learning_rate,
-        ("design", "dim"): cfg.space.dim,
-        ("design", "lower_bound"): cfg.space.lower_bound,
-        ("design", "upper_bound"): cfg.space.upper_bound,
-        ("cma", "initial_mean"): cfg.cma.initial_mean,
-        ("cma", "initial_sigma"): cfg.cma.initial_sigma,
-        ("cma", "parent_count"): cfg.cma.parent_count,
-        ("cma", "max_iterations"): cfg.cma.max_iterations,
-        ("ppo", "gamma"): cfg.ppo.gamma,
-        ("ppo", "gae_lambda"): cfg.ppo.gae_lambda,
-        ("ppo", "clip_epsilon"): cfg.ppo.clip_epsilon,
-        ("ppo", "epochs"): cfg.ppo.epochs,
-        ("ppo", "minibatches"): cfg.ppo.minibatches,
-        ("ppo", "value_coef"): cfg.ppo.value_coef,
-        ("ppo", "entropy_coef"): cfg.ppo.entropy_coef,
-        ("ppo", "learning_rate"): cfg.ppo.learning_rate,
-        ("ppo", "horizon"): cfg.ppo.horizon,
-        ("ppo", "reward_scale"): cfg.ppo.reward_scale,
-        ("env", "m1"): cfg.env.m1,
-        ("env", "m2"): cfg.env.m2,
-        ("env", "l1"): cfg.env.l1,
-        ("env", "l2"): cfg.env.l2,
-        ("env", "gravity"): cfg.env.gravity,
-        ("env", "dt_sim"): cfg.env.dt_sim,
-        ("env", "decimation"): cfg.env.decimation,
-        ("env", "episode_length"): cfg.env.episode_length,
-        ("env", "tau_default"): cfg.env.tau_default,
-        ("env", "qdot_default"): cfg.env.qdot_default,
-        ("env", "kp"): cfg.env.kp,
-        ("env", "kd"): cfg.env.kd,
-        ("env", "goal"): cfg.env.goal,
-        ("env", "q_min"): cfg.env.q_min,
-        ("env", "q_max"): cfg.env.q_max,
-        ("env", "reset_noise"): cfg.env.reset_noise,
-        ("env", "cyl_gap"): cfg.env.cyl_gap,
-        ("env", "qdot_obs_scale"): cfg.env.qdot_obs_scale,
-        ("env", "sym_pairs"): cfg.env.sym_pairs,
-        ("reward", "active"): cfg.reward.active,
-        ("reward", "cyl_window"): cfg.reward.cyl_window,
-        ("reward", "cyl_out_value"): cfg.reward.cyl_out_value,
-        ("reward", "base_out_value"): cfg.reward.base_out_value,
-    }
-    for term, weight in cfg.reward.weights.items():
-        values[("reward", f"w_{term}")] = weight
-    return values
-
-
 def render_config(cfg) -> str:
     """Canonical text form of a resolved config (the config.snapshot body)."""
-    values = _config_values(cfg)
     lines = []
     current_section = None
-    for (section, key), kind in SCHEMA.items():
+    for (section, key), kind in _schema().items():
         if section != current_section:
             if current_section is not None:
                 lines.append("")
             lines.append(f"[{section}]")
             current_section = section
-        lines.append(f"{key} = {_format_value(kind, values[(section, key)])}")
+        obj = getattr(cfg, _SECTIONS[section]) if _SECTIONS[section] else cfg
+        if section == "reward" and key.startswith("w_"):
+            value = obj.weights[key[len("w_"):]]
+        else:
+            value = getattr(obj, key)
+        lines.append(f"{key} = {_format_value(kind, value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -382,8 +266,6 @@ def _write_manifest(out_dir: str, manifest: dict) -> None:
 def _read_manifest(out_dir: str) -> dict:
     path = os.path.join(out_dir, MANIFEST_FILE)
     if not os.path.exists(path):
-        from .errors import CheckpointError
-
         raise CheckpointError(f"missing manifest: {path}")
     with open(path) as fh:
         return json.load(fh)
@@ -392,30 +274,44 @@ def _read_manifest(out_dir: str) -> dict:
 # --- commands ----------------------------------------------------------------
 
 
-def _interrupted(out_dir: str, manifest: dict) -> int:
-    """Record a Ctrl-C in the manifest; the run stays resumable."""
-    manifest["status"] = "interrupted"
+def _run_and_record(cfg, out_dir: str, manifest: dict, label: str, **run_kwargs) -> int:
+    """Run (or resume) the co-design loop and record its outcome in the manifest.
+
+    A Ctrl-C marks the manifest interrupted; the run stays resumable.
+    """
+    from . import codesign
+
+    try:
+        result = codesign.run(cfg, out_dir=out_dir, **run_kwargs)
+    except KeyboardInterrupt:
+        manifest["status"] = "interrupted"
+        manifest["updated_at"] = time.strftime("%Y-%m-%dT%H:%M:%S")
+        _write_manifest(out_dir, manifest)
+        print(f"interrupted; resume with: gearevo resume {out_dir}", file=sys.stderr)
+        return EXIT_PARTIAL
+    manifest["iterations_done"] = len(result.history)
+    manifest["status"] = "complete" if result.completed else "interrupted"
     manifest["updated_at"] = time.strftime("%Y-%m-%dT%H:%M:%S")
+    manifest["best_fitness"] = result.best_fitness
+    manifest["wall_time_s"] = result.wall_time_s
     _write_manifest(out_dir, manifest)
-    print(f"interrupted; resume with: gearevo resume {out_dir}", file=sys.stderr)
-    return EXIT_PARTIAL
+    print(
+        f"{label}: {len(result.history)} iterations, "
+        f"best fitness {result.best_fitness:.6g}"
+    )
+    return EXIT_OK if result.completed else EXIT_PARTIAL
 
 
 def cmd_run(args) -> int:
-    from . import codesign
-
+    # Explicit flags resolve last, after the file and the --set overrides.
     overrides = list(args.set or [])
-    cfg = parse_config(args.config, overrides)
-    replacements = {}
     if args.mode is not None:
-        replacements[("run", "mode")] = args.mode
+        overrides.append(f"run.mode={args.mode}")
     if args.seed is not None:
-        replacements[("run", "seed")] = str(args.seed)
+        overrides.append(f"run.seed={args.seed}")
     if args.iterations is not None:
-        replacements[("cma", "max_iterations")] = str(args.iterations)
-    if replacements:
-        extra = [f"{s}.{k}={v}" for (s, k), v in replacements.items()]
-        cfg = parse_config(args.config, overrides + extra)
+        overrides.append(f"cma.max_iterations={args.iterations}")
+    cfg = parse_config(args.config, overrides)
 
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
@@ -434,27 +330,12 @@ def cmd_run(args) -> int:
         "iterations_done": 0,
     }
     _write_manifest(out_dir, manifest)
-    try:
-        result = codesign.run(cfg, out_dir=out_dir, stop_after=args.stop_after)
-    except KeyboardInterrupt:
-        return _interrupted(out_dir, manifest)
-    manifest["iterations_done"] = len(result.history)
-    manifest["status"] = "complete" if result.completed else "interrupted"
-    manifest["updated_at"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    manifest["best_fitness"] = result.best_fitness
-    manifest["wall_time_s"] = result.wall_time_s
-    _write_manifest(out_dir, manifest)
-    print(
-        f"{cfg.mode.value}: {len(result.history)} iterations, "
-        f"best fitness {result.best_fitness:.6g}"
+    return _run_and_record(
+        cfg, out_dir, manifest, cfg.mode.value, stop_after=args.stop_after
     )
-    return EXIT_OK if result.completed else EXIT_PARTIAL
 
 
 def cmd_resume(args) -> int:
-    from . import codesign
-    from .errors import CheckpointError
-
     out_dir = args.run_dir
     manifest = _read_manifest(out_dir)
     snapshot = os.path.join(out_dir, CONFIG_SNAPSHOT_FILE)
@@ -469,21 +350,9 @@ def cmd_resume(args) -> int:
     if manifest.get("status") == "complete":
         print(f"run {manifest['run_id']} already complete; nothing to do")
         return EXIT_OK
-    try:
-        result = codesign.run(cfg, out_dir=out_dir, resume=True)
-    except KeyboardInterrupt:
-        return _interrupted(out_dir, manifest)
-    manifest["iterations_done"] = len(result.history)
-    manifest["status"] = "complete" if result.completed else "interrupted"
-    manifest["updated_at"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    manifest["best_fitness"] = result.best_fitness
-    manifest["wall_time_s"] = result.wall_time_s
-    _write_manifest(out_dir, manifest)
-    print(
-        f"resumed {cfg.mode.value}: {len(result.history)} iterations, "
-        f"best fitness {result.best_fitness:.6g}"
+    return _run_and_record(
+        cfg, out_dir, manifest, f"resumed {cfg.mode.value}", resume=True
     )
-    return EXIT_OK if result.completed else EXIT_PARTIAL
 
 
 def _load_run(out_dir: str):
@@ -509,7 +378,7 @@ def cmd_sweep(args) -> int:
             a_raw, b_raw = args.axes.split(",")
             a, b = int(a_raw), int(b_raw)
         except ValueError:
-            _config_error(
+            raise ConfigError(
                 f"--axes expects 'all' or an 'a,b' integer pair, got {args.axes!r}"
             )
         pairs = [(a, b)]
@@ -527,7 +396,6 @@ def cmd_evaluate(args) -> int:
     from . import codesign
     from .chinup_env import rollout_trajectory, write_trajectory_csv
     from .design_space import DesignVector, clamp_to_bounds
-    from .errors import CheckpointError
     from .policy import policy_forward
     from .reward import write_breakdown_csv
 
@@ -536,7 +404,7 @@ def cmd_evaluate(args) -> int:
         try:
             factors = np.array([float(x) for x in args.design.split(",")])
         except ValueError:
-            _config_error(
+            raise ConfigError(
                 f"--design expects comma-separated numbers, got {args.design!r}"
             )
         design = DesignVector(factors)
@@ -623,15 +491,6 @@ def main(argv=None) -> int:
     _apply_thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
-    from .errors import (
-        CheckpointError,
-        ConfigError,
-        ContractError,
-        DimensionError,
-        NumericError,
-        OptimizerDegenerateError,
-    )
-
     try:
         return args.func(args)
     except (

@@ -90,7 +90,9 @@ class Mode(enum.Enum):
 
 @dataclass
 class CodesignConfig:
+    # The scalar fields are the [run] config keys, in config.snapshot order.
     mode: Mode = Mode.EA_CORL
+    seed: int = 0
     cma: CmaEsConfig = field(default_factory=CmaEsConfig)
     ppo: PpoConfig = field(default_factory=PpoConfig)
     env: EnvConfig = field(default_factory=EnvConfig)
@@ -101,7 +103,6 @@ class CodesignConfig:
     base_train_iters: int = 5000
     adapt_train_iters: int = 2500
     adapt_learning_rate: float = 1e-5
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_env % self.n_pop != 0:

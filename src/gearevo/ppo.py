@@ -181,10 +181,6 @@ def ppo_update(
     return params, opt, stats
 
 
-def _mean_or(values: list[float], fallback: float) -> float:
-    return float(np.mean(values)) if values else fallback
-
-
 def train_on_env(
     params: PolicyParams,
     opt: AdamState,

@@ -9,9 +9,12 @@ import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
+import gearevo
 from gearevo import cli, codesign
 from gearevo.cli import (
     CONFIG_SNAPSHOT_FILE,
@@ -141,7 +144,7 @@ def test_bare_key_override_resolves_section():
 def test_ambiguous_bare_key_lists_candidates(monkeypatch):
     # No two schema sections currently share a key name, so manufacture a
     # clash to exercise the diagnostic.
-    monkeypatch.setitem(cli.SCHEMA, ("env", "gamma"), cli._FLOAT)
+    monkeypatch.setitem(cli._schema(), ("env", "gamma"), cli._FLOAT)
     with pytest.raises(ConfigError, match="ambiguous.*ppo.gamma.*env.gamma"):
         parse_config(None, ["gamma=0.9"])
 
@@ -166,6 +169,38 @@ def test_render_parse_round_trip(tmp_path):
     cfg2 = parse_config(str(path))
     assert render_config(cfg2) == text
     assert config_hash(cfg2) == config_hash(cfg)
+
+
+NON_DEFAULT_OVERRIDES = [
+    "run.n_pop=8", "run.n_env=64", "cma.parent_count=4", "run.seed=7",
+    "run.mode=pt-ft", "env.goal=0.1,0.2", "reward.active=chinup,torque",
+    "w_torque=-0.5", "env.sym_pairs=0:1,1:0", "cyl_window=0.4,0.9",
+]
+
+
+@pytest.mark.parametrize(
+    "overrides, digest",
+    [
+        ([], "7b526ed0d770d156f233b7259843aa08ebca498a21b5a654f738981c29fab989"),
+        (
+            NON_DEFAULT_OVERRIDES,
+            "5077c449bfbc297f0c242b48341577af3c73d7faee7d23456cf32ab0c204d329",
+        ),
+    ],
+    ids=["default", "non_default"],
+)
+def test_render_config_golden_digest(overrides, digest):
+    # Existing run directories resume only while their snapshot text, and so
+    # its hash, stays byte-identical.
+    assert config_hash(parse_config(None, overrides)) == digest
+
+
+def test_importing_cli_leaves_numpy_unloaded():
+    # CODESIGN_THREADS is applied in main(); numpy must not load before it.
+    src = os.path.dirname(os.path.dirname(gearevo.__file__))
+    code = "import sys, gearevo.cli; assert 'numpy' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 # --- run -----------------------------------------------------------------------
@@ -216,6 +251,15 @@ def test_run_single_iteration_modes_agree(micro_ini, tmp_path, capsys):
         assert code == EXIT_OK
         outs[mode] = read_manifest(out)["best_fitness"]
     assert outs["ea-corl"] == outs["pt-ft"]
+
+
+def test_iterations_flag_resolves_after_file_values(tmp_path, capsys):
+    path = tmp_path / "zero.ini"
+    path.write_text(MICRO_INI.replace("max_iterations = 2", "max_iterations = 0"))
+    out = str(tmp_path / "out")
+    args = ["run", "--config", str(path), "--out", out, "--iterations", "5"]
+    assert main(args) == EXIT_OK
+    assert read_manifest(out)["iterations_done"] == 5
 
 
 def test_run_error_exit_code(tmp_path, capsys):
