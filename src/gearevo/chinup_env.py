@@ -84,6 +84,11 @@ class EnvConfig:
             raise ConfigError("q_min must be below q_max per joint")
         if self.reset_noise < 0:
             raise ConfigError("reset_noise must be non-negative")
+        if any(len(pair) != 2 or not all(0 <= k < N_JOINTS for k in pair)
+               for pair in self.sym_pairs):
+            raise ConfigError(
+                f"sym_pairs must pair joint indices in [0, {N_JOINTS}), got {self.sym_pairs}"
+            )
 
 
 def _mass_entries(q: np.ndarray, config: EnvConfig):

@@ -71,7 +71,9 @@ from .seeding import stream
 
 logger = logging.getLogger("gearevo.codesign")
 
-CHECKPOINT_VERSION = 2
+# 3: PPO updates run the network math in float32, so a version-2 run
+# directory (float64 training) would continue under different numerics.
+CHECKPOINT_VERSION = 3
 POLICY_LATENT = 4
 
 
@@ -573,7 +575,10 @@ def _read_commit(out_dir) -> dict:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     version = payload.get("version") if isinstance(payload, dict) else None
     if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version!r}")
+        raise CheckpointError(
+            f"{path}: unsupported checkpoint version {version!r}; this version "
+            f"resumes only version {CHECKPOINT_VERSION}"
+        )
     return payload
 
 

@@ -34,6 +34,10 @@ from .policy import (
 from .seeding import stream
 
 
+# The dtype of the network math in ppo_update (see policy.loss_and_grads).
+TRAIN_DTYPE = np.float32
+
+
 @dataclass(frozen=True)
 class PpoConfig:
     gamma: float = 0.99
@@ -149,20 +153,23 @@ def ppo_update(
     """One PPO update: epochs of seeded-shuffle minibatch gradient steps.
 
     Every minibatch step shares one loss workspace, sized for the largest
-    minibatch and freed when the update returns.
+    minibatch and freed when the update returns.  The workspace is
+    float32, so the network's matmuls and tanh run in float32; the network
+    inputs are cast once here.  The parameters, the Adam moments, the
+    gradient sums and the loss reductions stay float64.
     """
     n, horizon = batch.rewards.shape
     total = n * horizon
     flat = {
-        "proprio": batch.proprio.reshape(total, -1),
-        "design": batch.design[np.repeat(np.arange(n), horizon)],
+        "proprio": batch.proprio.reshape(total, -1).astype(TRAIN_DTYPE),
+        "design": batch.design.astype(TRAIN_DTYPE)[np.repeat(np.arange(n), horizon)],
         "action": batch.actions.reshape(total, -1),
         "old_log_prob": batch.log_probs.reshape(total),
         "advantage": batch.advantages.reshape(total),
         "ret": batch.returns.reshape(total),
     }
     # np.array_split makes its first chunks the largest: ceil(total / minibatches).
-    work = loss_workspace(-(-total // cfg.minibatches), params.hidden)
+    work = loss_workspace(-(-total // cfg.minibatches), params.hidden, TRAIN_DTYPE)
     stats_acc: dict[str, list] = {}
     for epoch in range(cfg.epochs):
         perm = rng.permutation(total)
@@ -283,7 +290,7 @@ def train(
 
 LEARNING_CURVE_COLUMNS = (
     "iteration", "mean_return", "std_return",
-    "policy_loss", "value_loss", "entropy", "clip_fraction",
+    "policy_loss", "value_loss", "entropy", "clip_fraction", "approx_kl",
 )
 
 

@@ -270,6 +270,18 @@ def test_run_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pairs", ["0:5", "2:1", "-1:0"])
+def test_run_refuses_out_of_range_sym_pairs(micro_ini, tmp_path, capsys, pairs):
+    out = tmp_path / "o"
+    code = main(
+        ["run", "--config", micro_ini, "--out", str(out), "--set", f"env.sym_pairs={pairs}"]
+    )
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "sym_pairs" in err and "Traceback" not in err
+    assert not out.exists()  # refused before the run directory is made
+
+
 # --- resume ----------------------------------------------------------------------
 
 

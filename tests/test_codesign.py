@@ -351,6 +351,26 @@ def test_resume_rejects_unknown_version(tmp_path):
         )
 
 
+def test_resume_refuses_version_2_checkpoint(tmp_path):
+    # version 2 directories were trained with float64 PPO network math
+    run_ea_corl(
+        synthetic_config(iterations=3), out_dir=str(tmp_path),
+        fitness_fn=sphere_at_1p5, stop_after=2,
+    )
+    path = os.path.join(str(tmp_path), CHECKPOINT_FILE)
+    with open(path) as fh:
+        payload = json.load(fh)
+    assert payload["version"] == 3
+    payload["version"] = 2
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 2;"):
+        run_ea_corl(
+            synthetic_config(iterations=3), out_dir=str(tmp_path),
+            fitness_fn=sphere_at_1p5, resume=True,
+        )
+
+
 def test_rl_run_checkpoints_policies(tmp_path):
     """RL-backed runs persist base/best/per-iteration policy snapshots."""
     out = str(tmp_path)

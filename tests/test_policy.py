@@ -301,6 +301,32 @@ def test_reused_workspace_gives_same_bits(monkeypatch, rows, block_rows):
         assert grads[name].tobytes() == fresh_grads[name].tobytes(), name
 
 
+@pytest.mark.parametrize("rows", [7, 1024, 64_000])  # one block, a full block, many blocks
+def test_float32_workspace_matches_float64(rows):
+    params = policy_init(14, 4, 2, 3)
+    minibatch = _random_minibatch(params, rows, 13)
+    cfg = PpoConfig()
+    losses64, grads64 = loss_and_grads(params, minibatch, cfg)
+    work = loss_workspace(rows, params.hidden, np.float32)
+    assert all(w.dtype == np.float32 for w in work)
+    losses32, grads32 = loss_and_grads(params, minibatch, cfg, work)
+    kl32, kl64 = losses32.pop("approx_kl"), losses64.pop("approx_kl")
+    assert losses32 == pytest.approx(losses64, rel=1e-6, abs=0.0)
+    # approx_kl is the mean of signed log-ratios about 3e-3 in size, and
+    # here cancels to about 1e-4 of that: bound its error relative to the
+    # mean size of the terms it averages.
+    means, _, log_std = policy_forward_batch(params, minibatch["design"], minibatch["proprio"])
+    new_lp = gaussian_log_prob(ActionDistribution(means, log_std), minibatch["action"])
+    assert abs(kl32 - kl64) <= 1e-6 * np.mean(np.abs(minibatch["old_log_prob"] - new_lp))
+    differs = False
+    for name in PARAM_ORDER:
+        assert grads32[name].dtype == np.float64, name
+        error = np.max(np.abs(grads32[name] - grads64[name]))
+        assert error <= 1e-5 * np.max(np.abs(grads64[name])), name
+        differs |= error > 0.0
+    assert differs  # the float32 path really ran
+
+
 def test_loss_rejects_small_workspace():
     params = policy_init(6, 2, 2, 1, hidden=8, latent=2)
     minibatch = _random_minibatch(params, 10, 7)

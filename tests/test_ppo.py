@@ -247,8 +247,8 @@ def test_update_allocates_one_loss_workspace(monkeypatch):
     """Every minibatch step of one update shares a single workspace."""
     workspaces, used = [], []
 
-    def counting_workspace(rows, hidden):
-        workspaces.append(policy.loss_workspace(rows, hidden))
+    def counting_workspace(rows, hidden, dtype=np.float64):
+        workspaces.append(policy.loss_workspace(rows, hidden, dtype))
         return workspaces[-1]
 
     def recording_loss(params, minibatch, cfg, work=None):
@@ -265,6 +265,35 @@ def test_update_allocates_one_loss_workspace(monkeypatch):
     assert len(workspaces) == 1
     assert len(used) == 8 and all(w is workspaces[0] for w in used)
     assert workspaces[0][0].shape == (9, params.hidden)
+
+
+def test_update_runs_network_math_in_float32(monkeypatch):
+    """Float32 network math on float64 masters; same-seed updates share their bits."""
+    seen = []
+
+    def recording_loss(params, minibatch, cfg, work=None):
+        seen.append((work[0].dtype, minibatch["proprio"].dtype, minibatch["design"].dtype))
+        return policy.loss_and_grads(params, minibatch, cfg, work)
+
+    def update():
+        env = HoldPositionEnv(4, seed=5)
+        params = hold_policy(5)
+        batch = compute_gae(
+            collect_rollouts(env, params, 16, stream("rollout", 5, 0)), 0.99, 0.95
+        )
+        return ppo_update(
+            params, adam_init(params, 1e-3), batch, PpoConfig(), stream("shuffle", 5, 0)
+        )
+
+    monkeypatch.setattr(ppo, "loss_and_grads", recording_loss)
+    (p1, o1, s1), (p2, o2, s2) = update(), update()
+    assert seen == [(np.dtype(np.float32),) * 3] * 32  # 2 updates x 4 epochs x 4 minibatches
+    assert all(a.dtype == np.float64 for a in p1.arrays().values())
+    assert o1.m.dtype == o1.v.dtype == np.float64
+    for name in PARAM_ORDER:
+        assert p1.arrays()[name].tobytes() == p2.arrays()[name].tobytes(), name
+    assert o1.m.tobytes() == o2.m.tobytes() and o1.v.tobytes() == o2.v.tobytes()
+    assert s1 == s2
 
 
 # --- training loop ----------------------------------------------------------------
@@ -357,3 +386,6 @@ def test_learning_curve_csv_round_trip(tmp_path):
     for a, b in zip(history, back):
         assert a["iteration"] == b["iteration"]
         assert a["mean_return"] == pytest.approx(b["mean_return"], abs=1e-12)
+        assert b["approx_kl"] == a["approx_kl"]  # written with repr: exact
+    with open(path) as fh:
+        assert fh.readline().rstrip("\r\n").split(",")[-1] == "approx_kl"
