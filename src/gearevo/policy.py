@@ -8,13 +8,21 @@ an affine scalar critic head.  The encoder is trained jointly end to end.
 
 Gradients are computed by manual reverse-mode differentiation; the network
 is small and fixed, and every layer is verifiable against finite
-differences.  Snapshots are treated as immutable: updates return new
-parameter sets.  `loss_and_grads` runs its minibatch through the network in
+differences.  `loss_and_grads` runs its minibatch through the network in
 blocks of 1024 rows, so that the element-wise passes work on activations in
 cache and the activations held at once do not grow with the minibatch.  A
 minibatch of at most 1024 rows gives the same bits as one unblocked pass; a
 larger one sums its gradients block by block, about 1e-14 relative from one
 pass.
+
+Layout: a snapshot (`PolicyParams`) owns one float64 vector `flat`: the
+eleven arrays of PARAM_ORDER (ENC_W, ENC_B, W1, B1, W2, B2, ACTOR_W,
+ACTOR_B, LOG_STD, CRITIC_W, CRITIC_B) end to end, each in C order, with the
+shapes `param_shapes` gives for the five dims.  The named arrays
+(`params.w1`, ...) are views of `flat`; `params.views(vec)` lays out any
+vector of its size the same way, such as the gradient of `loss_and_grads`
+or the Adam moments.  Snapshots are immutable: the dataclass is frozen and
+`flat` is read-only, so updates return new snapshots.
 
 Precision: everything is float64 except, in training, the network math of
 `loss_and_grads`.  Its compute dtype is the dtype of its loss workspace,
@@ -24,20 +32,25 @@ the Adam moments, the sum of the blocks' gradients and the loss reductions
 stay float64 (the master-weights scheme of Micikevicius et al., "Mixed
 Precision Training", one precision step up).  Each float32 gradient array
 is within about 2e-6 of its largest entry of the float64 one.  Rollouts
-(`policy_forward_batch`) and saved policies are float64.
+(`policy_forward_batch`) and saved policies are float64.  BLAS may round a
+matmul differently by where its operands lie in memory, so a float64 pass
+over the same values can differ in the last bit between a snapshot whose
+arrays are views of one vector and one whose arrays were allocated apart.
 
 Checkpoint format: one JSON header line (format version, dims, snapshot
-id, seed, parameter count) followed by the flat little-endian float64
-parameter block in the order ENC_W, ENC_B, W1, B1, W2, B2, ACTOR_W,
-ACTOR_B, LOG_STD, CRITIC_W, CRITIC_B (C order within each array).
+id, seed, parameter count) followed by `flat` as little-endian float64.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -51,26 +64,57 @@ CHECKPOINT_VERSION = 1
 # Rows per block in loss_and_grads: a block's (rows, hidden) activations stay
 # in cache through the element-wise passes.
 _BLOCK_ROWS = 1024
-
-PARAM_ORDER = (
-    "enc_w", "enc_b", "w1", "b1", "w2", "b2",
-    "actor_w", "actor_b", "log_std", "critic_w", "critic_b",
-)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
-@dataclass
+def param_shapes(
+    obs_dim: int, action_dim: int, design_dim: int, hidden: int, latent: int
+) -> dict[str, tuple[int, ...]]:
+    """The parameter layout: each array's shape, in the order of `flat`.
+
+    Weights follow the (out_features, in_features) convention.
+    """
+    return {
+        "enc_w": (latent, design_dim), "enc_b": (latent,),
+        "w1": (hidden, obs_dim), "b1": (hidden,),
+        "w2": (hidden, hidden), "b2": (hidden,),
+        "actor_w": (action_dim, hidden), "actor_b": (action_dim,),
+        "log_std": (action_dim,), "critic_w": (hidden,), "critic_b": (1,),
+    }
+
+
+PARAM_ORDER = tuple(param_shapes(1, 1, 1, 1, 1))
+
+
+@functools.lru_cache(maxsize=16)
+def _param_layout(*dims: int) -> tuple[int, Mapping[str, tuple[slice, tuple[int, ...]]]]:
+    """The floats `param_shapes(*dims)` takes, and each array's slice and shape."""
+    slices, pos = {}, 0
+    for name, shape in param_shapes(*dims).items():
+        size = math.prod(shape)
+        slices[name] = (slice(pos, pos + size), shape)
+        pos += size
+    return pos, MappingProxyType(slices)
+
+
+def _views(vec: np.ndarray, slices: Mapping) -> dict[str, np.ndarray]:
+    """Named views of `vec` by `_param_layout` slices (a 1-D slice is not reshaped)."""
+    return {name: vec[sl] if len(shape) == 1 else vec[sl].reshape(shape)
+            for name, (sl, shape) in slices.items()}
+
+
+@dataclass(frozen=True)
 class PolicyParams:
-    enc_w: np.ndarray
-    enc_b: np.ndarray
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    actor_w: np.ndarray
-    actor_b: np.ndarray
-    log_std: np.ndarray
-    critic_w: np.ndarray
-    critic_b: np.ndarray
+    """One policy snapshot: its parameters as one read-only vector.
+
+    `flat` holds the arrays of `param_shapes(*dims)` end to end and is made
+    read-only on construction.  Snapshots hold float64; `loss_and_grads`
+    makes a float32 copy of one to compute in.
+    """
+
+    flat: np.ndarray
     obs_dim: int
     action_dim: int
     design_dim: int
@@ -79,42 +123,38 @@ class PolicyParams:
     snapshot_id: int = 0
     seed: int = -1
 
+    def __post_init__(self) -> None:
+        size, slices = _param_layout(*self.dims)
+        if self.flat.shape != (size,):
+            raise ContractError(
+                f"parameter vector of shape {self.flat.shape}; dims {self.dims} need {size} floats"
+            )
+        self.flat.flags.writeable = False
+        # Each array as an attribute of its name (`params.w1`): a view of flat.
+        self.__dict__.update(_views(self.flat, slices))
+
+    @property
+    def dims(self) -> tuple[int, int, int, int, int]:
+        """(obs_dim, action_dim, design_dim, hidden, latent): the arguments of param_shapes."""
+        return self.obs_dim, self.action_dim, self.design_dim, self.hidden, self.latent
+
     @property
     def n_params(self) -> int:
-        return sum(getattr(self, name).size for name in PARAM_ORDER)
+        return self.flat.size
 
-    def arrays(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in PARAM_ORDER}
-
-    def with_arrays(self, arrays: dict[str, np.ndarray]) -> "PolicyParams":
-        """A copy with the named parameter arrays replaced.
-
-        Calls the constructor directly: adam_step makes one copy per
-        minibatch, and `dataclasses.replace` took several times as long.
-        """
-        return PolicyParams(
-            **{**self.arrays(), **arrays},
-            obs_dim=self.obs_dim,
-            action_dim=self.action_dim,
-            design_dim=self.design_dim,
-            hidden=self.hidden,
-            latent=self.latent,
-            snapshot_id=self.snapshot_id,
-            seed=self.seed,
-        )
+    def views(self, vec: np.ndarray | None = None) -> dict[str, np.ndarray]:
+        """The named arrays of `vec` (default `flat`), laid out as `flat` is."""
+        return _views(self.flat if vec is None else vec, _param_layout(*self.dims)[1])
 
 
 @dataclass
 class AdamState:
-    """Adam moments as flat vectors over the parameters in PARAM_ORDER."""
+    """Adam moments as flat vectors laid out as `PolicyParams.flat`."""
 
     m: np.ndarray
     v: np.ndarray
     step: int
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 @dataclass
@@ -155,25 +195,17 @@ def policy_init(
         rng = stream("policy-init", seed)
     else:
         seed = -1
-    return PolicyParams(
-        enc_w=_orthogonal(rng, latent, design_dim, 1.0),
-        enc_b=np.zeros(latent),
-        w1=_orthogonal(rng, hidden, obs_dim, 1.0),
-        b1=np.zeros(hidden),
-        w2=_orthogonal(rng, hidden, hidden, 1.0),
-        b2=np.zeros(hidden),
-        actor_w=_orthogonal(rng, action_dim, hidden, 0.01),
-        actor_b=np.zeros(action_dim),
-        log_std=np.full(action_dim, LOG_STD_INIT),
-        critic_w=_orthogonal(rng, 1, hidden, 1.0)[0],
-        critic_b=np.zeros(1),
-        obs_dim=obs_dim,
-        action_dim=action_dim,
-        design_dim=design_dim,
-        hidden=hidden,
-        latent=latent,
-        seed=seed,
-    )
+    size, slices = _param_layout(obs_dim, action_dim, design_dim, hidden, latent)
+    flat = np.zeros(size)
+    arrays = _views(flat, slices)
+    # The weights are drawn in this order: a seed keeps its parameters.
+    arrays["enc_w"][:] = _orthogonal(rng, latent, design_dim, 1.0)
+    arrays["w1"][:] = _orthogonal(rng, hidden, obs_dim, 1.0)
+    arrays["w2"][:] = _orthogonal(rng, hidden, hidden, 1.0)
+    arrays["actor_w"][:] = _orthogonal(rng, action_dim, hidden, 0.01)
+    arrays["log_std"][:] = LOG_STD_INIT
+    arrays["critic_w"][:] = _orthogonal(rng, 1, hidden, 1.0)[0]
+    return PolicyParams(flat, obs_dim, action_dim, design_dim, hidden, latent, seed=seed)
 
 
 def _check_finite(name: str, x: np.ndarray) -> np.ndarray:
@@ -280,8 +312,8 @@ def loss_workspace(rows: int, hidden: int, dtype=np.float64) -> list[np.ndarray]
 
 def loss_and_grads(
     params: PolicyParams, minibatch: dict, ppo_cfg, work: list[np.ndarray] | None = None
-) -> tuple[dict, dict[str, np.ndarray]]:
-    """PPO clipped-surrogate loss and exact gradients for one minibatch.
+) -> tuple[dict, np.ndarray]:
+    """PPO clipped-surrogate loss and its exact gradient for one minibatch.
 
     minibatch keys: proprio (B,P), design (B,D), action (B,A),
     old_log_prob (B,), advantage (B,) (already normalized), ret (B,).
@@ -311,6 +343,8 @@ def loss_and_grads(
     signed log-ratios that may cancel, moves by under 1e-7 of the mean size
     of those log-ratios (measured on 7 to 64,000 rows; the tests bound
     these at 1e-5 and 1e-6).
+
+    The gradient is a new float64 vector laid out as `params.flat`.
     """
     batch, n_proprio = minibatch["proprio"].shape
     if work is None:
@@ -321,11 +355,10 @@ def loss_and_grads(
             f"loss workspace too small for {batch} rows of hidden size {params.hidden}"
         )
     dtype = work[0].dtype
-    shapes = {name: a.shape for name, a in params.arrays().items()}
     net, ones = params, None
     if dtype != np.float64:
-        # The network's parameters in the compute dtype: views of one vector.
-        net = params.with_arrays(_views(_flatten(params.arrays()).astype(dtype), shapes))
+        # The network's parameters in the compute dtype.
+        net = dataclasses.replace(params, flat=params.flat.astype(dtype))
         ones = np.ones(min(batch, _BLOCK_ROWS), dtype)
     proprio = minibatch["proprio"].astype(dtype, copy=False)
     design = minibatch["design"].astype(dtype, copy=False)
@@ -342,7 +375,8 @@ def loss_and_grads(
     ratio = np.empty(batch)
     surrogate = np.empty(batch)
     # Named views of one zeroed float64 vector, fresh for every call.
-    grads = _views(np.zeros(params.n_params), shapes)
+    grad = np.zeros(params.n_params)
+    grads = params.views(grad)
     for lo in range(0, batch, _BLOCK_ROWS):
         n = min(_BLOCK_ROWS, batch - lo)
         rows = slice(lo, lo + n)
@@ -408,7 +442,7 @@ def loss_and_grads(
         "clip_fraction": float(np.mean(np.abs(ratio - 1.0) > eps)),
         "approx_kl": float(np.mean(old_lp - new_lp)),
     }
-    return losses, grads
+    return losses, grad
 
 
 def _column_sums(x: np.ndarray, ones: np.ndarray | None) -> np.ndarray:
@@ -426,24 +460,6 @@ def _one_minus_square(h: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.subtract(1.0, out, out=out)
 
 
-def _flatten(arrays: dict[str, np.ndarray]) -> np.ndarray:
-    """One new vector holding the arrays in PARAM_ORDER, each in C order."""
-    return np.concatenate([arrays[name] for name in PARAM_ORDER], axis=None)
-
-
-def _views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
-    """Named views of consecutive slices of `flat`, in PARAM_ORDER."""
-    out = {}
-    pos = 0
-    for name in PARAM_ORDER:
-        shape = shapes[name]
-        size = math.prod(shape)
-        view = flat[pos : pos + size]
-        out[name] = view if len(shape) == 1 else view.reshape(shape)
-        pos += size
-    return out
-
-
 def adam_init(params: PolicyParams, learning_rate: float) -> AdamState:
     return AdamState(
         m=np.zeros(params.n_params),
@@ -454,70 +470,58 @@ def adam_init(params: PolicyParams, learning_rate: float) -> AdamState:
 
 
 def adam_step(
-    params: PolicyParams, grads: dict[str, np.ndarray], opt: AdamState
+    params: PolicyParams, grad: np.ndarray, opt: AdamState
 ) -> tuple[PolicyParams, AdamState]:
     """Standard Adam with bias correction; returns new snapshots of both.
 
-    The update runs once over the parameters and gradients flattened in
-    PARAM_ORDER; the new parameter arrays are named views of one new
-    vector.  Every operation is element-wise, so the result has the same
-    bits as an update array by array.
+    `grad` is laid out as `params.flat`, and the update runs once over the
+    whole vector.  Every operation is element-wise, so the result has the
+    same bits as an update array by array.  `grad` is left as it is.
     """
+    if grad.shape != params.flat.shape:
+        raise ContractError(
+            f"gradient of shape {grad.shape} for parameters of shape {params.flat.shape}"
+        )
     t = opt.step + 1
-    arrays = params.arrays()
-    shapes = {}
-    for name, arr in arrays.items():
-        shapes[name] = arr.shape
-        if grads[name].shape != arr.shape:
-            raise ContractError(f"gradient shape mismatch for {name}")
     # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2 and
     # theta - lr*m_hat / (sqrt(v_hat) + eps), each product and sum formed
-    # in place in one of two work vectors (g and w): the operands commute,
-    # so the bits do not change, and fewer fresh vectors are allocated.
-    g = _flatten(grads)
-    w = g * (1.0 - opt.beta1)
-    m = opt.m * opt.beta1
+    # in place in one of two work vectors (step and w): the operands
+    # commute, so the bits do not change, and fewer fresh vectors are
+    # allocated.
+    w = grad * (1.0 - ADAM_BETA1)
+    m = opt.m * ADAM_BETA1
     m += w
-    np.multiply(g, g, out=w)
-    w *= 1.0 - opt.beta2
-    v = opt.v * opt.beta2
+    np.multiply(grad, grad, out=w)
+    w *= 1.0 - ADAM_BETA2
+    v = opt.v * ADAM_BETA2
     v += w
-    step = np.divide(m, 1.0 - opt.beta1**t, out=g)
+    step = m / (1.0 - ADAM_BETA1**t)
     step *= opt.learning_rate
-    denom = np.divide(v, 1.0 - opt.beta2**t, out=w)
+    denom = np.divide(v, 1.0 - ADAM_BETA2**t, out=w)
     np.sqrt(denom, out=denom)
-    denom += opt.eps
+    denom += ADAM_EPS
     step /= denom
-    flat = _flatten(arrays)
-    flat -= step
-    new_arrays = _views(flat, shapes)
-    log_std = new_arrays["log_std"]
+    flat = params.flat - step
+    _, slices = _param_layout(*params.dims)
+    log_std = flat[slices["log_std"][0]]
     np.maximum(log_std, LOG_STD_MIN, out=log_std)
     np.minimum(log_std, LOG_STD_MAX, out=log_std)
-    new_params = params.with_arrays(new_arrays)
-    new_opt = AdamState(
-        m=m, v=v, step=t,
-        learning_rate=opt.learning_rate,
-        beta1=opt.beta1, beta2=opt.beta2, eps=opt.eps,
-    )
-    return new_params, new_opt
+    new_opt = AdamState(m=m, v=v, step=t, learning_rate=opt.learning_rate)
+    return dataclasses.replace(params, flat=flat), new_opt
+
+
+# The header keys between format_version and n_params, in file order.
+_HEADER_FIELDS = tuple(f.name for f in dataclasses.fields(PolicyParams) if f.name != "flat")
 
 
 def save_policy(params: PolicyParams, path) -> str:
     """Write `params` to `path`; returns the SHA-256 hex digest of the file."""
     header = {
         "format_version": CHECKPOINT_VERSION,
-        "obs_dim": params.obs_dim,
-        "action_dim": params.action_dim,
-        "design_dim": params.design_dim,
-        "hidden": params.hidden,
-        "latent": params.latent,
-        "snapshot_id": params.snapshot_id,
-        "seed": params.seed,
+        **{key: getattr(params, key) for key in _HEADER_FIELDS},
         "n_params": params.n_params,
     }
-    flat = _flatten(params.arrays())
-    blob = json.dumps(header).encode("utf-8") + b"\n" + flat.astype("<f8").tobytes()
+    blob = json.dumps(header).encode("utf-8") + b"\n" + params.flat.astype("<f8").tobytes()
     with open(path, "wb") as fh:
         fh.write(blob)
     return hashlib.sha256(blob).hexdigest()
@@ -535,27 +539,14 @@ def load_policy(path) -> PolicyParams:
         raise ContractError(
             f"{path}: unsupported checkpoint version {header.get('format_version')}"
         )
+    if len(blob) % 8:
+        raise ContractError(f"{path}: parameter block of {len(blob)} bytes ends inside a float")
     flat = np.frombuffer(blob, dtype="<f8").astype(np.float64)
     if flat.size != header["n_params"]:
         raise ContractError(
             f"{path}: parameter block has {flat.size} floats, header says {header['n_params']}"
         )
-    p, h, lat = header["design_dim"], header["hidden"], header["latent"]
-    obs_dim, act = header["obs_dim"], header["action_dim"]
-    shapes = {
-        "enc_w": (lat, p), "enc_b": (lat,),
-        "w1": (h, obs_dim), "b1": (h,),
-        "w2": (h, h), "b2": (h,),
-        "actor_w": (act, h), "actor_b": (act,),
-        "log_std": (act,), "critic_w": (h,), "critic_b": (1,),
-    }
-    return PolicyParams(
-        **_views(flat, shapes),
-        obs_dim=obs_dim,
-        action_dim=act,
-        design_dim=p,
-        hidden=h,
-        latent=lat,
-        snapshot_id=header["snapshot_id"],
-        seed=header["seed"],
-    )
+    try:
+        return PolicyParams(flat, **{key: header[key] for key in _HEADER_FIELDS})
+    except ContractError as exc:
+        raise ContractError(f"{path}: header disagrees with its parameter block: {exc}") from exc

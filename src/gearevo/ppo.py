@@ -176,12 +176,12 @@ def ppo_update(
         for mb_idx, chunk in enumerate(np.array_split(perm, cfg.minibatches)):
             minibatch = {k: v.take(chunk, axis=0) for k, v in flat.items()}
             try:
-                losses, grads = loss_and_grads(params, minibatch, cfg, work)
+                losses, grad = loss_and_grads(params, minibatch, cfg, work)
             except NumericError as exc:
                 raise NumericError(
                     f"PPO update aborted at epoch {epoch}, minibatch {mb_idx}: {exc}"
                 ) from exc
-            params, opt = adam_step(params, grads, opt)
+            params, opt = adam_step(params, grad, opt)
             for key, val in losses.items():
                 stats_acc.setdefault(key, []).append(val)
     stats = {key: float(np.mean(vals)) for key, vals in stats_acc.items()}

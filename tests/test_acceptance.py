@@ -12,6 +12,7 @@ policy's return level faster than training from scratch, and stronger
 actuators never adapting to a worse fitness.
 """
 
+import dataclasses
 import math
 import os
 import time
@@ -38,7 +39,6 @@ from gearevo.design_space import (
     scale_actuator_limits,
 )
 from gearevo.policy import (
-    PARAM_ORDER,
     ActionDistribution,
     adam_init,
     loss_and_grads,
@@ -298,20 +298,11 @@ def test_criterion_05_gradient_correctness():
         "ret": rng.standard_normal(n),
     }
     cfg = PpoConfig()
-    _, grads = loss_and_grads(params, minibatch, cfg)
-
-    arrays = params.arrays()
-    flat = np.concatenate([arrays[k].ravel() for k in PARAM_ORDER])
-    flat_grads = np.concatenate([grads[k].ravel() for k in PARAM_ORDER])
+    _, flat_grads = loss_and_grads(params, minibatch, cfg)
+    flat = params.flat
 
     def loss_at(vec):
-        rebuilt = {}
-        i = 0
-        for name in PARAM_ORDER:
-            a = arrays[name]
-            rebuilt[name] = vec[i : i + a.size].reshape(a.shape)
-            i += a.size
-        loss, _ = loss_and_grads(params.with_arrays(rebuilt), minibatch, cfg)
+        loss, _ = loss_and_grads(dataclasses.replace(params, flat=vec), minibatch, cfg)
         return loss["total"]
 
     eps = 1e-5

@@ -183,9 +183,9 @@ def test_single_iteration_both_modes_identical():
     assert ea.best_fitness == pt.best_fitness
     np.testing.assert_array_equal(ea.best_design.factors, pt.best_design.factors)
     np.testing.assert_array_equal(ea.history[0].j_pop, pt.history[0].j_pop)
-    for name in ea.best_policy.arrays():
+    for name in ea.best_policy.views():
         np.testing.assert_array_equal(
-            ea.best_policy.arrays()[name], pt.best_policy.arrays()[name]
+            ea.best_policy.views()[name], pt.best_policy.views()[name]
         )
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -11,6 +13,7 @@ from gearevo.policy import (
     LOG_STD_MIN,
     PARAM_ORDER,
     ActionDistribution,
+    PolicyParams,
     adam_init,
     adam_step,
     entropy,
@@ -34,7 +37,7 @@ def test_same_seed_identical_parameters():
     a = policy_init(14, 4, 2, 7)
     b = policy_init(14, 4, 2, 7)
     for name in PARAM_ORDER:
-        assert np.array_equal(a.arrays()[name], b.arrays()[name])
+        assert np.array_equal(a.views()[name], b.views()[name])
 
 
 def test_parameter_count_for_default_architecture():
@@ -78,9 +81,7 @@ def test_init_validates_dimensions():
 
 def test_zero_network_outputs_zero():
     params = policy_init(14, 4, 2, 0)
-    zeroed = params.with_arrays(
-        {k: np.zeros_like(v) for k, v in params.arrays().items()}
-    )
+    zeroed = dataclasses.replace(params, flat=np.zeros(params.n_params))
     dist, value, obs = policy_forward(zeroed, np.array([1.0, 2.0]), np.ones(10))
     assert np.array_equal(dist.mean, np.zeros(4))
     assert value == 0.0
@@ -196,7 +197,7 @@ def test_zero_advantage_ratio_one_policy_loss_zero():
     assert losses["value_loss"] == 0.0
     assert losses["clip_fraction"] == 0.0
     # with zero advantage the surrogate contributes no actor-mean gradient
-    assert np.allclose(grads["actor_w"], 0.0, atol=1e-15)
+    assert np.allclose(params.views(grads)["actor_w"], 0.0, atol=1e-15)
 
 
 def _random_minibatch(params, n, seed):
@@ -229,20 +230,11 @@ def _assert_gradients_match_finite_differences():
     params = policy_init(6, 2, 2, 1, hidden=8, latent=2)
     minibatch = _random_minibatch(params, 10, 5)
     cfg = PpoConfig()
-    _, grads = loss_and_grads(params, minibatch, cfg)
-
-    arrays = params.arrays()
-    flat = np.concatenate([arrays[k].ravel() for k in PARAM_ORDER])
-    flat_grads = np.concatenate([grads[k].ravel() for k in PARAM_ORDER])
+    _, flat_grads = loss_and_grads(params, minibatch, cfg)
+    flat = params.flat
 
     def loss_at(vec):
-        rebuilt = {}
-        i = 0
-        for name in PARAM_ORDER:
-            a = arrays[name]
-            rebuilt[name] = vec[i : i + a.size].reshape(a.shape)
-            i += a.size
-        loss, _ = loss_and_grads(params.with_arrays(rebuilt), minibatch, cfg)
+        loss, _ = loss_and_grads(dataclasses.replace(params, flat=vec), minibatch, cfg)
         return loss["total"]
 
     eps = 1e-5
@@ -267,6 +259,7 @@ def test_blocked_pass_matches_single_block(monkeypatch):
     # not bitwise: BLAS may round a row's matmul differently in a block of
     # another shape (the 1-row tail goes through gemv)
     assert losses == pytest.approx(whole_losses, rel=1e-12, abs=0.0)
+    grads, whole_grads = params.views(grads), params.views(whole_grads)
     for name in PARAM_ORDER:
         np.testing.assert_allclose(grads[name], whole_grads[name], rtol=1e-12, atol=0.0)
 
@@ -297,6 +290,7 @@ def test_reused_workspace_gives_same_bits(monkeypatch, rows, block_rows):
         w.fill(np.nan)
     losses, grads = loss_and_grads(params, minibatch, PpoConfig(), work)
     assert losses == fresh_losses
+    grads, fresh_grads = params.views(grads), params.views(fresh_grads)
     for name in PARAM_ORDER:
         assert grads[name].tobytes() == fresh_grads[name].tobytes(), name
 
@@ -319,6 +313,7 @@ def test_float32_workspace_matches_float64(rows):
     new_lp = gaussian_log_prob(ActionDistribution(means, log_std), minibatch["action"])
     assert abs(kl32 - kl64) <= 1e-6 * np.mean(np.abs(minibatch["old_log_prob"] - new_lp))
     differs = False
+    grads32, grads64 = params.views(grads32), params.views(grads64)
     for name in PARAM_ORDER:
         assert grads32[name].dtype == np.float64, name
         error = np.max(np.abs(grads32[name] - grads64[name]))
@@ -352,9 +347,9 @@ def test_nonfinite_error_names_first_bad_layer(layer):
     if key in minibatch:
         minibatch[key][4] = value
     else:
-        arr = params.arrays()[key].copy()
-        arr.flat[0] = value
-        params = params.with_arrays({key: arr})
+        vec = params.flat.copy()
+        params.views(vec)[key].flat[0] = value
+        params = dataclasses.replace(params, flat=vec)
     with pytest.raises(NumericError, match=f"non-finite activation in layer {layer}$"):
         loss_and_grads(params, minibatch, PpoConfig())
 
@@ -379,10 +374,10 @@ def test_loss_raises_on_nonfinite():
 def test_adam_zero_gradient_keeps_parameters():
     params = policy_init(6, 2, 2, 0, hidden=8, latent=2)
     opt = adam_init(params, 1e-3)
-    grads = {k: np.zeros_like(v) for k, v in params.arrays().items()}
+    grads = np.zeros(params.n_params)
     new_params, new_opt = adam_step(params, grads, opt)
     for name in PARAM_ORDER:
-        assert np.array_equal(new_params.arrays()[name], params.arrays()[name])
+        assert np.array_equal(new_params.views()[name], params.views()[name])
     assert new_opt.step == opt.step + 1
 
 
@@ -391,45 +386,46 @@ def test_adam_first_step_closed_form():
     alpha = 1e-3
     opt = adam_init(params, alpha)
     rng = np.random.default_rng(3)
-    grads = {k: rng.standard_normal(v.shape) for k, v in params.arrays().items()}
-    new_params, _ = adam_step(params, grads, opt)
-    eps = opt.eps
+    grad = rng.standard_normal(params.n_params)
+    new_params, _ = adam_step(params, grad, opt)
+    eps = policy.ADAM_EPS
+    grads = params.views(grad)
     for name in PARAM_ORDER:
         g = grads[name]
-        expected = params.arrays()[name] - alpha * g / (np.abs(g) + eps)
+        expected = params.views()[name] - alpha * g / (np.abs(g) + eps)
         if name == "log_std":
             expected = np.clip(expected, LOG_STD_MIN, LOG_STD_MAX)
-        assert np.allclose(new_params.arrays()[name], expected, atol=1e-12)
+        assert np.allclose(new_params.views()[name], expected, atol=1e-12)
 
 
 def test_adam_determinism():
     params = policy_init(6, 2, 2, 0, hidden=8, latent=2)
-    grads = {k: np.full_like(v, 0.1) for k, v in params.arrays().items()}
+    grads = np.full(params.n_params, 0.1)
     a1, o1 = adam_step(params, grads, adam_init(params, 1e-3))
     a2, o2 = adam_step(params, grads, adam_init(params, 1e-3))
     for name in PARAM_ORDER:
-        assert np.array_equal(a1.arrays()[name], a2.arrays()[name])
+        assert np.array_equal(a1.views()[name], a2.views()[name])
     assert o1.step == o2.step
 
 
 def test_adam_log_std_clamped_after_update():
     params = policy_init(6, 2, 2, 0, hidden=8, latent=2)
     opt = adam_init(params, 10.0)  # huge learning rate forces the clamp
-    grads = {k: np.zeros_like(v) for k, v in params.arrays().items()}
-    grads["log_std"] = np.full(2, 1.0)
-    new_params, opt = adam_step(params, grads, opt)
+    grad = np.zeros(params.n_params)
+    grads = params.views(grad)
+    grads["log_std"][:] = 1.0
+    new_params, opt = adam_step(params, grad, opt)
     assert np.all(new_params.log_std >= LOG_STD_MIN)
-    grads["log_std"] = np.full(2, -1.0)
+    grads["log_std"][:] = -1.0
     for _ in range(5):
-        new_params, opt = adam_step(new_params, grads, opt)
+        new_params, opt = adam_step(new_params, grad, opt)
     assert np.all(new_params.log_std <= LOG_STD_MAX)
 
 
 def test_adam_shape_mismatch_rejected():
     params = policy_init(6, 2, 2, 0, hidden=8, latent=2)
     opt = adam_init(params, 1e-3)
-    grads = {k: np.zeros_like(v) for k, v in params.arrays().items()}
-    grads["w1"] = np.zeros((3, 3))
+    grads = np.zeros(params.n_params - 1)
     with pytest.raises(ContractError):
         adam_step(params, grads, opt)
 
@@ -458,26 +454,28 @@ def test_flat_adam_matches_per_array_reference_bitwise():
     params = policy_init(14, 4, 2, 5)
     lr = 0.7
     opt = adam_init(params, lr)
-    ref = params.arrays()
+    ref = params.views()
     ref_m = {name: np.zeros_like(a) for name, a in ref.items()}
     ref_v = {name: np.zeros_like(a) for name, a in ref.items()}
     t = 0
     rng = np.random.default_rng(11)
     hit = set()
     for step in range(20):
-        grads = {name: rng.standard_normal(a.shape) * 10.0 ** rng.uniform(-4, 2)
-                 for name, a in ref.items()}
-        grads["log_std"] = np.array([-1.0, 1.0, -1.0, 1.0]) * (1.0 if step < 8 else -1.0)
+        grad = np.empty(params.n_params)
+        grads = params.views(grad)
+        for name, a in ref.items():
+            grads[name][...] = rng.standard_normal(a.shape) * 10.0 ** rng.uniform(-4, 2)
+        grads["log_std"][:] = np.array([-1.0, 1.0, -1.0, 1.0]) * (1.0 if step < 8 else -1.0)
         given = {name: g.copy() for name, g in grads.items()}
-        old_params, old_m = params.arrays(), opt.m.copy()
-        params, new_opt = adam_step(params, grads, opt)
+        old_params, old_m = params.views(), opt.m.copy()
+        params, new_opt = adam_step(params, grad, opt)
         assert np.array_equal(opt.m, old_m)  # the old state is a snapshot
         opt = new_opt
         for name, g in grads.items():
             assert np.array_equal(g, given[name])
         ref, ref_m, ref_v, t = reference_adam_step(ref, grads, ref_m, ref_v, t, lr)
         for name in PARAM_ORDER:
-            got = params.arrays()[name]
+            got = params.views()[name]
             assert got.shape == ref[name].shape and got.tobytes() == ref[name].tobytes(), name
             assert not np.shares_memory(got, old_params[name])
         assert opt.step == t
@@ -494,12 +492,33 @@ def test_gradients_survive_a_later_call():
     cfg = PpoConfig()
     work = loss_workspace(50, params.hidden)
     _, first = loss_and_grads(params, _random_minibatch(params, 50, 1), cfg, work)
-    kept = {name: g.copy() for name, g in first.items()}
+    kept = params.views(first.copy())
     _, second = loss_and_grads(params, _random_minibatch(params, 50, 2), cfg, work)
+    first, second = params.views(first), params.views(second)
     for name in PARAM_ORDER:
         assert np.array_equal(first[name], kept[name]), name
         assert not np.array_equal(second[name], kept[name]), name
         assert not np.shares_memory(first[name], second[name]), name
+
+
+
+def test_snapshots_are_read_only():
+    params = policy_init(6, 2, 2, 1, hidden=8, latent=2)
+    before = params.flat.tobytes()
+    minibatch = _random_minibatch(params, 10, 7)
+    for dtype in (np.float64, np.float32):
+        work = loss_workspace(10, params.hidden, dtype)
+        _, grad = loss_and_grads(params, minibatch, PpoConfig(), work)
+        adam_step(params, grad, adam_init(params, 1e-3))
+    assert params.flat.tobytes() == before
+    with pytest.raises(ValueError, match="read-only"):
+        params.w1[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        params.flat[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.flat = np.zeros(params.n_params)
+    with pytest.raises(ContractError, match="need 5461 floats"):
+        PolicyParams(np.zeros(5460), 14, 4, 2, 64, 4)
 
 
 # --- serialization ---------------------------------------------------------------------
@@ -511,7 +530,7 @@ def test_save_load_round_trip_bitwise(tmp_path):
     save_policy(params, path)
     back = load_policy(path)
     for name in PARAM_ORDER:
-        assert np.array_equal(params.arrays()[name], back.arrays()[name])
+        assert np.array_equal(params.views()[name], back.views()[name])
     assert back.obs_dim == 14 and back.action_dim == 4 and back.design_dim == 2
     # byte-stable: saving the loaded policy reproduces the file exactly
     path2 = tmp_path / "policy2.bin"
@@ -534,3 +553,50 @@ def test_load_rejects_truncated_payload(tmp_path):
     path.write_bytes(data[:-16])
     with pytest.raises(ContractError):
         load_policy(path)
+    path.write_bytes(data[:-3])  # cut inside the last float
+    with pytest.raises(ContractError, match="inside a float"):
+        load_policy(path)
+
+
+@pytest.mark.parametrize("obs_dim", [13, 15])
+def test_load_rejects_header_dims_that_disagree_with_block(tmp_path, obs_dim):
+    # a valid 5461-float file whose header claims another obs_dim: the dims
+    # imply 5397 or 5525 floats, the block and n_params say 5461
+    path = tmp_path / "policy.bin"
+    save_policy(policy_init(14, 4, 2, 0), path)
+    data = path.read_bytes()
+    assert data.count(b'"obs_dim": 14,') == 1
+    path.write_bytes(data.replace(b'"obs_dim": 14,', f'"obs_dim": {obs_dim},'.encode()))
+    with pytest.raises(ContractError) as err:
+        load_policy(path)
+    assert str(path) in str(err.value)
+
+
+# Format version 1: the parameter block's arrays, in order, with their shapes
+# at dims obs 14, action 4, design 2, hidden 64, latent 4.
+LAYOUT_V1 = [
+    ("enc_w", (4, 2)), ("enc_b", (4,)),
+    ("w1", (64, 14)), ("b1", (64,)),
+    ("w2", (64, 64)), ("b2", (64,)),
+    ("actor_w", (4, 64)), ("actor_b", (4,)),
+    ("log_std", (4,)), ("critic_w", (64,)), ("critic_b", (1,)),
+]
+
+
+def test_policy_file_layout_golden(tmp_path):
+    vec = np.arange(5461) / 7.0
+    params = PolicyParams(vec.copy(), 14, 4, 2, 64, 4)
+    assert PARAM_ORDER == tuple(name for name, _ in LAYOUT_V1)
+    pos = 0
+    for name, shape in LAYOUT_V1:
+        size = math.prod(shape)
+        expected = vec[pos : pos + size].reshape(shape)  # C order within each array
+        assert np.array_equal(getattr(params, name), expected), name
+        assert np.array_equal(params.views()[name], expected), name
+        pos += size
+    assert pos == vec.size == params.n_params
+    path = tmp_path / "policy.bin"
+    digest = save_policy(params, path)
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "d0a96f106aa85e9ecb49e8ec43b1ece1d9d82cc503eba6bb859f193305ec7871"
+    assert path.read_bytes().endswith(vec.astype("<f8").tobytes())

@@ -209,7 +209,7 @@ def test_update_zero_advantage_moves_actor_only_via_entropy():
     assert stats["clip_fraction"] == 0.0
     for name in ("actor_w", "actor_b", "w1", "b1", "w2", "b2", "enc_w", "enc_b"):
         assert np.allclose(
-            new_params.arrays()[name], params.arrays()[name], atol=1e-12
+            new_params.views()[name], params.views()[name], atol=1e-12
         ), name
 
 
@@ -222,7 +222,7 @@ def test_update_learning_rate_zero_keeps_parameters():
         stream("shuffle", 0, 0),
     )
     for name in PARAM_ORDER:
-        assert np.array_equal(new_params.arrays()[name], params.arrays()[name])
+        assert np.array_equal(new_params.views()[name], params.views()[name])
 
 
 def test_update_is_deterministic():
@@ -239,7 +239,7 @@ def test_update_is_deterministic():
     p1, _, s1 = one()
     p2, _, s2 = one()
     for name in PARAM_ORDER:
-        assert np.array_equal(p1.arrays()[name], p2.arrays()[name])
+        assert np.array_equal(p1.views()[name], p2.views()[name])
     assert s1 == s2
 
 
@@ -288,10 +288,10 @@ def test_update_runs_network_math_in_float32(monkeypatch):
     monkeypatch.setattr(ppo, "loss_and_grads", recording_loss)
     (p1, o1, s1), (p2, o2, s2) = update(), update()
     assert seen == [(np.dtype(np.float32),) * 3] * 32  # 2 updates x 4 epochs x 4 minibatches
-    assert all(a.dtype == np.float64 for a in p1.arrays().values())
+    assert all(a.dtype == np.float64 for a in p1.views().values())
     assert o1.m.dtype == o1.v.dtype == np.float64
     for name in PARAM_ORDER:
-        assert p1.arrays()[name].tobytes() == p2.arrays()[name].tobytes(), name
+        assert p1.views()[name].tobytes() == p2.views()[name].tobytes(), name
     assert o1.m.tobytes() == o2.m.tobytes() and o1.v.tobytes() == o2.v.tobytes()
     assert s1 == s2
 
@@ -306,7 +306,7 @@ def test_train_zero_iterations_is_identity():
     new_params, history, per_design = train_on_env(params, opt, env, 0, PpoConfig(), 0)
     assert history == []
     for name in PARAM_ORDER:
-        assert np.array_equal(new_params.arrays()[name], params.arrays()[name])
+        assert np.array_equal(new_params.views()[name], params.views()[name])
 
 
 def test_train_history_length_and_keys():
@@ -339,7 +339,7 @@ def test_train_determinism():
     p1, h1, d1 = one()
     p2, h2, d2 = one()
     for name in PARAM_ORDER:
-        assert np.array_equal(p1.arrays()[name], p2.arrays()[name])
+        assert np.array_equal(p1.views()[name], p2.views()[name])
     assert h1 == h2
     assert np.array_equal(d1, d2, equal_nan=True)
 
