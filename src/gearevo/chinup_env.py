@@ -19,10 +19,16 @@ use the clamped actual state.  Without this the clamps would make those
 terms identically zero.
 
 The physics helpers take joint arrays of shape (..., 2) and broadcast over
-the leading axes.  `VecChinupEnv.step` is the one control-step
-implementation.  It keeps the bank's (n_envs, 2) joint arrays in column
-(Fortran) order, so each joint is one contiguous column and a whole
-substep costs about fifty NumPy calls however many environments it steps.
+the leading axes; they and the step share one table of the model's
+constant coefficients (`_coefficients`).  `VecChinupEnv.step` is the one
+control-step implementation.  Each substep runs on one stacked (n_envs, 5)
+state in column (Fortran) order (q1 + q2, q1, q2, qdot1, qdot2) and
+per-bank work buffers, so each joint quantity is one contiguous column.
+One `sin` covers q1 + q2, q1 and q2.  A substep is 44 NumPy calls however
+many environments it steps, each on same-shape columns or a 0-d constant:
+on a few dozen environments a broadcast row or column costs about as much
+as two such calls.  The step's results have the bits of the per-joint
+(..., 2) formulas, and every array it returns or leaves on the bank is new.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ import numpy as np
 
 from .design_space import DesignVector
 from .errors import ConfigError, ContractError
-from .reward import RewardBreakdown, RewardConfig, RewardInputs, reward_terms, total_reward
+from .reward import RewardBreakdown, RewardConfig, RewardInputs, reward_terms
 from .seeding import stream
 
 N_JOINTS = 2
@@ -91,13 +97,37 @@ class EnvConfig:
             )
 
 
+@dataclass(frozen=True)
+class _Coefficients:
+    """The model's constant coefficients, the one table of the physics.
+
+    M11 = a + b + 2 c cos q2, M12 = b + c cos q2, M22 = b; the Coriolis
+    forces scale with c and the gravity torques with g1 and g2.
+    """
+
+    a: float
+    b: float
+    c: float
+    g1: float
+    g2: float
+
+
+def _coefficients(config: EnvConfig) -> _Coefficients:
+    g = config.gravity
+    return _Coefficients(
+        a=(config.m1 + config.m2) * config.l1**2,
+        b=config.m2 * config.l2**2,
+        c=config.m2 * config.l1 * config.l2,
+        g1=(config.m1 + config.m2) * g * config.l1,
+        g2=config.m2 * g * config.l2,
+    )
+
+
 def _mass_entries(q: np.ndarray, config: EnvConfig):
     """M11(q), M12(q) and the constant M22 of the joint-space mass matrix."""
-    a = (config.m1 + config.m2) * config.l1**2
-    b = config.m2 * config.l2**2
-    c = config.m2 * config.l1 * config.l2
+    k = _coefficients(config)
     c2 = np.cos(q[..., 1])
-    return a + b + 2.0 * c * c2, b + c * c2, b
+    return k.a + k.b + 2.0 * k.c * c2, k.b + k.c * c2, k.b
 
 
 def mass_matrix(q: np.ndarray, config: EnvConfig) -> np.ndarray:
@@ -114,7 +144,7 @@ def coriolis_forces(q: np.ndarray, qdot: np.ndarray, config: EnvConfig) -> np.nd
     """Velocity-product forces C(q, qdot), shape (..., 2), laid out like qdot."""
     q = np.asarray(q, dtype=np.float64)
     qdot = np.asarray(qdot, dtype=np.float64)
-    c = config.m2 * config.l1 * config.l2
+    c = _coefficients(config).c
     s2 = np.sin(q[..., 1])
     qd1, qd2 = qdot[..., 0], qdot[..., 1]
     out = np.empty_like(qdot)
@@ -126,12 +156,12 @@ def coriolis_forces(q: np.ndarray, qdot: np.ndarray, config: EnvConfig) -> np.nd
 def gravity_forces(q: np.ndarray, config: EnvConfig) -> np.ndarray:
     """Gravity torques G(q), shape (..., 2), laid out like q."""
     q = np.asarray(q, dtype=np.float64)
-    g = config.gravity
+    k = _coefficients(config)
     s1 = np.sin(q[..., 0])
     s12 = np.sin(q[..., 0] + q[..., 1])
     out = np.empty_like(q)
-    np.multiply(config.m2 * g * config.l2, s12, out=out[..., 1])
-    np.add((config.m1 + config.m2) * g * config.l1 * s1, out[..., 1], out=out[..., 0])
+    np.multiply(k.g2, s12, out=out[..., 1])
+    np.add(k.g1 * s1, out[..., 1], out=out[..., 0])
     return out
 
 
@@ -141,10 +171,8 @@ def total_energy(q: np.ndarray, qdot: np.ndarray, config: EnvConfig) -> np.ndarr
     qdot = np.asarray(qdot, dtype=np.float64)
     m = mass_matrix(q, config)
     kinetic = 0.5 * np.einsum("...i,...ij,...j->...", qdot, m, qdot)
-    g = config.gravity
-    potential = -(config.m1 + config.m2) * g * config.l1 * np.cos(
-        q[..., 0]
-    ) - config.m2 * g * config.l2 * np.cos(q[..., 0] + q[..., 1])
+    k = _coefficients(config)
+    potential = -k.g1 * np.cos(q[..., 0]) - k.g2 * np.cos(q[..., 0] + q[..., 1])
     return kinetic + potential
 
 
@@ -166,12 +194,19 @@ def _base_ok(head: np.ndarray) -> np.ndarray:
     only the front-upper quadrant is penalized, so reaching the goal on the
     bar plane itself is never punished.
     """
-    return (head[..., 0] <= 0.0) | (head[..., 1] <= 0.0)
+    below = head <= 0.0
+    return below[..., 0] | below[..., 1]
 
 
-def observation_proprio(state_q, state_qdot, prev_action, config: EnvConfig) -> np.ndarray:
-    """Proprioceptive observation block: goal delta, q, scaled qdot, prev action."""
-    head = forward_kinematics(state_q, config)
+def observation_proprio(
+    state_q, state_qdot, prev_action, config: EnvConfig, head: np.ndarray | None = None
+) -> np.ndarray:
+    """Proprioceptive observation block: goal delta, q, scaled qdot, prev action.
+
+    `head` may give the head position of `state_q`, already computed.
+    """
+    if head is None:
+        head = forward_kinematics(state_q, config)
     goal_delta = np.array(config.goal) - head
     return np.concatenate(
         [goal_delta, state_q, state_qdot * config.qdot_obs_scale, prev_action], axis=-1
@@ -185,6 +220,44 @@ class EpisodeRecord:
     failed: bool = False
 
 
+class _StepWork:
+    """The control step's constants, work buffers and the views it uses.
+
+    Each buffer is (n_envs, k) in column order, so each view is one or
+    more whole columns.  Every operation of the step then runs on
+    same-shape contiguous operands or a 0-d constant, numpy's fastest
+    path: on a few dozen environments, broadcasting a row or a column
+    costs more than a second operation, and so does a slice, so the views
+    are taken once here.  The buffers hold only intermediates.
+    """
+
+    def __init__(self, n: int, k: _Coefficients, config: EnvConfig):
+        # 0-d constants: a Python float operand costs a conversion per call.
+        const = lambda x: np.array(float(x))  # noqa: E731 - 0-d operands
+        self.kp, self.kd, self.dt = const(config.kp), const(config.kd), const(config.dt_sim)
+        self.two, self.zero = const(2.0), const(0.0)
+        self.two_c, self.a_plus_b, self.b = const(2.0 * k.c), const(k.a + k.b), const(k.b)
+        self.c, self.neg_c, self.g1, self.g2 = const(k.c), const(-k.c), const(k.g1), const(k.g2)
+        self.l1, self.l2, self.neg_l1 = const(config.l1), const(config.l2), const(-config.l1)
+
+        s = np.empty((n, 5), order="F")  # q1 + q2, q1, q2, qdot1, qdot2: the stacked state
+        trig = np.empty((n, 3), order="F")  # sin(q1 + q2), sin q1, sin q2; later scratch
+        pd = np.empty((n, 4), order="F")  # PD error terms, then joint-paired scratch
+        # The 2x2 solve as products of three columns:
+        # [b, m11, m11] * [r1, r2, b] - m12 * [r2, r1, m12]
+        #   = [b r1 - m12 r2, m11 r2 - m12 r1, det].
+        solve = np.empty((n, 7), order="F")  # b, m11, m11, m12, r1, r2, b
+        solve[:, 0] = solve[:, 6] = k.b
+        self.tau_raw = np.empty((n, 2), order="F")
+        self.clamped = np.empty((n, 2), dtype=bool, order="F")
+        # The column views, in the order `step` unpacks them.
+        self.views = (
+            *s.T, s[:, 1:3], s[:, 3:5], s[:, 1:5], s[:, :3], s[:, :2],
+            trig, *trig.T, pd, pd[:, :2], pd[:, 2:], pd[:, :3], *pd.T,
+            *solve.T[1:6], solve[:, :3], solve[:, 4:], solve[:, 4:6], solve[:, 1:3],
+        )
+
+
 class VecChinupEnv:
     """A bank of independent chin-up environments stepped in lockstep.
 
@@ -196,6 +269,9 @@ class VecChinupEnv:
 
     `q`, `qdot` and `prev_qdot` are (n_envs, 2) arrays in column order;
     `step` replaces them with new arrays rather than writing into them.
+    `proprio()` takes the head position from the last step, so write `q`
+    only before the first `proprio()` call or `step` (as `rollout_trajectory`
+    does).
     """
 
     def __init__(
@@ -214,28 +290,33 @@ class VecChinupEnv:
         self.reward_cfg = reward_cfg
         self.design_mat = design_mat
         self.env_to_design = np.asarray(env_to_design, dtype=np.int64)
-        self.n_envs = design_mat.shape[0]
+        self.n_envs = n = design_mat.shape[0]
         self.tau_max = np.asfortranarray(np.array(config.tau_default) * design_mat)
         self.qdot_max = np.asfortranarray(np.array(config.qdot_default) / design_mat)
-        self.rngs = [stream("env", seed, phase, k) for k in range(self.n_envs)]
+        self.rngs = [stream("env", seed, phase, k) for k in range(n)]
         # Per-bank constants of the control step.
+        k = _coefficients(config)
         self._neg_tau_max = -self.tau_max
         self._neg_qdot_max = -self.qdot_max
-        self._q_lo = np.array(config.q_min)
-        self._q_hi = np.array(config.q_max)
+        self._q_lo = np.asfortranarray(np.broadcast_to(config.q_min, (n, N_JOINTS)))
+        self._q_hi = np.asfortranarray(np.broadcast_to(config.q_max, (n, N_JOINTS)))
         self._goal = np.array(config.goal)
-        self._g_proj_xy = np.zeros((self.n_envs, 2))
+        self._g_proj_xy = np.zeros((n, 2))
+        self._work = _StepWork(n, k, config)
         # The reward breakdown of the last step, before a diverged
         # environment's reward is zeroed.
         self.breakdown: RewardBreakdown | None = None
 
-        self.q = np.zeros((self.n_envs, N_JOINTS), order="F")
-        self.qdot = np.zeros((self.n_envs, N_JOINTS), order="F")
-        self.prev_action = np.zeros((self.n_envs, ACTION_DIM))
-        self.prev_qdot = np.zeros((self.n_envs, N_JOINTS), order="F")
-        self.step_count = np.zeros(self.n_envs, dtype=np.int64)
-        self.ep_return = np.zeros(self.n_envs)
-        self.reset_mask(np.ones(self.n_envs, dtype=bool))
+        self.q = np.zeros((n, N_JOINTS), order="F")
+        self.qdot = np.zeros((n, N_JOINTS), order="F")
+        self.prev_action = np.zeros((n, ACTION_DIM))
+        self.prev_qdot = np.zeros((n, N_JOINTS), order="F")
+        self.step_count = np.zeros(n, dtype=np.int64)
+        self.ep_return = np.zeros(n)
+        # The head position of the last step, and the rows reset since.
+        self._head = np.empty((n, N_JOINTS))
+        self._head_stale = np.ones(n, dtype=bool)
+        self.reset_mask(np.ones(n, dtype=bool))
 
     def reset_mask(self, mask: np.ndarray) -> None:
         noise = self.config.reset_noise
@@ -246,18 +327,33 @@ class VecChinupEnv:
         self.prev_qdot[mask] = 0.0
         self.step_count[mask] = 0
         self.ep_return[mask] = 0.0
+        self._head_stale[mask] = True
 
     def proprio(self) -> np.ndarray:
-        return observation_proprio(self.q, self.qdot, self.prev_action, self.config)
+        """The observation block of `observation_proprio`, one row per environment.
 
-    def _torque(self, target, q, qdot):
-        """PD torque toward target [q (2), qdot (2)]: (unsaturated, saturated)."""
-        raw = target[:, :2] - q
-        raw *= self.config.kp
-        damping = target[:, 2:] - qdot
-        damping *= self.config.kd
-        raw += damping
-        tau = np.maximum(raw, self._neg_tau_max)
+        The head position is the one the last step computed for its
+        reward; only rows reset since then get it from the forward
+        kinematics.
+        """
+        stale = self._head_stale
+        if stale.any():
+            self._head[stale] = forward_kinematics(self.q[stale], self.config)
+            stale[:] = False
+        return observation_proprio(self.q, self.qdot, self.prev_action, self.config, self._head)
+
+    def _pd_torque(self, target, state, out):
+        """PD torque toward target [q (2), qdot (2)] from state [q, qdot]: (unsaturated, saturated).
+
+        `out` is (pd, pd[:, :2], pd[:, 2:], raw, tau): a (n_envs, 4) array
+        for the error terms, its two halves, and the two results.
+        """
+        pd, e_q, e_qd, raw, tau = out
+        np.subtract(target, state, out=pd)
+        e_q *= self._work.kp
+        e_qd *= self._work.kd
+        np.add(e_q, e_qd, out=raw)
+        np.maximum(raw, self._neg_tau_max, out=tau)
         return raw, np.minimum(tau, self.tau_max, out=tau)
 
     def _checked(self, actions) -> np.ndarray:
@@ -268,7 +364,10 @@ class VecChinupEnv:
 
     def pd_torque(self, actions: np.ndarray) -> np.ndarray:
         """The saturated PD torque (n_envs, 2) that `actions` command now."""
-        return self._torque(self._checked(actions), self.q, self.qdot)[1]
+        target = self._checked(actions)
+        pd = np.empty((self.n_envs, ACTION_DIM))
+        out = (pd, pd[:, :2], pd[:, 2:], np.empty_like(self.q), np.empty_like(self.q))
+        return self._pd_torque(target, np.concatenate([self.q, self.qdot], axis=1), out)[1]
 
     def step(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[EpisodeRecord]]:
         """Advance every environment one control step.
@@ -281,36 +380,77 @@ class VecChinupEnv:
         """
         actions = self._checked(actions)
         cfg = self.config
-        dt = cfg.dt_sim
         target = np.asfortranarray(actions)
-        q, qdot = self.q, self.qdot
-        # Each in-place product or sum below only swaps the operands of one
-        # IEEE operation of qdd = (b r1 - m12 r2) / det, qdot + dt qdd and
-        # q + dt qdot, so the results have the bits of the (..., 2) form.
+        w = self._work
+        dt, two, zero = w.dt, w.two, w.zero
+        (q12, q1, q2, qd1, qd2, q, qdot, state, angles, fk_angles,
+         trig, s12, s1, s2, pd, pd_q, pd_qd, solved, p1, p2, p3, p4,
+         m11, m11_copy, m12, r1, r2, solve_left, solve_right, rhs, cos) = w.views
+        tau_raw, clamped = w.tau_raw, w.clamped
+        pd_out = (pd, pd_q, pd_qd, tau_raw, rhs)  # rhs holds tau
+        np.copyto(q, self.q)
+        np.copyto(qdot, self.qdot)
+        # Each product or sum below is one IEEE operation of the (..., 2)
+        # form, with at most its operands swapped, so the bits are the same.
         for _ in range(cfg.decimation):
-            tau_raw, tau = self._torque(target, q, qdot)
-            # Closed-form solve of M qdd = tau - C - G for the 2x2 system.
-            m11, m12, m22 = _mass_entries(q, cfg)
-            rhs = tau - coriolis_forces(q, qdot, cfg)
-            rhs -= gravity_forces(q, cfg)
-            r1, r2 = rhs[:, 0], rhs[:, 1]
-            det = m11 * m22  # = m2 l1^2 l2^2 (m1 + m2 sin^2 q2) > 0
-            det -= m12 * m12
-            qdot_pre = np.empty_like(rhs)
-            np.subtract(m22 * r1, m12 * r2, out=qdot_pre[:, 0])
-            np.subtract(m11 * r2, m12 * r1, out=qdot_pre[:, 1])
-            qdot_pre /= det[:, None]
+            self._pd_torque(target, state, pd_out)
+            np.add(q1, q2, out=q12)
+            np.sin(angles, out=trig)
+            # M11 = (a + b) + 2c cos q2 (twice, for the solve), M12 = b + c cos q2.
+            c2 = np.cos(q2, out=m11)
+            np.multiply(c2, w.c, out=m12)
+            m12 += w.b
+            m11 *= w.two_c
+            m11 += w.a_plus_b
+            np.copyto(m11_copy, m11)
+            # rhs = tau - C with C = [-c s2 (2 qd1 qd2 + qd2^2), c s2 qd1^2].
+            np.multiply(s2, w.neg_c, out=p1)
+            np.multiply(s2, w.c, out=p2)
+            np.square(qdot, out=pd_qd)
+            cross = np.multiply(qd1, two, out=s2)
+            cross *= qd2
+            p4 += cross
+            p1 *= p4
+            p2 *= p3
+            rhs -= pd_q
+            # rhs -= G with G = [g1 s1 + g2 s12, g2 s12].
+            np.multiply(s1, w.g1, out=p3)
+            np.multiply(s12, w.g2, out=p4)
+            p3 += p4
+            rhs -= pd_qd
+            # Closed-form solve of M qdd = rhs for the 2x2 system:
+            # qdd = [b r1 - m12 r2, m11 r2 - m12 r1] / det, where
+            # det = m11 b - m12^2 = m2 l1^2 l2^2 (m1 + m2 sin^2 q2) > 0.
+            np.multiply(solve_left, solve_right, out=solved)
+            np.multiply(m12, r2, out=s12)
+            np.multiply(m12, r1, out=s1)
+            np.multiply(m12, m12, out=s2)
+            solved -= trig
+            p1 /= p3
+            p2 /= p3
+            qdot_pre = pd_q
             qdot_pre *= dt
             qdot_pre += qdot
-            qdot = np.maximum(qdot_pre, self._neg_qdot_max)
+            np.maximum(qdot_pre, self._neg_qdot_max, out=qdot)
             np.minimum(qdot, self.qdot_max, out=qdot)
-            q_pre = dt * qdot
+            q_pre = np.multiply(qdot, dt, out=pd_qd)
             q_pre += q
-            q = np.maximum(q_pre, self._q_lo)
+            np.maximum(q_pre, self._q_lo, out=q)
             np.minimum(q, self._q_hi, out=q)
-            np.copyto(qdot, 0.0, where=q_pre != q)
+            np.copyto(qdot, zero, where=np.not_equal(q_pre, q, out=clamped))
 
-        head = forward_kinematics(q, cfg)
+        # Forward kinematics: head = [l1 s1 + l2 s12, -l1 c1 - l2 c12].
+        np.add(q1, q2, out=q12)
+        np.sin(fk_angles, out=trig[:, :2])
+        np.cos(fk_angles, out=cos)  # the spent M11 columns
+        c12, c1 = cos.T
+        head = np.empty((self.n_envs, N_JOINTS), order="F")
+        s1 *= w.l1
+        s12 *= w.l2
+        np.add(s1, s12, out=head[:, 0])
+        c1 *= w.neg_l1
+        c12 *= w.l2
+        np.subtract(c1, c12, out=head[:, 1])
         inputs = RewardInputs(
             pos_head=head,
             pos_goal=self._goal,
@@ -321,7 +461,7 @@ class VecChinupEnv:
             tau=tau_raw,
             qdot=qdot_pre,
             prev_qdot=self.prev_qdot,
-            dt=dt * cfg.decimation,
+            dt=cfg.dt_sim * cfg.decimation,
             action=actions,
             prev_action=self.prev_action,
             q=q_pre,
@@ -331,19 +471,20 @@ class VecChinupEnv:
             tau_max=self.tau_max,
         )
         self.breakdown = reward_terms(inputs, self.reward_cfg)
-        rewards = np.asarray(total_reward(self.breakdown, self.reward_cfg), dtype=np.float64)
-        diverged = ~(np.isfinite(q).all(axis=1) & np.isfinite(qdot).all(axis=1))
+        rewards = self.breakdown.total
+        diverged = ~np.isfinite(state).all(axis=1)
         if diverged.any():
             rewards = np.where(diverged, 0.0, rewards)
-            np.copyto(q, 0.0, where=diverged[:, None])
-            np.copyto(qdot, 0.0, where=diverged[:, None])
+            np.copyto(state, 0.0, where=diverged[:, None])
 
-        self.q = q
-        self.qdot = qdot
+        self.q = q.copy(order="F")
+        self.qdot = qdot.copy(order="F")
         self.prev_action = actions.copy()
-        self.prev_qdot = qdot_pre
+        self.prev_qdot = qdot_pre.copy(order="F")
         self.step_count += 1
         self.ep_return += rewards
+        self._head = head
+        self._head_stale = np.zeros(self.n_envs, dtype=bool)
 
         dones = diverged | (self.step_count >= cfg.episode_length)
         completed = []

@@ -62,6 +62,7 @@ from .policy import (
     load_policy,
     policy_forward_batch,
     policy_init,
+    rollout_work,
     sample_action,
     save_policy,
 )
@@ -716,11 +717,12 @@ def rollout_returns(
         phase=phase,
     )
     rng = stream("eval-actions", seed, phase)
+    work = rollout_work(params, vec_env.design_mat)
     returns: list[float] = []
     for _ in range(env_cfg.episode_length):
         prop = vec_env.proprio()
-        means, _, log_std = policy_forward_batch(params, vec_env.design_mat, prop)
-        actions, _ = sample_action(ActionDistribution(means, log_std), rng)
+        means, _, log_std = policy_forward_batch(params, vec_env.design_mat, prop, work)
+        actions, _ = sample_action(ActionDistribution(means, log_std), rng, work.gaussian)
         _, _, completed = vec_env.step(actions)
         returns.extend(e.episode_return for e in completed)
     return np.asarray(returns[:n_episodes])

@@ -224,24 +224,36 @@ def _dense_tanh(
 
 
 def _forward(
-    params: PolicyParams, design: np.ndarray, proprio: np.ndarray, hidden_out=(None, None)
+    params: PolicyParams,
+    design: np.ndarray,
+    proprio: np.ndarray,
+    hidden_out=(None, None),
+    obs: np.ndarray | None = None,
 ) -> dict:
     """Batched forward pass keeping the activations needed for backprop.
 
     `hidden_out` may give the (rows, hidden) arrays to write h1 and h2 into.
+    `obs` may give a (rows, obs_dim) array whose trailing `latent` columns
+    already hold the design latent: proprio is then copied into its leading
+    columns, and the encoder does not run.
     Only the two heads are checked for finiteness: every hidden layer is a
     tanh, non-finite only as NaN, and a NaN reaches both heads.  When a head
     is non-finite, the layers are checked in order so that the error names
     the first bad one.
     """
-    latent = _dense_tanh(design, params.enc_w, params.enc_b)
-    obs = np.concatenate([proprio, latent], axis=-1)
+    if obs is None:
+        latent = _dense_tanh(design, params.enc_w, params.enc_b)
+        obs = np.concatenate([proprio, latent], axis=-1)
+    else:
+        n_proprio = params.obs_dim - params.latent
+        obs[:, :n_proprio] = proprio
+        latent = obs[:, n_proprio:]
     h1 = _dense_tanh(obs, params.w1, params.b1, hidden_out[0])
     h2 = _dense_tanh(h1, params.w2, params.b2, hidden_out[1])
     mean = h2 @ params.actor_w.T
     mean += params.actor_b
     value = h2 @ params.critic_w + params.critic_b[0]
-    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(value))):
+    if not (np.isfinite(mean).all() and np.isfinite(value).all()):
         layers = zip(("encoder", "trunk1", "trunk2", "actor", "critic"),
                      (latent, h1, h2, mean, value))
         for name, x in layers:
@@ -265,31 +277,91 @@ def policy_forward(
     return dist, float(acts["value"][0]), acts["obs"][0]
 
 
+@dataclass(frozen=True)
+class GaussianConstants:
+    """What `gaussian_log_prob` needs of a fixed log_std besides the action."""
+
+    std: np.ndarray  # exp(log_std)
+    log_std_sum: float
+    half_n_log_2pi: float
+
+
+def gaussian_constants(log_std: np.ndarray) -> GaussianConstants:
+    n = log_std.shape[-1]
+    return GaussianConstants(np.exp(log_std), np.sum(log_std), 0.5 * n * np.log(2.0 * np.pi))
+
+
+@dataclass(frozen=True)
+class RolloutWork:
+    """The constants and buffers of one rollout's policy calls.
+
+    A rollout's parameters and designs do not change between its steps.
+    `obs` is the (n_envs, obs_dim) observation buffer with the design
+    latent already in its trailing columns, `hidden` the two (n_envs,
+    hidden) trunk buffers, and `gaussian` the constants of the action
+    density.  The buffers are overwritten by every forward pass.
+    """
+
+    obs: np.ndarray
+    hidden: tuple[np.ndarray, np.ndarray]
+    gaussian: GaussianConstants
+
+
+def rollout_work(params: PolicyParams, designs: np.ndarray) -> RolloutWork:
+    """The `RolloutWork` of `params` over one row per environment of `designs`."""
+    latent = _dense_tanh(designs, params.enc_w, params.enc_b)
+    rows = latent.shape[0]
+    obs = np.empty((rows, params.obs_dim))
+    obs[:, params.obs_dim - params.latent:] = latent
+    hidden = (np.empty((rows, params.hidden)), np.empty((rows, params.hidden)))
+    return RolloutWork(obs, hidden, gaussian_constants(params.log_std))
+
+
 def policy_forward_batch(
-    params: PolicyParams, designs: np.ndarray, proprio: np.ndarray
+    params: PolicyParams,
+    designs: np.ndarray,
+    proprio: np.ndarray,
+    work: RolloutWork | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized forward for rollouts: (means, values, log_std)."""
-    acts = _forward(params, designs, proprio)
+    """Vectorized forward for rollouts: (means, values, log_std).
+
+    With `work` (`rollout_work(params, designs)`), the design latent is not
+    recomputed, proprio is copied into the work's observation buffer and
+    the trunk writes into its hidden buffers.  The results have the same
+    bits either way; the means and values are new arrays.
+    """
+    if work is None:
+        acts = _forward(params, designs, proprio)
+    else:
+        acts = _forward(params, designs, proprio, work.hidden, work.obs)
     return acts["mean"], acts["value"], params.log_std
 
 
 def sample_action(
-    dist: ActionDistribution, rng: np.random.Generator
+    dist: ActionDistribution,
+    rng: np.random.Generator,
+    gaussian: GaussianConstants | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw action = mean + std*z and its log density under the distribution.
 
-    Broadcasts over a leading batch axis in dist.mean.
+    Broadcasts over a leading batch axis in dist.mean.  `gaussian` may give
+    `gaussian_constants(dist.log_std)`, computed once for many calls with
+    the same log_std; the results have the same bits either way.
     """
-    std = np.exp(dist.log_std)
+    if gaussian is None:
+        gaussian = gaussian_constants(dist.log_std)
     z = rng.standard_normal(dist.mean.shape)
-    action = dist.mean + std * z
-    return action, gaussian_log_prob(dist, action)
+    action = dist.mean + gaussian.std * z
+    return action, gaussian_log_prob(dist, action, gaussian)
 
 
-def gaussian_log_prob(dist: ActionDistribution, action: np.ndarray) -> np.ndarray:
-    z = (action - dist.mean) / np.exp(dist.log_std)
-    n = dist.log_std.shape[-1]
-    return -0.5 * np.sum(z**2, axis=-1) - np.sum(dist.log_std) - 0.5 * n * np.log(2.0 * np.pi)
+def gaussian_log_prob(
+    dist: ActionDistribution, action: np.ndarray, gaussian: GaussianConstants | None = None
+) -> np.ndarray:
+    if gaussian is None:
+        gaussian = gaussian_constants(dist.log_std)
+    z = (action - dist.mean) / gaussian.std
+    return -0.5 * np.sum(z**2, axis=-1) - gaussian.log_std_sum - gaussian.half_n_log_2pi
 
 
 def entropy(log_std: np.ndarray) -> float:
@@ -535,10 +607,15 @@ def load_policy(path) -> PolicyParams:
         header = json.loads(header_line)
     except json.JSONDecodeError as exc:
         raise ContractError(f"{path}: corrupt policy checkpoint header") from exc
+    if not isinstance(header, dict):
+        raise ContractError(f"{path}: policy checkpoint header is not a JSON object")
     if header.get("format_version") != CHECKPOINT_VERSION:
         raise ContractError(
             f"{path}: unsupported checkpoint version {header.get('format_version')}"
         )
+    missing = [key for key in (*_HEADER_FIELDS, "n_params") if key not in header]
+    if missing:
+        raise ContractError(f"{path}: policy checkpoint header lacks {', '.join(missing)}")
     if len(blob) % 8:
         raise ContractError(f"{path}: parameter block of {len(blob)} bytes ends inside a float")
     flat = np.frombuffer(blob, dtype="<f8").astype(np.float64)

@@ -29,6 +29,7 @@ from .policy import (
     loss_and_grads,
     loss_workspace,
     policy_forward_batch,
+    rollout_work,
     sample_action,
 )
 from .seeding import stream
@@ -88,15 +89,21 @@ def collect_rollouts(vec_env, params: PolicyParams, horizon: int, rng) -> Rollou
     n_envs, design_mat, env_to_design, proprio() and step(actions), holds
     per-env state across calls, and auto-resets finished episodes while
     reporting their returns tagged by design index.
+
+    The parameters and designs stay fixed for the whole rollout, so the
+    design latent, exp(log_std) and the log-density constants are computed
+    once per call (`policy.rollout_work`), and every step's forward pass
+    reuses one observation buffer and the trunk's hidden buffers.
     """
     n = vec_env.n_envs
-    prop_dim = vec_env.proprio().shape[1]
-    act_dim = params.action_dim
+    prop = vec_env.proprio()
+    design = np.asarray(vec_env.design_mat, dtype=np.float64)
+    work = rollout_work(params, design)
     out = RolloutBatch(
-        proprio=np.empty((n, horizon, prop_dim)),
-        design=np.asarray(vec_env.design_mat, dtype=np.float64),
+        proprio=np.empty((n, horizon, prop.shape[1])),
+        design=design,
         design_idx=np.asarray(vec_env.env_to_design, dtype=np.int64),
-        actions=np.empty((n, horizon, act_dim)),
+        actions=np.empty((n, horizon, params.action_dim)),
         log_probs=np.empty((n, horizon)),
         rewards=np.empty((n, horizon)),
         values=np.empty((n, horizon)),
@@ -104,19 +111,18 @@ def collect_rollouts(vec_env, params: PolicyParams, horizon: int, rng) -> Rollou
         bootstrap_values=np.empty(n),
     )
     for t in range(horizon):
-        prop = vec_env.proprio()
-        means, values, log_std = policy_forward_batch(params, out.design, prop)
-        actions, log_probs = sample_action(ActionDistribution(means, log_std), rng)
+        means, values, log_std = policy_forward_batch(params, design, prop, work)
+        actions, log_probs = sample_action(ActionDistribution(means, log_std), rng, work.gaussian)
         rewards, dones, completed = vec_env.step(actions)
         out.proprio[:, t] = prop
         out.actions[:, t] = actions
         out.log_probs[:, t] = log_probs
         out.values[:, t] = values
         out.rewards[:, t] = rewards
-        out.dones[:, t] = dones.astype(np.float64)
+        out.dones[:, t] = dones
         out.episodes.extend(completed)
-    _, boot, _ = policy_forward_batch(params, out.design, vec_env.proprio())
-    out.bootstrap_values = boot
+        prop = vec_env.proprio()
+    _, out.bootstrap_values, _ = policy_forward_batch(params, design, prop, work)
     return out
 
 

@@ -7,6 +7,11 @@ weighted sum.
 
 All terms broadcast over an optional leading batch axis: vector inputs of
 shape (n,) describe one environment, (B, n) a batch of B environments.
+
+`reward_terms` stacks the active terms as the rows of one array behind a
+zero row and takes the total as one product with the weights and one
+in-order `np.add.accumulate`, which has the bits of the term-by-term sum
+`0.0 + w1 t1 + w2 t2 + ...` in `active` order.
 """
 
 from __future__ import annotations
@@ -102,9 +107,11 @@ class RewardConfig:
         for name in self.weights:
             if name not in TERM_NAMES:
                 raise ConfigError(f"unknown reward term in weights: {name!r}")
-        for name in self.active:
+        for k, name in enumerate(self.active):
             if name not in TERM_NAMES:
                 raise ConfigError(f"unknown reward term in active mask: {name!r}")
+            if name in self.active[:k]:
+                raise ConfigError(f"reward term {name!r} listed twice in the active mask")
         missing = [t for t in TERM_NAMES if t not in self.weights]
         if missing:
             raise ConfigError(f"weights missing for terms: {missing}")
@@ -112,62 +119,162 @@ class RewardConfig:
             raise ConfigError("reward weights must be finite")
 
 
-def _sq_norm(x: np.ndarray) -> np.ndarray:
-    return np.add.reduce(np.square(x), axis=-1)
+def _sum_last(x: np.ndarray, out: np.ndarray) -> None:
+    """Sum over the last axis of x into out, broadcasting to out's batch shape.
+
+    Two entries are summed by one add: np.add.reduce's (0.0 + x0) + x1
+    differs from x0 + x1 only when both are -0.0, and no term sums a
+    negative zero (each sums squares, or entries clipped at 0 from below).
+    """
+    if x.shape[:-1] != out.shape:
+        out[...] = np.add.reduce(x, axis=-1)
+    elif x.shape[-1] == 2:
+        np.add(x[..., 0], x[..., 1], out=out)
+    else:
+        np.add.reduce(x, axis=-1, out=out)
+
+
+def _sq_norm(x: np.ndarray, out: np.ndarray) -> None:
+    _sum_last(np.square(x), out)
+
+
+# 0-d operands: numpy takes its fast path for them, not for a Python float.
+_ZERO = np.array(0.0)
+_ONE = np.array(1.0)
+
+
+# One formula per term, each writing its (batch-shaped) value into `out`.
+
+
+def _chinup(inputs: RewardInputs, cfg: RewardConfig, out: np.ndarray) -> None:
+    _sq_norm(np.subtract(inputs.pos_head, inputs.pos_goal), out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+
+
+def _hollow_cylinder(inputs: RewardInputs, cfg: RewardConfig, out: np.ndarray) -> None:
+    # The env passes its config's constant gap: one value fills the row.
+    lo, hi = cfg.cyl_window
+    gap = inputs.cyl_gap
+    in_window = (gap > lo) & (gap < hi)
+    out[...] = np.where(in_window, 0.0, cfg.cyl_out_value) + 0.0
+
+
+def _base_position(inputs: RewardInputs, cfg: RewardConfig, out: np.ndarray) -> None:
+    out[...] = np.where(inputs.base_ok, 0.0, cfg.base_out_value + 0.0)
+
+
+def _joint_regularization(inputs: RewardInputs, cfg: RewardConfig, out: np.ndarray) -> None:
+    q = np.asarray(inputs.q)
+    out[...] = 0.0
+    for i, j in inputs.sym_pairs:
+        out += np.exp(-np.square(q[..., i] - q[..., j]))
+
+
+def _orientation(inputs: RewardInputs, cfg: RewardConfig, out: np.ndarray) -> None:
+    _sq_norm(inputs.g_proj_xy, out)
+
+
+def _torque(inputs: RewardInputs, cfg: RewardConfig, out: np.ndarray) -> None:
+    _sq_norm(inputs.tau, out)
+
+
+def _joint_acceleration(inputs: RewardInputs, cfg: RewardConfig, out: np.ndarray) -> None:
+    _sq_norm(np.subtract(inputs.qdot, inputs.prev_qdot) / inputs.dt, out)
+
+
+def _action_rate(inputs: RewardInputs, cfg: RewardConfig, out: np.ndarray) -> None:
+    _sq_norm(np.subtract(inputs.action, inputs.prev_action), out)
+
+
+def _joint_position_limit(inputs: RewardInputs, cfg: RewardConfig, out: np.ndarray) -> None:
+    q = np.asarray(inputs.q)
+    under = np.subtract(inputs.q_min, q)
+    np.maximum(_ZERO, under, out=under)
+    over = np.subtract(q, inputs.q_max)
+    under += np.maximum(_ZERO, over, out=over)
+    _sum_last(under, out)
+
+
+def _limit_excess(x: np.ndarray, limit: np.ndarray, out: np.ndarray) -> None:
+    """Sum of the excess of |x| over its limit, each entry clipped to [0, 1].
+
+    np.maximum then np.minimum clip as np.clip does (NaN passes through with
+    its bits) except that np.clip keeps a -0.0, and |x| - limit is never -0.0.
+    """
+    excess = np.abs(x)
+    excess -= limit
+    np.maximum(excess, _ZERO, out=excess)
+    _sum_last(np.minimum(excess, _ONE, out=excess), out)
+
+
+def _joint_velocity_limit(inputs: RewardInputs, cfg: RewardConfig, out: np.ndarray) -> None:
+    _limit_excess(inputs.qdot, inputs.qdot_max, out)
+
+
+def _joint_torque_limit(inputs: RewardInputs, cfg: RewardConfig, out: np.ndarray) -> None:
+    _limit_excess(inputs.tau, inputs.tau_max, out)
+
+
+_FORMULAS = {
+    "chinup": _chinup,
+    "hollow_cylinder": _hollow_cylinder,
+    "base_position": _base_position,
+    "joint_regularization": _joint_regularization,
+    "orientation": _orientation,
+    "torque": _torque,
+    "joint_acceleration": _joint_acceleration,
+    "action_rate": _action_rate,
+    "joint_position_limit": _joint_position_limit,
+    "joint_velocity_limit": _joint_velocity_limit,
+    "joint_torque_limit": _joint_torque_limit,
+}
+
+
+def _weighted_total(stacked: np.ndarray, cfg: RewardConfig) -> float | np.ndarray:
+    """The weighted sum of the active terms, added in `cfg.active` order.
+
+    `stacked[0]` is zero and `stacked[1 + i]` holds the i-th active term.
+    The running sum of np.add.accumulate adds one row at a time, so the
+    result has the bits of `0.0 + w1 t1 + w2 t2 + ...` (a negative zero
+    included: the leading zero makes it positive).
+    """
+    weights = np.array([1.0] + [cfg.weights[name] for name in cfg.active])
+    products = stacked * weights.reshape(weights.shape + (1,) * (stacked.ndim - 1))
+    return np.add.accumulate(products, axis=0, out=products)[-1]
 
 
 def reward_terms(inputs: RewardInputs, cfg: RewardConfig) -> RewardBreakdown:
-    """Evaluate every active term; inactive terms report 0."""
-    active = set(cfg.active)
-    batch_shape = np.shape(inputs.q)[:-1]
-    zero = np.zeros(batch_shape) if batch_shape else 0.0
-    out = RewardBreakdown(**{t: zero for t in TERM_NAMES}, total=zero)
+    """Evaluate every active term and the weighted total; inactive terms report 0.
 
-    if "chinup" in active:
-        out.chinup = np.exp(-_sq_norm(np.subtract(inputs.pos_head, inputs.pos_goal)))
-    if "hollow_cylinder" in active:
-        lo, hi = cfg.cyl_window
-        gap = inputs.cyl_gap
-        in_window = (gap > lo) & (gap < hi)
-        out.hollow_cylinder = np.where(in_window, 0.0, cfg.cyl_out_value) + zero
-    if "base_position" in active:
-        out.base_position = np.where(inputs.base_ok, 0.0, cfg.base_out_value) + zero
-    if "joint_regularization" in active:
-        q = np.asarray(inputs.q)
-        term = zero
-        for i, j in inputs.sym_pairs:
-            term = term + np.exp(-np.square(q[..., i] - q[..., j]))
-        out.joint_regularization = term
-    if "orientation" in active:
-        out.orientation = _sq_norm(inputs.g_proj_xy)
-    if "torque" in active:
-        out.torque = _sq_norm(inputs.tau)
-    if "joint_acceleration" in active:
-        accel = np.subtract(inputs.qdot, inputs.prev_qdot) / inputs.dt
-        out.joint_acceleration = _sq_norm(accel)
-    if "action_rate" in active:
-        out.action_rate = _sq_norm(np.subtract(inputs.action, inputs.prev_action))
-    if "joint_position_limit" in active:
-        q = np.asarray(inputs.q)
-        under = np.maximum(0.0, np.subtract(inputs.q_min, q))
-        over = np.maximum(0.0, np.subtract(q, inputs.q_max))
-        out.joint_position_limit = np.add.reduce(under + over, axis=-1)
-    if "joint_velocity_limit" in active:
-        excess = np.abs(inputs.qdot) - inputs.qdot_max
-        out.joint_velocity_limit = np.add.reduce(np.clip(excess, 0.0, 1.0), axis=-1)
-    if "joint_torque_limit" in active:
-        excess = np.abs(inputs.tau) - inputs.tau_max
-        out.joint_torque_limit = np.add.reduce(np.clip(excess, 0.0, 1.0), axis=-1)
-    return out
+    The batch shape is that of `inputs.q` without its last axis; every
+    input broadcasts to it.  The active terms are written into the rows of
+    one (1 + active, *batch) array behind a zero row, and each breakdown
+    field is its row, so the total is one product and one accumulation over
+    that array.  `total` has the batch shape even when no term is active.
+    """
+    active = cfg.active
+    stacked = np.empty((1 + len(active),) + np.shape(inputs.q)[:-1])
+    stacked[0] = 0.0
+    # stacked[k, ...] is a view even unbatched (0-d); stacked[k] is then a scalar.
+    for k, name in enumerate(active, 1):
+        _FORMULAS[name](inputs, cfg, stacked[k, ...])
+    terms = dict.fromkeys(TERM_NAMES, stacked[0])
+    terms.update((name, stacked[k]) for k, name in enumerate(active, 1))
+    return RewardBreakdown(**terms, total=_weighted_total(stacked, cfg))
 
 
 def total_reward(breakdown: RewardBreakdown, cfg: RewardConfig) -> float | np.ndarray:
-    """Weighted sum over active terms; also stored into breakdown.total."""
-    total = 0.0
-    for name in cfg.active:
-        total = total + cfg.weights[name] * getattr(breakdown, name)
-    breakdown.total = total
-    return total
+    """Weighted sum over active terms; also stored into breakdown.total.
+
+    The sum `reward_terms` takes, over the terms as `breakdown` holds them,
+    with the shape of all its term fields broadcast together.
+    """
+    fields = np.broadcast_arrays(*(getattr(breakdown, name) for name in TERM_NAMES))
+    terms = dict(zip(TERM_NAMES, fields))
+    stacked = np.stack([np.zeros_like(terms["chinup"]), *(terms[t] for t in cfg.active)])
+    breakdown.total = _weighted_total(stacked, cfg)
+    return breakdown.total
 
 
 def write_breakdown_csv(breakdowns: list[RewardBreakdown], path) -> None:

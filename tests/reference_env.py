@@ -3,9 +3,11 @@
 This is the environment step as it was before the bank moved to column
 form: every physics quantity is built with `np.stack` over the last axis,
 torques and velocities are clamped with `np.clip`, and the reward reads
-the same inputs.  It shares only the config dataclasses and the reward
-formulas with the package under test, so bitwise agreement between the
-two is evidence that the column-form rewrite kept every operand order.
+the same inputs.  The reward formulas and their weighted total are frozen
+copies of the term-by-term originals, summed in a Python loop.  The oracle
+shares only the config and record dataclasses with the package under test,
+so bitwise agreement between the two is evidence that the stacked-state
+step and the column-form reward kept every operand order.
 """
 
 from __future__ import annotations
@@ -13,8 +15,66 @@ from __future__ import annotations
 import numpy as np
 
 from gearevo.chinup_env import ACTION_DIM, N_JOINTS, EpisodeRecord
-from gearevo.reward import RewardInputs, reward_terms, total_reward
+from gearevo.reward import TERM_NAMES, RewardBreakdown, RewardInputs
 from gearevo.seeding import stream
+
+
+def _sq_norm(x):
+    return np.add.reduce(np.square(x), axis=-1)
+
+
+def reward_terms(inputs, cfg):
+    """Every active term, one formula at a time; inactive terms report 0."""
+    active = set(cfg.active)
+    batch_shape = np.shape(inputs.q)[:-1]
+    zero = np.zeros(batch_shape) if batch_shape else 0.0
+    out = RewardBreakdown(**{t: zero for t in TERM_NAMES}, total=zero)
+
+    if "chinup" in active:
+        out.chinup = np.exp(-_sq_norm(np.subtract(inputs.pos_head, inputs.pos_goal)))
+    if "hollow_cylinder" in active:
+        lo, hi = cfg.cyl_window
+        gap = inputs.cyl_gap
+        in_window = (gap > lo) & (gap < hi)
+        out.hollow_cylinder = np.where(in_window, 0.0, cfg.cyl_out_value) + zero
+    if "base_position" in active:
+        out.base_position = np.where(inputs.base_ok, 0.0, cfg.base_out_value) + zero
+    if "joint_regularization" in active:
+        q = np.asarray(inputs.q)
+        term = zero
+        for i, j in inputs.sym_pairs:
+            term = term + np.exp(-np.square(q[..., i] - q[..., j]))
+        out.joint_regularization = term
+    if "orientation" in active:
+        out.orientation = _sq_norm(inputs.g_proj_xy)
+    if "torque" in active:
+        out.torque = _sq_norm(inputs.tau)
+    if "joint_acceleration" in active:
+        accel = np.subtract(inputs.qdot, inputs.prev_qdot) / inputs.dt
+        out.joint_acceleration = _sq_norm(accel)
+    if "action_rate" in active:
+        out.action_rate = _sq_norm(np.subtract(inputs.action, inputs.prev_action))
+    if "joint_position_limit" in active:
+        q = np.asarray(inputs.q)
+        under = np.maximum(0.0, np.subtract(inputs.q_min, q))
+        over = np.maximum(0.0, np.subtract(q, inputs.q_max))
+        out.joint_position_limit = np.add.reduce(under + over, axis=-1)
+    if "joint_velocity_limit" in active:
+        excess = np.abs(inputs.qdot) - inputs.qdot_max
+        out.joint_velocity_limit = np.add.reduce(np.clip(excess, 0.0, 1.0), axis=-1)
+    if "joint_torque_limit" in active:
+        excess = np.abs(inputs.tau) - inputs.tau_max
+        out.joint_torque_limit = np.add.reduce(np.clip(excess, 0.0, 1.0), axis=-1)
+    return out
+
+
+def total_reward(breakdown, cfg):
+    """0.0 + w1 t1 + w2 t2 + ... over the active terms in order."""
+    total = 0.0
+    for name in cfg.active:
+        total = total + cfg.weights[name] * getattr(breakdown, name)
+    breakdown.total = total
+    return total
 
 
 def _coriolis(q, qdot, config):
@@ -41,6 +101,15 @@ def _head(q, config):
     x = config.l1 * np.sin(q1) + config.l2 * np.sin(q12)
     y = -config.l1 * np.cos(q1) - config.l2 * np.cos(q12)
     return np.stack([x, y], axis=-1)
+
+
+def reference_proprio(bank):
+    """The bank's observation block, the forward kinematics computed afresh."""
+    config = bank.config
+    goal_delta = np.array(config.goal) - _head(bank.q, config)
+    return np.concatenate(
+        [goal_delta, bank.q, bank.qdot * config.qdot_obs_scale, bank.prev_action], axis=-1
+    )
 
 
 def _accel(q, qdot, tau, config):

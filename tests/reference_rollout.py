@@ -1,0 +1,64 @@
+"""The rollout loop with every step computed afresh, kept as an oracle.
+
+`reference_rollout` steps a `ReferenceBank` the way `ppo.collect_rollouts`
+did before it held per-rollout constants: each step recomputes the design
+latent, concatenates a new observation, runs the forward pass into fresh
+arrays, and draws the action and its log density with exp(log_std) and the
+density's constants recomputed.  It shares only `RolloutBatch` and the
+parameter snapshot with the package under test.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from gearevo.ppo import RolloutBatch
+
+from reference_env import reference_proprio
+
+
+def _forward(params, design, proprio):
+    latent = np.tanh(design @ params.enc_w.T + params.enc_b)
+    obs = np.concatenate([proprio, latent], axis=-1)
+    h1 = np.tanh(obs @ params.w1.T + params.b1)
+    h2 = np.tanh(h1 @ params.w2.T + params.b2)
+    return h2 @ params.actor_w.T + params.actor_b, h2 @ params.critic_w + params.critic_b[0]
+
+
+def _sample(mean, log_std, rng):
+    z = rng.standard_normal(mean.shape)
+    action = mean + np.exp(log_std) * z
+    z = (action - mean) / np.exp(log_std)
+    n = log_std.shape[-1]
+    log_prob = -0.5 * np.sum(z**2, axis=-1) - np.sum(log_std) - 0.5 * n * np.log(2.0 * np.pi)
+    return action, log_prob
+
+
+def reference_rollout(bank, design_mat, params, horizon, rng) -> RolloutBatch:
+    """`horizon` steps of `bank` under the sampled policy; `design_mat` is its designs."""
+    n = bank.n_envs
+    out = RolloutBatch(
+        proprio=np.empty((n, horizon, reference_proprio(bank).shape[1])),
+        design=np.asarray(design_mat, dtype=np.float64),
+        design_idx=np.asarray(bank.env_to_design, dtype=np.int64),
+        actions=np.empty((n, horizon, params.action_dim)),
+        log_probs=np.empty((n, horizon)),
+        rewards=np.empty((n, horizon)),
+        values=np.empty((n, horizon)),
+        dones=np.empty((n, horizon)),
+        bootstrap_values=np.empty(n),
+    )
+    for t in range(horizon):
+        prop = reference_proprio(bank)
+        means, values = _forward(params, out.design, prop)
+        actions, log_probs = _sample(means, params.log_std, rng)
+        rewards, dones, completed, _ = bank.step(actions)
+        out.proprio[:, t] = prop
+        out.actions[:, t] = actions
+        out.log_probs[:, t] = log_probs
+        out.values[:, t] = values
+        out.rewards[:, t] = rewards
+        out.dones[:, t] = dones.astype(np.float64)
+        out.episodes.extend(completed)
+    _, out.bootstrap_values = _forward(params, out.design, reference_proprio(bank))
+    return out

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,10 +20,11 @@ from gearevo.chinup_env import (
 )
 from gearevo.design_space import DesignVector
 from gearevo.errors import ConfigError, ContractError
-from gearevo.reward import TERM_NAMES, RewardBreakdown, RewardConfig
+from gearevo.cli import parse_config
+from gearevo.reward import DEFAULT_ACTIVE, TERM_NAMES, RewardBreakdown, RewardConfig
 from gearevo.seeding import stream
 
-from reference_env import ReferenceBank
+from reference_env import ReferenceBank, reference_proprio
 from sanity_env import free_swing
 
 UNIT = DesignVector(np.array([1.0, 1.0]))
@@ -284,14 +287,38 @@ def test_step_determinism_same_seed_same_actions():
 
 
 def test_step_does_not_write_into_returned_arrays():
-    # callers keep proprio() and the state arrays across a step
-    env = bank(EnvConfig(episode_length=2))
-    before = [env.proprio(), env.q, env.qdot, env.prev_qdot]
-    copies = [x.copy() for x in before]
+    # callers keep what a step returns, its breakdown, proprio() and the
+    # state arrays across later steps, with resets and a divergence; the
+    # step's reused buffers must hold only intermediates
+    env, _ = make_vec(n_designs=8, per=8, cfg=EnvConfig(episode_length=3),
+                      rcfg=RewardConfig(active=TERM_NAMES))
     rng = np.random.default_rng(0)
-    env.step(rng.uniform(-1, 1, (1, ACTION_DIM)))
-    for x, c in zip(before, copies):
-        assert np.array_equal(x, c)
+    kept = []
+    for t in range(12):
+        before = [env.proprio(), env.q, env.qdot, env.prev_qdot]
+        actions = rng.uniform(-3, 3, (env.n_envs, ACTION_DIM))
+        if t == 4:
+            actions[5, 0] = np.nan
+        rewards, dones, _ = env.step(actions)
+        fields = [getattr(env.breakdown, f.name) for f in dataclasses.fields(RewardBreakdown)]
+        kept.append([(x, np.array(x, copy=True)) for x in (*before, rewards, dones, *fields)])
+    for t, arrays in enumerate(kept):
+        for k, (x, copy) in enumerate(arrays):
+            assert _same_bits(x, copy), (t, k)
+
+
+def test_no_active_reward_term_gives_zero_rewards():
+    # `--set reward.active=` is a valid config: every step earns 0
+    rcfg = parse_config(None, ["reward.active="]).reward
+    assert rcfg.active == ()
+    env, _ = make_vec(rcfg=rcfg)
+    rewards, dones, _ = env.step(np.zeros((env.n_envs, ACTION_DIM)))
+    assert rewards.shape == (env.n_envs,) and not rewards.any()
+    rows, episode_return, breakdowns = rollout_trajectory(
+        EnvConfig(episode_length=5), UNIT, rcfg, lambda prop, d: np.zeros(ACTION_DIM), seed=0
+    )
+    assert len(rows) == 5 and episode_return == 0.0
+    assert all(b.total == 0.0 for b in breakdowns)
 
 
 # --- observations ---------------------------------------------------------------------------
@@ -332,31 +359,37 @@ def _same_bits(a, b) -> bool:
 @pytest.mark.parametrize("n_envs", [1, 64])
 def test_vec_env_matches_reference_step_bitwise(n_envs):
     # 600 steps of 50-step episodes, actions far past every limit, and a
-    # NaN action at steps 100 and 377 that diverges one environment
+    # NaN action at steps 100 and 377 that diverges one environment, with
+    # all eleven reward terms and with the default ones; the reference's
+    # reward is the frozen term-by-term one
     cfg = EnvConfig(episode_length=50)
-    rcfg = RewardConfig(active=TERM_NAMES)
-    rng = np.random.default_rng(n_envs)
-    design_mat = rng.uniform(0.25, 4.0, (n_envs, 2))
-    env_to_design = np.arange(n_envs) % 5
-    env = VecChinupEnv(cfg, rcfg, design_mat, env_to_design, seed=4, phase=1)
-    ref = ReferenceBank(cfg, rcfg, design_mat, env_to_design, seed=4, phase=1)
-    records = []
-    for t in range(600):
-        actions = rng.uniform(-3, 3, (n_envs, ACTION_DIM)) * rng.choice([1.0, 10.0], (n_envs, 1))
-        if t in (100, 377):
-            actions[n_envs // 2, t % ACTION_DIM] = np.nan
-        rewards, dones, completed = env.step(actions)
-        ref_rewards, ref_dones, ref_completed, ref_breakdown = ref.step(actions)
-        assert _same_bits(rewards, ref_rewards), t
-        assert _same_bits(dones, ref_dones), t
-        assert completed == ref_completed, t
-        for name in ("q", "qdot", "prev_qdot", "prev_action", "ep_return", "step_count"):
-            assert _same_bits(getattr(env, name), getattr(ref, name)), (t, name)
-        for name in TERM_NAMES:
-            assert _same_bits(getattr(env.breakdown, name), getattr(ref_breakdown, name)), (t, name)
-        records.extend(completed)
-    assert sum(r.failed for r in records) == 2
-    assert len(records) >= 12 * n_envs
+    for active in (TERM_NAMES, DEFAULT_ACTIVE):
+        rcfg = RewardConfig(active=active)
+        rng = np.random.default_rng(n_envs)
+        design_mat = rng.uniform(0.25, 4.0, (n_envs, 2))
+        env_to_design = np.arange(n_envs) % 5
+        env = VecChinupEnv(cfg, rcfg, design_mat, env_to_design, seed=4, phase=1)
+        ref = ReferenceBank(cfg, rcfg, design_mat, env_to_design, seed=4, phase=1)
+        records = []
+        for t in range(600):
+            assert _same_bits(env.proprio(), reference_proprio(ref)), t
+            actions = rng.uniform(-3, 3, (n_envs, ACTION_DIM))
+            actions *= rng.choice([1.0, 10.0], (n_envs, 1))
+            if t in (100, 377):
+                actions[n_envs // 2, t % ACTION_DIM] = np.nan
+            rewards, dones, completed = env.step(actions)
+            ref_rewards, ref_dones, ref_completed, ref_breakdown = ref.step(actions)
+            assert _same_bits(rewards, ref_rewards), t
+            assert _same_bits(dones, ref_dones), t
+            assert completed == ref_completed, t
+            for name in ("q", "qdot", "prev_qdot", "prev_action", "ep_return", "step_count"):
+                assert _same_bits(getattr(env, name), getattr(ref, name)), (t, name)
+            for name in (*TERM_NAMES, "total"):
+                got, want = getattr(env.breakdown, name), getattr(ref_breakdown, name)
+                assert _same_bits(got, want), (t, name)
+            records.extend(completed)
+        assert sum(r.failed for r in records) == 2
+        assert len(records) >= 12 * n_envs
 
 
 def test_vec_env_autoreset_and_tagging():

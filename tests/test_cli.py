@@ -282,6 +282,20 @@ def test_run_refuses_out_of_range_sym_pairs(micro_ini, tmp_path, capsys, pairs):
     assert not out.exists()  # refused before the run directory is made
 
 
+def test_run_refuses_duplicate_active_reward_term(micro_ini, tmp_path, capsys):
+    with pytest.raises(ConfigError, match="chinup"):
+        parse_config(None, ["reward.active=chinup,torque,chinup"])
+    out = tmp_path / "o"
+    code = main(
+        ["run", "--config", micro_ini, "--out", str(out),
+         "--set", "reward.active=chinup,torque,chinup"]
+    )
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "'chinup'" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 # --- resume ----------------------------------------------------------------------
 
 

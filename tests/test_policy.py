@@ -545,6 +545,15 @@ def test_load_rejects_corrupt_header(tmp_path):
         load_policy(path)
 
 
+@pytest.mark.parametrize("header", [b'{"format_version": 1}', b"[1, 2]"])
+def test_load_rejects_incomplete_header(tmp_path, header):
+    # valid JSON that is not a whole header object names the file
+    path = tmp_path / "incomplete.bin"
+    path.write_bytes(header + b"\n" + b"\x00" * 64)
+    with pytest.raises(ContractError, match="incomplete.bin"):
+        load_policy(path)
+
+
 def test_load_rejects_truncated_payload(tmp_path):
     params = policy_init(6, 2, 2, 0, hidden=8, latent=2)
     path = tmp_path / "trunc.bin"

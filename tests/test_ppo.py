@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from gearevo import policy, ppo
-from gearevo.chinup_env import ACTION_DIM, EnvConfig, VecChinupEnv
+from gearevo.chinup_env import ACTION_DIM, PROPRIO_DIM, EnvConfig, VecChinupEnv
 from gearevo.errors import ConfigError
 from gearevo.policy import PARAM_ORDER, adam_init, policy_init
 from gearevo.ppo import (
@@ -20,6 +22,8 @@ from gearevo.design_space import DesignVector, expand_designs
 from gearevo.reward import RewardConfig
 from gearevo.seeding import stream
 
+from reference_env import ReferenceBank
+from reference_rollout import reference_rollout
 from sanity_env import ACTION_DIM as HOLD_ACTION_DIM
 from sanity_env import PROPRIO_DIM as HOLD_PROPRIO_DIM
 from sanity_env import HoldPositionEnv
@@ -191,6 +195,55 @@ def test_collect_rollouts_design_tagging():
     for rec in batch.episodes:
         by_design[rec.design_idx] = by_design.get(rec.design_idx, 0) + 1
     assert by_design == {0: 4, 1: 4}
+
+
+class NanDraws:
+    """A generator's standard normals with one entry set to NaN on one call."""
+
+    def __init__(self, rng, call, row):
+        self.rng, self.call, self.row, self.calls = rng, call, row, 0
+
+    def standard_normal(self, size):
+        z = self.rng.standard_normal(size)
+        if self.calls == self.call:
+            z[self.row, 0] = np.nan
+        self.calls += 1
+        return z
+
+
+@pytest.mark.parametrize("n_env", [1, 7, 64])
+def test_collect_rollouts_matches_reference_loop_bitwise(n_env):
+    # five rollouts in a row, with episode ends, and a NaN action draw that
+    # diverges one environment in the third; the reference recomputes every
+    # per-rollout constant at every step
+    cfg = EnvConfig(episode_length=24)
+    rcfg = RewardConfig()
+    rng = np.random.default_rng(n_env)
+    design_mat = rng.uniform(0.5, 3.0, (n_env, 2))
+    env_to_design = np.arange(n_env) % 3
+    env = VecChinupEnv(cfg, rcfg, design_mat, env_to_design, seed=2, phase=1)
+    ref = ReferenceBank(cfg, rcfg, design_mat, env_to_design, seed=2, phase=1)
+    params = policy_init(PROPRIO_DIM + 4, ACTION_DIM, 2, 5)
+    flat = params.flat.copy()
+    params.views(flat)["log_std"][:] = 0.5  # actions wide enough to reach the limits
+    params = dataclasses.replace(params, flat=flat)
+    horizon = 16
+    draws = NanDraws(stream("rollout", 2, 1), call=2 * horizon + 5, row=n_env // 2)
+    ref_draws = NanDraws(stream("rollout", 2, 1), call=2 * horizon + 5, row=n_env // 2)
+    episodes = []
+    for k in range(5):
+        got = collect_rollouts(env, params, horizon, draws)
+        want = reference_rollout(ref, design_mat, params, horizon, ref_draws)
+        for f in dataclasses.fields(RolloutBatch):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+                assert a.shape == b.shape and a.dtype == b.dtype, (k, f.name)
+                assert a.tobytes() == b.tobytes(), (k, f.name)
+            else:
+                assert a == b, (k, f.name)
+        episodes.extend(got.episodes)
+    assert sum(e.failed for e in episodes) == 1
+    assert len(episodes) >= 3 * n_env
 
 
 # --- updates --------------------------------------------------------------------

@@ -19,6 +19,8 @@ from gearevo.reward import (
     write_breakdown_csv,
 )
 
+import reference_env
+
 
 def make_inputs(**overrides) -> RewardInputs:
     base = dict(
@@ -189,6 +191,59 @@ def test_total_is_linear_in_terms(a, b_):
     assert t1 == pytest.approx(30.0 * a + (-1e-5) * b_, rel=1e-12, abs=1e-12)
 
 
+def test_total_keeps_positive_zero():
+    # 0.0 + (-1e-5 * 0.0) is +0.0, as the term-by-term sum gives
+    cfg = RewardConfig(active=("torque",))
+    total = reward_terms(make_inputs(tau=np.zeros((3, 2)), q=np.zeros((3, 2))), cfg).total
+    assert np.array_equal(total, np.zeros(3)) and not np.signbit(total).any()
+
+
+def test_no_active_term_gives_batch_shaped_zero_total():
+    cfg = RewardConfig(active=())
+    b = reward_terms(make_inputs(q=np.zeros((4, 2))), cfg)
+    assert b.total.shape == (4,) and not b.total.any()
+    assert reward_terms(make_inputs(), cfg).total == 0.0
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("batch", [(), (1,), (9,)])
+def test_reward_terms_match_term_by_term_oracle_bitwise(batch):
+    # random subsets of the terms in random order and random finite weights
+    # (zeros of both signs included), against the frozen term-by-term
+    # formulas and Python-loop total of tests/reference_env.py
+    rng = np.random.default_rng(len(batch) and batch[0])
+
+    def arr(*shape, scale=1.0):
+        x = rng.normal(size=batch + shape) * scale
+        x[rng.random(x.shape) < 0.1] = 0.0
+        return x
+
+    for trial in range(40):
+        active = tuple(rng.permutation(TERM_NAMES)[: rng.integers(0, len(TERM_NAMES) + 1)])
+        weights = {t: float(rng.choice([0.0, -0.0, 1e-5, -2.0, 30.0]) * rng.random())
+                   for t in TERM_NAMES}
+        cfg = RewardConfig(weights=weights, active=active)
+        inputs = make_inputs(
+            pos_head=arr(2), cyl_gap=rng.uniform(0.3, 1.0, batch) if trial % 2 else 0.9,
+            base_ok=rng.random(batch) > 0.5, g_proj_xy=arr(2), tau=arr(2, scale=20.0),
+            qdot=arr(2, scale=10.0), prev_qdot=arr(2, scale=10.0), action=arr(4),
+            prev_action=arr(4), q=arr(2, scale=3.0),
+            qdot_max=np.broadcast_to([8.0, 6.0], batch + (2,)),
+            tau_max=np.broadcast_to([12.0, 9.0], batch + (2,)),
+        )
+        got = reward_terms(inputs, cfg)
+        want = reference_env.reward_terms(inputs, cfg)
+        # with no term active the frozen total is a bare 0.0: the batch shape is the fix
+        want.total = reference_env.total_reward(want, cfg) + np.zeros(batch)
+        for name in (*TERM_NAMES, "total"):
+            assert _same_bits(getattr(got, name), getattr(want, name)), (trial, name)
+        assert _same_bits(total_reward(got, cfg), want.total)
+
+
 # --- batching ---------------------------------------------------------------------
 
 
@@ -238,6 +293,12 @@ def test_unknown_term_rejected():
         RewardConfig(weights={**DEFAULT_WEIGHTS, "bogus": 1.0})
     with pytest.raises(ConfigError):
         RewardConfig(active=("chinup", "bogus"))
+
+
+def test_duplicate_active_term_rejected():
+    # a term listed twice would be counted twice in the total
+    with pytest.raises(ConfigError, match="'chinup'"):
+        RewardConfig(active=("chinup", "torque", "chinup"))
 
 
 def test_missing_weight_rejected():
