@@ -396,9 +396,11 @@ def cmd_evaluate(args) -> int:
     from . import codesign
     from .chinup_env import rollout_trajectory, write_trajectory_csv
     from .design_space import DesignVector, clamp_to_bounds
-    from .policy import policy_forward
+    from .policy import policy_forward_batch
     from .reward import write_breakdown_csv
 
+    if args.episodes is not None and args.episodes < 1:
+        raise ConfigError(f"--episodes must be at least 1, got {args.episodes}")
     cfg, params, design = _load_run(args.run_dir)
     if args.design is not None:
         try:
@@ -411,7 +413,7 @@ def cmd_evaluate(args) -> int:
     elif design is None:
         raise CheckpointError(f"{args.run_dir}: no committed best design; pass --design")
     design = clamp_to_bounds(design, cfg.space)
-    episodes = args.episodes or cfg.n_env // cfg.n_pop
+    episodes = cfg.n_env // cfg.n_pop if args.episodes is None else args.episodes
     returns = codesign.rollout_returns(
         cfg.env, cfg.reward, params, design, episodes, args.seed
     )
@@ -424,8 +426,8 @@ def cmd_evaluate(args) -> int:
     )
     if args.dump_trajectory or args.dump_rewards:
         def mean_action(proprio, dsn):
-            dist, _, _ = policy_forward(params, dsn, proprio)
-            return dist.mean
+            means, _, _ = policy_forward_batch(params, dsn.factors[None, :], proprio[None, :])
+            return means[0]
 
         rows, _, breakdowns = rollout_trajectory(
             cfg.env, design, cfg.reward, mean_action, args.seed

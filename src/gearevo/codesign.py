@@ -55,18 +55,14 @@ from .design_space import (
 )
 from .errors import CheckpointError, ConfigError, NumericError
 from .policy import (
-    ActionDistribution,
     AdamState,
     PolicyParams,
     adam_init,
     load_policy,
-    policy_forward_batch,
     policy_init,
-    rollout_work,
-    sample_action,
     save_policy,
 )
-from .ppo import PpoConfig, train, write_learning_curve_csv
+from .ppo import PpoConfig, collect_rollouts, train_on_env, write_learning_curve_csv
 from .reward import RewardConfig
 from .seeding import stream
 
@@ -122,8 +118,14 @@ class CodesignConfig:
             raise ConfigError(
                 f"design space dim ({self.space.dim}) must equal cma dim ({self.cma.dim})"
             )
-        if min(self.base_train_iters, self.adapt_train_iters) < 0:
-            raise ConfigError("training iteration counts must be non-negative")
+        # A phase without a PPO iteration scores no design.
+        for key in ("base_train_iters", "adapt_train_iters"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"run.{key} must be at least 1, got {getattr(self, key)}")
+        if self.adapt_learning_rate < 0.0:
+            raise ConfigError(
+                f"run.adapt_learning_rate must be >= 0, got {self.adapt_learning_rate}"
+            )
 
 
 @dataclass
@@ -159,28 +161,36 @@ def evaluate_population(
     opt: AdamState,
     designs: list[DesignVector],
     cfg: CodesignConfig,
-    n_iterations: int | None = None,
-    learning_rate: float | None = None,
-    phase: str | int = 0,
+    n_iterations: int,
+    phase: str | int,
 ) -> tuple[PolicyParams, np.ndarray, np.ndarray, list[dict], bool]:
     """Train on the expanded population and score each design.
 
+    Runs `n_iterations` PPO iterations from `params`, with the learning
+    rate that `opt` carries, on the chin-up bank expanded from `designs`.
     Returns (task-adapted snapshot, j_pop, mean returns, training history,
     failed).  Fitness is the exact negative of each design's terminal-window
     mean return.  A numeric training failure marks the whole population
     failed (+inf fitness, NaN returns) and hands back the input snapshot so
     the run can continue.
     """
-    if n_iterations is None:
-        n_iterations = cfg.adapt_train_iters
-    ppo_cfg = cfg.ppo
-    if learning_rate is not None:
-        ppo_cfg = dataclasses.replace(ppo_cfg, learning_rate=learning_rate)
     plan = expand_designs(cfg.n_pop, cfg.n_env)
+    if len(designs) != plan.n_pop:
+        raise ConfigError(
+            f"expansion plan expects {plan.n_pop} designs, got {len(designs)}"
+        )
+    pop = np.stack([d.factors for d in designs])
+    vec_env = VecChinupEnv(
+        config=cfg.env,
+        reward_cfg=cfg.reward,
+        design_mat=pop[plan.env_to_design],
+        env_to_design=plan.env_to_design,
+        seed=cfg.seed,
+        phase=phase,
+    )
     try:
-        new_params, history, per_design = train(
-            params, opt, plan, designs, n_iterations, ppo_cfg,
-            cfg.env, cfg.reward, cfg.seed, phase=phase,
+        new_params, history, per_design = train_on_env(
+            params, opt, vec_env, n_iterations, cfg.ppo, cfg.seed, phase
         )
     except NumericError as exc:
         logger.error("population evaluation failed at phase %s: %s", phase, exc)
@@ -197,33 +207,29 @@ def run_ea_corl(
     stop_after: int | None = None,
     resume: bool = False,
 ) -> CodesignResult:
-    """Co-design with continuous policy adaptation (best-snapshot warm starts)."""
+    """Co-design with continuous policy adaptation (best-snapshot warm starts).
+
+    `run` for a config in mode ea-corl; a config in any other mode is refused.
+    """
     if cfg.mode is not Mode.EA_CORL:
         raise ConfigError("run_ea_corl requires mode ea-corl")
-    return _run(cfg, out_dir, fitness_fn, stop_after, resume)
+    return run(cfg, out_dir, fitness_fn, stop_after, resume)
 
 
-def run_pt_ft(
+def run(
     cfg: CodesignConfig,
     out_dir=None,
     fitness_fn=None,
     stop_after: int | None = None,
     resume: bool = False,
 ) -> CodesignResult:
-    """Baseline: every iteration fine-tunes from the frozen pre-trained base."""
-    if cfg.mode is not Mode.PT_FT:
-        raise ConfigError("run_pt_ft requires mode pt-ft")
-    return _run(cfg, out_dir, fitness_fn, stop_after, resume)
+    """The co-design loop in cfg.mode, from iteration 1 or from the last commit.
 
-
-def run(cfg: CodesignConfig, **kwargs) -> CodesignResult:
-    """Dispatch on cfg.mode."""
-    if cfg.mode is Mode.EA_CORL:
-        return run_ea_corl(cfg, **kwargs)
-    return run_pt_ft(cfg, **kwargs)
-
-
-def _run(cfg, out_dir, fitness_fn, stop_after, resume) -> CodesignResult:
+    `out_dir` is the run directory (None: nothing is written); `fitness_fn`,
+    if given, scores each design in place of policy training; `stop_after`
+    ends the run after that outer iteration; `resume` continues the run
+    committed in `out_dir`.
+    """
     t_start = time.monotonic()
     wall_accum = 0.0
     history: list[FitnessRecord] = []
@@ -262,30 +268,24 @@ def _run(cfg, out_dir, fitness_fn, stop_after, resume) -> CodesignResult:
             # As in evaluate_population: a design without a finite score has no return.
             mean_returns = np.where(j_pop == np.inf, np.nan, -j_pop)
             source_id = 0
-        elif i == 1:
-            source = policy_init(
-                PROPRIO_DIM + POLICY_LATENT, ACTION_DIM, cfg.cma.dim,
-                cfg.seed, latent=POLICY_LATENT,
-            )
-            source_id = source.snapshot_id
-            opt = adam_init(source, cfg.ppo.learning_rate)
-            params_i, j_pop, mean_returns, train_history, failed = evaluate_population(
-                source, opt, designs, cfg,
-                n_iterations=cfg.base_train_iters, phase=i,
-            )
-            params_i = dataclasses.replace(params_i, snapshot_id=i)
-            params_base = params_i
-            params_best = params_i
         else:
-            source = params_best if cfg.mode is Mode.EA_CORL else params_base
+            # Iteration 1 pre-trains a fresh policy; later ones adapt a snapshot.
+            if i == 1:
+                source = policy_init(
+                    PROPRIO_DIM + POLICY_LATENT, ACTION_DIM, cfg.cma.dim,
+                    cfg.seed, latent=POLICY_LATENT,
+                )
+                learning_rate, n_iterations = cfg.ppo.learning_rate, cfg.base_train_iters
+            else:
+                source = params_best if cfg.mode is Mode.EA_CORL else params_base
+                learning_rate, n_iterations = cfg.adapt_learning_rate, cfg.adapt_train_iters
             source_id = source.snapshot_id
-            opt = adam_init(source, cfg.adapt_learning_rate)
             params_i, j_pop, mean_returns, train_history, failed = evaluate_population(
-                source, opt, designs, cfg,
-                n_iterations=cfg.adapt_train_iters,
-                learning_rate=cfg.adapt_learning_rate, phase=i,
+                source, adam_init(source, learning_rate), designs, cfg, n_iterations, i
             )
             params_i = dataclasses.replace(params_i, snapshot_id=i)
+            if i == 1:
+                params_base = params_best = params_i
 
         best_idx = int(np.argmin(j_pop))
         pop_best = float(j_pop[best_idx])
@@ -413,26 +413,30 @@ def read_evolution_csv(path) -> list[dict]:
     return out
 
 
+# history.jsonl: how a FitnessRecord field of each annotated type goes to
+# JSON and back.  A field of any other type is a JSON scalar as it stands.
+_JSON_CODECS = {
+    "np.ndarray": (np.ndarray.tolist, lambda v: np.array(v, dtype=np.float64)),
+    "DesignVector": (
+        lambda d: None if d is None else d.factors.tolist(),
+        lambda v: None if v is None else DesignVector(v),
+    ),
+    "list[DesignVector]": (
+        lambda ds: [d.factors.tolist() for d in ds],
+        lambda vs: [DesignVector(v) for v in vs],
+    ),
+}
+_RECORD_CODECS = tuple(
+    (f.name, _JSON_CODECS.get(f.type)) for f in dataclasses.fields(FitnessRecord)
+)
+
+
 def _record_to_json(rec: FitnessRecord) -> str:
     """One history.jsonl line; json writes floats with repr, inf and NaN included."""
-    best = rec.global_best_design
-    return json.dumps(
-        {
-            "iteration": rec.iteration,
-            "designs": [d.factors.tolist() for d in rec.designs],
-            "j_pop": rec.j_pop.tolist(),
-            "mean_returns": rec.mean_returns.tolist(),
-            "population_best_j": float(rec.population_best_j),
-            "population_best_idx": rec.population_best_idx,
-            "global_best_j": float(rec.global_best_j),
-            "global_best_design": None if best is None else best.factors.tolist(),
-            "snapshot_id": rec.snapshot_id,
-            "source_snapshot_id": rec.source_snapshot_id,
-            "sigma": float(rec.sigma),
-            "dist_mean": rec.dist_mean.tolist(),
-            "failed": rec.failed,
-        }
-    )
+    return json.dumps({
+        name: getattr(rec, name) if codec is None else codec[0](getattr(rec, name))
+        for name, codec in _RECORD_CODECS
+    })
 
 
 def _write_history(history: list[FitnessRecord], path, append: bool = False) -> None:
@@ -443,22 +447,9 @@ def _write_history(history: list[FitnessRecord], path, append: bool = False) -> 
 
 def _record_from_json(line) -> FitnessRecord:
     d = json.loads(line)
-    best = d["global_best_design"]
-    return FitnessRecord(
-        iteration=d["iteration"],
-        designs=[DesignVector(f) for f in d["designs"]],
-        j_pop=np.array(d["j_pop"], dtype=np.float64),
-        mean_returns=np.array(d["mean_returns"], dtype=np.float64),
-        population_best_j=d["population_best_j"],
-        population_best_idx=d["population_best_idx"],
-        global_best_j=d["global_best_j"],
-        global_best_design=None if best is None else DesignVector(best),
-        snapshot_id=d["snapshot_id"],
-        source_snapshot_id=d["source_snapshot_id"],
-        sigma=d["sigma"],
-        dist_mean=np.array(d["dist_mean"], dtype=np.float64),
-        failed=d["failed"],
-    )
+    return FitnessRecord(**{
+        name: d[name] if codec is None else codec[1](d[name]) for name, codec in _RECORD_CODECS
+    })
 
 
 def _checkpoint(
@@ -532,7 +523,7 @@ def _checkpoint(
 
 @dataclass
 class _Resumed:
-    """Everything _run needs to continue after the last committed iteration."""
+    """Everything run needs to continue after the last committed iteration."""
 
     iteration: int
     state: CmaEsState
@@ -706,7 +697,12 @@ def rollout_returns(
     seed: int,
     phase: str | int = "eval",
 ) -> np.ndarray:
-    """Episode returns of the sampled policy on one design, no training."""
+    """Episode returns of the sampled policy on one design, no training.
+
+    One rollout of training's loop (`ppo.collect_rollouts`), episode_length
+    steps over `n_episodes` environments of the design: every environment
+    ends at least one episode, and the first `n_episodes` to end count.
+    """
     design_mat = np.tile(design.factors, (n_episodes, 1))
     vec_env = VecChinupEnv(
         config=env_cfg,
@@ -717,15 +713,8 @@ def rollout_returns(
         phase=phase,
     )
     rng = stream("eval-actions", seed, phase)
-    work = rollout_work(params, vec_env.design_mat)
-    returns: list[float] = []
-    for _ in range(env_cfg.episode_length):
-        prop = vec_env.proprio()
-        means, _, log_std = policy_forward_batch(params, vec_env.design_mat, prop, work)
-        actions, _ = sample_action(ActionDistribution(means, log_std), rng, work.gaussian)
-        _, _, completed = vec_env.step(actions)
-        returns.extend(e.episode_return for e in completed)
-    return np.asarray(returns[:n_episodes])
+    batch = collect_rollouts(vec_env, params, env_cfg.episode_length, rng)
+    return np.asarray([e.episode_return for e in batch.episodes[:n_episodes]])
 
 
 def heatmap_sweep(

@@ -261,22 +261,6 @@ def _forward(
     return {"latent": latent, "obs": obs, "h1": h1, "h2": h2, "mean": mean, "value": value}
 
 
-def policy_forward(
-    params: PolicyParams, design, proprio: np.ndarray
-) -> tuple[ActionDistribution, float, np.ndarray]:
-    """Evaluate one observation; returns (distribution, value, assembled obs).
-
-    `design` may be a DesignVector or a raw factor array.  The returned
-    observation vector is proprio with the design latent appended (the
-    layout the trunk consumed).
-    """
-    factors = np.asarray(getattr(design, "factors", design), dtype=np.float64)
-    proprio = np.asarray(proprio, dtype=np.float64)
-    acts = _forward(params, factors[None, :], proprio[None, :])
-    dist = ActionDistribution(mean=acts["mean"][0], log_std=params.log_std.copy())
-    return dist, float(acts["value"][0]), acts["obs"][0]
-
-
 @dataclass(frozen=True)
 class GaussianConstants:
     """What `gaussian_log_prob` needs of a fixed log_std besides the action."""
@@ -360,7 +344,11 @@ def gaussian_log_prob(
 ) -> np.ndarray:
     if gaussian is None:
         gaussian = gaussian_constants(dist.log_std)
-    z = (action - dist.mean) / gaussian.std
+    return _log_density((action - dist.mean) / gaussian.std, gaussian)
+
+
+def _log_density(z: np.ndarray, gaussian: GaussianConstants) -> np.ndarray:
+    """Log density of standardized draws z = (action - mean) / std, one per row."""
     return -0.5 * np.sum(z**2, axis=-1) - gaussian.log_std_sum - gaussian.half_n_log_2pi
 
 
@@ -439,8 +427,7 @@ def loss_and_grads(
     adv = minibatch["advantage"]
     ret = minibatch["ret"]
     eps = ppo_cfg.clip_epsilon
-    std = np.exp(params.log_std)
-    n_act = params.action_dim
+    gaussian = gaussian_constants(params.log_std)
 
     new_lp = np.empty(batch)
     value = np.empty(batch)
@@ -456,8 +443,8 @@ def loss_and_grads(
         design_b = design[rows]
         acts = _forward(net, design_b, proprio[rows], (h1_out, h2_out))
         value_b = acts["value"].astype(np.float64, copy=False)
-        z = (action[rows] - acts["mean"].astype(np.float64, copy=False)) / std
-        lp = -0.5 * np.sum(z**2, axis=1) - np.sum(params.log_std) - 0.5 * n_act * np.log(2.0 * np.pi)
+        z = (action[rows] - acts["mean"].astype(np.float64, copy=False)) / gaussian.std
+        lp = _log_density(z, gaussian)
         new_lp[rows] = lp
         value[rows] = value_b
         ratio_b = np.exp(lp - old_lp[rows])
@@ -470,7 +457,7 @@ def loss_and_grads(
         surr2 = np.clip(ratio_b, 1.0 - eps, 1.0 + eps) * adv_b
         surrogate[rows] = np.minimum(surr1, surr2)
         d_lp = np.where(surr1 <= surr2, -ratio_b * adv_b / batch, 0.0)
-        d_mean = d_lp[:, None] * (z / std)
+        d_mean = d_lp[:, None] * (z / gaussian.std)
         grads["log_std"] += d_lp @ (z**2 - 1.0)
         d_value = ppo_cfg.value_coef * 2.0 * (value_b - ret[rows]) / batch
         grads["actor_b"] += d_mean.sum(axis=0)

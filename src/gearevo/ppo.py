@@ -5,7 +5,8 @@ environment block, several environments per design), advantages come from
 GAE(lambda), and updates apply the clipped surrogate with minibatched
 Adam steps.  Episode returns are tagged by design index; per-design mean
 returns over a terminal window of iterations feed the fitness computation
-of the co-design loop.
+of the co-design loop, which builds the bank and calls `train_on_env`.
+`collect_rollouts` is also the rollout of rollout-only evaluation.
 
 All randomness is drawn from named streams keyed by (seed, phase), so a
 training call is exactly reproducible from those keys.
@@ -18,8 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chinup_env import VecChinupEnv, EpisodeRecord
-from .design_space import DesignVector, ExpansionPlan
+from .chinup_env import EpisodeRecord
 from .errors import ConfigError, NumericError
 from .policy import (
     ActionDistribution,
@@ -263,35 +263,6 @@ def _per_design_returns(
         if returns:
             per_design[d] = np.mean(returns)
     return per_design
-
-
-def train(
-    params: PolicyParams,
-    opt: AdamState,
-    plan: ExpansionPlan,
-    designs: list[DesignVector],
-    n_iterations: int,
-    cfg: PpoConfig,
-    env_cfg,
-    reward_cfg,
-    seed: int,
-    phase: str | int = 0,
-) -> tuple[PolicyParams, list[dict], np.ndarray]:
-    """Train on the chin-up environments expanded from a design population."""
-    if len(designs) != plan.n_pop:
-        raise ConfigError(
-            f"expansion plan expects {plan.n_pop} designs, got {len(designs)}"
-        )
-    pop = np.stack([d.factors for d in designs])
-    vec_env = VecChinupEnv(
-        config=env_cfg,
-        reward_cfg=reward_cfg,
-        design_mat=pop[plan.env_to_design],
-        env_to_design=plan.env_to_design,
-        seed=seed,
-        phase=phase,
-    )
-    return train_on_env(params, opt, vec_env, n_iterations, cfg, seed, phase)
 
 
 LEARNING_CURVE_COLUMNS = (

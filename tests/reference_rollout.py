@@ -1,11 +1,16 @@
-"""The rollout loop with every step computed afresh, kept as an oracle.
+"""The rollout loops with every step computed afresh, kept as oracles.
 
 `reference_rollout` steps a `ReferenceBank` the way `ppo.collect_rollouts`
 did before it held per-rollout constants: each step recomputes the design
 latent, concatenates a new observation, runs the forward pass into fresh
 arrays, and draws the action and its log density with exp(log_std) and the
-density's constants recomputed.  It shares only `RolloutBatch` and the
-parameter snapshot with the package under test.
+density's constants recomputed.  `reference_rollout_returns` is the
+episode loop that `codesign.rollout_returns` ran before it called
+`collect_rollouts`, on the same steps.  Both share only `RolloutBatch`, the
+config dataclasses and the parameter snapshot with the package under test.
+
+`NanDraws` wraps a generator so that one action draw is NaN, which
+diverges one environment.
 """
 
 from __future__ import annotations
@@ -14,7 +19,21 @@ import numpy as np
 
 from gearevo.ppo import RolloutBatch
 
-from reference_env import reference_proprio
+from reference_env import ReferenceBank, reference_proprio
+
+
+class NanDraws:
+    """A generator's standard normals with one entry set to NaN on one call."""
+
+    def __init__(self, rng, call, row):
+        self.rng, self.call, self.row, self.calls = rng, call, row, 0
+
+    def standard_normal(self, size):
+        z = self.rng.standard_normal(size)
+        if self.calls == self.call:
+            z[self.row, 0] = np.nan
+        self.calls += 1
+        return z
 
 
 def _forward(params, design, proprio):
@@ -62,3 +81,23 @@ def reference_rollout(bank, design_mat, params, horizon, rng) -> RolloutBatch:
         out.episodes.extend(completed)
     _, out.bootstrap_values = _forward(params, out.design, reference_proprio(bank))
     return out
+
+
+def reference_rollout_returns(env_cfg, reward_cfg, params, design, n_episodes, seed, phase, rng):
+    """The first `n_episodes` returns of `n_episodes` environments of one design.
+
+    Steps a bank built as `codesign.rollout_returns` builds its one for
+    `env_cfg.episode_length` steps, drawing actions from `rng`.
+    """
+    design_mat = np.tile(design.factors, (n_episodes, 1))
+    bank = ReferenceBank(
+        env_cfg, reward_cfg, design_mat, np.zeros(n_episodes, dtype=np.int64), seed=seed,
+        phase=phase,
+    )
+    returns = []
+    for _ in range(env_cfg.episode_length):
+        means, _ = _forward(params, design_mat, reference_proprio(bank))
+        actions, _ = _sample(means, params.log_std, rng)
+        _, _, completed, _ = bank.step(actions)
+        returns.extend(e.episode_return for e in completed)
+    return np.asarray(returns[:n_episodes])

@@ -8,10 +8,12 @@ each invocation finishes in well under a second.
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import gearevo
@@ -195,6 +197,34 @@ def test_render_config_golden_digest(overrides, digest):
     assert config_hash(parse_config(None, overrides)) == digest
 
 
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def test_readme_config_table_matches_schema():
+    """The README's `| `section` | keys (defaults) |` rows name every key in
+    order, `w_<term>` standing for the reward weights, and each numeric
+    default in parentheses is the default config's value."""
+    with open(README) as fh:
+        rows = dict(re.findall(r"^\| `(\w+)` \| (.*) \|$", fh.read(), flags=re.M))
+    assert list(rows) == list(cli._SECTIONS)
+    defaults = parse_config(None)
+    for section, cell in rows.items():
+        names = [name for item in re.findall(r"`([^`]+)`", cell) for name in item.split()]
+        keys = dict.fromkeys(
+            "w_<term>" if section == "reward" and key.startswith("w_") else key
+            for sec, key in cli._schema() if sec == section
+        )
+        assert names == list(keys), section
+        obj = getattr(defaults, cli._SECTIONS[section]) if cli._SECTIONS[section] else defaults
+        for name, default in re.findall(r"`(\w+)` \(([^)]*)\)", cell):
+            try:
+                want = tuple(float(x) for x in default.split(","))
+            except ValueError:
+                continue  # a description, such as "term list", or the mode name
+            got = tuple(np.atleast_1d(np.asarray(getattr(obj, name), dtype=float)))
+            assert got == want, f"{section}.{name}: README says ({default})"
+
+
 def test_importing_cli_leaves_numpy_unloaded():
     # CODESIGN_THREADS is applied in main(); numpy must not load before it.
     src = os.path.dirname(os.path.dirname(gearevo.__file__))
@@ -293,6 +323,16 @@ def test_run_refuses_duplicate_active_reward_term(micro_ini, tmp_path, capsys):
     assert code == EXIT_ERROR
     err = capsys.readouterr().err
     assert "'chinup'" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["base_train_iters", "adapt_train_iters"])
+def test_run_refuses_zero_train_iters(micro_ini, tmp_path, capsys, key):
+    out = tmp_path / "o"
+    code = main(["run", "--config", micro_ini, "--out", str(out), "--set", f"run.{key}=0"])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert f"error: run.{key} must be at least 1" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -446,6 +486,13 @@ def test_evaluate_out_of_bounds_design_is_clamped(completed_run, capsys):
     assert main(["evaluate", completed_run, "--design", "9.0,0.1"]) == EXIT_OK
     # bounds are [0.5, 4.0]; the reported design is the projected one
     assert "design [4, 0.5]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("episodes", ["0", "-3"])
+def test_evaluate_refuses_episodes_below_one(completed_run, capsys, episodes):
+    assert main(["evaluate", completed_run, "--episodes", episodes]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert f"error: --episodes must be at least 1, got {episodes}" in err
 
 
 def test_evaluate_malformed_design(completed_run, capsys):

@@ -7,6 +7,7 @@ learning quality.  Learning-level behaviour lives in the acceptance suite.
 """
 
 import dataclasses
+import itertools
 import json
 import os
 import pickle
@@ -35,14 +36,17 @@ from gearevo.codesign import (
     rollout_returns,
     run,
     run_ea_corl,
-    run_pt_ft,
     write_evolution_csv,
     write_heatmap_csv,
 )
 from gearevo.design_space import DesignSpace, DesignVector, read_designs_csv
 from gearevo.errors import CheckpointError, ConfigError
 from gearevo.policy import adam_init, policy_init
-from gearevo.ppo import PpoConfig
+from gearevo.ppo import PpoConfig, collect_rollouts
+from gearevo.reward import RewardConfig
+from gearevo.seeding import stream
+
+from reference_rollout import NanDraws, reference_rollout_returns
 
 
 def micro_config(mode=Mode.EA_CORL, *, n_pop=2, n_env=4, iterations=3, seed=0):
@@ -107,14 +111,19 @@ def test_config_dim_mismatch():
 
 
 def test_config_negative_train_iters():
-    with pytest.raises(ConfigError, match="non-negative"):
-        dataclasses.replace(micro_config(), base_train_iters=-1)
+    # a phase without a PPO iteration would score no design
+    for key, count in itertools.product(["base_train_iters", "adapt_train_iters"], [-1, 0]):
+        with pytest.raises(ConfigError, match=f"run.{key} must be at least 1, got {count}"):
+            dataclasses.replace(micro_config(), **{key: count})
+
+
+def test_config_negative_adapt_learning_rate():
+    with pytest.raises(ConfigError, match="run.adapt_learning_rate"):
+        dataclasses.replace(micro_config(), adapt_learning_rate=-1e-5)
 
 
 def test_mode_mismatch_entry_points():
     cfg = micro_config(mode=Mode.EA_CORL)
-    with pytest.raises(ConfigError):
-        run_pt_ft(cfg, fitness_fn=sphere_at_1p5)
     with pytest.raises(ConfigError):
         run_ea_corl(
             dataclasses.replace(cfg, mode=Mode.PT_FT), fitness_fn=sphere_at_1p5
@@ -133,7 +142,7 @@ def test_evaluate_population_sign_identity():
     opt = adam_init(params, cfg.ppo.learning_rate)
     designs = [DesignVector(np.array([1.0, 1.0])), DesignVector(np.array([2.0, 0.5]))]
     new_params, j_pop, mean_returns, history, failed = evaluate_population(
-        params, opt, designs, cfg, phase=1
+        params, opt, designs, cfg, cfg.adapt_train_iters, phase=1
     )
     assert not failed
     assert j_pop.shape == (2,) and mean_returns.shape == (2,)
@@ -151,7 +160,7 @@ def test_evaluate_population_failure_path(monkeypatch):
     def exploding_train(*args, **kwargs):
         raise NumericError("non-finite gradient")
 
-    monkeypatch.setattr(codesign, "train", exploding_train)
+    monkeypatch.setattr(codesign, "train_on_env", exploding_train)
     cfg = micro_config()
     params = policy_init(
         PROPRIO_DIM + POLICY_LATENT, ACTION_DIM, 2, cfg.seed, latent=POLICY_LATENT
@@ -159,7 +168,7 @@ def test_evaluate_population_failure_path(monkeypatch):
     opt = adam_init(params, cfg.ppo.learning_rate)
     designs = [DesignVector(np.array([1.0, 1.0])), DesignVector(np.array([2.0, 0.5]))]
     out_params, j_pop, mean_returns, history, failed = evaluate_population(
-        params, opt, designs, cfg, phase=1
+        params, opt, designs, cfg, cfg.adapt_train_iters, phase=1
     )
     assert failed
     assert out_params is params  # snapshot handed back unchanged
@@ -175,7 +184,7 @@ def test_single_iteration_both_modes_identical():
     """With one outer iteration, both modes reduce to base pre-training: the
     returned policy is the base snapshot and the two modes agree bitwise."""
     ea = run_ea_corl(micro_config(mode=Mode.EA_CORL, iterations=1))
-    pt = run_pt_ft(micro_config(mode=Mode.PT_FT, iterations=1))
+    pt = run(micro_config(mode=Mode.PT_FT, iterations=1))
 
     assert ea.completed and pt.completed
     assert len(ea.history) == len(pt.history) == 1
@@ -240,7 +249,7 @@ def test_ea_corl_promotion_invariants():
 
 
 def test_pt_ft_promotion_invariants():
-    res = run_pt_ft(micro_config(mode=Mode.PT_FT, iterations=4))
+    res = run(micro_config(mode=Mode.PT_FT, iterations=4))
     assert_promotion_invariants(res.history, Mode.PT_FT)
     assert res.best_policy.snapshot_id == 1
 
@@ -330,7 +339,7 @@ def test_resume_mode_mismatch(tmp_path):
     )
     pt_cfg = dataclasses.replace(synthetic_config(iterations=3), mode=Mode.PT_FT)
     with pytest.raises(CheckpointError, match="mode"):
-        run_pt_ft(pt_cfg, out_dir=str(tmp_path), fitness_fn=sphere_at_1p5, resume=True)
+        run(pt_cfg, out_dir=str(tmp_path), fitness_fn=sphere_at_1p5, resume=True)
 
 
 def test_resume_rejects_unknown_version(tmp_path):
@@ -700,6 +709,53 @@ def test_rollout_returns_shape_and_determinism():
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
     assert np.all(np.isfinite(a))
+
+
+@pytest.mark.parametrize("n_episodes", [1, 5, 8])
+def test_rollout_returns_matches_reference_loop_bitwise(n_episodes, monkeypatch):
+    # rollout_returns runs collect_rollouts; the reference is the episode loop
+    # it replaced.  Two designs and two phases, then NaN action draws that
+    # diverge one environment twice, so that it ends one episode more than
+    # the bank has environments and only the first n_episodes count.
+    env_cfg, reward_cfg = EnvConfig(episode_length=24), RewardConfig()
+    params = policy_init(PROPRIO_DIM + POLICY_LATENT, ACTION_DIM, 2, 5, latent=POLICY_LATENT)
+    flat = params.flat.copy()
+    params.views(flat)["log_std"][:] = 0.5  # actions wide enough to reach the limits
+    params = dataclasses.replace(params, flat=flat)
+    designs = [DesignVector(np.array([0.7, 2.5])), DesignVector(np.array([1.8, 1.1]))]
+
+    def assert_same(got, want):
+        assert got.shape == want.shape == (n_episodes,)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    for design, phase in itertools.product(designs, ["eval", "heatmap-0-1-3"]):
+        got = rollout_returns(env_cfg, reward_cfg, params, design, n_episodes, 4, phase)
+        want = reference_rollout_returns(
+            env_cfg, reward_cfg, params, design, n_episodes, 4, phase,
+            stream("eval-actions", 4, phase),
+        )
+        assert_same(got, want)
+
+    batches = []
+
+    def recording_rollouts(*args):
+        batches.append(collect_rollouts(*args))
+        return batches[-1]
+
+    def nan_draws(*key):
+        row = n_episodes // 2
+        return NanDraws(NanDraws(stream(*key), call=2, row=row), call=5, row=row)
+
+    monkeypatch.setattr(codesign, "collect_rollouts", recording_rollouts)
+    monkeypatch.setattr(codesign, "stream", nan_draws)
+    got = rollout_returns(env_cfg, reward_cfg, params, designs[0], n_episodes, 4, "eval")
+    want = reference_rollout_returns(
+        env_cfg, reward_cfg, params, designs[0], n_episodes, 4, "eval",
+        nan_draws("eval-actions", 4, "eval"),
+    )
+    episodes = batches[0].episodes
+    assert len(episodes) == n_episodes + 1 and sum(e.failed for e in episodes) == 2
+    assert_same(got, want)
 
 
 def test_heatmap_matches_direct_rollouts():

@@ -21,9 +21,9 @@ from gearevo.policy import (
     load_policy,
     loss_and_grads,
     loss_workspace,
-    policy_forward,
     policy_forward_batch,
     policy_init,
+    rollout_work,
     sample_action,
     save_policy,
 )
@@ -65,8 +65,8 @@ def test_small_actor_init_keeps_initial_actions_small():
     for _ in range(20):
         proprio = rng.uniform(-1, 1, 10)
         design = rng.uniform(0.5, 4.0, 2)
-        dist, _, _ = policy_forward(params, design, proprio)
-        assert np.all(np.abs(dist.mean) <= 0.1)
+        means, _, _ = policy_forward_batch(params, design[None], proprio[None])
+        assert np.all(np.abs(means) <= 0.1)
 
 
 def test_init_validates_dimensions():
@@ -82,49 +82,38 @@ def test_init_validates_dimensions():
 def test_zero_network_outputs_zero():
     params = policy_init(14, 4, 2, 0)
     zeroed = dataclasses.replace(params, flat=np.zeros(params.n_params))
-    dist, value, obs = policy_forward(zeroed, np.array([1.0, 2.0]), np.ones(10))
-    assert np.array_equal(dist.mean, np.zeros(4))
-    assert value == 0.0
-    assert np.array_equal(obs[10:], np.zeros(4))  # latent is tanh(0) = 0
+    design = np.array([[1.0, 2.0]])
+    means, values, _ = policy_forward_batch(zeroed, design, np.ones((1, 10)))
+    assert np.array_equal(means, np.zeros((1, 4)))
+    assert np.array_equal(values, [0.0])
+    latent = rollout_work(zeroed, design).obs[:, 10:]
+    assert np.array_equal(latent, np.zeros((1, 4)))  # tanh(0) = 0
 
 
 def test_design_latent_bounded_by_tanh():
     params = policy_init(14, 4, 2, 0)
     rng = np.random.default_rng(1)
     for _ in range(50):
-        design = rng.uniform(0.5, 4.0, 2)
-        _, _, obs = policy_forward(params, design, rng.uniform(-1, 1, 10))
-        latent = obs[10:]
+        design = rng.uniform(0.5, 4.0, (1, 2))
+        latent = rollout_work(params, design).obs[:, 10:]
         assert np.all(latent > -1.0) and np.all(latent < 1.0)
     # extreme inputs saturate but never escape the closed unit interval
-    _, _, obs = policy_forward(params, np.array([1e6, -1e6]), np.zeros(10))
-    assert np.all(np.abs(obs[10:]) <= 1.0)
+    latent = rollout_work(params, np.array([[1e6, -1e6]])).obs[:, 10:]
+    assert np.all(np.abs(latent) <= 1.0)
 
 
 def test_design_changes_output_distribution():
     params = policy_init(14, 4, 2, 0)
-    proprio = np.linspace(-1, 1, 10)
-    d1, _, _ = policy_forward(params, np.array([0.5, 0.5]), proprio)
-    d2, _, _ = policy_forward(params, np.array([4.0, 4.0]), proprio)
-    assert not np.allclose(d1.mean, d2.mean)
-
-
-def test_forward_batch_matches_single():
-    params = policy_init(14, 4, 2, 0)
-    rng = np.random.default_rng(2)
-    proprio = rng.uniform(-1, 1, (5, 10))
-    design = rng.uniform(0.5, 4.0, (5, 2))
-    means, values, log_std = policy_forward_batch(params, design, proprio)
-    for i in range(5):
-        dist, value, _ = policy_forward(params, design[i], proprio[i])
-        assert np.allclose(dist.mean, means[i], atol=1e-15)
-        assert value == pytest.approx(values[i], abs=1e-15)
+    proprio = np.linspace(-1, 1, 10)[None]
+    m1, _, _ = policy_forward_batch(params, np.array([[0.5, 0.5]]), proprio)
+    m2, _, _ = policy_forward_batch(params, np.array([[4.0, 4.0]]), proprio)
+    assert not np.allclose(m1, m2)
 
 
 def test_forward_raises_on_nonfinite_input():
     params = policy_init(14, 4, 2, 0)
     with pytest.raises(NumericError):
-        policy_forward(params, np.array([1.0, np.nan]), np.ones(10))
+        policy_forward_batch(params, np.array([[1.0, np.nan]]), np.ones((1, 10)))
 
 
 # --- distribution -----------------------------------------------------------------

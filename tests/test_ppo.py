@@ -14,7 +14,6 @@ from gearevo.ppo import (
     compute_gae,
     ppo_update,
     read_learning_curve_csv,
-    train,
     train_on_env,
     write_learning_curve_csv,
 )
@@ -23,7 +22,7 @@ from gearevo.reward import RewardConfig
 from gearevo.seeding import stream
 
 from reference_env import ReferenceBank
-from reference_rollout import reference_rollout
+from reference_rollout import NanDraws, reference_rollout
 from sanity_env import ACTION_DIM as HOLD_ACTION_DIM
 from sanity_env import PROPRIO_DIM as HOLD_PROPRIO_DIM
 from sanity_env import HoldPositionEnv
@@ -195,20 +194,6 @@ def test_collect_rollouts_design_tagging():
     for rec in batch.episodes:
         by_design[rec.design_idx] = by_design.get(rec.design_idx, 0) + 1
     assert by_design == {0: 4, 1: 4}
-
-
-class NanDraws:
-    """A generator's standard normals with one entry set to NaN on one call."""
-
-    def __init__(self, rng, call, row):
-        self.rng, self.call, self.row, self.calls = rng, call, row, 0
-
-    def standard_normal(self, size):
-        z = self.rng.standard_normal(size)
-        if self.calls == self.call:
-            z[self.row, 0] = np.nan
-        self.calls += 1
-        return z
 
 
 @pytest.mark.parametrize("n_env", [1, 7, 64])
@@ -400,13 +385,13 @@ def test_train_determinism():
 def test_train_on_population_returns_per_design_fitness_inputs():
     plan = expand_designs(2, 4)
     designs = [DesignVector(np.array([1.0, 1.0])), DesignVector(np.array([1.5, 0.8]))]
+    pop = np.stack([d.factors for d in designs])
+    vec = VecChinupEnv(EnvConfig(episode_length=10), RewardConfig(), pop[plan.env_to_design],
+                       plan.env_to_design, seed=0, phase=1)
     params = policy_init(14, ACTION_DIM, 2, 0)
     opt = adam_init(params, 3e-4)
     cfg = PpoConfig(horizon=8, reward_scale=0.02)
-    new_params, history, per_design = train(
-        params, opt, plan, designs, 3, cfg, EnvConfig(episode_length=10),
-        RewardConfig(), seed=0, phase=1,
-    )
+    new_params, history, per_design = train_on_env(params, opt, vec, 3, cfg, 0, phase=1)
     assert per_design.shape == (2,)
     assert np.all(np.isfinite(per_design))
     assert len(history) == 3
