@@ -33,16 +33,16 @@ as two such calls.  The step's results have the bits of the per-joint
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
-from .design_space import DesignVector
+from .design_space import DesignVector, scale_actuator_limits
 from .errors import ConfigError, ContractError
 from .reward import RewardBreakdown, RewardConfig, RewardInputs, reward_terms
 from .seeding import stream
+from .tables import read_table, write_table
 
 N_JOINTS = 2
 ACTION_DIM = 4  # [q_target (2), qdot_target (2)]
@@ -291,8 +291,9 @@ class VecChinupEnv:
         self.design_mat = design_mat
         self.env_to_design = np.asarray(env_to_design, dtype=np.int64)
         self.n_envs = n = design_mat.shape[0]
-        self.tau_max = np.asfortranarray(np.array(config.tau_default) * design_mat)
-        self.qdot_max = np.asfortranarray(np.array(config.qdot_default) / design_mat)
+        limits = scale_actuator_limits(design_mat, config.tau_default, config.qdot_default)
+        self.tau_max = np.asfortranarray(limits.tau_max)
+        self.qdot_max = np.asfortranarray(limits.qdot_max)
         self.rngs = [stream("env", seed, phase, k) for k in range(n)]
         # Per-bank constants of the control step.
         k = _coefficients(config)
@@ -571,23 +572,14 @@ TRAJECTORY_COLUMNS = (
 
 
 def write_trajectory_csv(rows: list[dict], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAJECTORY_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [row["step"]] + [repr(float(row[c])) for c in TRAJECTORY_COLUMNS[1:]]
-            )
+    columns = TRAJECTORY_COLUMNS
+    write_table(path, columns, ([row[c] for c in columns] for row in rows))
 
 
 def read_trajectory_csv(path) -> list[dict]:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or tuple(rows[0]) != TRAJECTORY_COLUMNS:
-        raise ValueError(f"{path}: not a trajectory CSV")
-    out = []
-    for row in rows[1:]:
-        rec = {"step": int(row[0])}
-        rec.update({c: float(v) for c, v in zip(TRAJECTORY_COLUMNS[1:], row[1:])})
-        out.append(rec)
-    return out
+    columns = TRAJECTORY_COLUMNS
+    rows = read_table(path, lambda h: tuple(h) == columns, "a trajectory CSV")
+    return [
+        {"step": int(row[0]), **{c: float(v) for c, v in zip(columns[1:], row[1:])}}
+        for row in rows
+    ]

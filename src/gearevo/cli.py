@@ -23,6 +23,7 @@ import functools
 import hashlib
 import json
 import os
+import pathlib
 import sys
 import time
 
@@ -34,6 +35,7 @@ from .errors import (
     NumericError,
     OptimizerDegenerateError,
 )
+from .tables import atomic_write
 
 # Exit codes: 0 success (manifest complete / no-op), 1 error,
 # 3 deliberate partial run (resumable, manifest interrupted).
@@ -254,13 +256,12 @@ def parse_config(path: str | None, overrides: list[str] | None = None):
 # --- manifest ----------------------------------------------------------------
 
 
+def _write_text(out_dir: str, name: str, text: str) -> None:
+    atomic_write(os.path.join(out_dir, name), lambda p: pathlib.Path(p).write_text(text))
+
+
 def _write_manifest(out_dir: str, manifest: dict) -> None:
-    path = os.path.join(out_dir, MANIFEST_FILE)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    _write_text(out_dir, MANIFEST_FILE, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _read_manifest(out_dir: str) -> dict:
@@ -317,8 +318,7 @@ def cmd_run(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     text = render_config(cfg)
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    with open(os.path.join(out_dir, CONFIG_SNAPSHOT_FILE), "w") as fh:
-        fh.write(text)
+    _write_text(out_dir, CONFIG_SNAPSHOT_FILE, text)
     manifest = {
         "run_id": f"{digest[:12]}-s{cfg.seed}",
         "config_hash": digest,

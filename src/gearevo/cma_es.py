@@ -12,7 +12,6 @@ Minimization throughout: lower fitness is better.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 from dataclasses import dataclass
 
@@ -21,6 +20,7 @@ import numpy as np
 from .design_space import DesignSpace, DesignVector
 from .errors import ConfigError, ContractError, DimensionError, OptimizerDegenerateError
 from .seeding import stream
+from .tables import read_table, write_table
 
 
 @dataclass(frozen=True)
@@ -263,39 +263,29 @@ GENERATION_LOG_COLUMNS = ("generation", "best_fitness", "mean_fitness", "sigma")
 
 
 def write_generation_log(rows: list[GenerationLogRow], path, append: bool = False) -> None:
-    """CSV log: generation,best_fitness,mean_fitness,sigma,mean_0,...
-
-    With append=True the rows go to the end of `path`, and the header is
-    written only when the file is empty.
-    """
+    """CSV log: generation,best_fitness,mean_fitness,sigma,mean_0,..."""
     if not rows:
         raise ContractError("cannot write an empty generation log")
     dim = rows[0].mean.size
-    with open(path, "a" if append else "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if fh.tell() == 0:
-            writer.writerow(list(GENERATION_LOG_COLUMNS) + [f"mean_{i}" for i in range(dim)])
-        for r in rows:
-            writer.writerow(
-                [r.generation, repr(r.best_fitness), repr(r.mean_fitness), repr(r.sigma)]
-                + [repr(float(x)) for x in r.mean]
-            )
+    write_table(
+        path,
+        list(GENERATION_LOG_COLUMNS) + [f"mean_{i}" for i in range(dim)],
+        ([r.generation, r.best_fitness, r.mean_fitness, r.sigma, *r.mean.tolist()] for r in rows),
+        append=append,
+    )
 
 
 def read_generation_log(path) -> list[GenerationLogRow]:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or tuple(rows[0][:4]) != GENERATION_LOG_COLUMNS:
-        raise ValueError(f"{path}: not a generation log CSV")
-    out = []
-    for row in rows[1:]:
-        out.append(
-            GenerationLogRow(
-                generation=int(row[0]),
-                best_fitness=float(row[1]),
-                mean_fitness=float(row[2]),
-                sigma=float(row[3]),
-                mean=np.array([float(x) for x in row[4:]]),
-            )
+    rows = read_table(
+        path, lambda h: tuple(h[:4]) == GENERATION_LOG_COLUMNS, "a generation log CSV"
+    )
+    return [
+        GenerationLogRow(
+            generation=int(row[0]),
+            best_fitness=float(row[1]),
+            mean_fitness=float(row[2]),
+            sigma=float(row[3]),
+            mean=np.array([float(x) for x in row[4:]]),
         )
-    return out
+        for row in rows
+    ]

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chinup_env import ACTION_DIM, PROPRIO_DIM, EnvConfig, VecChinupEnv
+from .chinup_env import ACTION_DIM, N_JOINTS, PROPRIO_DIM, EnvConfig, VecChinupEnv
 from .cma_es import (
     CmaEsConfig,
     CmaEsState,
@@ -65,6 +65,7 @@ from .policy import (
 from .ppo import PpoConfig, collect_rollouts, train_on_env, write_learning_curve_csv
 from .reward import RewardConfig
 from .seeding import stream
+from .tables import atomic_write, read_table, write_table
 
 logger = logging.getLogger("gearevo.codesign")
 
@@ -104,11 +105,7 @@ class CodesignConfig:
     adapt_learning_rate: float = 1e-5
 
     def __post_init__(self):
-        if self.n_env % self.n_pop != 0:
-            raise ConfigError(
-                f"n_env must be divisible by n_pop, got n_env={self.n_env}, "
-                f"n_pop={self.n_pop}"
-            )
+        expand_designs(self.n_pop, self.n_env)
         if self.cma.population_size != self.n_pop:
             raise ConfigError(
                 f"cma.population_size ({self.cma.population_size}) must equal "
@@ -117,6 +114,15 @@ class CodesignConfig:
         if self.space.dim != self.cma.dim:
             raise ConfigError(
                 f"design space dim ({self.space.dim}) must equal cma dim ({self.cma.dim})"
+            )
+        # One gear-ratio factor per joint of the chin-up model.
+        if self.space.dim != N_JOINTS:
+            raise ConfigError(f"design.dim must be {N_JOINTS}, got {self.space.dim}")
+        # An empty minibatch gives a non-finite loss, which fails every design.
+        if self.ppo.minibatches > self.n_env * self.ppo.horizon:
+            raise ConfigError(
+                f"ppo.minibatches ({self.ppo.minibatches}) must be at most "
+                f"run.n_env x ppo.horizon ({self.n_env} x {self.ppo.horizon})"
             )
         # A phase without a PPO iteration scores no design.
         for key in ("base_train_iters", "adapt_train_iters"):
@@ -353,13 +359,6 @@ APPEND_FILES = (EVOLUTION_FILE, CMA_LOG_FILE, HISTORY_FILE)
 EVOLUTION_COLUMNS = ("iteration", "population_best", "global_best")
 
 
-def _atomic_write(path: str, write_fn):
-    tmp = path + ".tmp"
-    result = write_fn(tmp)
-    os.replace(tmp, path)
-    return result
-
-
 def _write_json(payload, path) -> None:
     text = json.dumps(payload)  # one string: json's C encoder, not its chunked one
     with open(path, "w") as fh:
@@ -374,43 +373,27 @@ def _remove_if_exists(path: str) -> None:
 
 
 def write_evolution_csv(history: list[FitnessRecord], path, append: bool = False) -> None:
-    """Fitness trajectory: per-design fitness plus bests, one row per iteration.
-
-    With append=True the rows go to the end of `path`, and the header is
-    written only when the file is empty.
-    """
-    import csv
-
+    """Fitness trajectory: per-design fitness plus bests, one row per iteration."""
     n_pop = len(history[0].j_pop) if history else 0
-    with open(path, "a" if append else "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if fh.tell() == 0:
-            writer.writerow(list(EVOLUTION_COLUMNS) + [f"j_{k}" for k in range(n_pop)])
-        for rec in history:
-            writer.writerow(
-                [rec.iteration, repr(rec.population_best_j), repr(rec.global_best_j)]
-                + [repr(float(x)) for x in rec.j_pop]
-            )
+    write_table(
+        path,
+        list(EVOLUTION_COLUMNS) + [f"j_{k}" for k in range(n_pop)],
+        ([r.iteration, r.population_best_j, r.global_best_j, *r.j_pop.tolist()] for r in history),
+        append=append,
+    )
 
 
 def read_evolution_csv(path) -> list[dict]:
-    import csv
-
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or tuple(rows[0][:3]) != EVOLUTION_COLUMNS:
-        raise ValueError(f"{path}: not an evolution CSV")
-    out = []
-    for row in rows[1:]:
-        out.append(
-            {
-                "iteration": int(row[0]),
-                "population_best": float(row[1]),
-                "global_best": float(row[2]),
-                "j_pop": np.array([float(x) for x in row[3:]]),
-            }
-        )
-    return out
+    rows = read_table(path, lambda h: tuple(h[:3]) == EVOLUTION_COLUMNS, "an evolution CSV")
+    return [
+        {
+            "iteration": int(row[0]),
+            "population_best": float(row[1]),
+            "global_best": float(row[2]),
+            "j_pop": np.array([float(x) for x in row[3:]]),
+        }
+        for row in rows
+    ]
 
 
 # history.jsonl: how a FitnessRecord field of each annotated type goes to
@@ -483,24 +466,24 @@ def _checkpoint(
     _write_history([record], os.path.join(out_dir, HISTORY_FILE), append=append)
 
     if d_star is not None:
-        _atomic_write(
+        atomic_write(
             os.path.join(out_dir, BEST_DESIGN_FILE),
             lambda p: write_designs_csv([d_star], p),
         )
     snapshots = None
     if params_current is not None:
-        _atomic_write(
+        atomic_write(
             os.path.join(policies, f"iter_{iteration:04d}.bin"),
             lambda p: save_policy(params_current, p),
         )
         snapshots = {}
         for name, params in (("base", params_base), ("best", params_best)):
-            digest = _atomic_write(
+            digest = atomic_write(
                 os.path.join(policies, f"{name}.bin"), lambda p: save_policy(params, p)
             )
             snapshots[name] = {"snapshot_id": params.snapshot_id, "sha256": digest}
     if train_history:
-        _atomic_write(
+        atomic_write(
             os.path.join(out_dir, f"learning_curve_iter_{iteration:04d}.csv"),
             lambda p: write_learning_curve_csv(train_history, p),
         )
@@ -518,7 +501,7 @@ def _checkpoint(
         },
         "policies": snapshots,
     }
-    _atomic_write(os.path.join(out_dir, CHECKPOINT_FILE), lambda p: _write_json(payload, p))
+    atomic_write(os.path.join(out_dir, CHECKPOINT_FILE), lambda p: _write_json(payload, p))
 
 
 @dataclass
@@ -671,11 +654,11 @@ def _restore_committed_files(out_dir, resumed: _Resumed) -> None:
     if resumed.d_star is None:
         _remove_if_exists(best_design)
     else:
-        _atomic_write(best_design, lambda p: write_designs_csv([resumed.d_star], p))
+        atomic_write(best_design, lambda p: write_designs_csv([resumed.d_star], p))
     policies = os.path.join(out_dir, POLICY_DIR)
     for name, params in (("base", resumed.params_base), ("best", resumed.params_best)):
         if params is not None:
-            _atomic_write(os.path.join(policies, f"{name}.bin"), lambda p: save_policy(params, p))
+            atomic_write(os.path.join(policies, f"{name}.bin"), lambda p: save_policy(params, p))
     for folder in (out_dir, policies):
         if not os.path.isdir(folder):
             continue
@@ -746,28 +729,13 @@ def heatmap_sweep(
 
 
 def write_heatmap_csv(grid: list[tuple[DesignVector, float]], axis_a: int, axis_b: int, path) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"factor_{axis_a}", f"factor_{axis_b}", "fitness"])
-        for design, fitness in grid:
-            writer.writerow(
-                [
-                    repr(float(design.factors[axis_a])),
-                    repr(float(design.factors[axis_b])),
-                    repr(fitness),
-                ]
-            )
+    write_table(
+        path,
+        [f"factor_{axis_a}", f"factor_{axis_b}", "fitness"],
+        ([d.factors[axis_a], d.factors[axis_b], fitness] for d, fitness in grid),
+    )
 
 
 def read_heatmap_csv(path) -> list[dict]:
-    import csv
-
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or len(rows[0]) != 3 or rows[0][2] != "fitness":
-        raise ValueError(f"{path}: not a heatmap CSV")
-    return [
-        {"a": float(r[0]), "b": float(r[1]), "fitness": float(r[2])} for r in rows[1:]
-    ]
+    rows = read_table(path, lambda h: len(h) == 3 and h[2] == "fitness", "a heatmap CSV")
+    return [{"a": float(r[0]), "b": float(r[1]), "fitness": float(r[2])} for r in rows]

@@ -12,12 +12,12 @@ on raw real vectors; designs are clamped to box bounds before evaluation.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, ContractError, DimensionError
+from .tables import read_table, write_table
 
 
 @dataclass(eq=False)
@@ -94,24 +94,24 @@ class ExpansionPlan:
         """1-based design index for 1-based environment index k."""
         if not 1 <= k <= self.n_env:
             raise DimensionError(f"environment index {k} outside 1..{self.n_env}")
-        return -(-k // self.n_exp)
+        return int(self.env_to_design[k - 1]) + 1
 
 
 def scale_actuator_limits(
-    design: DesignVector, tau_default: np.ndarray, qdot_default: np.ndarray
+    design: DesignVector | np.ndarray, tau_default: np.ndarray, qdot_default: np.ndarray
 ) -> ActuatorLimits:
-    """Map a design vector to actuator limits at constant per-joint power."""
+    """Map a design vector, or an (n, dim) matrix of designs, to actuator
+    limits at constant per-joint power."""
+    factors = design.factors if isinstance(design, DesignVector) else np.asarray(design, float)
     tau_default = np.asarray(tau_default, dtype=np.float64)
     qdot_default = np.asarray(qdot_default, dtype=np.float64)
-    if tau_default.shape != design.factors.shape or qdot_default.shape != design.factors.shape:
+    dim = factors.shape[-1:]
+    if tau_default.shape != dim or qdot_default.shape != dim:
         raise DimensionError(
-            f"default limits must match design dim {design.dim}, got "
+            f"default limits must match design dim {dim[0]}, got "
             f"tau {tau_default.shape}, qdot {qdot_default.shape}"
         )
-    return ActuatorLimits(
-        tau_max=tau_default * design.factors,
-        qdot_max=qdot_default / design.factors,
-    )
+    return ActuatorLimits(tau_max=tau_default * factors, qdot_max=qdot_default / factors)
 
 
 def clamp_to_bounds(design: DesignVector, space: DesignSpace) -> DesignVector:
@@ -164,19 +164,16 @@ def write_designs_csv(designs: list[DesignVector], path) -> None:
     if not designs:
         raise ContractError("cannot write an empty design list")
     dim = designs[0].dim
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["design_id"] + [f"factor_{i}" for i in range(dim)])
-        for idx, d in enumerate(designs):
-            if d.dim != dim:
-                raise DimensionError("all designs in a CSV must share one dim")
-            writer.writerow([idx] + [f"{x:.6g}" for x in d.factors])
+    if any(d.dim != dim for d in designs):
+        raise DimensionError("all designs in a CSV must share one dim")
+    write_table(
+        path,
+        ["design_id"] + [f"factor_{i}" for i in range(dim)],
+        ([idx] + [f"{x:.6g}" for x in d.factors] for idx, d in enumerate(designs)),
+    )
 
 
 def read_designs_csv(path) -> list[DesignVector]:
     """Read a design CSV written by write_designs_csv."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][:1] != ["design_id"]:
-        raise ValueError(f"{path}: not a design CSV (bad header)")
-    return [DesignVector(np.array([float(x) for x in row[1:]])) for row in rows[1:]]
+    rows = read_table(path, lambda h: h[:1] == ["design_id"], "a design CSV (bad header)")
+    return [DesignVector(np.array([float(x) for x in row[1:]])) for row in rows]

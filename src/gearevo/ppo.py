@@ -14,7 +14,6 @@ training call is exactly reproducible from those keys.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +32,7 @@ from .policy import (
     sample_action,
 )
 from .seeding import stream
+from .tables import read_table, write_table
 
 
 # The dtype of the network math in ppo_update (see policy.loss_and_grads).
@@ -126,21 +126,17 @@ def collect_rollouts(vec_env, params: PolicyParams, horizon: int, rng) -> Rollou
     return out
 
 
-def compute_gae(
-    batch: RolloutBatch, gamma: float, gae_lambda: float, bootstrap_values=None
-) -> RolloutBatch:
+def compute_gae(batch: RolloutBatch, gamma: float, gae_lambda: float) -> RolloutBatch:
     """Backward GAE recursion plus per-batch advantage standardization.
 
     delta_t = r_t + gamma*v_{t+1}*(1-done_t) - v_t
     A_t     = delta_t + gamma*lambda*(1-done_t)*A_{t+1}
     returns = A_raw + v; advantages standardized to mean 0, std 1 (eps 1e-8).
     """
-    if bootstrap_values is None:
-        bootstrap_values = batch.bootstrap_values
     n, horizon = batch.rewards.shape
     adv = np.zeros((n, horizon))
     next_adv = np.zeros(n)
-    next_value = np.asarray(bootstrap_values, dtype=np.float64)
+    next_value = np.asarray(batch.bootstrap_values, dtype=np.float64)
     for t in range(horizon - 1, -1, -1):
         not_done = 1.0 - batch.dones[:, t]
         delta = batch.rewards[:, t] + gamma * next_value * not_done - batch.values[:, t]
@@ -272,23 +268,14 @@ LEARNING_CURVE_COLUMNS = (
 
 
 def write_learning_curve_csv(history: list[dict], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LEARNING_CURVE_COLUMNS)
-        for row in history:
-            writer.writerow(
-                [row["iteration"]] + [repr(float(row[c])) for c in LEARNING_CURVE_COLUMNS[1:]]
-            )
+    columns = LEARNING_CURVE_COLUMNS
+    write_table(path, columns, ([row[c] for c in columns] for row in history))
 
 
 def read_learning_curve_csv(path) -> list[dict]:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or tuple(rows[0]) != LEARNING_CURVE_COLUMNS:
-        raise ValueError(f"{path}: not a learning curve CSV")
-    out = []
-    for row in rows[1:]:
-        rec = {"iteration": int(row[0])}
-        rec.update({c: float(v) for c, v in zip(LEARNING_CURVE_COLUMNS[1:], row[1:])})
-        out.append(rec)
-    return out
+    columns = LEARNING_CURVE_COLUMNS
+    rows = read_table(path, lambda h: tuple(h) == columns, "a learning curve CSV")
+    return [
+        {"iteration": int(row[0]), **{c: float(v) for c, v in zip(columns[1:], row[1:])}}
+        for row in rows
+    ]

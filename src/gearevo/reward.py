@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
+from .tables import read_table, write_table
 
 TERM_NAMES = (
     "chinup",
@@ -277,29 +278,19 @@ def total_reward(breakdown: RewardBreakdown, cfg: RewardConfig) -> float | np.nd
     return breakdown.total
 
 
+BREAKDOWN_COLUMNS = ("step", *TERM_NAMES, "total")
+
+
 def write_breakdown_csv(breakdowns: list[RewardBreakdown], path) -> None:
     """One row per control step, one column per term plus total."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", *TERM_NAMES, "total"])
-        for step, b in enumerate(breakdowns):
-            row = [step] + [repr(float(getattr(b, t))) for t in TERM_NAMES]
-            row.append(repr(float(b.total)))
-            writer.writerow(row)
+    rows = (
+        [step, *(getattr(b, t) for t in TERM_NAMES), b.total] for step, b in enumerate(breakdowns)
+    )
+    write_table(path, BREAKDOWN_COLUMNS, rows)
 
 
 def read_breakdown_csv(path) -> list[RewardBreakdown]:
-    import csv
-
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["step", *TERM_NAMES, "total"]:
-        raise ValueError(f"{path}: not a reward breakdown CSV")
-    out = []
-    for row in rows[1:]:
-        values = [float(x) for x in row[1:]]
-        b = RewardBreakdown(**dict(zip(TERM_NAMES, values[:-1])), total=values[-1])
-        out.append(b)
-    return out
+    rows = read_table(path, lambda h: tuple(h) == BREAKDOWN_COLUMNS, "a reward breakdown CSV")
+    return [
+        RewardBreakdown(**dict(zip(BREAKDOWN_COLUMNS[1:], map(float, row[1:])))) for row in rows
+    ]

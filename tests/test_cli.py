@@ -336,6 +336,31 @@ def test_run_refuses_zero_train_iters(micro_ini, tmp_path, capsys, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (["run.n_env=0"], "n_pop and n_env must be positive"),
+        (["run.n_env=-64"], "n_pop and n_env must be positive"),
+        (["design.dim=3"], "design.dim must be 2, got 3"),
+        (["design.dim=1"], "design.dim must be 2, got 1"),
+        (
+            ["run.n_pop=8", "run.n_env=8", "ppo.horizon=1", "ppo.minibatches=16"],
+            "ppo.minibatches (16) must be at most run.n_env x ppo.horizon (8 x 1)",
+        ),
+    ],
+)
+def test_run_refuses_config_that_cannot_run(micro_ini, tmp_path, capsys, overrides, message):
+    # Without the up-front check each would fail, or score every design +inf,
+    # only after the run directory and its "running" manifest exist.
+    out = tmp_path / "o"
+    args = ["run", "--config", micro_ini, "--out", str(out)]
+    code = main(args + [arg for o in overrides for arg in ("--set", o)])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 # --- resume ----------------------------------------------------------------------
 
 

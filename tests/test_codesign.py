@@ -93,6 +93,27 @@ def test_config_divisibility_error_names_both_keys():
         micro_config(n_pop=3, n_env=4)
 
 
+@pytest.mark.parametrize("n_pop, n_env", [(0, 4000), (50, 0), (50, -4000)])
+def test_config_refuses_nonpositive_population_or_bank(n_pop, n_env):
+    with pytest.raises(ConfigError, match="n_pop and n_env must be positive"):
+        dataclasses.replace(CodesignConfig(), n_pop=n_pop, n_env=n_env)
+
+
+def test_config_refuses_design_dim_other_than_joint_count():
+    for dim in (1, 3):
+        cma = CmaEsConfig(dim=dim, population_size=4, parent_count=2)
+        with pytest.raises(ConfigError, match=f"design.dim must be 2, got {dim}"):
+            CodesignConfig(cma=cma, space=DesignSpace(dim=dim), n_pop=4, n_env=8)
+
+
+def test_config_refuses_more_minibatches_than_rollout_rows():
+    cfg = micro_config()
+    rows = cfg.n_env * cfg.ppo.horizon
+    dataclasses.replace(cfg, ppo=dataclasses.replace(cfg.ppo, minibatches=rows))
+    with pytest.raises(ConfigError, match=r"ppo.minibatches .* run.n_env x ppo.horizon"):
+        dataclasses.replace(cfg, ppo=dataclasses.replace(cfg.ppo, minibatches=rows + 1))
+
+
 def test_config_population_size_mismatch():
     with pytest.raises(ConfigError, match="population_size"):
         CodesignConfig(

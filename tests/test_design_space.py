@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gearevo.chinup_env import N_JOINTS, EnvConfig, VecChinupEnv
 from gearevo.design_space import (
     ActuatorLimits,
     DesignSpace,
@@ -15,6 +16,7 @@ from gearevo.design_space import (
     write_designs_csv,
 )
 from gearevo.errors import ConfigError, ContractError, DimensionError
+from gearevo.reward import RewardConfig
 
 
 # --- DesignVector / DesignSpace ------------------------------------------------
@@ -80,6 +82,21 @@ def test_power_product_invariant(factors, tau0, qdot0):
     assert np.allclose(lim.tau_max * lim.qdot_max, tau0 * qdot0, rtol=1e-15, atol=0.0)
 
 
+def test_matrix_scaling_matches_per_row_design_bitwise():
+    # The bank scales its whole design matrix in one call; criterion 01 checks one row.
+    rng = np.random.default_rng(7)
+    mat = rng.uniform(0.5, 4.0, (64, N_JOINTS))
+    env_cfg = EnvConfig()
+    bank = VecChinupEnv(env_cfg, RewardConfig(), mat, np.arange(64), seed=0)
+    lim = scale_actuator_limits(mat, env_cfg.tau_default, env_cfg.qdot_default)
+    assert bank.tau_max.tobytes("C") == lim.tau_max.tobytes()
+    assert bank.qdot_max.tobytes("C") == lim.qdot_max.tobytes()
+    for row, tau, qdot in zip(mat, lim.tau_max, lim.qdot_max):
+        one = scale_actuator_limits(DesignVector(row), env_cfg.tau_default, env_cfg.qdot_default)
+        assert tau.tobytes() == one.tau_max.tobytes()
+        assert qdot.tobytes() == one.qdot_max.tobytes()
+
+
 def test_scaling_dimension_mismatch_rejected():
     with pytest.raises(DimensionError):
         scale_actuator_limits(
@@ -116,6 +133,13 @@ def test_expansion_matches_brute_force_ceil():
         brute = -((-k) // 8)  # ceil(k / 8)
         assert plan.design_index(k) == brute
         assert plan.env_to_design[k - 1] == brute - 1
+
+
+def test_design_index_range_checked():
+    plan = expand_designs(8, 64)
+    for k in (0, -1, 65):  # 0 would wrap to the last environment's design
+        with pytest.raises(DimensionError):
+            plan.design_index(k)
 
 
 def test_indivisible_expansion_rejected():
