@@ -15,6 +15,7 @@ training call is exactly reproducible from those keys.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,7 +68,7 @@ class PpoConfig:
 
 @dataclass
 class RolloutBatch:
-    proprio: np.ndarray  # (n_env, horizon, proprio_dim)
+    proprio: np.ndarray  # (n_env, horizon, proprio_dim), TRAIN_DTYPE for ppo_update
     design: np.ndarray  # (n_env, design_dim), static per env
     design_idx: np.ndarray  # (n_env,)
     actions: np.ndarray  # (n_env, horizon, action_dim)
@@ -82,6 +83,32 @@ class RolloutBatch:
     returns: np.ndarray | None = None
 
 
+class EpisodeLog(NamedTuple):
+    """One rollout's completed episodes as columns, in the order they ended.
+
+    A training phase keeps one log per iteration until it ends, so an
+    episode costs 13 bytes here, where a listed `EpisodeRecord` holds
+    about 128.
+    """
+
+    design_idx: np.ndarray  # int32
+    returns: np.ndarray  # float64
+    diverged: np.ndarray  # bool
+
+    @classmethod
+    def of(cls, episodes: list[EpisodeRecord]) -> EpisodeLog:
+        n = len(episodes)
+        return cls(
+            np.fromiter((e.design_idx for e in episodes), np.int32, n),
+            np.fromiter((e.episode_return for e in episodes), np.float64, n),
+            np.fromiter((e.failed for e in episodes), bool, n),
+        )
+
+    @classmethod
+    def concat(cls, logs: list[EpisodeLog]) -> EpisodeLog:
+        return cls(*(np.concatenate(column) for column in zip(*logs)))
+
+
 def collect_rollouts(vec_env, params: PolicyParams, horizon: int, rng) -> RolloutBatch:
     """Step every environment `horizon` times under the sampled policy.
 
@@ -93,14 +120,17 @@ def collect_rollouts(vec_env, params: PolicyParams, horizon: int, rng) -> Rollou
     The parameters and designs stay fixed for the whole rollout, so the
     design latent, exp(log_std) and the log-density constants are computed
     once per call (`policy.rollout_work`), and every step's forward pass
-    reuses one observation buffer and the trunk's hidden buffers.
+    reuses one observation buffer and the trunk's hidden buffers.  The
+    forward passes read the env's float64 proprio rows; the batch stores
+    them in TRAIN_DTYPE, the dtype in which `ppo_update` feeds them to the
+    network.
     """
     n = vec_env.n_envs
     prop = vec_env.proprio()
     design = np.asarray(vec_env.design_mat, dtype=np.float64)
     work = rollout_work(params, design)
     out = RolloutBatch(
-        proprio=np.empty((n, horizon, prop.shape[1])),
+        proprio=np.empty((n, horizon, prop.shape[1]), TRAIN_DTYPE),
         design=design,
         design_idx=np.asarray(vec_env.env_to_design, dtype=np.int64),
         actions=np.empty((n, horizon, params.action_dim)),
@@ -154,29 +184,51 @@ def ppo_update(
 ) -> tuple[PolicyParams, AdamState, dict]:
     """One PPO update: epochs of seeded-shuffle minibatch gradient steps.
 
-    Every minibatch step shares one loss workspace, sized for the largest
-    minibatch and freed when the update returns.  The workspace is
-    float32, so the network's matmuls and tanh run in float32; the network
-    inputs are cast once here.  The parameters, the Adam moments, the
-    gradient sums and the loss reductions stay float64.
+    Each minibatch is gathered from the rollout batch into one set of
+    buffers, and every minibatch step shares one loss workspace; both are
+    sized for the largest minibatch, allocated once per update and freed
+    when the update returns.  A minibatch's arrays are therefore valid
+    only until the next one is gathered.  The workspace is float32, so the
+    network's matmuls and tanh run in float32: the rollout stores the
+    proprio rows in float32, and the design rows are cast once here.  The
+    parameters, the Adam moments, the gradient sums and the loss
+    reductions stay float64.
     """
     n, horizon = batch.rewards.shape
     total = n * horizon
-    flat = {
-        "proprio": batch.proprio.reshape(total, -1).astype(TRAIN_DTYPE),
-        "design": batch.design.astype(TRAIN_DTYPE)[np.repeat(np.arange(n), horizon)],
+    # Update row i is step i % horizon of environment i // horizon; the
+    # design is stored once per environment, so it is read at row i // horizon.
+    sources = {
+        "proprio": batch.proprio.reshape(total, -1),
+        "design": batch.design.astype(TRAIN_DTYPE),
         "action": batch.actions.reshape(total, -1),
         "old_log_prob": batch.log_probs.reshape(total),
         "advantage": batch.advantages.reshape(total),
         "ret": batch.returns.reshape(total),
     }
     # np.array_split makes its first chunks the largest: ceil(total / minibatches).
-    work = loss_workspace(-(-total // cfg.minibatches), params.hidden, TRAIN_DTYPE)
+    rows = -(-total // cfg.minibatches)
+    buffers = {
+        key: np.empty(
+            (rows, *src.shape[1:]), TRAIN_DTYPE if key in ("proprio", "design") else src.dtype
+        )
+        for key, src in sources.items()
+    }
+    work = loss_workspace(rows, params.hidden, TRAIN_DTYPE)
     stats_acc: dict[str, list] = {}
     for epoch in range(cfg.epochs):
         perm = rng.permutation(total)
         for mb_idx, chunk in enumerate(np.array_split(perm, cfg.minibatches)):
-            minibatch = {k: v.take(chunk, axis=0) for k, v in flat.items()}
+            env_rows = chunk // horizon
+            # mode="clip" writes straight into `out` (the default "raise"
+            # gathers into a temporary first); a permutation is always in range.
+            minibatch = {
+                key: np.take(
+                    src, env_rows if key == "design" else chunk, axis=0,
+                    out=buffers[key][: len(chunk)], mode="clip",
+                )
+                for key, src in sources.items()
+            }
             try:
                 losses, grad = loss_and_grads(params, minibatch, cfg, work)
             except NumericError as exc:
@@ -209,19 +261,19 @@ def train_on_env(
     rollout_rng = stream("rollout", seed, phase)
     shuffle_rng = stream("shuffle", seed, phase)
     history: list[dict] = []
-    episodes_by_iter: list[list[EpisodeRecord]] = []
+    logs: list[EpisodeLog] = []
     last_mean, last_std = float("nan"), float("nan")
     for it in range(n_iterations):
         batch = collect_rollouts(vec_env, params, cfg.horizon, rollout_rng)
-        episodes_by_iter.append(list(batch.episodes))
+        log = EpisodeLog.of(batch.episodes)
+        logs.append(log)
         if cfg.reward_scale != 1.0:
             batch.rewards = batch.rewards * cfg.reward_scale
         compute_gae(batch, cfg.gamma, cfg.gae_lambda)
         params, opt, stats = ppo_update(params, opt, batch, cfg, shuffle_rng)
-        returns = [e.episode_return for e in batch.episodes]
-        if returns:
-            last_mean = float(np.mean(returns))
-            last_std = float(np.std(returns))
+        if log.returns.size:
+            last_mean = float(np.mean(log.returns))
+            last_std = float(np.std(log.returns))
         history.append(
             {
                 "iteration": it + 1,
@@ -237,26 +289,28 @@ def train_on_env(
         # Free this batch before the next rollout fills a new one.
         del batch
     n_designs = int(np.max(vec_env.env_to_design)) + 1 if n_iterations > 0 else 0
-    per_design = _per_design_returns(episodes_by_iter, n_designs)
+    per_design = _per_design_returns(logs, n_designs)
     return params, history, per_design
 
 
-def _per_design_returns(
-    episodes_by_iter: list[list[EpisodeRecord]], n_designs: int
-) -> np.ndarray:
+def _per_design_returns(logs: list[EpisodeLog], n_designs: int) -> np.ndarray:
     """Mean episode return per design over the last up-to-10 iterations.
 
     Falls back to the full history for designs with no episode in the
-    window; designs with no completed episodes at all report NaN.
+    window; designs with no completed episodes at all report NaN.  Each
+    mean is `np.mean` over the design's returns in the order they ended.
     """
     per_design = np.full(n_designs, np.nan)
-    window = [e for it_eps in episodes_by_iter[-10:] for e in it_eps]
-    full = [e for it_eps in episodes_by_iter for e in it_eps]
+    if not logs:
+        return per_design
+    window, full = EpisodeLog.concat(logs[-10:]), None
     for d in range(n_designs):
-        returns = [e.episode_return for e in window if e.design_idx == d]
-        if not returns:
-            returns = [e.episode_return for e in full if e.design_idx == d]
-        if returns:
+        returns = window.returns[window.design_idx == d]
+        if not returns.size:
+            if full is None:
+                full = EpisodeLog.concat(logs)
+            returns = full.returns[full.design_idx == d]
+        if returns.size:
             per_design[d] = np.mean(returns)
     return per_design
 

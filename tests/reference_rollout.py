@@ -57,7 +57,7 @@ def reference_rollout(bank, design_mat, params, horizon, rng) -> RolloutBatch:
     """`horizon` steps of `bank` under the sampled policy; `design_mat` is its designs."""
     n = bank.n_envs
     out = RolloutBatch(
-        proprio=np.empty((n, horizon, reference_proprio(bank).shape[1])),
+        proprio=np.empty((n, horizon, reference_proprio(bank).shape[1]), np.float32),
         design=np.asarray(design_mat, dtype=np.float64),
         design_idx=np.asarray(bank.env_to_design, dtype=np.int64),
         actions=np.empty((n, horizon, params.action_dim)),

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from gearevo import policy, ppo
-from gearevo.chinup_env import ACTION_DIM, PROPRIO_DIM, EnvConfig, VecChinupEnv
+from gearevo.chinup_env import ACTION_DIM, PROPRIO_DIM, EnvConfig, EpisodeRecord, VecChinupEnv
 from gearevo.errors import ConfigError
 from gearevo.policy import PARAM_ORDER, adam_init, policy_init
 from gearevo.ppo import (
+    EpisodeLog,
     PpoConfig,
     RolloutBatch,
     collect_rollouts,
@@ -23,6 +24,7 @@ from gearevo.seeding import stream
 
 from reference_env import ReferenceBank
 from reference_rollout import NanDraws, reference_rollout
+from reference_update import reference_per_design_returns, reference_ppo_update
 from sanity_env import ACTION_DIM as HOLD_ACTION_DIM
 from sanity_env import PROPRIO_DIM as HOLD_PROPRIO_DIM
 from sanity_env import HoldPositionEnv
@@ -332,6 +334,93 @@ def test_update_runs_network_math_in_float32(monkeypatch):
         assert p1.views()[name].tobytes() == p2.views()[name].tobytes(), name
     assert o1.m.tobytes() == o2.m.tobytes() and o1.v.tobytes() == o2.v.tobytes()
     assert s1 == s2
+
+
+def chinup_batch(n_env, horizon, reward_scale=1.0, seed=0):
+    """A GAE'd chin-up rollout of `n_env` environments over three designs."""
+    rng = np.random.default_rng(seed)
+    design_mat = rng.uniform(0.5, 3.0, (n_env, 2))
+    env = VecChinupEnv(EnvConfig(episode_length=24), RewardConfig(), design_mat,
+                       np.arange(n_env) % 3, seed=seed, phase=0)
+    params = policy_init(PROPRIO_DIM + 4, ACTION_DIM, 2, seed)
+    batch = collect_rollouts(env, params, horizon, stream("rollout", seed, 0))
+    if reward_scale != 1.0:
+        batch.rewards = batch.rewards * reward_scale
+    return params, compute_gae(batch, 0.99, 0.95)
+
+
+@pytest.mark.parametrize(
+    "n_env, horizon, minibatches, reward_scale",
+    [
+        (1, 37, 4, 1.0),  # 37 rows: minibatches of 10, 9, 9, 9
+        (5, 9, 4, 1.0),  # 45 rows of five environments: 12, 11, 11, 11
+        (24, 64, 1, 1.0),  # one 1536-row minibatch: the loss runs two blocks
+        (6, 16, 3, 0.02),
+    ],
+)
+def test_update_matches_flat_copy_reference_bitwise(n_env, horizon, minibatches, reward_scale):
+    params, batch = chinup_batch(n_env, horizon, reward_scale)
+    cfg = PpoConfig(epochs=2, minibatches=minibatches, horizon=horizon, reward_scale=reward_scale)
+    opt = adam_init(params, 1e-3)
+    p1, o1, s1 = ppo_update(params, opt, batch, cfg, stream("shuffle", 0, 0))
+    p2, o2, s2 = reference_ppo_update(params, opt, batch, cfg, stream("shuffle", 0, 0))
+    assert p1.flat.tobytes() == p2.flat.tobytes()
+    assert o1.m.tobytes() == o2.m.tobytes() and o1.v.tobytes() == o2.v.tobytes()
+    assert o1.step == o2.step
+    assert s1 == s2
+
+
+def test_update_gathers_into_one_reused_buffer_set(monkeypatch):
+    """The minibatch contract: float32 C-contiguous network inputs, every
+    row once per epoch, one set of buffers for every minibatch, none of them
+    a view of the rollout batch."""
+    params, batch = chinup_batch(5, 9)
+    batch_arrays = [v for v in vars(batch).values() if isinstance(v, np.ndarray)]
+    calls = []
+
+    def recording_loss(params, minibatch, cfg, work=None):
+        for key in ("proprio", "design"):
+            arr = minibatch[key]
+            assert arr.dtype == np.float32 and arr.flags.c_contiguous, key
+        for arr in minibatch.values():
+            assert not any(np.shares_memory(arr, b) for b in batch_arrays)
+        calls.append({k: (len(v), v.__array_interface__["data"][0]) for k, v in minibatch.items()})
+        return policy.loss_and_grads(params, minibatch, cfg, work)
+
+    monkeypatch.setattr(ppo, "loss_and_grads", recording_loss)
+    cfg = PpoConfig(epochs=3, minibatches=4, horizon=9)  # 45 rows: 12, 11, 11, 11
+    ppo_update(params, adam_init(params, 1e-3), batch, cfg, stream("shuffle", 0, 0))
+    assert len(calls) == 12
+    assert [c["proprio"][0] for c in calls] == [12, 11, 11, 11] * 3
+    assert sum(c["proprio"][0] for c in calls) == cfg.epochs * 5 * 9
+    for key in calls[0]:
+        assert len({c[key][1] for c in calls}) == 1, key
+
+
+@pytest.mark.parametrize("n_iters", [1, 10, 11, 25])
+def test_per_design_returns_match_record_lists_bitwise(n_iters):
+    # design 0 finishes often and 1 rarely, 2 finishes only in the first
+    # iteration (before the window once there are more than 10), 3 never
+    rng = np.random.default_rng(n_iters)
+    episodes_by_iter = []
+    for it in range(n_iters):
+        designs = [0] * int(rng.integers(0, 40)) + [1] * int(rng.integers(0, 2))
+        if it == 0:
+            designs += [2] * 17
+        rng.shuffle(designs)
+        episodes_by_iter.append([
+            EpisodeRecord(d, float(rng.standard_normal() * 10.0 ** rng.integers(-3, 4)),
+                          bool(rng.random() < 0.1))
+            for d in designs
+        ])
+    logs = [EpisodeLog.of(eps) for eps in episodes_by_iter]
+    got = ppo._per_design_returns(logs, 4)
+    want = reference_per_design_returns(episodes_by_iter, 4)
+    assert got.tobytes() == want.tobytes()
+    assert np.isfinite(got[2]) and np.isnan(got[3])
+    merged = EpisodeLog.concat(logs)
+    assert merged.diverged.tolist() == [e.failed for eps in episodes_by_iter for e in eps]
+    assert merged.design_idx.tolist() == [e.design_idx for eps in episodes_by_iter for e in eps]
 
 
 # --- training loop ----------------------------------------------------------------
