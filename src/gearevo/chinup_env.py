@@ -319,6 +319,11 @@ class VecChinupEnv:
         self._head_stale = np.ones(n, dtype=bool)
         self.reset_mask(np.ones(n, dtype=bool))
 
+    @property
+    def episode_length(self) -> int:
+        """The most steps an episode runs before it ends and resets."""
+        return self.config.episode_length
+
     def reset_mask(self, mask: np.ndarray) -> None:
         noise = self.config.reset_noise
         for k in np.flatnonzero(mask):

@@ -14,6 +14,7 @@ training call is exactly reproducible from those keys.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -38,6 +39,10 @@ from .tables import read_table, write_table
 
 # The dtype of the network math in ppo_update (see policy.loss_and_grads).
 TRAIN_DTYPE = np.float32
+
+# The terminal window of iterations over which a training phase's
+# per-design mean episode returns are taken (see `_per_design_returns`).
+FITNESS_WINDOW = 10
 
 
 @dataclass(frozen=True)
@@ -68,27 +73,36 @@ class PpoConfig:
 
 @dataclass
 class RolloutBatch:
+    """One rollout, then its GAE outputs.
+
+    `ppo_update` trains on proprio, design, actions, log_probs, advantages
+    and returns.  rewards, values and dones are GAE's inputs, and
+    advantages_raw is read only by tests: `train_on_env` sets all four to
+    None once `compute_gae` has returned, before the update.
+    """
+
     proprio: np.ndarray  # (n_env, horizon, proprio_dim), TRAIN_DTYPE for ppo_update
     design: np.ndarray  # (n_env, design_dim), static per env
     design_idx: np.ndarray  # (n_env,)
     actions: np.ndarray  # (n_env, horizon, action_dim)
     log_probs: np.ndarray  # (n_env, horizon)
-    rewards: np.ndarray  # (n_env, horizon)
-    values: np.ndarray  # (n_env, horizon)
-    dones: np.ndarray  # (n_env, horizon)
+    rewards: np.ndarray | None  # (n_env, horizon), GAE input
+    values: np.ndarray | None  # (n_env, horizon), GAE input
+    dones: np.ndarray | None  # (n_env, horizon), GAE input
     bootstrap_values: np.ndarray  # (n_env,)
     episodes: list[EpisodeRecord] = field(default_factory=list)
-    advantages: np.ndarray | None = None  # standardized
-    advantages_raw: np.ndarray | None = None
-    returns: np.ndarray | None = None
+    advantages: np.ndarray | None = None  # (n_env, horizon), standardized
+    advantages_raw: np.ndarray | None = None  # (n_env, horizon), for tests
+    returns: np.ndarray | None = None  # (n_env, horizon), value targets
 
 
 class EpisodeLog(NamedTuple):
     """One rollout's completed episodes as columns, in the order they ended.
 
-    A training phase keeps one log per iteration until it ends, so an
-    episode costs 13 bytes here, where a listed `EpisodeRecord` holds
-    about 128.
+    A training phase keeps the logs of its last `FITNESS_WINDOW`
+    iterations, or of every iteration when an episode can outlast the
+    window (see `train_on_env`).  An episode costs 13 bytes here, where a
+    listed `EpisodeRecord` holds about 128.
     """
 
     design_idx: np.ndarray  # int32
@@ -113,9 +127,10 @@ def collect_rollouts(vec_env, params: PolicyParams, horizon: int, rng) -> Rollou
     """Step every environment `horizon` times under the sampled policy.
 
     `vec_env` is a vectorized bank (VecChinupEnv or compatible): it exposes
-    n_envs, design_mat, env_to_design, proprio() and step(actions), holds
-    per-env state across calls, and auto-resets finished episodes while
-    reporting their returns tagged by design index.
+    n_envs, design_mat, env_to_design, episode_length, proprio() and
+    step(actions), holds per-env state across calls, and auto-resets
+    finished episodes while reporting their returns tagged by design index.
+    An episode ends at the latest `episode_length` steps after it starts.
 
     The parameters and designs stay fixed for the whole rollout, so the
     design latent, exp(log_std) and the log-density constants are computed
@@ -194,7 +209,7 @@ def ppo_update(
     parameters, the Adam moments, the gradient sums and the loss
     reductions stay float64.
     """
-    n, horizon = batch.rewards.shape
+    n, horizon = batch.log_probs.shape
     total = n * horizon
     # Update row i is step i % horizon of environment i // horizon; the
     # design is stored once per environment, so it is read at row i // horizon.
@@ -254,14 +269,24 @@ def train_on_env(
     """Core training loop over an existing environment bank.
 
     Returns (final params, per-iteration history rows, per-design mean
-    episode returns over the terminal window of up to 10 iterations).
-    History rows carry the latest completed-episode statistics forward
-    through iterations in which no episode finished.
+    episode returns over the terminal window of up to `FITNESS_WINDOW`
+    iterations).  History rows carry the latest completed-episode
+    statistics forward through iterations in which no episode finished.
+
+    Each iteration frees the batch's GAE inputs (rewards, values, dones)
+    and its raw advantages before the update, and the whole batch before
+    the next rollout.  Every environment ends an episode at most
+    `vec_env.episode_length` steps after its last one ended, so when a
+    window of iterations spans that many steps, every design has an
+    episode in any full window and the full-history fallback of
+    `_per_design_returns` never runs: the phase then keeps only the last
+    `FITNESS_WINDOW` episode logs.  Otherwise it keeps them all.
     """
     rollout_rng = stream("rollout", seed, phase)
     shuffle_rng = stream("shuffle", seed, phase)
     history: list[dict] = []
-    logs: list[EpisodeLog] = []
+    window_covers_episode = vec_env.episode_length <= FITNESS_WINDOW * cfg.horizon
+    logs: deque[EpisodeLog] = deque(maxlen=FITNESS_WINDOW if window_covers_episode else None)
     last_mean, last_std = float("nan"), float("nan")
     for it in range(n_iterations):
         batch = collect_rollouts(vec_env, params, cfg.horizon, rollout_rng)
@@ -270,6 +295,7 @@ def train_on_env(
         if cfg.reward_scale != 1.0:
             batch.rewards = batch.rewards * cfg.reward_scale
         compute_gae(batch, cfg.gamma, cfg.gae_lambda)
+        batch.rewards = batch.values = batch.dones = batch.advantages_raw = None
         params, opt, stats = ppo_update(params, opt, batch, cfg, shuffle_rng)
         if log.returns.size:
             last_mean = float(np.mean(log.returns))
@@ -289,12 +315,12 @@ def train_on_env(
         # Free this batch before the next rollout fills a new one.
         del batch
     n_designs = int(np.max(vec_env.env_to_design)) + 1 if n_iterations > 0 else 0
-    per_design = _per_design_returns(logs, n_designs)
+    per_design = _per_design_returns(list(logs), n_designs)
     return params, history, per_design
 
 
 def _per_design_returns(logs: list[EpisodeLog], n_designs: int) -> np.ndarray:
-    """Mean episode return per design over the last up-to-10 iterations.
+    """Mean episode return per design over the last up-to-`FITNESS_WINDOW` iterations.
 
     Falls back to the full history for designs with no episode in the
     window; designs with no completed episodes at all report NaN.  Each
@@ -303,7 +329,7 @@ def _per_design_returns(logs: list[EpisodeLog], n_designs: int) -> np.ndarray:
     per_design = np.full(n_designs, np.nan)
     if not logs:
         return per_design
-    window, full = EpisodeLog.concat(logs[-10:]), None
+    window, full = EpisodeLog.concat(logs[-FITNESS_WINDOW:]), None
     for d in range(n_designs):
         returns = window.returns[window.design_idx == d]
         if not returns.size:

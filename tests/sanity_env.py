@@ -6,7 +6,7 @@ must drive q to a target angle and hold it there.  Reward is
 exp(-4 (q - q_ref)^2) per control step, so random actuation earns almost
 nothing while parking on the target earns ~1 per step.  The class duck-types the vectorized-env
 interface the PPO loop consumes (n_envs, design_mat, env_to_design,
-proprio(), step()), which lets train_on_env run unchanged on a system
+episode_length, proprio(), step()), which lets train_on_env run unchanged on a system
 whose learnability is obvious by inspection.
 
 `free_swing` runs the chin-up bank with its controller and clamps switched

@@ -1,4 +1,6 @@
 import dataclasses
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -24,7 +26,11 @@ from gearevo.seeding import stream
 
 from reference_env import ReferenceBank
 from reference_rollout import NanDraws, reference_rollout
-from reference_update import reference_per_design_returns, reference_ppo_update
+from reference_update import (
+    reference_per_design_returns,
+    reference_ppo_update,
+    reference_train_on_env,
+)
 from sanity_env import ACTION_DIM as HOLD_ACTION_DIM
 from sanity_env import PROPRIO_DIM as HOLD_PROPRIO_DIM
 from sanity_env import HoldPositionEnv
@@ -336,13 +342,18 @@ def test_update_runs_network_math_in_float32(monkeypatch):
     assert s1 == s2
 
 
+def chinup_bank(n_env, episode_length, seed=0):
+    """A chin-up bank of `n_env` environments over three designs, and a policy for it."""
+    rng = np.random.default_rng(seed)
+    env = VecChinupEnv(EnvConfig(episode_length=episode_length), RewardConfig(),
+                       rng.uniform(0.5, 3.0, (n_env, 2)), np.arange(n_env) % 3,
+                       seed=seed, phase=0)
+    return env, policy_init(PROPRIO_DIM + 4, ACTION_DIM, 2, seed)
+
+
 def chinup_batch(n_env, horizon, reward_scale=1.0, seed=0):
     """A GAE'd chin-up rollout of `n_env` environments over three designs."""
-    rng = np.random.default_rng(seed)
-    design_mat = rng.uniform(0.5, 3.0, (n_env, 2))
-    env = VecChinupEnv(EnvConfig(episode_length=24), RewardConfig(), design_mat,
-                       np.arange(n_env) % 3, seed=seed, phase=0)
-    params = policy_init(PROPRIO_DIM + 4, ACTION_DIM, 2, seed)
+    env, params = chinup_bank(n_env, 24, seed)
     batch = collect_rollouts(env, params, horizon, stream("rollout", seed, 0))
     if reward_scale != 1.0:
         batch.rewards = batch.rewards * reward_scale
@@ -500,6 +511,128 @@ def test_reward_scale_affects_value_targets_not_returns():
     _, h2, d2 = run(0.01)
     assert h1[0]["mean_return"] == h2[0]["mean_return"]
     assert np.array_equal(d1, d2, equal_nan=True)
+
+
+@pytest.mark.parametrize(
+    "horizon, episode_length, windowed",
+    [
+        (8, 20, True),  # 10 x 8 steps >= 20: only the window's logs are kept
+        (2, 30, False),  # 10 x 2 steps < 30: every log is kept, and the fallback runs
+    ],
+)
+def test_train_keeps_only_the_logs_the_window_reads(
+    monkeypatch, horizon, episode_length, windowed
+):
+    n_iters = 25
+    env, params = chinup_bank(6, episode_length)
+    assert env.episode_length == episode_length
+    cfg = PpoConfig(horizon=horizon, epochs=1, minibatches=2, reward_scale=0.02)
+    ref_env, _ = chinup_bank(6, episode_length)
+    _, want_history, want = reference_train_on_env(
+        params, adam_init(params, 1e-3), ref_env, n_iters, cfg, 0
+    )
+
+    live, held, episodes_by_iter = [], [], []
+    real_of = EpisodeLog.of
+
+    def recording_of(episodes):
+        # the earlier logs still held when this iteration's log is made
+        held.append(sum(ref() is not None for ref in live))
+        episodes_by_iter.append(list(episodes))
+        log = real_of(episodes)
+        live.append(weakref.ref(log.returns))
+        return log
+
+    monkeypatch.setattr(EpisodeLog, "of", recording_of)
+    _, history, got = train_on_env(params, adam_init(params, 1e-3), env, n_iters, cfg, 0)
+    assert got.tobytes() == want.tobytes()
+    assert repr(history) == repr(want_history)
+    assert max(held) == (ppo.FITNESS_WINDOW if windowed else n_iters - 1)
+    window = {e.design_idx for eps in episodes_by_iter[-ppo.FITNESS_WINDOW:] for e in eps}
+    full = {e.design_idx for eps in episodes_by_iter for e in eps}
+    # the fallback runs exactly when the window misses a design that finished
+    assert (window != full) == (not windowed)
+    assert full == {0, 1, 2} and np.all(np.isfinite(got))
+
+
+def test_train_frees_gae_inputs_before_the_update(monkeypatch):
+    """GAE's inputs and the raw advantages are dead by the update's first
+    loss call; GAE itself still returns every output."""
+    refs, checked = [], []
+
+    def recording_rollouts(*args):
+        batch = collect_rollouts(*args)
+        refs.append([weakref.ref(getattr(batch, k)) for k in ("rewards", "values", "dones")])
+        return batch
+
+    def recording_gae(batch, gamma, gae_lambda):
+        out = compute_gae(batch, gamma, gae_lambda)
+        assert all(isinstance(getattr(out, k), np.ndarray)
+                   for k in ("advantages_raw", "returns", "advantages"))
+        refs[-1] += [weakref.ref(getattr(out, k))
+                     for k in ("rewards", "values", "dones", "advantages_raw")]
+        return out
+
+    def recording_loss(params, minibatch, cfg, work=None):
+        if len(checked) < len(refs):
+            checked.append([ref() is None for ref in refs[-1]])
+        return policy.loss_and_grads(params, minibatch, cfg, work)
+
+    monkeypatch.setattr(ppo, "collect_rollouts", recording_rollouts)
+    monkeypatch.setattr(ppo, "compute_gae", recording_gae)
+    monkeypatch.setattr(ppo, "loss_and_grads", recording_loss)
+    env, params = chinup_bank(6, 24)
+    cfg = PpoConfig(horizon=16, epochs=2, minibatches=2, reward_scale=0.02)
+    train_on_env(params, adam_init(params, 1e-3), env, 3, cfg, 0)
+    # per iteration: the rollout's rewards, values and dones, then the
+    # scaled rewards, values and dones GAE read and its raw advantages
+    assert checked == [[True] * 7] * 3
+
+
+def test_update_memory_budget(monkeypatch):
+    """The traced peak of one update, over the memory held before the
+    rollout, stays within what the update trains on and its own buffers."""
+    n_env, horizon, minibatches = 512, 64, 4
+    marks = {}
+
+    def marking_rollouts(*args):
+        marks["before_rollout"] = tracemalloc.get_traced_memory()[0]
+        return collect_rollouts(*args)
+
+    def peak_update(*args):
+        tracemalloc.reset_peak()
+        out = ppo_update(*args)
+        marks["update_peak"] = tracemalloc.get_traced_memory()[1]
+        return out
+
+    monkeypatch.setattr(ppo, "collect_rollouts", marking_rollouts)
+    monkeypatch.setattr(ppo, "ppo_update", peak_update)
+    tracemalloc.start()
+    try:
+        # 64 steps of 250-step episodes: no episode ends
+        env, params = chinup_bank(n_env, 250)
+        cfg = PpoConfig(horizon=horizon, minibatches=minibatches)
+        train_on_env(params, adam_init(params, 1e-3), env, 1, cfg, 0)
+    finally:
+        tracemalloc.stop()
+    total, rows = n_env * horizon, n_env * horizon // minibatches
+    f32, f64 = 4, 8
+    # proprio (float32), actions, log_probs, advantages and returns
+    trained = total * (PROPRIO_DIM * f32 + (ACTION_DIM + 3) * f64)
+    # the same columns per minibatch row, plus the float32 design
+    buffers = rows * (PROPRIO_DIM * f32 + 2 * f32 + (ACTION_DIM + 3) * f64)
+    # one epoch's int64 permutation and one minibatch's environment rows
+    shuffle = total * 8 + rows * 8
+    workspace = 5 * 1024 * params.hidden * f32
+    # Slack: the loss's six float64 arrays per minibatch row (log-prob,
+    # value, ratio, surrogate and two temporaries of its statistics), plus
+    # 1 MiB for one 1024-row loss block's temporaries (about 0.36 MB),
+    # Adam's step (about 0.22 MB) and the env state the rollout leaves
+    # (about 0.1 MB).  The GAE inputs and raw advantages, another 4 x 8 B
+    # per row, have no place in the budget.
+    slack = rows * 6 * f64 + 1024 * 1024
+    used = marks["update_peak"] - marks["before_rollout"]
+    assert used <= trained + buffers + shuffle + workspace + slack, used
 
 
 def test_learning_curve_csv_round_trip(tmp_path):
