@@ -268,8 +268,14 @@ def _read_manifest(out_dir: str) -> dict:
     path = os.path.join(out_dir, MANIFEST_FILE)
     if not os.path.exists(path):
         raise CheckpointError(f"missing manifest: {path}")
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+    except ValueError as exc:
+        raise CheckpointError(f"corrupt manifest {path}: {exc}") from exc
+    if not isinstance(manifest, dict) or "config_hash" not in manifest:
+        raise CheckpointError(f"corrupt manifest {path}: no config_hash")
+    return manifest
 
 
 # --- commands ----------------------------------------------------------------

@@ -72,33 +72,6 @@ class CmaEsState:
         return self.mean.size
 
 
-_STATE_ARRAYS = ("mean", "cov", "path_sigma", "path_c", "weights")
-
-
-def state_to_json(state: CmaEsState) -> dict:
-    """The optimizer state as JSON-ready values; floats round-trip exactly."""
-    out = {}
-    for f in dataclasses.fields(state):
-        value = getattr(state, f.name)
-        out[f.name] = value.tolist() if f.name in _STATE_ARRAYS else value
-    return out
-
-
-def state_from_json(data: dict) -> CmaEsState:
-    """Inverse of state_to_json."""
-    names = {f.name for f in dataclasses.fields(CmaEsState)}
-    if set(data) != names:
-        raise ContractError(
-            f"CMA-ES state fields {sorted(set(data) ^ names)} missing or unexpected"
-        )
-    return CmaEsState(
-        **{
-            k: np.array(v, dtype=np.float64) if k in _STATE_ARRAYS else v
-            for k, v in data.items()
-        }
-    )
-
-
 @dataclass
 class EvaluatedCandidate:
     design: DesignVector

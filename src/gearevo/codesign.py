@@ -14,16 +14,17 @@ Two modes differ only in the fine-tune source from iteration 2 on:
   published best policy remains the base snapshot.
 
 Runs checkpoint every outer iteration into a run directory and can resume
-to a byte-identical continuation because every random stream is derived
-from (seed, structural position) rather than carried across iterations.
-A checkpoint appends one record per iteration and commits a small JSON
-file last, so its cost does not grow with the length of the run.
+to a byte-identical continuation, as every random stream is derived from
+(seed, structural position).  Each iteration appends one history.jsonl
+line and commits a small checkpoint.json last, at a cost that does not grow
+with the run; both go through one strict codec of their dataclass fields.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 import logging
@@ -42,8 +43,6 @@ from .cma_es import (
     cma_ask,
     cma_init,
     cma_tell,
-    state_from_json,
-    state_to_json,
     write_generation_log,
 )
 from .design_space import (
@@ -143,7 +142,7 @@ class FitnessRecord:
     population_best_j: float
     population_best_idx: int
     global_best_j: float
-    global_best_design: DesignVector
+    global_best_design: DesignVector | None
     snapshot_id: int
     source_snapshot_id: int
     sigma: float
@@ -247,17 +246,19 @@ def run(
     if resume:
         if out_dir is None:
             raise CheckpointError("resume requires a run directory")
-        ckpt = _load_checkpoint(cfg, out_dir, load_policies=fitness_fn is None)
-        state, j_star, d_star = ckpt.state, ckpt.j_star, ckpt.d_star
-        history, wall_accum = ckpt.history, ckpt.wall_time_s
-        params_base, params_best = ckpt.params_base, ckpt.params_best
-        start_iter = ckpt.iteration + 1
+        commit, history, params_base, params_best = _load_checkpoint(
+            cfg, out_dir, load_policies=fitness_fn is None
+        )
+        state, j_star, d_star = commit.cma_state, commit.j_star, commit.d_star
+        wall_accum, start_iter = commit.wall_time_s, commit.iteration + 1
     else:
         state = cma_init(dataclasses.replace(cfg.cma, seed=cfg.seed))
         start_iter = 1
         if out_dir is not None:
-            # A stale commit record would describe files this run truncates.
+            # A stale commit record would describe files this run truncates;
+            # the rest of an earlier run goes as in a resume to iteration 0.
             _remove_if_exists(os.path.join(out_dir, CHECKPOINT_FILE))
+            _restore_committed_files(out_dir, 0, None, None, None)
 
     last_iter = cfg.cma.max_iterations
     if stop_after is not None:
@@ -324,11 +325,8 @@ def run(
 
         if out_dir is not None:
             _checkpoint(
-                cfg, out_dir, state, record, j_star, d_star,
-                wall_accum + (time.monotonic() - t_start),
-                params_base, params_best,
-                params_i if fitness_fn is None else None,
-                train_history,
+                cfg, out_dir, state, record, wall_accum + (time.monotonic() - t_start),
+                params_base, params_best, params_i if fitness_fn is None else None, train_history,
             )
 
     completed = last_iter >= cfg.cma.max_iterations
@@ -396,57 +394,126 @@ def read_evolution_csv(path) -> list[dict]:
     ]
 
 
-# history.jsonl: how a FitnessRecord field of each annotated type goes to
-# JSON and back.  A field of any other type is a JSON scalar as it stands.
+# --- JSON records: history.jsonl lines and checkpoint.json ------------------
+
+
+@dataclass
+class _Snapshot:
+    snapshot_id: int
+    sha256: str
+
+
+@dataclass
+class _Policies:
+    base: _Snapshot
+    best: _Snapshot
+
+
+@dataclass
+class _Commit:
+    """checkpoint.json; `files` holds the byte length of each of APPEND_FILES."""
+
+    version: int
+    mode: str
+    iteration: int
+    cma_state: CmaEsState
+    j_star: float
+    d_star: DesignVector | None
+    wall_time_s: float
+    files: dict[str, int]
+    policies: _Policies | None
+
+
+def _optional(codec):
+    """The codec of a field that may also hold None (JSON null)."""
+    encode, decode = codec
+    return (
+        lambda v: None if v is None else encode(v),
+        lambda v: None if v is None else decode(v),
+    )
+
+
+@functools.cache
+def _codecs(cls) -> dict:
+    """Field name -> codec (None for a JSON scalar) of record class `cls`, in field order."""
+    return {f.name: _JSON_CODECS.get(f.type) for f in dataclasses.fields(cls)}
+
+
+def _to_json(obj) -> dict:
+    """A record as JSON-ready values, keyed by its fields in their order."""
+    return {
+        name: getattr(obj, name) if codec is None else codec[0](getattr(obj, name))
+        for name, codec in _codecs(type(obj)).items()
+    }
+
+
+def _from_json(cls, data):
+    """Inverse of `_to_json`; a record with missing or extra fields is refused."""
+    codecs = _codecs(cls)
+    if not isinstance(data, dict):
+        raise CheckpointError(f"{cls.__name__}: expected a JSON object, got {data!r:.40}")
+    if data.keys() != codecs.keys():
+        missing = [name for name in codecs if name not in data]
+        extra = [name for name in data if name not in codecs]
+        raise CheckpointError(f"{cls.__name__}: fields {missing} missing, {extra} unexpected")
+    return cls(**{
+        name: data[name] if codec is None else codec[1](data[name])
+        for name, codec in codecs.items()
+    })
+
+
+# How a record field of each annotated type goes to JSON and back.  A field
+# annotated int, float, bool or str is a JSON scalar as it stands; json
+# writes floats with repr, inf and NaN included, so they read back exactly.
 _JSON_CODECS = {
     "np.ndarray": (np.ndarray.tolist, lambda v: np.array(v, dtype=np.float64)),
-    "DesignVector": (
-        lambda d: None if d is None else d.factors.tolist(),
-        lambda v: None if v is None else DesignVector(v),
-    ),
+    "DesignVector | None": _optional((lambda d: d.factors.tolist(), DesignVector)),
     "list[DesignVector]": (
         lambda ds: [d.factors.tolist() for d in ds],
         lambda vs: [DesignVector(v) for v in vs],
     ),
+    "dict[str, int]": (dict, dict),
+    "CmaEsState": (_to_json, functools.partial(_from_json, CmaEsState)),
+    "_Snapshot": (_to_json, functools.partial(_from_json, _Snapshot)),
+    "_Policies | None": _optional((_to_json, functools.partial(_from_json, _Policies))),
 }
-_RECORD_CODECS = tuple(
-    (f.name, _JSON_CODECS.get(f.type)) for f in dataclasses.fields(FitnessRecord)
-)
-
-
-def _record_to_json(rec: FitnessRecord) -> str:
-    """One history.jsonl line; json writes floats with repr, inf and NaN included."""
-    return json.dumps({
-        name: getattr(rec, name) if codec is None else codec[0](getattr(rec, name))
-        for name, codec in _RECORD_CODECS
-    })
 
 
 def _write_history(history: list[FitnessRecord], path, append: bool = False) -> None:
     """history.jsonl: one JSON line per record."""
     with open(path, "ab" if append else "wb") as fh:
-        fh.writelines(_record_to_json(rec).encode("ascii") + b"\n" for rec in history)
+        fh.writelines(json.dumps(_to_json(rec)).encode("ascii") + b"\n" for rec in history)
 
 
-def _record_from_json(line) -> FitnessRecord:
-    d = json.loads(line)
-    return FitnessRecord(**{
-        name: d[name] if codec is None else codec[1](d[name]) for name, codec in _RECORD_CODECS
-    })
+def _write_best_files(out_dir, d_star, params_base, params_best) -> _Policies | None:
+    """Write best_design.csv, policies/base.bin and best.bin atomically, or remove each if None."""
+    best_design = os.path.join(out_dir, BEST_DESIGN_FILE)
+    if d_star is None:
+        _remove_if_exists(best_design)
+    else:
+        atomic_write(best_design, lambda p: write_designs_csv([d_star], p))
+    snapshots = {}
+    for name, params in (("base", params_base), ("best", params_best)):
+        path = os.path.join(out_dir, POLICY_DIR, f"{name}.bin")
+        if params is None:
+            _remove_if_exists(path)
+        else:
+            digest = atomic_write(path, lambda p: save_policy(params, p))
+            snapshots[name] = _Snapshot(params.snapshot_id, digest)
+    return _Policies(**snapshots) if snapshots else None
 
 
 def _checkpoint(
-    cfg, out_dir, state, record, j_star, d_star, wall_time,
-    params_base, params_best, params_current, train_history,
+    cfg, out_dir, state, record, wall_time, params_base, params_best, params_current, train_history,
 ) -> None:
     """Persist one finished iteration, committing checkpoint.json last.
 
     Order: one row onto each of APPEND_FILES (the first iteration creates
-    or truncates them); then the best design, the policies and the learning
-    curve, each written atomically; then checkpoint.json, atomically, with
-    the byte length of each append-only file and the SHA-256 of the base
-    and best policies.  A crash before the commit leaves the previous one
-    valid: resume cuts the appends back to its lengths and redoes the
+    or truncates them); then, each written atomically, the iteration's
+    snapshot, the best files, the learning curve and last checkpoint.json,
+    with the byte length of each append-only file and the SHA-256 of the
+    base and best policies.  A crash before the commit leaves the previous
+    one valid: resume cuts the appends back to its lengths and redoes the
     iteration, which rewrites every other file with the same bytes.
     """
     iteration = record.iteration
@@ -465,77 +532,55 @@ def _checkpoint(
     write_generation_log([log_row], os.path.join(out_dir, CMA_LOG_FILE), append=append)
     _write_history([record], os.path.join(out_dir, HISTORY_FILE), append=append)
 
-    if d_star is not None:
-        atomic_write(
-            os.path.join(out_dir, BEST_DESIGN_FILE),
-            lambda p: write_designs_csv([d_star], p),
-        )
-    snapshots = None
     if params_current is not None:
         atomic_write(
             os.path.join(policies, f"iter_{iteration:04d}.bin"),
             lambda p: save_policy(params_current, p),
         )
-        snapshots = {}
-        for name, params in (("base", params_base), ("best", params_best)):
-            digest = atomic_write(
-                os.path.join(policies, f"{name}.bin"), lambda p: save_policy(params, p)
-            )
-            snapshots[name] = {"snapshot_id": params.snapshot_id, "sha256": digest}
+    snapshots = _write_best_files(out_dir, record.global_best_design, params_base, params_best)
     if train_history:
         atomic_write(
             os.path.join(out_dir, f"learning_curve_iter_{iteration:04d}.csv"),
             lambda p: write_learning_curve_csv(train_history, p),
         )
 
-    payload = {
-        "version": CHECKPOINT_VERSION,
-        "mode": cfg.mode.value,
-        "iteration": iteration,
-        "cma_state": state_to_json(state),
-        "j_star": float(j_star),
-        "d_star": None if d_star is None else d_star.factors.tolist(),
-        "wall_time_s": float(wall_time),
-        "files": {
-            name: os.path.getsize(os.path.join(out_dir, name)) for name in APPEND_FILES
-        },
-        "policies": snapshots,
-    }
-    atomic_write(os.path.join(out_dir, CHECKPOINT_FILE), lambda p: _write_json(payload, p))
+    commit = _Commit(
+        version=CHECKPOINT_VERSION,
+        mode=cfg.mode.value,
+        iteration=iteration,
+        cma_state=state,
+        j_star=record.global_best_j,
+        d_star=record.global_best_design,
+        wall_time_s=float(wall_time),
+        files={name: os.path.getsize(os.path.join(out_dir, name)) for name in APPEND_FILES},
+        policies=snapshots,
+    )
+    atomic_write(os.path.join(out_dir, CHECKPOINT_FILE), lambda p: _write_json(_to_json(commit), p))
 
 
-@dataclass
-class _Resumed:
-    """Everything run needs to continue after the last committed iteration."""
-
-    iteration: int
-    state: CmaEsState
-    j_star: float
-    d_star: DesignVector | None
-    history: list[FitnessRecord]
-    wall_time_s: float
-    params_base: PolicyParams | None
-    params_best: PolicyParams | None
-
-
-def _load_snapshot(out_dir, entry: dict) -> PolicyParams:
-    """The per-iteration policy file of a committed snapshot, digest-checked."""
-    path = os.path.join(out_dir, POLICY_DIR, f"iter_{entry['snapshot_id']:04d}.bin")
+def _load_snapshot(out_dir, commit: _Commit, name: str) -> PolicyParams:
+    """The committed base or best policy, from its per-iteration file, digest-checked."""
+    if commit.policies is None:
+        raise CheckpointError(
+            f"{os.path.join(out_dir, CHECKPOINT_FILE)}: the run saved no policy snapshots"
+        )
+    entry = getattr(commit.policies, name)
+    path = os.path.join(out_dir, POLICY_DIR, f"iter_{entry.snapshot_id:04d}.bin")
     try:
         with open(path, "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
     except OSError as exc:
         raise CheckpointError(f"cannot read policy snapshot {path}: {exc}") from exc
-    if digest != entry["sha256"]:
+    if digest != entry.sha256:
         raise CheckpointError(
             f"{path}: SHA-256 {digest[:12]} does not match the committed "
-            f"{entry['sha256'][:12]}; refusing to resume"
+            f"{entry.sha256[:12]}; refusing to resume"
         )
     return load_policy(path)
 
 
-def _read_commit(out_dir) -> dict:
-    """The checkpoint.json payload of a run directory, version-checked."""
+def _read_commit(out_dir) -> _Commit:
+    """The checkpoint.json record of a run directory, version-checked and decoded."""
     path = os.path.join(out_dir, CHECKPOINT_FILE)
     legacy = os.path.join(out_dir, LEGACY_CHECKPOINT_FILE)
     if not os.path.exists(path) and os.path.exists(legacy):
@@ -554,7 +599,10 @@ def _read_commit(out_dir) -> dict:
             f"{path}: unsupported checkpoint version {version!r}; this version "
             f"resumes only version {CHECKPOINT_VERSION}"
         )
-    return payload
+    try:
+        return _from_json(_Commit, payload)
+    except (CheckpointError, ValueError, TypeError) as exc:
+        raise CheckpointError(f"{path}: corrupt commit record: {exc}") from exc
 
 
 def load_committed_best(out_dir) -> tuple[PolicyParams, DesignVector | None]:
@@ -564,35 +612,29 @@ def load_committed_best(out_dir) -> tuple[PolicyParams, DesignVector | None]:
     against its SHA-256; `policies/best.bin` and `best_design.csv` may hold
     an iteration that crashed before its commit.
     """
-    payload = _read_commit(out_dir)
-    if payload["policies"] is None:
-        raise CheckpointError(
-            f"{os.path.join(out_dir, CHECKPOINT_FILE)}: the run saved no policy snapshots"
-        )
-    d_star = payload["d_star"]
-    return (
-        _load_snapshot(out_dir, payload["policies"]["best"]),
-        None if d_star is None else DesignVector(d_star),
-    )
+    commit = _read_commit(out_dir)
+    return _load_snapshot(out_dir, commit, "best"), commit.d_star
 
 
-def _load_checkpoint(cfg, out_dir, load_policies: bool) -> _Resumed:
+def _load_checkpoint(cfg, out_dir, load_policies: bool):
     """Read checkpoint.json, verify the run directory against it, roll back.
 
     Nothing is modified unless every check passes; then each append-only
     file is cut back to its committed length, dropping the rows of an
     iteration that crashed before its commit, and the other files of such
-    an iteration are undone (`_restore_committed_files`).
+    an iteration are undone (`_restore_committed_files`).  Returns the
+    commit, its history and the base and best policies (or None, None).
     """
     path = os.path.join(out_dir, CHECKPOINT_FILE)
-    payload = _read_commit(out_dir)
-    if payload["mode"] != cfg.mode.value:
+    commit = _read_commit(out_dir)
+    if commit.mode != cfg.mode.value:
         raise CheckpointError(
-            f"{path}: checkpoint mode {payload['mode']} does not match config "
+            f"{path}: checkpoint mode {commit.mode} does not match config "
             f"mode {cfg.mode.value}"
         )
-    iteration = payload["iteration"]
-    lengths = payload["files"]
+    iteration, lengths = commit.iteration, commit.files
+    if lengths.keys() != set(APPEND_FILES):
+        raise CheckpointError(f"{path}: files {sorted(lengths)}, expected {sorted(APPEND_FILES)}")
     for name in APPEND_FILES:
         file = os.path.join(out_dir, name)
         size = os.path.getsize(file) if os.path.exists(file) else 0
@@ -608,63 +650,41 @@ def _load_checkpoint(cfg, out_dir, load_policies: bool) -> _Resumed:
             f"{HISTORY_FILE}: {len(lines)} committed records, expected {iteration}"
         )
     try:
-        history = [_record_from_json(line) for line in lines]
-    except (ValueError, KeyError, TypeError) as exc:
+        history = [_from_json(FitnessRecord, json.loads(line)) for line in lines]
+    except (CheckpointError, ValueError, TypeError) as exc:
         raise CheckpointError(f"{HISTORY_FILE}: corrupt record: {exc}") from exc
     params_base = params_best = None
     if load_policies:
-        snapshots = payload["policies"]
-        if snapshots is None:
-            raise CheckpointError(f"{path}: the run saved no policy snapshots")
-        params_base = _load_snapshot(out_dir, snapshots["base"])
-        params_best = _load_snapshot(out_dir, snapshots["best"])
-    d_star = payload["d_star"]
-    resumed = _Resumed(
-        iteration=iteration,
-        state=state_from_json(payload["cma_state"]),
-        j_star=payload["j_star"],
-        d_star=None if d_star is None else DesignVector(d_star),
-        history=history,
-        wall_time_s=payload["wall_time_s"],
-        params_base=params_base,
-        params_best=params_best,
-    )
+        params_base = _load_snapshot(out_dir, commit, "base")
+        params_best = _load_snapshot(out_dir, commit, "best")
 
     for name in APPEND_FILES:
         os.truncate(os.path.join(out_dir, name), lengths[name])
-    _restore_committed_files(out_dir, resumed)
-    return resumed
+    _restore_committed_files(out_dir, iteration, commit.d_star, params_base, params_best)
+    return commit, history, params_base, params_best
 
 
 # An iteration's own files: its policy snapshot and its learning curve.
 _ITERATION_FILE = re.compile(r"(?:iter|learning_curve_iter)_(\d+)\.(?:bin|csv)")
 
 
-def _restore_committed_files(out_dir, resumed: _Resumed) -> None:
-    """Make the files that are not append-only match the verified commit.
+def _restore_committed_files(out_dir, iteration, d_star, params_base, params_best) -> None:
+    """Make the files that are not append-only match the commit of `iteration`.
 
     An iteration that crashed before its commit may have replaced the best
     design, base.bin and best.bin, written its own snapshot and learning
     curve, and left the .tmp file of a write it did not finish.  A resume
     that runs no further iteration would leave them all; so the best design
-    and the two policies are rewritten from the commit, and the rest are
-    deleted.
+    and the two policies are rewritten from the commit, or removed if it has
+    none, and the rest are deleted.  A fresh run restores iteration 0.
     """
-    best_design = os.path.join(out_dir, BEST_DESIGN_FILE)
-    if resumed.d_star is None:
-        _remove_if_exists(best_design)
-    else:
-        atomic_write(best_design, lambda p: write_designs_csv([resumed.d_star], p))
-    policies = os.path.join(out_dir, POLICY_DIR)
-    for name, params in (("base", resumed.params_base), ("best", resumed.params_best)):
-        if params is not None:
-            atomic_write(os.path.join(policies, f"{name}.bin"), lambda p: save_policy(params, p))
-    for folder in (out_dir, policies):
+    _write_best_files(out_dir, d_star, params_base, params_best)
+    for folder in (out_dir, os.path.join(out_dir, POLICY_DIR)):
         if not os.path.isdir(folder):
             continue
         for name in os.listdir(folder):
             match = _ITERATION_FILE.fullmatch(name)
-            if name.endswith(".tmp") or (match and int(match.group(1)) > resumed.iteration):
+            if name.endswith(".tmp") or (match and int(match.group(1)) > iteration):
                 os.remove(os.path.join(folder, name))
 
 

@@ -5,6 +5,7 @@ Commands are exercised in-process via main(argv); runs use a micro config so
 each invocation finishes in well under a second.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -223,6 +224,14 @@ def test_readme_config_table_matches_schema():
                 continue  # a description, such as "term list", or the mode name
             got = tuple(np.atleast_1d(np.asarray(getattr(obj, name), dtype=float)))
             assert got == want, f"{section}.{name}: README says ({default})"
+
+
+def test_readme_checkpoint_row_names_the_commit_fields():
+    """The README's run-directory row for checkpoint.json lists `_Commit`'s fields in order."""
+    with open(README) as fh:
+        row = re.search(r"^checkpoint\.json .*?(?=^\S)", fh.read(), flags=re.M | re.S).group(0)
+    fields = [f.name for f in dataclasses.fields(codesign._Commit)]
+    assert re.findall(r"`(\w+)`", row) == fields
 
 
 def test_importing_cli_leaves_numpy_unloaded():
@@ -451,6 +460,48 @@ def test_resume_refuses_on_config_hash_mismatch(
 def test_resume_missing_manifest(tmp_path, capsys):
     assert main(["resume", str(tmp_path)]) == EXIT_ERROR
     assert "missing manifest" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["torn", "without config_hash"])
+def test_resume_refuses_corrupt_manifest(completed_run, tmp_path, capsys, damage):
+    run_dir = str(tmp_path / "copy")
+    shutil.copytree(completed_run, run_dir)
+    path = os.path.join(run_dir, MANIFEST_FILE)
+    if damage == "torn":
+        text = read_bytes(run_dir, MANIFEST_FILE)
+        with open(path, "wb") as fh:
+            fh.write(text[: len(text) // 2])
+    else:
+        manifest = read_manifest(run_dir)
+        del manifest["config_hash"]
+        with open(path, "w") as fh:
+            json.dump(manifest, fh)
+    capsys.readouterr()
+    assert main(["resume", run_dir]) == EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: corrupt manifest {path}: ")
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(codesign._Commit)])
+def test_commit_without_a_field_is_refused(completed_run, tmp_path, capsys, field):
+    """Resume and evaluate refuse a checkpoint.json that lacks a field, naming it."""
+    run_dir = str(tmp_path / "copy")
+    shutil.copytree(completed_run, run_dir)
+    path = os.path.join(run_dir, codesign.CHECKPOINT_FILE)
+    with open(path) as fh:
+        commit = json.load(fh)
+    del commit[field]
+    with open(path, "w") as fh:
+        json.dump(commit, fh)
+    named = "checkpoint version None" if field == "version" else f"fields ['{field}'] missing"
+    cfg = parse_config(os.path.join(run_dir, CONFIG_SNAPSHOT_FILE))
+    with pytest.raises(CheckpointError) as refused:
+        codesign.run(cfg, out_dir=run_dir, resume=True)
+    assert named in str(refused.value)
+    capsys.readouterr()
+    assert main(["evaluate", run_dir, "--episodes", "1"]) == EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
 
 
 # --- sweep ----------------------------------------------------------------------

@@ -1,5 +1,4 @@
 import dataclasses
-import json
 
 import numpy as np
 import pytest
@@ -14,8 +13,6 @@ from gearevo.cma_es import (
     cma_init,
     cma_tell,
     read_generation_log,
-    state_from_json,
-    state_to_json,
     write_generation_log,
 )
 from gearevo.design_space import DesignSpace, DesignVector, clamp_to_bounds
@@ -331,35 +328,3 @@ def test_generation_log_append_matches_whole_file(tmp_path):
     for row in rows:
         write_generation_log([row], appended, append=True)
     assert whole.read_bytes() == appended.read_bytes()
-
-
-# --- state as JSON --------------------------------------------------------------------
-
-
-def test_state_json_round_trip_continues_bitwise():
-    """A state restored from JSON text asks and tells exactly like the original."""
-    state = cma_init(small_config(dim=3, population_size=10, parent_count=5))
-    for _ in range(4):
-        state = cma_tell(state, evaluate(cma_ask(state), lambda x: float(np.sum(x**2))))
-    back = state_from_json(json.loads(json.dumps(state_to_json(state))))
-    for f in dataclasses.fields(state):
-        a, b = getattr(state, f.name), getattr(back, f.name)
-        if isinstance(a, np.ndarray):
-            assert a.dtype == b.dtype and a.shape == b.shape
-            np.testing.assert_array_equal(a, b)
-        else:
-            assert type(a) is type(b) and a == b, f.name
-    objective = lambda x: float(np.sum((x - 1.0) ** 2))  # noqa: E731
-    for _ in range(3):
-        state = cma_tell(state, evaluate(cma_ask(state), objective))
-        back = cma_tell(back, evaluate(cma_ask(back), objective))
-    np.testing.assert_array_equal(state.mean, back.mean)
-    np.testing.assert_array_equal(state.cov, back.cov)
-    assert state.sigma == back.sigma
-
-
-def test_state_from_json_rejects_missing_field():
-    data = state_to_json(cma_init(small_config()))
-    del data["path_c"]
-    with pytest.raises(ContractError, match="path_c"):
-        state_from_json(data)

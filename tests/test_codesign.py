@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from gearevo.chinup_env import ACTION_DIM, PROPRIO_DIM, EnvConfig
-from gearevo.cma_es import CmaEsConfig
+from gearevo.cma_es import CmaEsConfig, CmaEsState, cma_ask, cma_init, cma_tell
 from gearevo import codesign
 from gearevo.codesign import (
     APPEND_FILES,
@@ -28,6 +28,7 @@ from gearevo.codesign import (
     LEGACY_CHECKPOINT_FILE,
     POLICY_LATENT,
     CodesignConfig,
+    FitnessRecord,
     Mode,
     evaluate_population,
     heatmap_sweep,
@@ -558,6 +559,15 @@ def test_resume_rejects_v1_pickle_checkpoint(tmp_path):
         run_ea_corl(synthetic_config(), out_dir=out, fitness_fn=sphere_at_1p5, resume=True)
 
 
+def test_policies_of_a_run_that_saved_none_are_refused(tmp_path):
+    out = str(tmp_path)
+    run_ea_corl(synthetic_config(iterations=3), out_dir=out, fitness_fn=sphere_at_1p5, stop_after=2)
+    with pytest.raises(CheckpointError, match="the run saved no policy snapshots"):
+        codesign.load_committed_best(out)
+    with pytest.raises(CheckpointError, match="the run saved no policy snapshots"):
+        run_ea_corl(synthetic_config(iterations=3), out_dir=out, resume=True)
+
+
 def test_resume_rejects_tampered_policy_snapshot(tmp_path):
     out = str(tmp_path)
     run_ea_corl(micro_config(iterations=4), out_dir=out, stop_after=3)
@@ -574,12 +584,110 @@ def test_resume_rejects_tampered_policy_snapshot(tmp_path):
 
 
 def test_fresh_run_into_used_directory(tmp_path):
-    """A non-resume run replaces what an earlier run left, rows included."""
-    used, clean = str(tmp_path / "used"), str(tmp_path / "clean")
-    run_ea_corl(micro_config(iterations=3, seed=1), out_dir=used)
-    run_ea_corl(micro_config(iterations=3), out_dir=used)
-    run_ea_corl(micro_config(iterations=3), out_dir=clean)
-    assert_same_tree(used, clean)
+    """A non-resume run replaces what an earlier run left, rows included.
+
+    The earlier run has another seed, or more iterations (its later
+    snapshots and learning curves must go), or it trained policies that a
+    synthetic run, which writes none, must not keep.
+    """
+    cases = [
+        (micro_config(iterations=3, seed=1), micro_config(iterations=3), None),
+        (micro_config(iterations=4), micro_config(iterations=2), None),
+        (micro_config(iterations=3), synthetic_config(iterations=3), sphere_at_1p5),
+    ]
+    for k, (earlier, cfg, fitness_fn) in enumerate(cases):
+        used, clean = str(tmp_path / f"used{k}"), str(tmp_path / f"clean{k}")
+        run_ea_corl(earlier, out_dir=used)
+        run_ea_corl(cfg, out_dir=used, fitness_fn=fitness_fn)
+        run_ea_corl(cfg, out_dir=clean, fitness_fn=fitness_fn)
+        assert_same_tree(used, clean)
+
+
+# --- JSON records: one codec for history.jsonl and checkpoint.json -------------
+
+
+@pytest.mark.parametrize(
+    "cls", [FitnessRecord, codesign._Commit, CmaEsState, codesign._Policies, codesign._Snapshot]
+)
+def test_every_record_field_has_a_json_codec(cls):
+    """A field of another type would be written as it stands and read back as JSON gives it."""
+    for f in dataclasses.fields(cls):
+        assert f.type in ("int", "float", "bool", "str") or f.type in codesign._JSON_CODECS, (
+            f"{cls.__name__}.{f.name}: {f.type}"
+        )
+
+
+def test_state_json_round_trip_continues_bitwise():
+    """A CMA-ES state restored from JSON text asks and tells exactly like the original."""
+
+    def evaluate(cands, f):
+        return [dataclasses.replace(c, fitness=float(f(c.design.factors))) for c in cands]
+
+    state = cma_init(CmaEsConfig(dim=3, population_size=10, parent_count=5))
+    for _ in range(4):
+        state = cma_tell(state, evaluate(cma_ask(state), lambda x: float(np.sum(x**2))))
+    back = codesign._from_json(CmaEsState, json.loads(json.dumps(codesign._to_json(state))))
+    for f in dataclasses.fields(state):
+        a, b = getattr(state, f.name), getattr(back, f.name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            np.testing.assert_array_equal(a, b)
+        else:
+            assert type(a) is type(b) and a == b, f.name
+    objective = lambda x: float(np.sum((x - 1.0) ** 2))  # noqa: E731
+    for _ in range(3):
+        state = cma_tell(state, evaluate(cma_ask(state), objective))
+        back = cma_tell(back, evaluate(cma_ask(back), objective))
+    np.testing.assert_array_equal(state.mean, back.mean)
+    np.testing.assert_array_equal(state.cov, back.cov)
+    assert state.sigma == back.sigma
+
+
+def test_state_from_json_rejects_missing_field():
+    data = codesign._to_json(cma_init(CmaEsConfig(population_size=8, parent_count=4)))
+    del data["path_c"]
+    with pytest.raises(CheckpointError, match="path_c"):
+        codesign._from_json(CmaEsState, data)
+
+
+@pytest.mark.parametrize("kind", ["rl", "all-inf synthetic"])
+def test_checkpoint_json_round_trips_to_its_own_bytes(tmp_path, kind):
+    """Decoding the commit and encoding it again gives checkpoint.json's bytes.
+
+    The synthetic run scores every design +inf, so it commits no best
+    design, an infinite J* and no policies.
+    """
+    out = str(tmp_path / "run")
+    if kind == "rl":
+        run_ea_corl(micro_config(iterations=3), out_dir=out)
+    else:
+        run_ea_corl(synthetic_config(iterations=2), out_dir=out, fitness_fn=lambda d: np.inf)
+    again = str(tmp_path / "again.json")
+    codesign._write_json(codesign._to_json(codesign._read_commit(out)), again)
+    with open(os.path.join(out, CHECKPOINT_FILE), "rb") as fa, open(again, "rb") as fb:
+        assert fa.read() == fb.read()
+
+
+def test_resume_refuses_history_record_with_extra_field(tmp_path):
+    out = str(tmp_path)
+    cfg = synthetic_config(iterations=4)
+    run_ea_corl(cfg, out_dir=out, fitness_fn=sphere_at_1p5, stop_after=2)
+    history = os.path.join(out, HISTORY_FILE)
+    with open(history, "rb") as fh:
+        lines = fh.read().splitlines()
+    record = json.loads(lines[0])
+    record["episodes"] = 3
+    with open(history, "wb") as fh:
+        fh.write(json.dumps(record).encode() + b"\n" + lines[1] + b"\n")
+    # The commit covers the longer file, so only the extra field is wrong.
+    path = os.path.join(out, CHECKPOINT_FILE)
+    with open(path) as fh:
+        commit = json.load(fh)
+    commit["files"][HISTORY_FILE] = os.path.getsize(history)
+    with open(path, "w") as fh:
+        json.dump(commit, fh)
+    with pytest.raises(CheckpointError, match=r"corrupt record: .*\['episodes'\] unexpected"):
+        run_ea_corl(cfg, out_dir=out, fitness_fn=sphere_at_1p5, resume=True)
 
 
 # Functions _checkpoint writes through; the path is each one's second argument.
