@@ -439,6 +439,12 @@ def _codecs(cls) -> dict:
     return {f.name: _JSON_CODECS.get(f.type) for f in dataclasses.fields(cls)}
 
 
+@functools.cache
+def _scalar_fields(cls) -> dict:
+    """Field name -> annotation of each int, float, bool or str field of `cls`."""
+    return {f.name: f.type for f in dataclasses.fields(cls) if f.type in _SCALAR_TYPES}
+
+
 def _to_json(obj) -> dict:
     """A record as JSON-ready values, keyed by its fields in their order."""
     return {
@@ -448,7 +454,8 @@ def _to_json(obj) -> dict:
 
 
 def _from_json(cls, data):
-    """Inverse of `_to_json`; a record with missing or extra fields is refused."""
+    """Inverse of `_to_json`; a record with missing or extra fields, or a
+    scalar field of another JSON type, is refused."""
     codecs = _codecs(cls)
     if not isinstance(data, dict):
         raise CheckpointError(f"{cls.__name__}: expected a JSON object, got {data!r:.40}")
@@ -456,15 +463,25 @@ def _from_json(cls, data):
         missing = [name for name in codecs if name not in data]
         extra = [name for name in data if name not in codecs]
         raise CheckpointError(f"{cls.__name__}: fields {missing} missing, {extra} unexpected")
+    for name, kind in _scalar_fields(cls).items():
+        value = data[name]
+        is_bool = isinstance(value, bool)
+        if is_bool != (kind == "bool") or not isinstance(value, _SCALAR_TYPES[kind]):
+            raise CheckpointError(f"{cls.__name__}.{name}: expected {kind}, got {value!r:.40}")
     return cls(**{
         name: data[name] if codec is None else codec[1](data[name])
         for name, codec in codecs.items()
     })
 
 
-# How a record field of each annotated type goes to JSON and back.  A field
-# annotated int, float, bool or str is a JSON scalar as it stands; json
-# writes floats with repr, inf and NaN included, so they read back exactly.
+# The JSON values a field of each scalar annotation accepts: such a field is
+# a JSON scalar as it stands.  JSON has one number type, so a float field
+# also takes an integer; a bool is not an int.
+_SCALAR_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
+
+# How a record field of any other annotated type goes to JSON and back.
+# json writes floats with repr, inf and NaN included, so they read back
+# exactly.
 _JSON_CODECS = {
     "np.ndarray": (np.ndarray.tolist, lambda v: np.array(v, dtype=np.float64)),
     "DesignVector | None": _optional((lambda d: d.factors.tolist(), DesignVector)),

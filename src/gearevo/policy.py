@@ -10,10 +10,11 @@ Gradients are computed by manual reverse-mode differentiation; the network
 is small and fixed, and every layer is verifiable against finite
 differences.  `loss_and_grads` runs its minibatch through the network in
 blocks of 1024 rows, so that the element-wise passes work on activations in
-cache and the activations held at once do not grow with the minibatch.  A
-minibatch of at most 1024 rows gives the same bits as one unblocked pass; a
-larger one sums its gradients block by block, about 1e-14 relative from one
-pass.
+cache.  It gathers each block's rows from the rollout's arrays just before
+the block runs and sums the loss statistics block by block, so nothing it
+holds grows with the minibatch.  A minibatch of at most 1024 rows gives the
+same bits as one unblocked pass; a larger one sums its gradients and
+statistics block by block, about 1e-14 relative from one pass.
 
 Layout: a snapshot (`PolicyParams`) owns one float64 vector `flat`: the
 eleven arrays of PARAM_ORDER (ENC_W, ENC_B, W1, B1, W2, B2, ACTOR_W,
@@ -370,6 +371,42 @@ def loss_workspace(rows: int, hidden: int, dtype=np.float64) -> list[np.ndarray]
     return [np.empty((min(rows, _BLOCK_ROWS), hidden), dtype=dtype) for _ in range(5)]
 
 
+@dataclass(frozen=True)
+class Rows:
+    """A minibatch column read from `source` by row index, not copied.
+
+    Row i of the column is row index[i] // repeat of `source`: with repeat
+    k, each source row serves k consecutive indices, as one design serves
+    each of its environment's steps.  `loss_and_grads` gathers such a
+    column block by block.  Every index must select a row of `source`; it
+    is not checked, and a gather clips it into range.
+    """
+
+    source: np.ndarray
+    index: np.ndarray
+    repeat: int = 1
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.source.dtype
+
+    def take(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        """Rows lo:hi of the column, gathered into the first hi - lo rows of `out`."""
+        index = self.index[lo:hi]
+        if self.repeat != 1:
+            index = index // self.repeat
+        # mode="clip" writes straight into `out` (the default "raise"
+        # gathers into a temporary first); the indices are in range.
+        return np.take(self.source, index, axis=0, out=out[:hi - lo], mode="clip")
+
+
+# The columns of a loss_and_grads minibatch, in the order the loss reads them.
+_MINIBATCH_COLUMNS = ("proprio", "design", "action", "old_log_prob", "advantage", "ret")
+
+
 def loss_and_grads(
     params: PolicyParams, minibatch: dict, ppo_cfg, work: list[np.ndarray] | None = None
 ) -> tuple[dict, np.ndarray]:
@@ -377,24 +414,31 @@ def loss_and_grads(
 
     minibatch keys: proprio (B,P), design (B,D), action (B,A),
     old_log_prob (B,), advantage (B,) (already normalized), ret (B,).
+    Each is an array or a `Rows` column of B rows.  A `Rows` column is
+    gathered into a small block buffer just before each block uses it, so
+    `ppo.ppo_update` passes the rollout batch's own arrays and no
+    minibatch is copied.
 
     loss = -mean(min(r*A, clip(r)*A)) + value_coef*mean((v-ret)^2)
            - entropy_coef*entropy
 
     The forward and backward passes run over blocks of `_BLOCK_ROWS` rows
-    and sum each block's gradients into the result; the loss and its
-    statistics are then taken over the whole minibatch.  A minibatch of at
-    most `_BLOCK_ROWS` rows is one block and gives the same bits as an
-    unblocked pass.  A larger one sums its gradients in a different order,
-    and BLAS may round a row's matmuls differently in a block of another
-    shape; the results move by about 1e-14 relative.
+    and sum each block's gradients into the result.  Each block also adds
+    its float64 sums of the surrogate, the squared value error, the
+    clipped count and the log-ratio, and the loss and its statistics are
+    those sums over the minibatch size.  A minibatch of at most
+    `_BLOCK_ROWS` rows is one block and gives the same bits as an
+    unblocked pass.  A larger one sums its gradients and statistics in a
+    different order, and BLAS may round a row's matmuls differently in a
+    block of another shape; the results move by about 1e-14 relative
+    (`clip_fraction`, a count, stays exact).
 
     `work` is a `loss_workspace` for at least this many rows; without one,
     the call allocates a float64 one.  A caller making many calls passes
     one, so that the work arrays are not freed and faulted in again on
     every call.  The workspace's dtype is the compute dtype.  With float32,
     the call casts the parameters and the proprio and design rows to
-    float32 once and runs the network's matmuls and tanh in float32.  The
+    float32 and runs the network's matmuls and tanh in float32.  The
     action mean and value are upcast, so the log-prob, ratio, surrogate,
     value error and every statistic are float64, and each block's
     gradients are summed into float64 arrays.  Against float64, each
@@ -406,7 +450,8 @@ def loss_and_grads(
 
     The gradient is a new float64 vector laid out as `params.flat`.
     """
-    batch, n_proprio = minibatch["proprio"].shape
+    columns = [minibatch[key] for key in _MINIBATCH_COLUMNS]
+    batch = len(columns[0])
     if work is None:
         work = loss_workspace(batch, params.hidden)
     elif any(w.shape[0] < min(batch, _BLOCK_ROWS) or w.shape[1:] != (params.hidden,)
@@ -420,46 +465,53 @@ def loss_and_grads(
         # The network's parameters in the compute dtype.
         net = dataclasses.replace(params, flat=params.flat.astype(dtype))
         ones = np.ones(min(batch, _BLOCK_ROWS), dtype)
-    proprio = minibatch["proprio"].astype(dtype, copy=False)
-    design = minibatch["design"].astype(dtype, copy=False)
-    action = minibatch["action"]
-    old_lp = minibatch["old_log_prob"]
-    adv = minibatch["advantage"]
-    ret = minibatch["ret"]
+    # One block buffer per Rows column, reused by every block.
+    buffers = [
+        np.empty((min(batch, _BLOCK_ROWS), *col.source.shape[1:]), col.dtype)
+        if isinstance(col, Rows) else None
+        for col in columns
+    ]
     eps = ppo_cfg.clip_epsilon
     gaussian = gaussian_constants(params.log_std)
 
-    new_lp = np.empty(batch)
-    value = np.empty(batch)
-    ratio = np.empty(batch)
-    surrogate = np.empty(batch)
     # Named views of one zeroed float64 vector, fresh for every call.
     grad = np.zeros(params.n_params)
     grads = params.views(grad)
+    # Sums of the surrogate, the squared value error, the clipped count and
+    # the log-ratio.  -0.0 is the identity of addition, so a single block's
+    # sums keep their bits.
+    sums = np.full(4, -0.0)
     for lo in range(0, batch, _BLOCK_ROWS):
-        n = min(_BLOCK_ROWS, batch - lo)
-        rows = slice(lo, lo + n)
+        hi = min(lo + _BLOCK_ROWS, batch)
+        n = hi - lo
+        proprio_b, design_b, action_b, old_lp_b, adv_b, ret_b = (
+            col[lo:hi] if buf is None else col.take(lo, hi, buf)
+            for col, buf in zip(columns, buffers)
+        )
+        # The network reads proprio and design in the compute dtype.
+        proprio_b = proprio_b.astype(dtype, copy=False)
+        design_b = design_b.astype(dtype, copy=False)
         h1_out, h2_out, d_h2_out, d_h1_out, scratch = (w[:n] for w in work)
-        design_b = design[rows]
-        acts = _forward(net, design_b, proprio[rows], (h1_out, h2_out))
-        value_b = acts["value"].astype(np.float64, copy=False)
-        z = (action[rows] - acts["mean"].astype(np.float64, copy=False)) / gaussian.std
+        acts = _forward(net, design_b, proprio_b, (h1_out, h2_out))
+        value_err = acts["value"].astype(np.float64, copy=False) - ret_b
+        z = (action_b - acts["mean"].astype(np.float64, copy=False)) / gaussian.std
         lp = _log_density(z, gaussian)
-        new_lp[rows] = lp
-        value[rows] = value_b
-        ratio_b = np.exp(lp - old_lp[rows])
-        ratio[rows] = ratio_b
+        ratio = np.exp(lp - old_lp_b)
 
         # d(policy_loss)/d(new_lp): gradient flows only where the unclipped
         # branch is selected by the min.
-        adv_b = adv[rows]
-        surr1 = ratio_b * adv_b
-        surr2 = np.clip(ratio_b, 1.0 - eps, 1.0 + eps) * adv_b
-        surrogate[rows] = np.minimum(surr1, surr2)
-        d_lp = np.where(surr1 <= surr2, -ratio_b * adv_b / batch, 0.0)
+        surr1 = ratio * adv_b
+        surr2 = np.clip(ratio, 1.0 - eps, 1.0 + eps) * adv_b
+        d_lp = np.where(surr1 <= surr2, -ratio * adv_b / batch, 0.0)
+        sums += (
+            np.sum(np.minimum(surr1, surr2)),
+            np.sum(value_err**2),
+            np.count_nonzero(np.abs(ratio - 1.0) > eps),
+            np.sum(old_lp_b - lp),
+        )
         d_mean = d_lp[:, None] * (z / gaussian.std)
         grads["log_std"] += d_lp @ (z**2 - 1.0)
-        d_value = ppo_cfg.value_coef * 2.0 * (value_b - ret[rows]) / batch
+        d_value = ppo_cfg.value_coef * 2.0 * value_err / batch
         grads["actor_b"] += d_mean.sum(axis=0)
         grads["critic_b"] += d_value.sum()
         # The backward passes of the heads and the trunk run in the compute dtype.
@@ -480,14 +532,14 @@ def loss_and_grads(
         grads["w1"] += d_z1.T @ obs
         grads["b1"] += _column_sums(d_z1, ones)
         d_obs = d_z1 @ net.w1
-        d_latent = d_obs[:, n_proprio:]
+        d_latent = d_obs[:, params.obs_dim - params.latent:]
         d_ze = d_latent * (1.0 - acts["latent"]**2)
         grads["enc_w"] += d_ze.T @ design_b
         grads["enc_b"] += _column_sums(d_ze, ones)
     grads["log_std"] -= ppo_cfg.entropy_coef
 
-    policy_loss = -np.mean(surrogate)
-    value_loss = np.mean((value - ret)**2)
+    mean_surrogate, value_loss, clip_fraction, approx_kl = sums / batch
+    policy_loss = -mean_surrogate
     ent = entropy(params.log_std)
     total = policy_loss + ppo_cfg.value_coef * value_loss - ppo_cfg.entropy_coef * ent
     if not np.isfinite(total):
@@ -498,8 +550,8 @@ def loss_and_grads(
         "policy_loss": float(policy_loss),
         "value_loss": float(value_loss),
         "entropy": float(ent),
-        "clip_fraction": float(np.mean(np.abs(ratio - 1.0) > eps)),
-        "approx_kl": float(np.mean(old_lp - new_lp)),
+        "clip_fraction": float(clip_fraction),
+        "approx_kl": float(approx_kl),
     }
     return losses, grad
 

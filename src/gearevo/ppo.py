@@ -26,6 +26,7 @@ from .policy import (
     ActionDistribution,
     AdamState,
     PolicyParams,
+    Rows,
     adam_step,
     loss_and_grads,
     loss_workspace,
@@ -76,9 +77,10 @@ class RolloutBatch:
     """One rollout, then its GAE outputs.
 
     `ppo_update` trains on proprio, design, actions, log_probs, advantages
-    and returns.  rewards, values and dones are GAE's inputs, and
-    advantages_raw is read only by tests: `train_on_env` sets all four to
-    None once `compute_gae` has returned, before the update.
+    and returns, reading them in place.  rewards, values and dones (bool)
+    are GAE's inputs, and advantages_raw is read only by tests:
+    `train_on_env` sets all four to None once `compute_gae` has returned,
+    before the update.
     """
 
     proprio: np.ndarray  # (n_env, horizon, proprio_dim), TRAIN_DTYPE for ppo_update
@@ -88,7 +90,7 @@ class RolloutBatch:
     log_probs: np.ndarray  # (n_env, horizon)
     rewards: np.ndarray | None  # (n_env, horizon), GAE input
     values: np.ndarray | None  # (n_env, horizon), GAE input
-    dones: np.ndarray | None  # (n_env, horizon), GAE input
+    dones: np.ndarray | None  # (n_env, horizon) bool, GAE input
     bootstrap_values: np.ndarray  # (n_env,)
     episodes: list[EpisodeRecord] = field(default_factory=list)
     advantages: np.ndarray | None = None  # (n_env, horizon), standardized
@@ -152,7 +154,7 @@ def collect_rollouts(vec_env, params: PolicyParams, horizon: int, rng) -> Rollou
         log_probs=np.empty((n, horizon)),
         rewards=np.empty((n, horizon)),
         values=np.empty((n, horizon)),
-        dones=np.empty((n, horizon)),
+        dones=np.empty((n, horizon), bool),
         bootstrap_values=np.empty(n),
     )
     for t in range(horizon):
@@ -177,6 +179,11 @@ def compute_gae(batch: RolloutBatch, gamma: float, gae_lambda: float) -> Rollout
     delta_t = r_t + gamma*v_{t+1}*(1-done_t) - v_t
     A_t     = delta_t + gamma*lambda*(1-done_t)*A_{t+1}
     returns = A_raw + v; advantages standardized to mean 0, std 1 (eps 1e-8).
+
+    `dones` may be bool: 1.0 - done is then the same float64 as for 0/1.
+    The mean and std are taken before the standardized array is formed,
+    and the division runs in place, so the standardization holds one new
+    batch-sized array at a time.
     """
     n, horizon = batch.rewards.shape
     adv = np.zeros((n, horizon))
@@ -190,7 +197,9 @@ def compute_gae(batch: RolloutBatch, gamma: float, gae_lambda: float) -> Rollout
         next_value = batch.values[:, t]
     batch.advantages_raw = adv
     batch.returns = adv + batch.values
-    batch.advantages = (adv - adv.mean()) / (adv.std() + 1e-8)
+    mean, std = adv.mean(), adv.std()
+    batch.advantages = adv - mean
+    batch.advantages /= std + 1e-8
     return batch
 
 
@@ -199,15 +208,16 @@ def ppo_update(
 ) -> tuple[PolicyParams, AdamState, dict]:
     """One PPO update: epochs of seeded-shuffle minibatch gradient steps.
 
-    Each minibatch is gathered from the rollout batch into one set of
-    buffers, and every minibatch step shares one loss workspace; both are
-    sized for the largest minibatch, allocated once per update and freed
-    when the update returns.  A minibatch's arrays are therefore valid
-    only until the next one is gathered.  The workspace is float32, so the
-    network's matmuls and tanh run in float32: the rollout stores the
-    proprio rows in float32, and the design rows are cast once here.  The
-    parameters, the Adam moments, the gradient sums and the loss
-    reductions stay float64.
+    A minibatch is one chunk of the epoch's permutation: each of its
+    columns is a `policy.Rows` of those row indices into the rollout
+    batch's own arrays (reshaped views, one row per step), and the loss
+    gathers each 1024-row block just before it uses it, so no minibatch is
+    copied.  Every minibatch step shares one loss workspace, sized for the
+    largest minibatch, allocated once per update and freed when the update
+    returns.  The workspace is float32, so the network's matmuls and tanh
+    run in float32: the rollout stores the proprio rows in float32, and the
+    design rows are cast once here.  The parameters, the Adam moments, the
+    gradient sums and the loss reductions stay float64.
     """
     n, horizon = batch.log_probs.shape
     total = n * horizon
@@ -222,26 +232,13 @@ def ppo_update(
         "ret": batch.returns.reshape(total),
     }
     # np.array_split makes its first chunks the largest: ceil(total / minibatches).
-    rows = -(-total // cfg.minibatches)
-    buffers = {
-        key: np.empty(
-            (rows, *src.shape[1:]), TRAIN_DTYPE if key in ("proprio", "design") else src.dtype
-        )
-        for key, src in sources.items()
-    }
-    work = loss_workspace(rows, params.hidden, TRAIN_DTYPE)
+    work = loss_workspace(-(-total // cfg.minibatches), params.hidden, TRAIN_DTYPE)
     stats_acc: dict[str, list] = {}
     for epoch in range(cfg.epochs):
         perm = rng.permutation(total)
         for mb_idx, chunk in enumerate(np.array_split(perm, cfg.minibatches)):
-            env_rows = chunk // horizon
-            # mode="clip" writes straight into `out` (the default "raise"
-            # gathers into a temporary first); a permutation is always in range.
             minibatch = {
-                key: np.take(
-                    src, env_rows if key == "design" else chunk, axis=0,
-                    out=buffers[key][: len(chunk)], mode="clip",
-                )
+                key: Rows(src, chunk, horizon if key == "design" else 1)
                 for key, src in sources.items()
             }
             try:

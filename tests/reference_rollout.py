@@ -64,7 +64,7 @@ def reference_rollout(bank, design_mat, params, horizon, rng) -> RolloutBatch:
         log_probs=np.empty((n, horizon)),
         rewards=np.empty((n, horizon)),
         values=np.empty((n, horizon)),
-        dones=np.empty((n, horizon)),
+        dones=np.empty((n, horizon), bool),
         bootstrap_values=np.empty(n),
     )
     for t in range(horizon):
@@ -77,7 +77,7 @@ def reference_rollout(bank, design_mat, params, horizon, rng) -> RolloutBatch:
         out.log_probs[:, t] = log_probs
         out.values[:, t] = values
         out.rewards[:, t] = rewards
-        out.dones[:, t] = dones.astype(np.float64)
+        out.dones[:, t] = dones
         out.episodes.extend(completed)
     _, out.bootstrap_values = _forward(params, out.design, reference_proprio(bank))
     return out

@@ -504,6 +504,37 @@ def test_commit_without_a_field_is_refused(completed_run, tmp_path, capsys, fiel
     assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
 
 
+@pytest.mark.parametrize(
+    "keys, value, named",
+    [
+        (("policies", "best", "snapshot_id"), "1", "_Snapshot.snapshot_id: expected int, got '1'"),
+        (("iteration",), True, "_Commit.iteration: expected int, got True"),
+        (("cma_state", "generation"), 2.0, "CmaEsState.generation: expected int, got 2.0"),
+        (("j_star",), "-1.5", "_Commit.j_star: expected float, got '-1.5'"),
+        (("mode",), 0, "_Commit.mode: expected str, got 0"),
+    ],
+    ids=["snapshot_id-str", "iteration-bool", "generation-float", "j_star-str", "mode-int"],
+)
+def test_commit_with_a_scalar_of_another_type_is_refused(
+    completed_run, tmp_path, capsys, keys, value, named
+):
+    """Evaluate refuses a checkpoint.json scalar of another JSON type, naming the field."""
+    run_dir = str(tmp_path / "copy")
+    shutil.copytree(completed_run, run_dir)
+    path = os.path.join(run_dir, codesign.CHECKPOINT_FILE)
+    with open(path) as fh:
+        commit = json.load(fh)
+    record = commit
+    for key in keys[:-1]:
+        record = record[key]
+    record[keys[-1]] = value
+    with open(path, "w") as fh:
+        json.dump(commit, fh)
+    assert main(["evaluate", run_dir, "--episodes", "1"]) == EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+
+
 # --- sweep ----------------------------------------------------------------------
 
 

@@ -650,6 +650,23 @@ def test_state_from_json_rejects_missing_field():
         codesign._from_json(CmaEsState, data)
 
 
+def test_from_json_checks_scalar_types():
+    """An int field takes no bool, float or string; a float field takes an
+    int and keeps it, so the record encodes to the same JSON."""
+    snapshot = {"snapshot_id": 3, "sha256": "ab"}
+    assert codesign._from_json(codesign._Snapshot, snapshot) == codesign._Snapshot(3, "ab")
+    for field, value in (("snapshot_id", True), ("snapshot_id", 3.0), ("snapshot_id", "3"),
+                         ("sha256", None)):
+        with pytest.raises(CheckpointError, match=f"_Snapshot.{field}: expected"):
+            codesign._from_json(codesign._Snapshot, {**snapshot, field: value})
+    data = codesign._to_json(cma_init(CmaEsConfig(population_size=8, parent_count=4)))
+    data["sigma"] = 1
+    back = codesign._to_json(codesign._from_json(CmaEsState, data))
+    assert json.dumps(back) == json.dumps(data)
+    with pytest.raises(CheckpointError, match="CmaEsState.sigma: expected float, got False"):
+        codesign._from_json(CmaEsState, {**data, "sigma": False})
+
+
 @pytest.mark.parametrize("kind", ["rl", "all-inf synthetic"])
 def test_checkpoint_json_round_trips_to_its_own_bytes(tmp_path, kind):
     """Decoding the commit and encoding it again gives checkpoint.json's bytes.

@@ -14,6 +14,7 @@ from gearevo.policy import (
     PARAM_ORDER,
     ActionDistribution,
     PolicyParams,
+    Rows,
     adam_init,
     adam_step,
     entropy,
@@ -309,6 +310,72 @@ def test_float32_workspace_matches_float64(rows):
         assert error <= 1e-5 * np.max(np.abs(grads64[name])), name
         differs |= error > 0.0
     assert differs  # the float32 path really ran
+
+
+# SHA-256 of the four statistics of `test_loss_statistics_sum_per_block`
+# (float64, then float32 workspace), taken while they were means over
+# whole-minibatch arrays.
+STATISTICS = ("policy_loss", "value_loss", "clip_fraction", "approx_kl")
+STATISTICS_DIGESTS = {
+    7: "3dca5b5491379a92c35276347d164921354b8f26e2eb13b48129d802f0cb6bce",
+    1024: "b2aaeb8c035a9c2f1f8974e7ee05fe1ab6ba1668d803510de78d7ab152ff22b4",
+}
+
+
+@pytest.mark.parametrize("rows", [7, 1024, 64_000])
+def test_loss_statistics_sum_per_block(rows):
+    """One block keeps the statistics' bits; many stay within 1e-12 of the
+    formulas applied per row in float64, and the clipped fraction is exact."""
+    params = policy_init(14, 4, 2, 3)
+    minibatch = _random_minibatch(params, rows, 17)
+    # log-ratios of about 0.3, so that about half of the ratios clip
+    minibatch["old_log_prob"] += np.random.default_rng(18).normal(0.0, 0.3, rows)
+    cfg = PpoConfig()
+    stats = []
+    for dtype in (np.float64, np.float32):
+        work = loss_workspace(rows, params.hidden, dtype)
+        losses, _ = loss_and_grads(params, minibatch, cfg, work)
+        stats.append({key: losses[key] for key in STATISTICS})
+    if rows in STATISTICS_DIGESTS:
+        values = [s[key] for s in stats for key in STATISTICS]
+        assert hashlib.sha256(np.array(values).tobytes()).hexdigest() == STATISTICS_DIGESTS[rows]
+    # The per-row values, from the float64 forward pass of each block
+    forward = [policy_forward_batch(params, minibatch["design"][lo:lo + 1024],
+                                    minibatch["proprio"][lo:lo + 1024])
+               for lo in range(0, rows, 1024)]
+    mean, value = (np.concatenate(parts) for parts in list(zip(*forward))[:2])
+    new_lp = gaussian_log_prob(ActionDistribution(mean, params.log_std), minibatch["action"])
+    ratio = np.exp(new_lp - minibatch["old_log_prob"])
+    adv, eps = minibatch["advantage"], cfg.clip_epsilon
+    want = {
+        "policy_loss": -np.mean(np.minimum(ratio * adv, np.clip(ratio, 1 - eps, 1 + eps) * adv)),
+        "value_loss": np.mean((value - minibatch["ret"]) ** 2),
+        "clip_fraction": np.mean(np.abs(ratio - 1.0) > eps),
+        "approx_kl": np.mean(minibatch["old_log_prob"] - new_lp),
+    }
+    assert 0.0 < want["clip_fraction"] < 1.0
+    assert stats[0]["clip_fraction"] == want["clip_fraction"]
+    assert stats[0] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("rows, block_rows", [(10, 3), (1500, 1024)])
+def test_rows_columns_give_the_bits_of_a_gathered_minibatch(monkeypatch, rows, block_rows):
+    """Columns read by row index, the design once per 3 rows, match a gathered copy."""
+    monkeypatch.setattr(policy, "_BLOCK_ROWS", block_rows)
+    params = policy_init(14, 4, 2, 3)
+    source = _random_minibatch(params, 2 * rows, 19)
+    source["design"] = source["design"][:-(-2 * rows // 3)]
+    picked = np.random.default_rng(20).permutation(2 * rows)[:rows]
+    gathered = {key: value[picked // 3 if key == "design" else picked]
+                for key, value in source.items()}
+    indexed = {key: Rows(value, picked, 3 if key == "design" else 1)
+               for key, value in source.items()}
+    for dtype in (np.float64, np.float32):
+        work = loss_workspace(rows, params.hidden, dtype)
+        want_losses, want = loss_and_grads(params, gathered, PpoConfig(), work)
+        got_losses, got = loss_and_grads(params, indexed, PpoConfig(), work)
+        assert got_losses == want_losses
+        assert got.tobytes() == want.tobytes()
 
 
 def test_loss_rejects_small_workspace():

@@ -381,31 +381,55 @@ def test_update_matches_flat_copy_reference_bitwise(n_env, horizon, minibatches,
     assert s1 == s2
 
 
-def test_update_gathers_into_one_reused_buffer_set(monkeypatch):
-    """The minibatch contract: float32 C-contiguous network inputs, every
-    row once per epoch, one set of buffers for every minibatch, none of them
-    a view of the rollout batch."""
+def test_update_trains_from_the_rollout_batch_by_row_index(monkeypatch):
+    """The minibatch contract: every column reads the rollout batch's own
+    arrays (float32 proprio, the design cast once per update and read once
+    per environment's 9 rows) at one minibatch's row indices, every row
+    once per epoch."""
     params, batch = chinup_batch(5, 9)
-    batch_arrays = [v for v in vars(batch).values() if isinstance(v, np.ndarray)]
-    calls = []
+    rows = []
 
     def recording_loss(params, minibatch, cfg, work=None):
-        for key in ("proprio", "design"):
-            arr = minibatch[key]
-            assert arr.dtype == np.float32 and arr.flags.c_contiguous, key
-        for arr in minibatch.values():
-            assert not any(np.shares_memory(arr, b) for b in batch_arrays)
-        calls.append({k: (len(v), v.__array_interface__["data"][0]) for k, v in minibatch.items()})
+        assert minibatch["proprio"].dtype == minibatch["design"].dtype == np.float32
+        assert minibatch["design"].source.shape == batch.design.shape
+        assert minibatch["design"].repeat == 9
+        for key, src in (("proprio", batch.proprio), ("action", batch.actions),
+                         ("old_log_prob", batch.log_probs), ("advantage", batch.advantages),
+                         ("ret", batch.returns)):
+            assert np.shares_memory(minibatch[key].source, src), key
+            assert minibatch[key].repeat == 1, key
+        index = minibatch["proprio"].index
+        assert all(col.index is index for col in minibatch.values())
+        rows.append(index.copy())
         return policy.loss_and_grads(params, minibatch, cfg, work)
 
     monkeypatch.setattr(ppo, "loss_and_grads", recording_loss)
     cfg = PpoConfig(epochs=3, minibatches=4, horizon=9)  # 45 rows: 12, 11, 11, 11
     ppo_update(params, adam_init(params, 1e-3), batch, cfg, stream("shuffle", 0, 0))
-    assert len(calls) == 12
-    assert [c["proprio"][0] for c in calls] == [12, 11, 11, 11] * 3
-    assert sum(c["proprio"][0] for c in calls) == cfg.epochs * 5 * 9
-    for key in calls[0]:
-        assert len({c[key][1] for c in calls}) == 1, key
+    assert [len(r) for r in rows] == [12, 11, 11, 11] * 3
+    for epoch in range(3):
+        assert sorted(np.concatenate(rows[4 * epoch:4 * epoch + 4])) == list(range(45))
+
+
+def test_update_allocates_no_minibatch_sized_array():
+    """An update's traced peak does not grow with its minibatches: on one
+    batch of 8192 rows, 8192-row minibatches peak like 2048-row ones, while
+    one float64 array of the larger minibatch would add 48 KiB.  Two epochs
+    give both updates more than one Adam step."""
+    params, batch = chinup_batch(128, 64)
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for minibatches in (4, 1):
+            cfg = PpoConfig(epochs=2, minibatches=minibatches)
+            opt = adam_init(params, 1e-3)
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            ppo_update(params, opt, batch, cfg, stream("shuffle", 0, 0))
+            peaks[minibatches] = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] <= peaks[4] + 4096, peaks
 
 
 @pytest.mark.parametrize("n_iters", [1, 10, 11, 25])
@@ -591,7 +615,8 @@ def test_train_frees_gae_inputs_before_the_update(monkeypatch):
 
 def test_update_memory_budget(monkeypatch):
     """The traced peak of one update, over the memory held before the
-    rollout, stays within what the update trains on and its own buffers."""
+    rollout, stays within what the update trains on, its row indices and
+    its loss workspace."""
     n_env, horizon, minibatches = 512, 64, 4
     marks = {}
 
@@ -615,24 +640,21 @@ def test_update_memory_budget(monkeypatch):
         train_on_env(params, adam_init(params, 1e-3), env, 1, cfg, 0)
     finally:
         tracemalloc.stop()
-    total, rows = n_env * horizon, n_env * horizon // minibatches
+    total = n_env * horizon
     f32, f64 = 4, 8
     # proprio (float32), actions, log_probs, advantages and returns
     trained = total * (PROPRIO_DIM * f32 + (ACTION_DIM + 3) * f64)
-    # the same columns per minibatch row, plus the float32 design
-    buffers = rows * (PROPRIO_DIM * f32 + 2 * f32 + (ACTION_DIM + 3) * f64)
-    # one epoch's int64 permutation and one minibatch's environment rows
-    shuffle = total * 8 + rows * 8
+    # one epoch's int64 permutation
+    shuffle = total * 8
     workspace = 5 * 1024 * params.hidden * f32
-    # Slack: the loss's six float64 arrays per minibatch row (log-prob,
-    # value, ratio, surrogate and two temporaries of its statistics), plus
-    # 1 MiB for one 1024-row loss block's temporaries (about 0.36 MB),
-    # Adam's step (about 0.22 MB) and the env state the rollout leaves
-    # (about 0.1 MB).  The GAE inputs and raw advantages, another 4 x 8 B
-    # per row, have no place in the budget.
-    slack = rows * 6 * f64 + 1024 * 1024
+    # Slack: 1 MiB for one 1024-row loss block's gathered rows (about
+    # 0.11 MB) and temporaries (about 0.36 MB), Adam's step (about 0.22 MB)
+    # and the env state the rollout leaves (about 0.1 MB).  No array of a
+    # minibatch's rows, nor the GAE inputs and raw advantages (another
+    # 4 x 8 B per row), has a place in the budget.
+    slack = 1024 * 1024
     used = marks["update_peak"] - marks["before_rollout"]
-    assert used <= trained + buffers + shuffle + workspace + slack, used
+    assert used <= trained + shuffle + workspace + slack, used
 
 
 def test_learning_curve_csv_round_trip(tmp_path):
