@@ -18,12 +18,11 @@ and position clamps of the final substep), while dynamics and observations
 use the clamped actual state.  Without this the clamps would make those
 terms identically zero.
 
-The physics helpers take joint arrays of shape (..., 2) and broadcast over
-the leading axes; they and the step share one table of the model's
-constant coefficients (`_coefficients`).  `VecChinupEnv.step` is the one
-control-step implementation.  Each substep runs on one stacked (n_envs, 5)
-state in column (Fortran) order (q1 + q2, q1, q2, qdot1, qdot2) and
-per-bank work buffers, so each joint quantity is one contiguous column.
+The model's constant coefficients form one table (`_coefficients`), which
+the step and the tests' closed-form model read.  `VecChinupEnv.step` is the
+one control-step implementation.  Each substep runs on one stacked
+(n_envs, 5) state in column (Fortran) order (q1 + q2, q1, q2, qdot1, qdot2)
+and per-bank work buffers, so each joint quantity is one contiguous column.
 One `sin` covers q1 + q2, q1 and q2.  A substep is 44 NumPy calls however
 many environments it steps, each on same-shape columns or a 0-d constant:
 on a few dozen environments a broadcast row or column costs about as much
@@ -34,7 +33,9 @@ as two such calls.  The step's results have the bits of the per-joint
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,6 +48,7 @@ from .tables import read_table, write_table
 N_JOINTS = 2
 ACTION_DIM = 4  # [q_target (2), qdot_target (2)]
 PROPRIO_DIM = 10  # goal_delta (2) + q (2) + qdot (2) + prev_action (4)
+RESET_DRAWS = 8  # resets whose noise a bank draws at a time per environment
 
 
 @dataclass(frozen=True)
@@ -123,59 +125,6 @@ def _coefficients(config: EnvConfig) -> _Coefficients:
     )
 
 
-def _mass_entries(q: np.ndarray, config: EnvConfig):
-    """M11(q), M12(q) and the constant M22 of the joint-space mass matrix."""
-    k = _coefficients(config)
-    c2 = np.cos(q[..., 1])
-    return k.a + k.b + 2.0 * k.c * c2, k.b + k.c * c2, k.b
-
-
-def mass_matrix(q: np.ndarray, config: EnvConfig) -> np.ndarray:
-    """Joint-space mass matrix M(q), shape (..., 2, 2)."""
-    q = np.asarray(q, dtype=np.float64)
-    m11, m12, m22 = _mass_entries(q, config)
-    m22 = np.broadcast_to(m22, m11.shape)
-    return np.stack(
-        [np.stack([m11, m12], axis=-1), np.stack([m12, m22], axis=-1)], axis=-2
-    )
-
-
-def coriolis_forces(q: np.ndarray, qdot: np.ndarray, config: EnvConfig) -> np.ndarray:
-    """Velocity-product forces C(q, qdot), shape (..., 2), laid out like qdot."""
-    q = np.asarray(q, dtype=np.float64)
-    qdot = np.asarray(qdot, dtype=np.float64)
-    c = _coefficients(config).c
-    s2 = np.sin(q[..., 1])
-    qd1, qd2 = qdot[..., 0], qdot[..., 1]
-    out = np.empty_like(qdot)
-    np.multiply(-c * s2, 2.0 * qd1 * qd2 + qd2**2, out=out[..., 0])
-    np.multiply(c * s2, qd1**2, out=out[..., 1])
-    return out
-
-
-def gravity_forces(q: np.ndarray, config: EnvConfig) -> np.ndarray:
-    """Gravity torques G(q), shape (..., 2), laid out like q."""
-    q = np.asarray(q, dtype=np.float64)
-    k = _coefficients(config)
-    s1 = np.sin(q[..., 0])
-    s12 = np.sin(q[..., 0] + q[..., 1])
-    out = np.empty_like(q)
-    np.multiply(k.g2, s12, out=out[..., 1])
-    np.add(k.g1 * s1, out[..., 1], out=out[..., 0])
-    return out
-
-
-def total_energy(q: np.ndarray, qdot: np.ndarray, config: EnvConfig) -> np.ndarray:
-    """Kinetic plus potential energy (potential zero at the bar height)."""
-    q = np.asarray(q, dtype=np.float64)
-    qdot = np.asarray(qdot, dtype=np.float64)
-    m = mass_matrix(q, config)
-    kinetic = 0.5 * np.einsum("...i,...ij,...j->...", qdot, m, qdot)
-    k = _coefficients(config)
-    potential = -k.g1 * np.cos(q[..., 0]) - k.g2 * np.cos(q[..., 0] + q[..., 1])
-    return kinetic + potential
-
-
 def forward_kinematics(q: np.ndarray, config: EnvConfig) -> np.ndarray:
     """Head position (tip of link 2), bar at origin, y up; shape (..., 2), laid out like q."""
     q = np.asarray(q, dtype=np.float64)
@@ -213,11 +162,42 @@ def observation_proprio(
     )
 
 
-@dataclass
-class EpisodeRecord:
+class EpisodeRow(NamedTuple):
+    """One finished episode, as iterating an `EpisodeLog` gives it."""
+
     design_idx: int
     episode_return: float
-    failed: bool = False
+    failed: bool
+
+
+@dataclass(frozen=True, eq=False)
+class EpisodeLog:
+    """Finished episodes as columns, in the order they ended: 13 bytes each.
+
+    `VecChinupEnv.step` returns the episodes its step finished as one.
+    `len` counts the episodes, and iterating gives one `EpisodeRow` per
+    episode, for a caller that reads them one at a time (the benchmark's
+    tracer counts the diverged ones so).
+    """
+
+    design_idx: np.ndarray  # int32
+    returns: np.ndarray  # float64
+    diverged: np.ndarray  # bool
+
+    def __len__(self) -> int:
+        return len(self.returns)
+
+    def __iter__(self):
+        columns = (self.design_idx.tolist(), self.returns.tolist(), self.diverged.tolist())
+        return itertools.starmap(EpisodeRow, zip(*columns))
+
+    @classmethod
+    def concat(cls, logs: list[EpisodeLog]) -> EpisodeLog:
+        return cls(*(np.concatenate([getattr(log, f.name) for log in logs])
+                     for f in dataclasses.fields(cls)))
+
+
+_NO_EPISODES = EpisodeLog(np.empty(0, np.int32), np.empty(0), np.empty(0, bool))
 
 
 class _StepWork:
@@ -264,8 +244,11 @@ class VecChinupEnv:
     Each environment evaluates one design from a population (several
     environments per design).  Episodes auto-reset on termination and
     completed episode returns are reported tagged by design index.
-    Per-environment random streams are derived from (seed, phase, env
-    index), so trajectories depend only on those keys and the actions.
+    Environment k's reset noise comes from its stream ("env", seed, phase,
+    k), so trajectories depend only on those keys and the actions.  The
+    bank holds no Generator: it draws `RESET_DRAWS` resets of noise at a
+    time into one (n_envs, RESET_DRAWS, 2) table, and a refill recreates
+    the stream and advances it past the doubles it already gave.
 
     `q`, `qdot` and `prev_qdot` are (n_envs, 2) arrays in column order;
     `step` replaces them with new arrays rather than writing into them.
@@ -294,7 +277,9 @@ class VecChinupEnv:
         limits = scale_actuator_limits(design_mat, config.tau_default, config.qdot_default)
         self.tau_max = np.asfortranarray(limits.tau_max)
         self.qdot_max = np.asfortranarray(limits.qdot_max)
-        self.rngs = [stream("env", seed, phase, k) for k in range(n)]
+        self._stream_keys = ("env", seed, phase)
+        self._resets = np.zeros(n, dtype=np.int64)  # resets drawn per environment
+        self._reset_noise = np.empty((n, RESET_DRAWS, N_JOINTS))
         # Per-bank constants of the control step.
         k = _coefficients(config)
         self._neg_tau_max = -self.tau_max
@@ -325,9 +310,18 @@ class VecChinupEnv:
         return self.config.episode_length
 
     def reset_mask(self, mask: np.ndarray) -> None:
+        rows = np.flatnonzero(mask)
+        drawn = self._resets[rows]
+        slot = drawn % RESET_DRAWS
         noise = self.config.reset_noise
-        for k in np.flatnonzero(mask):
-            self.q[k] = self.rngs[k].uniform(-noise, noise, size=N_JOINTS)
+        # Refill the rows whose drawn noise ran out.
+        refill = slot == 0
+        for k, done in zip(rows[refill].tolist(), drawn[refill].tolist()):
+            rng = stream(*self._stream_keys, k)
+            rng.bit_generator.advance(N_JOINTS * done)
+            self._reset_noise[k] = rng.uniform(-noise, noise, size=(RESET_DRAWS, N_JOINTS))
+        self.q[rows] = self._reset_noise[rows, slot]
+        self._resets[rows] += 1
         self.qdot[mask] = 0.0
         self.prev_action[mask] = 0.0
         self.prev_qdot[mask] = 0.0
@@ -375,14 +369,14 @@ class VecChinupEnv:
         out = (pd, pd[:, :2], pd[:, 2:], np.empty_like(self.q), np.empty_like(self.q))
         return self._pd_torque(target, np.concatenate([self.q, self.qdot], axis=1), out)[1]
 
-    def step(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[EpisodeRecord]]:
+    def step(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray, EpisodeLog]:
         """Advance every environment one control step.
 
         Runs `decimation` semi-implicit Euler substeps with the action held
         (PD torque recomputed each substep, velocity then position clamped,
         velocity zeroed at a position stop), then evaluates the reward.
-        Returns (rewards, dones, completed episode records); environments
-        that finished are reset in place after their record is taken.
+        Returns (rewards, dones, the finished episodes); environments that
+        finished are reset in place after their episode is logged.
         """
         actions = self._checked(actions)
         cfg = self.config
@@ -493,18 +487,14 @@ class VecChinupEnv:
         self._head_stale = np.zeros(self.n_envs, dtype=bool)
 
         dones = diverged | (self.step_count >= cfg.episode_length)
-        completed = []
+        finished = _NO_EPISODES
         if dones.any():
-            completed = [
-                EpisodeRecord(
-                    design_idx=int(self.env_to_design[k]),
-                    episode_return=float(self.ep_return[k]),
-                    failed=bool(diverged[k]),
-                )
-                for k in np.flatnonzero(dones)
-            ]
+            rows = np.flatnonzero(dones)
+            finished = EpisodeLog(
+                self.env_to_design[rows].astype(np.int32), self.ep_return[rows], diverged[rows]
+            )
             self.reset_mask(dones)
-        return rewards, dones, completed
+        return rewards, dones, finished
 
 
 def rollout_trajectory(

@@ -734,7 +734,7 @@ def rollout_returns(
     )
     rng = stream("eval-actions", seed, phase)
     batch = collect_rollouts(vec_env, params, env_cfg.episode_length, rng)
-    return np.asarray([e.episode_return for e in batch.episodes[:n_episodes]])
+    return batch.episodes.returns[:n_episodes].copy()
 
 
 def heatmap_sweep(

@@ -62,8 +62,8 @@ LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
 LOG_STD_INIT = -0.5
 CHECKPOINT_VERSION = 1
-# Rows per block in loss_and_grads: a block's (rows, hidden) activations stay
-# in cache through the element-wise passes.
+# Rows per block in loss_and_grads and the rollout forward: a block's (rows,
+# hidden) activations stay in cache through the element-wise passes.
 _BLOCK_ROWS = 1024
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -282,9 +282,10 @@ class RolloutWork:
 
     A rollout's parameters and designs do not change between its steps.
     `obs` is the (n_envs, obs_dim) observation buffer with the design
-    latent already in its trailing columns, `hidden` the two (n_envs,
-    hidden) trunk buffers, and `gaussian` the constants of the action
-    density.  The buffers are overwritten by every forward pass.
+    latent already in its trailing columns, `hidden` the two trunk
+    buffers of one block (min(n_envs, `_BLOCK_ROWS`) rows), and `gaussian`
+    the constants of the action density.  The buffers are overwritten by
+    every forward pass.
     """
 
     obs: np.ndarray
@@ -293,12 +294,16 @@ class RolloutWork:
 
 
 def rollout_work(params: PolicyParams, designs: np.ndarray) -> RolloutWork:
-    """The `RolloutWork` of `params` over one row per environment of `designs`."""
+    """The `RolloutWork` of `params` over one row per environment of `designs`.
+
+    The trunk buffers hold one block of `policy_forward_batch`'s rows.
+    """
     latent = _dense_tanh(designs, params.enc_w, params.enc_b)
     rows = latent.shape[0]
     obs = np.empty((rows, params.obs_dim))
     obs[:, params.obs_dim - params.latent:] = latent
-    hidden = (np.empty((rows, params.hidden)), np.empty((rows, params.hidden)))
+    block = min(rows, _BLOCK_ROWS)
+    hidden = (np.empty((block, params.hidden)), np.empty((block, params.hidden)))
     return RolloutWork(obs, hidden, gaussian_constants(params.log_std))
 
 
@@ -311,15 +316,31 @@ def policy_forward_batch(
     """Vectorized forward for rollouts: (means, values, log_std).
 
     With `work` (`rollout_work(params, designs)`), the design latent is not
-    recomputed, proprio is copied into the work's observation buffer and
-    the trunk writes into its hidden buffers.  The results have the same
-    bits either way; the means and values are new arrays.
+    recomputed, proprio is copied into the work's observation buffer, and
+    the trunk runs through the work's hidden buffers in the fewest blocks
+    of at most `_BLOCK_ROWS` rows: each but the last has the same multiple
+    of 8 rows, so 4,000 rows run in blocks of 1,000 and 1,030 in 520 and
+    510.  The means and values are new arrays.  On OpenBLAS 0.3.31 at one
+    BLAS thread they have the bits of the one pass without a work at every
+    size checked (108 sizes from 1 to 8,000 rows); that rests on how the
+    BLAS kernels round a block, and another BLAS, CPU kernel or thread
+    count may round differently.  There, a block that starts off a
+    multiple of 4 rows, or a short one (a last block of 294 of 1,030
+    rows), rounded some rows differently from one pass.
     """
     if work is None:
         acts = _forward(params, designs, proprio)
-    else:
-        acts = _forward(params, designs, proprio, work.hidden, work.obs)
-    return acts["mean"], acts["value"], params.log_std
+        return acts["mean"], acts["value"], params.log_std
+    n = len(proprio)
+    blocks = -(-n // _BLOCK_ROWS)
+    size = 8 * -(-n // (8 * blocks))  # rows per block, a multiple of 8
+    means, values = np.empty((n, params.action_dim)), np.empty(n)
+    for lo in range(0, n, size):
+        hi = min(lo + size, n)
+        hidden = [h[:hi - lo] for h in work.hidden]
+        acts = _forward(params, designs, proprio[lo:hi], hidden, work.obs[lo:hi])
+        means[lo:hi], values[lo:hi] = acts["mean"], acts["value"]
+    return means, values, params.log_std
 
 
 def sample_action(

@@ -15,12 +15,11 @@ training call is exactly reproducible from those keys.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
-from .chinup_env import EpisodeRecord
+from .chinup_env import EpisodeLog
 from .errors import ConfigError, NumericError
 from .policy import (
     ActionDistribution,
@@ -78,9 +77,10 @@ class RolloutBatch:
 
     `ppo_update` trains on proprio, design, actions, log_probs, advantages
     and returns, reading them in place.  rewards, values and dones (bool)
-    are GAE's inputs, and advantages_raw is read only by tests:
-    `train_on_env` sets all four to None once `compute_gae` has returned,
-    before the update.
+    are GAE's inputs, and `compute_gae` sets them to None as it spends
+    them.  advantages_raw is read only by tests: `train_on_env` sets it to
+    None before the update.  `episodes` logs the episodes that finished
+    during the rollout.
     """
 
     proprio: np.ndarray  # (n_env, horizon, proprio_dim), TRAIN_DTYPE for ppo_update
@@ -92,37 +92,10 @@ class RolloutBatch:
     values: np.ndarray | None  # (n_env, horizon), GAE input
     dones: np.ndarray | None  # (n_env, horizon) bool, GAE input
     bootstrap_values: np.ndarray  # (n_env,)
-    episodes: list[EpisodeRecord] = field(default_factory=list)
+    episodes: EpisodeLog | None = None
     advantages: np.ndarray | None = None  # (n_env, horizon), standardized
     advantages_raw: np.ndarray | None = None  # (n_env, horizon), for tests
     returns: np.ndarray | None = None  # (n_env, horizon), value targets
-
-
-class EpisodeLog(NamedTuple):
-    """One rollout's completed episodes as columns, in the order they ended.
-
-    A training phase keeps the logs of its last `FITNESS_WINDOW`
-    iterations, or of every iteration when an episode can outlast the
-    window (see `train_on_env`).  An episode costs 13 bytes here, where a
-    listed `EpisodeRecord` holds about 128.
-    """
-
-    design_idx: np.ndarray  # int32
-    returns: np.ndarray  # float64
-    diverged: np.ndarray  # bool
-
-    @classmethod
-    def of(cls, episodes: list[EpisodeRecord]) -> EpisodeLog:
-        n = len(episodes)
-        return cls(
-            np.fromiter((e.design_idx for e in episodes), np.int32, n),
-            np.fromiter((e.episode_return for e in episodes), np.float64, n),
-            np.fromiter((e.failed for e in episodes), bool, n),
-        )
-
-    @classmethod
-    def concat(cls, logs: list[EpisodeLog]) -> EpisodeLog:
-        return cls(*(np.concatenate(column) for column in zip(*logs)))
 
 
 def collect_rollouts(vec_env, params: PolicyParams, horizon: int, rng) -> RolloutBatch:
@@ -131,7 +104,7 @@ def collect_rollouts(vec_env, params: PolicyParams, horizon: int, rng) -> Rollou
     `vec_env` is a vectorized bank (VecChinupEnv or compatible): it exposes
     n_envs, design_mat, env_to_design, episode_length, proprio() and
     step(actions), holds per-env state across calls, and auto-resets
-    finished episodes while reporting their returns tagged by design index.
+    finished episodes while returning them as an `EpisodeLog`.
     An episode ends at the latest `episode_length` steps after it starts.
 
     The parameters and designs stay fixed for the whole rollout, so the
@@ -157,19 +130,21 @@ def collect_rollouts(vec_env, params: PolicyParams, horizon: int, rng) -> Rollou
         dones=np.empty((n, horizon), bool),
         bootstrap_values=np.empty(n),
     )
+    finished = []
     for t in range(horizon):
         means, values, log_std = policy_forward_batch(params, design, prop, work)
         actions, log_probs = sample_action(ActionDistribution(means, log_std), rng, work.gaussian)
-        rewards, dones, completed = vec_env.step(actions)
+        rewards, dones, episodes = vec_env.step(actions)
         out.proprio[:, t] = prop
         out.actions[:, t] = actions
         out.log_probs[:, t] = log_probs
         out.values[:, t] = values
         out.rewards[:, t] = rewards
         out.dones[:, t] = dones
-        out.episodes.extend(completed)
+        finished.append(episodes)
         prop = vec_env.proprio()
     _, out.bootstrap_values, _ = policy_forward_batch(params, design, prop, work)
+    out.episodes = EpisodeLog.concat(finished)
     return out
 
 
@@ -181,9 +156,11 @@ def compute_gae(batch: RolloutBatch, gamma: float, gae_lambda: float) -> Rollout
     returns = A_raw + v; advantages standardized to mean 0, std 1 (eps 1e-8).
 
     `dones` may be bool: 1.0 - done is then the same float64 as for 0/1.
-    The mean and std are taken before the standardized array is formed,
-    and the division runs in place, so the standardization holds one new
-    batch-sized array at a time.
+    The batch drops its inputs as they are spent: rewards and dones when
+    the recursion ends, values once the returns are formed.  The mean and
+    std are taken before the standardized array is formed, and the
+    division runs in place.  So GAE never holds its inputs beside all
+    three outputs, and at most one batch-sized temporary at a time.
     """
     n, horizon = batch.rewards.shape
     adv = np.zeros((n, horizon))
@@ -195,8 +172,11 @@ def compute_gae(batch: RolloutBatch, gamma: float, gae_lambda: float) -> Rollout
         next_adv = delta + gamma * gae_lambda * not_done * next_adv
         adv[:, t] = next_adv
         next_value = batch.values[:, t]
+    del next_value  # a view of values
+    batch.rewards = batch.dones = None
     batch.advantages_raw = adv
     batch.returns = adv + batch.values
+    batch.values = None
     mean, std = adv.mean(), adv.std()
     batch.advantages = adv - mean
     batch.advantages /= std + 1e-8
@@ -235,6 +215,9 @@ def ppo_update(
     work = loss_workspace(-(-total // cfg.minibatches), params.hidden, TRAIN_DTYPE)
     stats_acc: dict[str, list] = {}
     for epoch in range(cfg.epochs):
+        # The last epoch's permutation, and the minibatch views of it, die
+        # before the next is drawn.
+        perm = chunk = minibatch = None
         perm = rng.permutation(total)
         for mb_idx, chunk in enumerate(np.array_split(perm, cfg.minibatches)):
             minibatch = {
@@ -270,14 +253,15 @@ def train_on_env(
     iterations).  History rows carry the latest completed-episode
     statistics forward through iterations in which no episode finished.
 
-    Each iteration frees the batch's GAE inputs (rewards, values, dones)
-    and its raw advantages before the update, and the whole batch before
-    the next rollout.  Every environment ends an episode at most
-    `vec_env.episode_length` steps after its last one ended, so when a
-    window of iterations spans that many steps, every design has an
-    episode in any full window and the full-history fallback of
-    `_per_design_returns` never runs: the phase then keeps only the last
-    `FITNESS_WINDOW` episode logs.  Otherwise it keeps them all.
+    `compute_gae` frees the batch's GAE inputs (rewards, values, dones),
+    each iteration frees its raw advantages before the update and the
+    whole batch before the next rollout.  Every environment ends an
+    episode at most `vec_env.episode_length` steps after its last one
+    ended, so when a window of iterations spans that many steps, every
+    design has an episode in any full window and the full-history
+    fallback of `_per_design_returns` never runs: the phase then keeps
+    only the last `FITNESS_WINDOW` episode logs.  Otherwise it keeps them
+    all.
     """
     rollout_rng = stream("rollout", seed, phase)
     shuffle_rng = stream("shuffle", seed, phase)
@@ -287,12 +271,12 @@ def train_on_env(
     last_mean, last_std = float("nan"), float("nan")
     for it in range(n_iterations):
         batch = collect_rollouts(vec_env, params, cfg.horizon, rollout_rng)
-        log = EpisodeLog.of(batch.episodes)
+        log = batch.episodes
         logs.append(log)
         if cfg.reward_scale != 1.0:
             batch.rewards = batch.rewards * cfg.reward_scale
         compute_gae(batch, cfg.gamma, cfg.gae_lambda)
-        batch.rewards = batch.values = batch.dones = batch.advantages_raw = None
+        batch.advantages_raw = None
         params, opt, stats = ppo_update(params, opt, batch, cfg, shuffle_rng)
         if log.returns.size:
             last_mean = float(np.mean(log.returns))

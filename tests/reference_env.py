@@ -4,23 +4,82 @@ This is the environment step as it was before the bank moved to column
 form: every physics quantity is built with `np.stack` over the last axis,
 torques and velocities are clamped with `np.clip`, and the reward reads
 the same inputs.  The reward formulas and their weighted total are frozen
-copies of the term-by-term originals, summed in a Python loop.  The oracle
-shares only the config and record dataclasses with the package under test,
-so bitwise agreement between the two is evidence that the stacked-state
-step and the column-form reward kept every operand order.
+copies of the term-by-term originals, summed in a Python loop.  The step
+oracle `ReferenceBank` shares only the config dataclasses and `EpisodeLog`
+with the package under test, so bitwise agreement between the two is
+evidence that the stacked-state step and the column-form reward kept every
+operand order.  The closed-form helpers below also read the package's
+private `_coefficients`.
+
+`mass_matrix`, `coriolis_forces`, `gravity_forces` and `total_energy` state
+the model in closed form over joint arrays of shape (..., 2), from the
+package's table of coefficients; the physics and energy checks read them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from gearevo.chinup_env import ACTION_DIM, N_JOINTS, EpisodeRecord
+from gearevo.chinup_env import ACTION_DIM, N_JOINTS, EpisodeLog, _coefficients
 from gearevo.reward import TERM_NAMES, RewardBreakdown, RewardInputs
 from gearevo.seeding import stream
 
 
 def _sq_norm(x):
     return np.add.reduce(np.square(x), axis=-1)
+
+
+def _mass_entries(q: np.ndarray, config):
+    """M11(q), M12(q) and the constant M22 of the joint-space mass matrix."""
+    k = _coefficients(config)
+    c2 = np.cos(q[..., 1])
+    return k.a + k.b + 2.0 * k.c * c2, k.b + k.c * c2, k.b
+
+
+def mass_matrix(q: np.ndarray, config) -> np.ndarray:
+    """Joint-space mass matrix M(q), shape (..., 2, 2)."""
+    q = np.asarray(q, dtype=np.float64)
+    m11, m12, m22 = _mass_entries(q, config)
+    m22 = np.broadcast_to(m22, m11.shape)
+    return np.stack(
+        [np.stack([m11, m12], axis=-1), np.stack([m12, m22], axis=-1)], axis=-2
+    )
+
+
+def coriolis_forces(q: np.ndarray, qdot: np.ndarray, config) -> np.ndarray:
+    """Velocity-product forces C(q, qdot), shape (..., 2), laid out like qdot."""
+    q = np.asarray(q, dtype=np.float64)
+    qdot = np.asarray(qdot, dtype=np.float64)
+    c = _coefficients(config).c
+    s2 = np.sin(q[..., 1])
+    qd1, qd2 = qdot[..., 0], qdot[..., 1]
+    out = np.empty_like(qdot)
+    np.multiply(-c * s2, 2.0 * qd1 * qd2 + qd2**2, out=out[..., 0])
+    np.multiply(c * s2, qd1**2, out=out[..., 1])
+    return out
+
+
+def gravity_forces(q: np.ndarray, config) -> np.ndarray:
+    """Gravity torques G(q), shape (..., 2), laid out like q."""
+    q = np.asarray(q, dtype=np.float64)
+    k = _coefficients(config)
+    s1 = np.sin(q[..., 0])
+    s12 = np.sin(q[..., 0] + q[..., 1])
+    out = np.empty_like(q)
+    np.multiply(k.g2, s12, out=out[..., 1])
+    np.add(k.g1 * s1, out[..., 1], out=out[..., 0])
+    return out
+
+
+def total_energy(q: np.ndarray, qdot: np.ndarray, config) -> np.ndarray:
+    """Kinetic plus potential energy (potential zero at the bar height)."""
+    q = np.asarray(q, dtype=np.float64)
+    qdot = np.asarray(qdot, dtype=np.float64)
+    m = mass_matrix(q, config)
+    kinetic = 0.5 * np.einsum("...i,...ij,...j->...", qdot, m, qdot)
+    k = _coefficients(config)
+    potential = -k.g1 * np.cos(q[..., 0]) - k.g2 * np.cos(q[..., 0] + q[..., 1])
+    return kinetic + potential
 
 
 def reward_terms(inputs, cfg):
@@ -220,14 +279,12 @@ class ReferenceBank:
         self.step_count += 1
         self.ep_return += rewards
         dones = diverged | (self.step_count >= self.config.episode_length)
-        completed = [
-            EpisodeRecord(
-                design_idx=int(self.env_to_design[k]),
-                episode_return=float(self.ep_return[k]),
-                failed=bool(diverged[k]),
-            )
-            for k in np.nonzero(dones)[0]
-        ]
+        ended = np.nonzero(dones)[0]
+        completed = EpisodeLog(
+            np.array([self.env_to_design[k] for k in ended], dtype=np.int32),
+            np.array([self.ep_return[k] for k in ended], dtype=np.float64),
+            np.array([diverged[k] for k in ended], dtype=bool),
+        )
         if np.any(dones):
             self.reset_mask(dones)
         return rewards, dones, completed, breakdown

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from gearevo.chinup_env import EpisodeLog
 from gearevo.ppo import RolloutBatch
 
 from reference_env import ReferenceBank, reference_proprio
@@ -67,6 +68,7 @@ def reference_rollout(bank, design_mat, params, horizon, rng) -> RolloutBatch:
         dones=np.empty((n, horizon), bool),
         bootstrap_values=np.empty(n),
     )
+    finished = []
     for t in range(horizon):
         prop = reference_proprio(bank)
         means, values = _forward(params, out.design, prop)
@@ -78,8 +80,9 @@ def reference_rollout(bank, design_mat, params, horizon, rng) -> RolloutBatch:
         out.values[:, t] = values
         out.rewards[:, t] = rewards
         out.dones[:, t] = dones
-        out.episodes.extend(completed)
+        finished.append(completed)
     _, out.bootstrap_values = _forward(params, out.design, reference_proprio(bank))
+    out.episodes = EpisodeLog.concat(finished)
     return out
 
 

@@ -2,8 +2,8 @@
 
 `reference_ppo_update` is the update that casts every proprio row to
 float32, repeats the design once per row, and takes each minibatch into
-new arrays.  `reference_per_design_returns` averages a list of
-`EpisodeRecord` lists with Python list filters.  `ppo.ppo_update` and
+new arrays.  `reference_per_design_returns` averages a list of lists of
+episode rows (`EpisodeLog` iterated) with Python list filters.  `ppo.ppo_update` and
 `ppo._per_design_returns` must give the same bits; both oracles share only
 the policy's loss, Adam step and workspace with the package under test.
 `reference_train_on_env` is the training loop that keeps every
@@ -23,7 +23,7 @@ from gearevo.seeding import stream
 
 
 def reference_ppo_update(params, opt, batch, cfg, rng):
-    n, horizon = batch.rewards.shape
+    n, horizon = batch.log_probs.shape
     total = n * horizon
     flat = {
         "proprio": batch.proprio.reshape(total, -1).astype(np.float32),
@@ -72,7 +72,7 @@ def reference_train_on_env(params, opt, vec_env, n_iterations, cfg, seed, phase=
     last_mean, last_std = float("nan"), float("nan")
     for it in range(n_iterations):
         batch = collect_rollouts(vec_env, params, cfg.horizon, rollout_rng)
-        episodes_by_iter.append(batch.episodes)
+        episodes_by_iter.append(list(batch.episodes))
         if cfg.reward_scale != 1.0:
             batch.rewards = batch.rewards * cfg.reward_scale
         compute_gae(batch, cfg.gamma, cfg.gae_lambda)

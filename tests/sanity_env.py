@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from gearevo.chinup_env import ACTION_DIM as CHINUP_ACTION_DIM
-from gearevo.chinup_env import EnvConfig, EpisodeRecord, VecChinupEnv
+from gearevo.chinup_env import EnvConfig, EpisodeLog, VecChinupEnv
 from gearevo.reward import RewardConfig
 from gearevo.seeding import stream
 
@@ -63,7 +63,7 @@ class HoldPositionEnv:
     def proprio(self) -> np.ndarray:
         return np.stack([self.q - self.q_ref, self.qdot], axis=1)
 
-    def step(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[EpisodeRecord]]:
+    def step(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray, EpisodeLog]:
         a = np.clip(np.asarray(actions)[:, 0], -2.0, 2.0)
         qdd = self.gain * a - self.damping * self.qdot
         self.qdot = self.qdot + self.dt * qdd
@@ -72,10 +72,10 @@ class HoldPositionEnv:
         self.step_count += 1
         self._returns += rewards
         dones = self.step_count >= self.episode_length
-        completed = [
-            EpisodeRecord(design_idx=0, episode_return=float(self._returns[k]), failed=False)
-            for k in np.flatnonzero(dones)
-        ]
+        ended = np.flatnonzero(dones)
+        completed = EpisodeLog(
+            np.zeros(len(ended), np.int32), self._returns[ended], np.zeros(len(ended), bool)
+        )
         if dones.any():
             self.reset_mask(dones)
         return rewards, dones, completed

@@ -21,14 +21,7 @@ import numpy as np
 import pytest
 
 from gearevo import codesign
-from gearevo.chinup_env import (
-    ACTION_DIM,
-    PROPRIO_DIM,
-    EnvConfig,
-    VecChinupEnv,
-    mass_matrix,
-    total_energy,
-)
+from gearevo.chinup_env import ACTION_DIM, PROPRIO_DIM, EnvConfig, VecChinupEnv
 from gearevo.cli import parse_config
 from gearevo.cma_es import CmaEsConfig, cma_ask, cma_init, cma_tell
 from gearevo.codesign import POLICY_LATENT, evaluate_population, run_ea_corl
@@ -49,6 +42,7 @@ from gearevo.ppo import PpoConfig, RolloutBatch, compute_gae, train_on_env
 from gearevo.reward import RewardConfig, RewardInputs, reward_terms, total_reward
 
 import reference_cma
+from reference_env import mass_matrix, total_energy
 from sanity_env import ACTION_DIM as HOLD_ACTION_DIM
 from sanity_env import PROPRIO_DIM as HOLD_PROPRIO_DIM
 from sanity_env import HoldPositionEnv, free_swing, random_policy_baseline

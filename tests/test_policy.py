@@ -117,6 +117,39 @@ def test_forward_raises_on_nonfinite_input():
         policy_forward_batch(params, np.array([[1.0, np.nan]]), np.ones((1, 10)))
 
 
+@pytest.mark.parametrize("rows, blocks", [
+    (7, [7]), (64, [64]), (1025, [520, 505]), (1030, [520, 510]), (1100, [552, 548]),
+    (2500, [840, 840, 820]), (3000, [1000] * 3), (4000, [1000] * 4), (8000, [1000] * 8),
+])
+def test_blocked_rollout_forward_keeps_the_bits(monkeypatch, rows, blocks):
+    # with a rollout work the trunk runs in the fewest blocks of at most
+    # 1024 rows, all but the last of one multiple of 8 rows, through one
+    # block of buffers; the means and values keep the bytes of the one-pass
+    # forward, twice over the same buffers.  The equality rests on how the
+    # BLAS rounds each block (it held on OpenBLAS 0.3.31 at one thread), so
+    # a BLAS that rounds a block's rows differently fails here
+    params = policy_init(14, 4, 2, 3)
+    rng = np.random.default_rng(rows)
+    design = rng.uniform(0.5, 3.0, (rows, 2))
+    proprios = [rng.standard_normal((rows, 10)) for _ in range(2)]
+    want = [policy_forward_batch(params, design, proprio) for proprio in proprios]
+    work = rollout_work(params, design)
+    assert [h.shape for h in work.hidden] == [(min(rows, 1024), params.hidden)] * 2
+    seen = []
+
+    def recording_forward(params, design, proprio, *args):
+        seen.append(len(proprio))
+        return real_forward(params, design, proprio, *args)
+
+    real_forward = policy._forward
+    monkeypatch.setattr(policy, "_forward", recording_forward)
+    for proprio, expected in zip(proprios, want):
+        got = policy_forward_batch(params, design, proprio, work)
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert seen == blocks * 2
+
+
 # --- distribution -----------------------------------------------------------------
 
 

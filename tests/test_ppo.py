@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from gearevo import policy, ppo
-from gearevo.chinup_env import ACTION_DIM, PROPRIO_DIM, EnvConfig, EpisodeRecord, VecChinupEnv
+from gearevo.chinup_env import ACTION_DIM, PROPRIO_DIM, EnvConfig, EpisodeLog, VecChinupEnv
 from gearevo.errors import ConfigError
 from gearevo.policy import PARAM_ORDER, adam_init, policy_init
 from gearevo.ppo import (
-    EpisodeLog,
     PpoConfig,
     RolloutBatch,
     collect_rollouts,
@@ -229,7 +228,11 @@ def test_collect_rollouts_matches_reference_loop_bitwise(n_env):
         want = reference_rollout(ref, design_mat, params, horizon, ref_draws)
         for f in dataclasses.fields(RolloutBatch):
             a, b = getattr(got, f.name), getattr(want, f.name)
-            if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+            if f.name == "episodes":
+                for column in ("design_idx", "returns", "diverged"):
+                    x, y = getattr(a, column), getattr(b, column)
+                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (k, column)
+            elif isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
                 assert a.shape == b.shape and a.dtype == b.dtype, (k, f.name)
                 assert a.tobytes() == b.tobytes(), (k, f.name)
             else:
@@ -437,18 +440,18 @@ def test_per_design_returns_match_record_lists_bitwise(n_iters):
     # design 0 finishes often and 1 rarely, 2 finishes only in the first
     # iteration (before the window once there are more than 10), 3 never
     rng = np.random.default_rng(n_iters)
-    episodes_by_iter = []
+    logs = []
     for it in range(n_iters):
         designs = [0] * int(rng.integers(0, 40)) + [1] * int(rng.integers(0, 2))
         if it == 0:
             designs += [2] * 17
         rng.shuffle(designs)
-        episodes_by_iter.append([
-            EpisodeRecord(d, float(rng.standard_normal() * 10.0 ** rng.integers(-3, 4)),
-                          bool(rng.random() < 0.1))
-            for d in designs
-        ])
-    logs = [EpisodeLog.of(eps) for eps in episodes_by_iter]
+        rows = [(d, rng.standard_normal() * 10.0 ** rng.integers(-3, 4), rng.random() < 0.1)
+                for d in designs]
+        logs.append(EpisodeLog(np.array([r[0] for r in rows], np.int32),
+                               np.array([r[1] for r in rows], np.float64),
+                               np.array([r[2] for r in rows], bool)))
+    episodes_by_iter = [list(log) for log in logs]
     got = ppo._per_design_returns(logs, 4)
     want = reference_per_design_returns(episodes_by_iter, 4)
     assert got.tobytes() == want.tobytes()
@@ -557,17 +560,16 @@ def test_train_keeps_only_the_logs_the_window_reads(
     )
 
     live, held, episodes_by_iter = [], [], []
-    real_of = EpisodeLog.of
 
-    def recording_of(episodes):
+    def recording_rollouts(*args):
+        batch = collect_rollouts(*args)
         # the earlier logs still held when this iteration's log is made
         held.append(sum(ref() is not None for ref in live))
-        episodes_by_iter.append(list(episodes))
-        log = real_of(episodes)
-        live.append(weakref.ref(log.returns))
-        return log
+        episodes_by_iter.append(list(batch.episodes))
+        live.append(weakref.ref(batch.episodes.returns))
+        return batch
 
-    monkeypatch.setattr(EpisodeLog, "of", recording_of)
+    monkeypatch.setattr(ppo, "collect_rollouts", recording_rollouts)
     _, history, got = train_on_env(params, adam_init(params, 1e-3), env, n_iters, cfg, 0)
     assert got.tobytes() == want.tobytes()
     assert repr(history) == repr(want_history)
@@ -590,11 +592,11 @@ def test_train_frees_gae_inputs_before_the_update(monkeypatch):
         return batch
 
     def recording_gae(batch, gamma, gae_lambda):
+        refs[-1] += [weakref.ref(getattr(batch, k)) for k in ("rewards", "values", "dones")]
         out = compute_gae(batch, gamma, gae_lambda)
         assert all(isinstance(getattr(out, k), np.ndarray)
                    for k in ("advantages_raw", "returns", "advantages"))
-        refs[-1] += [weakref.ref(getattr(out, k))
-                     for k in ("rewards", "values", "dones", "advantages_raw")]
+        refs[-1].append(weakref.ref(out.advantages_raw))
         return out
 
     def recording_loss(params, minibatch, cfg, work=None):
@@ -655,6 +657,57 @@ def test_update_memory_budget(monkeypatch):
     slack = 1024 * 1024
     used = marks["update_peak"] - marks["before_rollout"]
     assert used <= trained + shuffle + workspace + slack, used
+
+
+def test_rollout_memory_budget():
+    """Over the batch it returns, a rollout's traced peak holds one block of
+    trunk buffers, not one per environment: 3,000 environments run the
+    trunk in blocks of 1,000 rows through buffers of 1,024."""
+    n_env, horizon = 3000, 4
+    env, params = chinup_bank(n_env, 250)  # no episode ends
+    tracemalloc.start()
+    try:
+        batch = collect_rollouts(env, params, horizon, stream("rollout", 0, 0))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert batch.proprio.shape[:2] == (n_env, horizon)
+    trunk = 2 * 1024 * params.hidden * 8
+    # Slack: 80 float64 per environment for the observation buffer (14),
+    # one step's means, values, action draws and their temporaries, and the
+    # bank's state and reward terms while a step replaces them (measured
+    # about 65 in all).  Trunk buffers of every environment would add
+    # another 2 x 1,976 rows of 64 float64.
+    slack = n_env * 80 * 8
+    assert peak - held <= trunk + slack, peak - held
+
+
+def test_gae_memory_budget():
+    """GAE frees its inputs as it spends them: counting the rewards, values
+    and dones it was handed, its traced peak is at most its three outputs
+    plus one batch-sized temporary (np.std's).  Holding the inputs to the
+    end would add two more."""
+    n, horizon = 512, 64
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        # GAE reads only these fields, and the batch holds the only reference.
+        batch = RolloutBatch(
+            proprio=None, design=None, design_idx=None, actions=None, log_probs=None,
+            rewards=rng.standard_normal((n, horizon)), values=rng.standard_normal((n, horizon)),
+            dones=rng.random((n, horizon)) < 0.05, bootstrap_values=rng.standard_normal(n),
+        )
+        tracemalloc.reset_peak()
+        compute_gae(batch, 0.99, 0.95)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    array = n * horizon * 8
+    # Slack: 16 float64 per environment for the recursion's per-step vectors.
+    slack = n * 16 * 8
+    assert peak <= 4 * array + slack, peak / array
+    assert batch.rewards is batch.values is batch.dones is None
 
 
 def test_learning_curve_csv_round_trip(tmp_path):
