@@ -3,10 +3,12 @@
 Configuration is an INI file with sections [run], [design], [cma], [ppo],
 [env], [reward].  The keys, their value kinds and their defaults are the
 fields of the config dataclasses (CodesignConfig and its sub-configs; see
-_schema below and the README).  Resolution order: dataclass defaults, then
-file values, then --set overrides, then explicit flags.  The fully
-resolved config is echoed to <out>/config.snapshot and hashed; the hash is
-recorded in the run manifest and must match on resume.
+_keys below and the README); _KINDS gives each kind's parse and format,
+and a float must be finite.  Resolution order: dataclass defaults, then
+file values (as `section.key=value` items, read by the --set resolver),
+then --set overrides, then explicit flags.  The fully resolved config is
+echoed to <out>/config.snapshot and hashed; the hash is recorded in the
+run manifest and must match on resume.
 
 The environment variable CODESIGN_THREADS caps numeric worker threads; it
 is applied before numpy is imported, which is why the heavy modules are
@@ -18,10 +20,10 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
-import enum
 import functools
 import hashlib
 import json
+import math
 import os
 import pathlib
 import sys
@@ -46,21 +48,39 @@ EXIT_PARTIAL = 3
 MANIFEST_FILE = "manifest.json"
 CONFIG_SNAPSHOT_FILE = "config.snapshot"
 
-_FLOAT = "float"
-_INT = "int"
-_STR = "str"
-_PAIR = "pair"  # two comma-separated floats
-_NAMES = "names"  # comma-separated identifiers
-_PAIRS = "pairs"  # comma-separated i:j index pairs
 
-# Config dataclass field annotation -> value kind.
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
+def _pair(raw: str) -> tuple[float, float]:
+    parts = tuple(_finite(x) for x in raw.split(","))
+    if len(parts) != 2:
+        raise ValueError("expected two comma-separated numbers")
+    return parts
+
+
+def _index_pair(chunk: str) -> tuple[int, int]:
+    i, j = chunk.split(":")
+    return int(i), int(j)
+
+
+# Config dataclass field annotation -> (parse, format) of its INI value.
 _KINDS = {
-    "int": _INT,
-    "float": _FLOAT,
-    "Mode": _STR,
-    "tuple[float, float]": _PAIR,
-    "tuple[str, ...]": _NAMES,
-    "tuple[tuple[int, int], ...]": _PAIRS,
+    "int": (int, str),
+    "float": (_finite, repr),
+    "Mode": (str, lambda mode: mode.value),
+    "tuple[float, float]": (_pair, lambda pair: ",".join(map(repr, pair))),
+    "tuple[str, ...]": (
+        lambda raw: tuple(x.strip() for x in raw.split(",") if x.strip()), ",".join
+    ),
+    "tuple[tuple[int, int], ...]": (
+        lambda raw: tuple(_index_pair(x) for x in raw.split(",") if x.strip()),
+        lambda pairs: ",".join(f"{i}:{j}" for i, j in pairs),
+    ),
 }
 
 # Config section -> the CodesignConfig field it sets ([run] sets the outer
@@ -80,100 +100,77 @@ _SECTIONS = {
 _CMA_DERIVED = ("dim", "population_size", "seed")
 
 
-@functools.cache
-def _schema() -> dict[tuple[str, str], str]:
-    """(section, key) -> value kind, in config.snapshot order.
+def _keys(cfg):
+    """((section, key), annotation, value) per config key of `cfg`.
 
-    Derived from the config dataclasses' fields.  Built on first use, not at
-    import, because those modules import numpy (see the module docstring).
+    The keys are the config dataclasses' fields, in config.snapshot order;
+    the reward weights are one float key `w_<term>` per term.
     """
-    from .codesign import CodesignConfig
     from .reward import TERM_NAMES
 
-    defaults = CodesignConfig()
-    schema = {}
     for section, attr in _SECTIONS.items():
-        obj = getattr(defaults, attr) if attr else defaults
+        obj = getattr(cfg, attr) if attr else cfg
         for f in dataclasses.fields(obj):
-            if dataclasses.is_dataclass(getattr(obj, f.name)) or (
-                section == "cma" and f.name in _CMA_DERIVED
-            ):
+            value = getattr(obj, f.name)
+            if dataclasses.is_dataclass(value) or (section == "cma" and f.name in _CMA_DERIVED):
                 continue
             if section == "reward" and f.name == "weights":
-                schema.update({(section, f"w_{term}"): _FLOAT for term in TERM_NAMES})
+                for term in TERM_NAMES:
+                    yield (section, f"w_{term}"), "float", value[term]
             else:
-                schema[(section, f.name)] = _KINDS[f.type]
-    return schema
+                yield (section, f.name), f.type, value
 
 
-def _parse_value(kind: str, raw: str, key: str):
+@functools.cache
+def _schema() -> dict[tuple[str, str], tuple]:
+    """(section, key) -> its value kind's (parse, format), in config.snapshot order.
+
+    Built on first use, not at import, because the config dataclasses'
+    modules import numpy (see the module docstring).
+    """
+    from .codesign import CodesignConfig
+
+    return {key: _KINDS[annotation] for key, annotation, _ in _keys(CodesignConfig())}
+
+
+def _parse_value(skey: tuple[str, str], raw: str):
+    parse = _schema()[skey][0]
     try:
-        if kind == _INT:
-            return int(raw)
-        if kind == _FLOAT:
-            return float(raw)
-        if kind == _STR:
-            return raw.strip()
-        if kind == _PAIR:
-            parts = [float(x) for x in raw.split(",")]
-            if len(parts) != 2:
-                raise ConfigError(f"key {key!r} expects two comma-separated numbers")
-            return tuple(parts)
-        if kind == _NAMES:
-            return tuple(x.strip() for x in raw.split(",") if x.strip())
-        if kind == _PAIRS:
-            pairs = []
-            for chunk in raw.split(","):
-                chunk = chunk.strip()
-                if not chunk:
-                    continue
-                i, j = chunk.split(":")
-                pairs.append((int(i), int(j)))
-            return tuple(pairs)
-    except ConfigError:
-        raise
-    except ValueError:
-        raise ConfigError(f"key {key!r}: cannot parse value {raw!r} as {kind}")
-    raise AssertionError(f"unhandled kind {kind}")
+        return parse(raw.strip())
+    except ValueError as exc:
+        raise ConfigError(f"key {'.'.join(skey)!r}: cannot parse value {raw!r} ({exc})") from None
 
 
-def _read_config_file(path: str) -> dict[tuple[str, str], object]:
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    schema = _schema()
-    parser = configparser.ConfigParser()
-    parser.read(path)
-    values: dict[tuple[str, str], object] = {}
-    for section in parser.sections():
-        for key, raw in parser.items(section):
-            skey = (section, key)
-            if skey not in schema:
-                raise ConfigError(f"unknown config key [{section}] {key!r}")
-            values[skey] = _parse_value(schema[skey], raw, f"{section}.{key}")
-    return values
+def _file_items(path: str) -> list[str]:
+    """An INI file's keys as `section.key=value` items."""
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        with open(path) as fh:
+            parser.read_file(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    return [f"{section}.{key}={raw}" for section in parser.sections()
+            for key, raw in parser.items(section)]
 
 
 def _apply_overrides(values: dict, overrides: list[str]) -> None:
+    """Resolve each `key=value` item into `values`; a later item wins."""
     schema = _schema()
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} must look like key=value")
         key, raw = item.split("=", 1)
-        key = key.strip()
-        if "." in key:
-            section, name = key.split(".", 1)
-            skey = (section.strip(), name.strip())
-            if skey not in schema:
-                raise ConfigError(f"unknown config key {key!r}")
-        else:
-            matches = [sk for sk in schema if sk[1] == key]
-            if not matches:
-                raise ConfigError(f"unknown config key {key!r}")
-            if len(matches) > 1:
-                names = ", ".join(f"{s}.{k}" for s, k in matches)
-                raise ConfigError(f"ambiguous config key {key!r}; use one of: {names}")
-            skey = matches[0]
-        values[skey] = _parse_value(schema[skey], raw.strip(), key)
+        key = ".".join(part.strip() for part in key.split("."))
+        # A key is `section.key`, or a bare key that names one section's key.
+        matches = [sk for sk in schema if key in (f"{sk[0]}.{sk[1]}", sk[1])]
+        if not matches:
+            raise ConfigError(f"unknown config key {key!r}")
+        if len(matches) > 1:
+            names = ", ".join(f"{s}.{k}" for s, k in matches)
+            raise ConfigError(f"ambiguous config key {key!r}; use one of: {names}")
+        values[matches[0]] = _parse_value(matches[0], raw)
 
 
 def _build_config(values: dict):
@@ -205,39 +202,13 @@ def _build_config(values: dict):
     return dataclasses.replace(defaults, **parts, **run)
 
 
-def _format_value(kind: str, value) -> str:
-    if kind == _INT:
-        return str(int(value))
-    if kind == _FLOAT:
-        return repr(float(value))
-    if kind == _STR:
-        return value.value if isinstance(value, enum.Enum) else str(value)
-    if kind == _PAIR:
-        return ",".join(repr(float(x)) for x in value)
-    if kind == _NAMES:
-        return ",".join(value)
-    if kind == _PAIRS:
-        return ",".join(f"{i}:{j}" for i, j in value)
-    raise AssertionError(f"unhandled kind {kind}")
-
-
 def render_config(cfg) -> str:
     """Canonical text form of a resolved config (the config.snapshot body)."""
-    lines = []
-    current_section = None
-    for (section, key), kind in _schema().items():
-        if section != current_section:
-            if current_section is not None:
-                lines.append("")
-            lines.append(f"[{section}]")
-            current_section = section
-        obj = getattr(cfg, _SECTIONS[section]) if _SECTIONS[section] else cfg
-        if section == "reward" and key.startswith("w_"):
-            value = obj.weights[key[len("w_"):]]
-        else:
-            value = getattr(obj, key)
-        lines.append(f"{key} = {_format_value(kind, value)}")
-    return "\n".join(lines) + "\n"
+    sections: dict[str, list[str]] = {}
+    for (section, key), annotation, value in _keys(cfg):
+        line = f"{key} = {_KINDS[annotation][1](value)}"
+        sections.setdefault(section, [f"[{section}]"]).append(line)
+    return "\n\n".join("\n".join(lines) for lines in sections.values()) + "\n"
 
 
 def config_hash(cfg) -> str:
@@ -247,9 +218,7 @@ def config_hash(cfg) -> str:
 def parse_config(path: str | None, overrides: list[str] | None = None):
     """Resolve a CodesignConfig from defaults, an optional file, and overrides."""
     values: dict[tuple[str, str], object] = {}
-    if path is not None:
-        values.update(_read_config_file(path))
-    _apply_overrides(values, overrides or [])
+    _apply_overrides(values, (_file_items(path) if path is not None else []) + (overrides or []))
     return _build_config(values)
 
 
@@ -318,6 +287,8 @@ def cmd_run(args) -> int:
         overrides.append(f"run.seed={args.seed}")
     if args.iterations is not None:
         overrides.append(f"cma.max_iterations={args.iterations}")
+    if args.stop_after is not None and args.stop_after < 1:
+        raise ConfigError(f"--stop-after must be at least 1, got {args.stop_after}")
     cfg = parse_config(args.config, overrides)
 
     out_dir = args.out

@@ -1,9 +1,11 @@
 """Multi-term reward for the chin-up task.
 
 Each term is a separate formula; the total is a weighted sum over the
-configured active terms.  Penalty rows are expressed as positive
-magnitudes combined with negative weights, so signs compose only in the
-weighted sum.
+configured active terms.  One table, `_TERMS`, gives each term's formula
+and default weight in breakdown order; `TERM_NAMES`, `DEFAULT_WEIGHTS`
+and the `RewardBreakdown` fields are derived from it.  Penalty rows are
+expressed as positive magnitudes combined with negative weights, so
+signs compose only in the weighted sum.
 
 All terms broadcast over an optional leading batch axis: vector inputs of
 shape (n,) describe one environment, (B, n) a batch of B environments.
@@ -16,43 +18,12 @@ in-order `np.add.accumulate`, which has the bits of the term-by-term sum
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, make_dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 from .tables import read_table, write_table
-
-TERM_NAMES = (
-    "chinup",
-    "hollow_cylinder",
-    "base_position",
-    "joint_regularization",
-    "orientation",
-    "torque",
-    "joint_acceleration",
-    "action_rate",
-    "joint_position_limit",
-    "joint_velocity_limit",
-    "joint_torque_limit",
-)
-
-DEFAULT_WEIGHTS = {
-    "chinup": 30.0,
-    "hollow_cylinder": -2.0,
-    "base_position": -2.0,
-    "joint_regularization": -5.0,
-    "orientation": -5.0,
-    "torque": -1e-5,
-    "joint_acceleration": -1e-5,
-    "action_rate": -1e-3,
-    "joint_position_limit": -2.0,
-    "joint_velocity_limit": -2.0,
-    "joint_torque_limit": -2.0,
-}
-
-# The planar environment has no floating base, so orientation is off by default.
-DEFAULT_ACTIVE = tuple(t for t in TERM_NAMES if t != "orientation")
 
 
 @dataclass
@@ -76,48 +47,6 @@ class RewardInputs:
     q_max: np.ndarray
     qdot_max: np.ndarray
     tau_max: np.ndarray
-
-
-@dataclass
-class RewardBreakdown:
-    """Per-term values (unweighted) plus the weighted total."""
-
-    chinup: float | np.ndarray = 0.0
-    hollow_cylinder: float | np.ndarray = 0.0
-    base_position: float | np.ndarray = 0.0
-    joint_regularization: float | np.ndarray = 0.0
-    orientation: float | np.ndarray = 0.0
-    torque: float | np.ndarray = 0.0
-    joint_acceleration: float | np.ndarray = 0.0
-    action_rate: float | np.ndarray = 0.0
-    joint_position_limit: float | np.ndarray = 0.0
-    joint_velocity_limit: float | np.ndarray = 0.0
-    joint_torque_limit: float | np.ndarray = 0.0
-    total: float | np.ndarray = 0.0
-
-
-@dataclass
-class RewardConfig:
-    weights: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_WEIGHTS))
-    active: tuple[str, ...] = DEFAULT_ACTIVE
-    cyl_window: tuple[float, float] = (0.5, 0.8)
-    cyl_out_value: float = 10.0
-    base_out_value: float = 20.0
-
-    def __post_init__(self):
-        for name in self.weights:
-            if name not in TERM_NAMES:
-                raise ConfigError(f"unknown reward term in weights: {name!r}")
-        for k, name in enumerate(self.active):
-            if name not in TERM_NAMES:
-                raise ConfigError(f"unknown reward term in active mask: {name!r}")
-            if name in self.active[:k]:
-                raise ConfigError(f"reward term {name!r} listed twice in the active mask")
-        missing = [t for t in TERM_NAMES if t not in self.weights]
-        if missing:
-            raise ConfigError(f"weights missing for terms: {missing}")
-        if not all(np.isfinite(w) for w in self.weights.values()):
-            raise ConfigError("reward weights must be finite")
 
 
 def _sum_last(x: np.ndarray, out: np.ndarray) -> None:
@@ -217,19 +146,57 @@ def _joint_torque_limit(inputs: RewardInputs, cfg: RewardConfig, out: np.ndarray
     _limit_excess(inputs.tau, inputs.tau_max, out)
 
 
-_FORMULAS = {
-    "chinup": _chinup,
-    "hollow_cylinder": _hollow_cylinder,
-    "base_position": _base_position,
-    "joint_regularization": _joint_regularization,
-    "orientation": _orientation,
-    "torque": _torque,
-    "joint_acceleration": _joint_acceleration,
-    "action_rate": _action_rate,
-    "joint_position_limit": _joint_position_limit,
-    "joint_velocity_limit": _joint_velocity_limit,
-    "joint_torque_limit": _joint_torque_limit,
+# Term name -> (formula, default weight), in breakdown and CSV column order.
+_TERMS = {
+    "chinup": (_chinup, 30.0),
+    "hollow_cylinder": (_hollow_cylinder, -2.0),
+    "base_position": (_base_position, -2.0),
+    "joint_regularization": (_joint_regularization, -5.0),
+    "orientation": (_orientation, -5.0),
+    "torque": (_torque, -1e-5),
+    "joint_acceleration": (_joint_acceleration, -1e-5),
+    "action_rate": (_action_rate, -1e-3),
+    "joint_position_limit": (_joint_position_limit, -2.0),
+    "joint_velocity_limit": (_joint_velocity_limit, -2.0),
+    "joint_torque_limit": (_joint_torque_limit, -2.0),
 }
+
+TERM_NAMES = tuple(_TERMS)
+DEFAULT_WEIGHTS = {name: weight for name, (_, weight) in _TERMS.items()}
+
+# The planar environment has no floating base, so orientation is off by default.
+DEFAULT_ACTIVE = tuple(t for t in TERM_NAMES if t != "orientation")
+
+RewardBreakdown = make_dataclass(
+    "RewardBreakdown",
+    [(name, "float | np.ndarray", 0.0) for name in (*TERM_NAMES, "total")],
+    namespace={"__doc__": "Per-term values (unweighted) plus the weighted total.",
+               "__module__": __name__},
+)
+
+
+@dataclass
+class RewardConfig:
+    weights: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_WEIGHTS))
+    active: tuple[str, ...] = DEFAULT_ACTIVE
+    cyl_window: tuple[float, float] = (0.5, 0.8)
+    cyl_out_value: float = 10.0
+    base_out_value: float = 20.0
+
+    def __post_init__(self):
+        for name in self.weights:
+            if name not in TERM_NAMES:
+                raise ConfigError(f"unknown reward term in weights: {name!r}")
+        for k, name in enumerate(self.active):
+            if name not in TERM_NAMES:
+                raise ConfigError(f"unknown reward term in active mask: {name!r}")
+            if name in self.active[:k]:
+                raise ConfigError(f"reward term {name!r} listed twice in the active mask")
+        missing = [t for t in TERM_NAMES if t not in self.weights]
+        if missing:
+            raise ConfigError(f"weights missing for terms: {missing}")
+        if not all(np.isfinite(w) for w in self.weights.values()):
+            raise ConfigError("reward weights must be finite")
 
 
 def _weighted_total(stacked: np.ndarray, cfg: RewardConfig) -> float | np.ndarray:
@@ -259,7 +226,7 @@ def reward_terms(inputs: RewardInputs, cfg: RewardConfig) -> RewardBreakdown:
     stacked[0] = 0.0
     # stacked[k, ...] is a view even unbatched (0-d); stacked[k] is then a scalar.
     for k, name in enumerate(active, 1):
-        _FORMULAS[name](inputs, cfg, stacked[k, ...])
+        _TERMS[name][0](inputs, cfg, stacked[k, ...])
     terms = dict.fromkeys(TERM_NAMES, stacked[0])
     terms.update((name, stacked[k]) for k, name in enumerate(active, 1))
     return RewardBreakdown(**terms, total=_weighted_total(stacked, cfg))

@@ -147,7 +147,7 @@ def test_bare_key_override_resolves_section():
 def test_ambiguous_bare_key_lists_candidates(monkeypatch):
     # No two schema sections currently share a key name, so manufacture a
     # clash to exercise the diagnostic.
-    monkeypatch.setitem(cli._schema(), ("env", "gamma"), cli._FLOAT)
+    monkeypatch.setitem(cli._schema(), ("env", "gamma"), cli._KINDS["float"])
     with pytest.raises(ConfigError, match="ambiguous.*ppo.gamma.*env.gamma"):
         parse_config(None, ["gamma=0.9"])
 
@@ -164,14 +164,59 @@ def test_unparseable_values_rejected():
         parse_config(None, ["env.goal=1.0"])
 
 
-def test_render_parse_round_trip(tmp_path):
-    cfg = parse_config(None, ["run.n_pop=4", "run.n_env=8", "cma.parent_count=2"])
-    text = render_config(cfg)
-    path = tmp_path / "snapshot.ini"
-    path.write_text(text)
-    cfg2 = parse_config(str(path))
-    assert render_config(cfg2) == text
-    assert config_hash(cfg2) == config_hash(cfg)
+FLOAT_KINDS = {"float": "{}", "tuple[float, float]": "{},0"}
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_floats_rejected(bad):
+    keys = {
+        skey: text
+        for annotation, text in FLOAT_KINDS.items()
+        for skey, kind in cli._schema().items()
+        if kind is cli._KINDS[annotation]
+    }
+    assert len(keys) == 42  # 36 floats, the 11 weights among them, and 6 pairs
+    for (section, key), text in keys.items():
+        name = f"{section}.{key}"
+        with pytest.raises(ConfigError, match=re.escape(f"'{name}'")):
+            parse_config(None, [f"{name}={text.format(bad)}"])
+
+
+def test_run_refuses_non_finite_float_before_writing(micro_ini, tmp_path, capsys):
+    out = tmp_path / "o"
+    code = main(["run", "--config", micro_ini, "--out", str(out),
+                 "--set", "ppo.clip_epsilon=nan"])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "ppo.clip_epsilon" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        (b"[run]\nseed = 5%\n", "run.seed"),  # no interpolation: a literal value
+        (b"seed = 5\n", None),
+        (b"[run]\nseed = 5\nseed = 6\n", None),
+        (b"[run]\nseed = \xff\n", None),
+        (None, None),  # a directory, not a file
+    ],
+    ids=["percent", "no_section", "duplicate_key", "not_utf8", "directory"],
+)
+def test_malformed_config_file_is_an_error_line(tmp_path, capsys, text, named):
+    path = tmp_path / "bad.ini"
+    if text is None:
+        path.mkdir()
+    else:
+        path.write_bytes(text)
+    named = named or str(path)
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        parse_config(str(path))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert not out.exists()
 
 
 NON_DEFAULT_OVERRIDES = [
@@ -196,6 +241,21 @@ def test_render_config_golden_digest(overrides, digest):
     # Existing run directories resume only while their snapshot text, and so
     # its hash, stays byte-identical.
     assert config_hash(parse_config(None, overrides)) == digest
+
+
+def test_render_parse_round_trip(tmp_path):
+    # The non-default overrides read pairs, names, index pairs, the mode and
+    # the `w_` keys back through the file path.
+    desk = ["run.n_pop=4", "run.n_env=8", "cma.parent_count=2"]
+    for overrides in (desk, NON_DEFAULT_OVERRIDES):
+        cfg = parse_config(None, overrides)
+        text = render_config(cfg)
+        path = tmp_path / "snapshot.ini"
+        path.write_text(text)
+        cfg2 = parse_config(str(path))
+        assert cfg2 == cfg
+        assert render_config(cfg2) == text
+        assert config_hash(cfg2) == config_hash(cfg)
 
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -299,6 +359,15 @@ def test_iterations_flag_resolves_after_file_values(tmp_path, capsys):
     args = ["run", "--config", str(path), "--out", out, "--iterations", "5"]
     assert main(args) == EXIT_OK
     assert read_manifest(out)["iterations_done"] == 5
+
+
+@pytest.mark.parametrize("stop_after", ["0", "-1"])
+def test_run_refuses_stop_after_below_one(micro_ini, tmp_path, capsys, stop_after):
+    out = tmp_path / "o"
+    code = main(["run", "--config", micro_ini, "--out", str(out), "--stop-after", stop_after])
+    assert code == EXIT_ERROR
+    assert "--stop-after" in capsys.readouterr().err
+    assert not out.exists()  # refused before the run directory is made
 
 
 def test_run_error_exit_code(tmp_path, capsys):
