@@ -403,7 +403,7 @@ def cmd_evaluate(args) -> int:
     )
     if args.dump_trajectory or args.dump_rewards:
         def mean_action(proprio, dsn):
-            means, _, _ = policy_forward_batch(params, dsn.factors[None, :], proprio[None, :])
+            means, _ = policy_forward_batch(params, dsn.factors[None, :], proprio[None, :])
             return means[0]
 
         rows, _, breakdowns = rollout_trajectory(
@@ -479,10 +479,8 @@ def main(argv=None) -> int:
         DimensionError,
         NumericError,
         OptimizerDegenerateError,
+        OSError,
     ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -163,7 +163,11 @@ def cma_tell(state: CmaEsState, evaluated: list[EvaluatedCandidate]) -> CmaEsSta
     Candidates are ranked ascending by fitness (stable in the given order);
     the mu best raw samples recombine into the new mean, then the standard
     evolution-path, covariance, and CSA step-size updates apply.  +inf
-    fitness is accepted (failed evaluations rank last); NaN is rejected.
+    fitness marks a failed evaluation and ranks last, so parents beyond the
+    scored candidates are taken in the given order; NaN is rejected.  When
+    no candidate is scored (every fitness +inf) the distribution stays as
+    it is and only the generation advances, so the next ask draws new
+    samples.
     """
     if len(evaluated) != state.lam:
         raise ContractError(
@@ -174,6 +178,8 @@ def cma_tell(state: CmaEsState, evaluated: list[EvaluatedCandidate]) -> CmaEsSta
     )
     if np.any(np.isnan(fitness)):
         raise ContractError("cma_tell: candidate fitness unset or NaN")
+    if np.all(fitness == np.inf):
+        return dataclasses.replace(state, generation=state.generation + 1)
 
     order = np.argsort(fitness, kind="stable")
     selected = np.stack([evaluated[i].raw_sample for i in order[: state.mu]])

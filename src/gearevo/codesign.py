@@ -5,13 +5,14 @@ iteration.  Inner loop: a shared policy is trained by PPO on environments
 expanded from that population, and each design's fitness is the negative
 of its mean episode return over a terminal window (lower is better).
 
-Two modes differ only in the fine-tune source from iteration 2 on:
+Iteration 1 pre-trains the base policy, and every later iteration
+fine-tunes from the best snapshot.  The two modes differ only in promotion:
 
-* EA_CORL: iteration 1 pre-trains the base policy; the best snapshot
-  (the one that achieved the best population fitness so far) seeds every
-  later adaptation, so policy improvements compound with the evolution.
-* PT_FT: every iteration fine-tunes from the fixed pre-trained base; the
-  published best policy remains the base snapshot.
+* EA_CORL: the snapshot of an iteration that improves the best population
+  fitness so far becomes the best snapshot, so policy improvements
+  compound with the evolution.
+* PT_FT: no snapshot is promoted, so every iteration fine-tunes from the
+  fixed pre-trained base, and the published best policy is the base.
 
 Runs checkpoint every outer iteration into a run directory and can resume
 to a byte-identical continuation, as every random stream is derived from
@@ -168,16 +169,16 @@ def evaluate_population(
     cfg: CodesignConfig,
     n_iterations: int,
     phase: str | int,
-) -> tuple[PolicyParams, np.ndarray, np.ndarray, list[dict], bool]:
+) -> tuple[PolicyParams, np.ndarray, list[dict], bool]:
     """Train on the expanded population and score each design.
 
     Runs `n_iterations` PPO iterations from `params`, with the learning
     rate that `opt` carries, on the chin-up bank expanded from `designs`.
-    Returns (task-adapted snapshot, j_pop, mean returns, training history,
-    failed).  Fitness is the exact negative of each design's terminal-window
-    mean return.  A numeric training failure marks the whole population
-    failed (+inf fitness, NaN returns) and hands back the input snapshot so
-    the run can continue.
+    Returns (task-adapted snapshot, j_pop, training history, failed).
+    Fitness is the exact negative of each design's terminal-window mean
+    return, +inf for a design with no episode.  A numeric training failure
+    marks the whole population failed (+inf fitness) and hands back the
+    input snapshot so the run can continue.
     """
     plan = expand_designs(cfg.n_pop, cfg.n_env)
     if len(designs) != plan.n_pop:
@@ -199,10 +200,9 @@ def evaluate_population(
         )
     except NumericError as exc:
         logger.error("population evaluation failed at phase %s: %s", phase, exc)
-        n = len(designs)
-        return params, np.full(n, np.inf), np.full(n, np.nan), [], True
+        return params, np.full(len(designs), np.inf), [], True
     j_pop = np.where(np.isnan(per_design), np.inf, -per_design)
-    return new_params, j_pop, per_design, history, False
+    return new_params, j_pop, history, False
 
 
 def run_ea_corl(
@@ -272,11 +272,9 @@ def run(
 
         if fitness_fn is not None:
             j_pop = np.array([float(fitness_fn(d)) for d in designs])
-            # As in evaluate_population: a design without a finite score has no return.
-            mean_returns = np.where(j_pop == np.inf, np.nan, -j_pop)
             source_id = 0
         else:
-            # Iteration 1 pre-trains a fresh policy; later ones adapt a snapshot.
+            # Iteration 1 pre-trains a fresh policy; later ones adapt the best snapshot.
             if i == 1:
                 source = policy_init(
                     PROPRIO_DIM + POLICY_LATENT, ACTION_DIM, cfg.cma.dim,
@@ -284,22 +282,24 @@ def run(
                 )
                 learning_rate, n_iterations = cfg.ppo.learning_rate, cfg.base_train_iters
             else:
-                source = params_best if cfg.mode is Mode.EA_CORL else params_base
+                source = params_best
                 learning_rate, n_iterations = cfg.adapt_learning_rate, cfg.adapt_train_iters
             source_id = source.snapshot_id
-            params_i, j_pop, mean_returns, train_history, failed = evaluate_population(
+            params_i, j_pop, train_history, failed = evaluate_population(
                 source, adam_init(source, learning_rate), designs, cfg, n_iterations, i
             )
             params_i = dataclasses.replace(params_i, snapshot_id=i)
             if i == 1:
                 params_base = params_best = params_i
+        # A design without a score (+inf) has no mean return; -(-x) == x.
+        mean_returns = np.where(j_pop == np.inf, np.nan, -j_pop)
 
         best_idx = int(np.argmin(j_pop))
         pop_best = float(j_pop[best_idx])
         if pop_best < j_star:
             j_star = pop_best
             d_star = designs[best_idx]
-            if fitness_fn is None and cfg.mode is Mode.EA_CORL and i >= 2:
+            if fitness_fn is None and cfg.mode is Mode.EA_CORL:
                 params_best = params_i
 
         for cand, fitness in zip(candidates, j_pop):

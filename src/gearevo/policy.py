@@ -158,12 +158,6 @@ class AdamState:
     learning_rate: float
 
 
-@dataclass
-class ActionDistribution:
-    mean: np.ndarray
-    log_std: np.ndarray
-
-
 def _orthogonal(rng: np.random.Generator, rows: int, cols: int, gain: float) -> np.ndarray:
     a = rng.standard_normal((max(rows, cols), min(rows, cols)))
     q, r = np.linalg.qr(a)
@@ -177,25 +171,21 @@ def policy_init(
     obs_dim: int,
     action_dim: int,
     design_dim: int,
-    rng: int | np.random.Generator,
+    seed: int,
     hidden: int = 64,
     latent: int = 4,
 ) -> PolicyParams:
     """Orthogonal-style init: gain 1 trunk/encoder/critic, 0.01 actor head.
 
-    `rng` may be an integer seed (recorded in the snapshot metadata and
-    expanded through a named stream) or a ready Generator (seed recorded
-    as -1).
+    `seed` is recorded in the snapshot metadata and expanded through a
+    named stream.
     """
     if min(obs_dim, action_dim, design_dim, hidden, latent) < 1:
         raise ConfigError("all policy dimensions must be positive")
     if obs_dim <= latent:
         raise ConfigError(f"obs_dim {obs_dim} must exceed latent size {latent}")
-    if isinstance(rng, (int, np.integer)):
-        seed = int(rng)
-        rng = stream("policy-init", seed)
-    else:
-        seed = -1
+    seed = int(seed)
+    rng = stream("policy-init", seed)
     size, slices = _param_layout(obs_dim, action_dim, design_dim, hidden, latent)
     flat = np.zeros(size)
     arrays = _views(flat, slices)
@@ -264,7 +254,7 @@ def _forward(
 
 @dataclass(frozen=True)
 class GaussianConstants:
-    """What `gaussian_log_prob` needs of a fixed log_std besides the action."""
+    """The Gaussian action head of a fixed log_std: `gaussian_constants(log_std)`."""
 
     std: np.ndarray  # exp(log_std)
     log_std_sum: float
@@ -312,8 +302,8 @@ def policy_forward_batch(
     designs: np.ndarray,
     proprio: np.ndarray,
     work: RolloutWork | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized forward for rollouts: (means, values, log_std).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized forward for rollouts: (means, values).
 
     With `work` (`rollout_work(params, designs)`), the design latent is not
     recomputed, proprio is copied into the work's observation buffer, and
@@ -330,7 +320,7 @@ def policy_forward_batch(
     """
     if work is None:
         acts = _forward(params, designs, proprio)
-        return acts["mean"], acts["value"], params.log_std
+        return acts["mean"], acts["value"]
     n = len(proprio)
     blocks = -(-n // _BLOCK_ROWS)
     size = 8 * -(-n // (8 * blocks))  # rows per block, a multiple of 8
@@ -340,33 +330,25 @@ def policy_forward_batch(
         hidden = [h[:hi - lo] for h in work.hidden]
         acts = _forward(params, designs, proprio[lo:hi], hidden, work.obs[lo:hi])
         means[lo:hi], values[lo:hi] = acts["mean"], acts["value"]
-    return means, values, params.log_std
+    return means, values
 
 
 def sample_action(
-    dist: ActionDistribution,
-    rng: np.random.Generator,
-    gaussian: GaussianConstants | None = None,
+    mean: np.ndarray, gaussian: GaussianConstants, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw action = mean + std*z and its log density under the distribution.
+    """Draw action = mean + std*z and its log density under the Gaussian head.
 
-    Broadcasts over a leading batch axis in dist.mean.  `gaussian` may give
-    `gaussian_constants(dist.log_std)`, computed once for many calls with
-    the same log_std; the results have the same bits either way.
+    Broadcasts over a leading batch axis in `mean`.
     """
-    if gaussian is None:
-        gaussian = gaussian_constants(dist.log_std)
-    z = rng.standard_normal(dist.mean.shape)
-    action = dist.mean + gaussian.std * z
-    return action, gaussian_log_prob(dist, action, gaussian)
+    z = rng.standard_normal(mean.shape)
+    action = mean + gaussian.std * z
+    return action, gaussian_log_prob(mean, action, gaussian)
 
 
 def gaussian_log_prob(
-    dist: ActionDistribution, action: np.ndarray, gaussian: GaussianConstants | None = None
+    mean: np.ndarray, action: np.ndarray, gaussian: GaussianConstants
 ) -> np.ndarray:
-    if gaussian is None:
-        gaussian = gaussian_constants(dist.log_std)
-    return _log_density((action - dist.mean) / gaussian.std, gaussian)
+    return _log_density((action - mean) / gaussian.std, gaussian)
 
 
 def _log_density(z: np.ndarray, gaussian: GaussianConstants) -> np.ndarray:
@@ -426,6 +408,8 @@ class Rows:
 
 # The columns of a loss_and_grads minibatch, in the order the loss reads them.
 _MINIBATCH_COLUMNS = ("proprio", "design", "action", "old_log_prob", "advantage", "ret")
+# The statistics loss_and_grads returns, in order.
+LOSS_STATISTICS = ("total", "policy_loss", "value_loss", "entropy", "clip_fraction", "approx_kl")
 
 
 def loss_and_grads(
@@ -469,7 +453,8 @@ def loss_and_grads(
     of those log-ratios (measured on 7 to 64,000 rows; the tests bound
     these at 1e-5 and 1e-6).
 
-    The gradient is a new float64 vector laid out as `params.flat`.
+    Returns the statistics, keyed by LOSS_STATISTICS, and the gradient: a
+    new float64 vector laid out as `params.flat`.
     """
     columns = [minibatch[key] for key in _MINIBATCH_COLUMNS]
     batch = len(columns[0])
@@ -565,16 +550,8 @@ def loss_and_grads(
     total = policy_loss + ppo_cfg.value_coef * value_loss - ppo_cfg.entropy_coef * ent
     if not np.isfinite(total):
         raise NumericError("non-finite PPO loss")
-
-    losses = {
-        "total": float(total),
-        "policy_loss": float(policy_loss),
-        "value_loss": float(value_loss),
-        "entropy": float(ent),
-        "clip_fraction": float(clip_fraction),
-        "approx_kl": float(approx_kl),
-    }
-    return losses, grad
+    stats = (total, policy_loss, value_loss, ent, clip_fraction, approx_kl)
+    return dict(zip(LOSS_STATISTICS, map(float, stats))), grad
 
 
 def _column_sums(x: np.ndarray, ones: np.ndarray | None) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 from .chinup_env import EpisodeLog
 from .errors import ConfigError, NumericError
 from .policy import (
-    ActionDistribution,
+    LOSS_STATISTICS,
     AdamState,
     PolicyParams,
     Rows,
@@ -43,6 +43,10 @@ TRAIN_DTYPE = np.float32
 # The terminal window of iterations over which a training phase's
 # per-design mean episode returns are taken (see `_per_design_returns`).
 FITNESS_WINDOW = 10
+
+# A training history row: the iteration, its episode statistics and the
+# update's mean loss statistics (the loss total left out).
+LEARNING_CURVE_COLUMNS = ("iteration", "mean_return", "std_return", *LOSS_STATISTICS[1:])
 
 
 @dataclass(frozen=True)
@@ -78,14 +82,12 @@ class RolloutBatch:
     `ppo_update` trains on proprio, design, actions, log_probs, advantages
     and returns, reading them in place.  rewards, values and dones (bool)
     are GAE's inputs, and `compute_gae` sets them to None as it spends
-    them.  advantages_raw is read only by tests: `train_on_env` sets it to
-    None before the update.  `episodes` logs the episodes that finished
-    during the rollout.
+    them.  `episodes` logs the episodes that finished during the rollout,
+    each with its design index.
     """
 
     proprio: np.ndarray  # (n_env, horizon, proprio_dim), TRAIN_DTYPE for ppo_update
     design: np.ndarray  # (n_env, design_dim), static per env
-    design_idx: np.ndarray  # (n_env,)
     actions: np.ndarray  # (n_env, horizon, action_dim)
     log_probs: np.ndarray  # (n_env, horizon)
     rewards: np.ndarray | None  # (n_env, horizon), GAE input
@@ -94,7 +96,6 @@ class RolloutBatch:
     bootstrap_values: np.ndarray  # (n_env,)
     episodes: EpisodeLog | None = None
     advantages: np.ndarray | None = None  # (n_env, horizon), standardized
-    advantages_raw: np.ndarray | None = None  # (n_env, horizon), for tests
     returns: np.ndarray | None = None  # (n_env, horizon), value targets
 
 
@@ -122,7 +123,6 @@ def collect_rollouts(vec_env, params: PolicyParams, horizon: int, rng) -> Rollou
     out = RolloutBatch(
         proprio=np.empty((n, horizon, prop.shape[1]), TRAIN_DTYPE),
         design=design,
-        design_idx=np.asarray(vec_env.env_to_design, dtype=np.int64),
         actions=np.empty((n, horizon, params.action_dim)),
         log_probs=np.empty((n, horizon)),
         rewards=np.empty((n, horizon)),
@@ -132,8 +132,8 @@ def collect_rollouts(vec_env, params: PolicyParams, horizon: int, rng) -> Rollou
     )
     finished = []
     for t in range(horizon):
-        means, values, log_std = policy_forward_batch(params, design, prop, work)
-        actions, log_probs = sample_action(ActionDistribution(means, log_std), rng, work.gaussian)
+        means, values = policy_forward_batch(params, design, prop, work)
+        actions, log_probs = sample_action(means, work.gaussian, rng)
         rewards, dones, episodes = vec_env.step(actions)
         out.proprio[:, t] = prop
         out.actions[:, t] = actions
@@ -143,7 +143,7 @@ def collect_rollouts(vec_env, params: PolicyParams, horizon: int, rng) -> Rollou
         out.dones[:, t] = dones
         finished.append(episodes)
         prop = vec_env.proprio()
-    _, out.bootstrap_values, _ = policy_forward_batch(params, design, prop, work)
+    _, out.bootstrap_values = policy_forward_batch(params, design, prop, work)
     out.episodes = EpisodeLog.concat(finished)
     return out
 
@@ -157,10 +157,10 @@ def compute_gae(batch: RolloutBatch, gamma: float, gae_lambda: float) -> Rollout
 
     `dones` may be bool: 1.0 - done is then the same float64 as for 0/1.
     The batch drops its inputs as they are spent: rewards and dones when
-    the recursion ends, values once the returns are formed.  The mean and
-    std are taken before the standardized array is formed, and the
-    division runs in place.  So GAE never holds its inputs beside all
-    three outputs, and at most one batch-sized temporary at a time.
+    the recursion ends, values once the returns are formed.  The raw
+    advantages are then standardized in place, so GAE never holds its
+    inputs beside both outputs, and at most one batch-sized temporary at a
+    time.
     """
     n, horizon = batch.rewards.shape
     adv = np.zeros((n, horizon))
@@ -174,12 +174,12 @@ def compute_gae(batch: RolloutBatch, gamma: float, gae_lambda: float) -> Rollout
         next_value = batch.values[:, t]
     del next_value  # a view of values
     batch.rewards = batch.dones = None
-    batch.advantages_raw = adv
     batch.returns = adv + batch.values
     batch.values = None
     mean, std = adv.mean(), adv.std()
-    batch.advantages = adv - mean
-    batch.advantages /= std + 1e-8
+    adv -= mean
+    adv /= std + 1e-8
+    batch.advantages = adv
     return batch
 
 
@@ -248,20 +248,20 @@ def train_on_env(
 ) -> tuple[PolicyParams, list[dict], np.ndarray]:
     """Core training loop over an existing environment bank.
 
-    Returns (final params, per-iteration history rows, per-design mean
-    episode returns over the terminal window of up to `FITNESS_WINDOW`
-    iterations).  History rows carry the latest completed-episode
-    statistics forward through iterations in which no episode finished.
+    Returns (final params, per-iteration history rows keyed by
+    LEARNING_CURVE_COLUMNS, per-design mean episode returns over the
+    terminal window of up to `FITNESS_WINDOW` iterations).  History rows
+    carry the latest completed-episode statistics forward through
+    iterations in which no episode finished.
 
     `compute_gae` frees the batch's GAE inputs (rewards, values, dones),
-    each iteration frees its raw advantages before the update and the
-    whole batch before the next rollout.  Every environment ends an
-    episode at most `vec_env.episode_length` steps after its last one
-    ended, so when a window of iterations spans that many steps, every
-    design has an episode in any full window and the full-history
-    fallback of `_per_design_returns` never runs: the phase then keeps
-    only the last `FITNESS_WINDOW` episode logs.  Otherwise it keeps them
-    all.
+    and each iteration frees the whole batch before the next rollout.
+    Every environment ends an episode at most `vec_env.episode_length`
+    steps after its last one ended, so when a window of iterations spans
+    that many steps, every design has an episode in any full window and
+    the full-history fallback of `_per_design_returns` never runs: the
+    phase then keeps only the last `FITNESS_WINDOW` episode logs.
+    Otherwise it keeps them all.
     """
     rollout_rng = stream("rollout", seed, phase)
     shuffle_rng = stream("shuffle", seed, phase)
@@ -276,23 +276,12 @@ def train_on_env(
         if cfg.reward_scale != 1.0:
             batch.rewards = batch.rewards * cfg.reward_scale
         compute_gae(batch, cfg.gamma, cfg.gae_lambda)
-        batch.advantages_raw = None
         params, opt, stats = ppo_update(params, opt, batch, cfg, shuffle_rng)
         if log.returns.size:
             last_mean = float(np.mean(log.returns))
             last_std = float(np.std(log.returns))
-        history.append(
-            {
-                "iteration": it + 1,
-                "mean_return": last_mean,
-                "std_return": last_std,
-                "policy_loss": stats["policy_loss"],
-                "value_loss": stats["value_loss"],
-                "entropy": stats["entropy"],
-                "clip_fraction": stats["clip_fraction"],
-                "approx_kl": stats["approx_kl"],
-            }
-        )
+        row = (it + 1, last_mean, last_std, *(stats[key] for key in LOSS_STATISTICS[1:]))
+        history.append(dict(zip(LEARNING_CURVE_COLUMNS, row)))
         # Free this batch before the next rollout fills a new one.
         del batch
     n_designs = int(np.max(vec_env.env_to_design)) + 1 if n_iterations > 0 else 0
@@ -320,12 +309,6 @@ def _per_design_returns(logs: list[EpisodeLog], n_designs: int) -> np.ndarray:
         if returns.size:
             per_design[d] = np.mean(returns)
     return per_design
-
-
-LEARNING_CURVE_COLUMNS = (
-    "iteration", "mean_return", "std_return",
-    "policy_loss", "value_loss", "entropy", "clip_fraction", "approx_kl",
-)
 
 
 def write_learning_curve_csv(history: list[dict], path) -> None:

@@ -199,19 +199,6 @@ class RewardConfig:
             raise ConfigError("reward weights must be finite")
 
 
-def _weighted_total(stacked: np.ndarray, cfg: RewardConfig) -> float | np.ndarray:
-    """The weighted sum of the active terms, added in `cfg.active` order.
-
-    `stacked[0]` is zero and `stacked[1 + i]` holds the i-th active term.
-    The running sum of np.add.accumulate adds one row at a time, so the
-    result has the bits of `0.0 + w1 t1 + w2 t2 + ...` (a negative zero
-    included: the leading zero makes it positive).
-    """
-    weights = np.array([1.0] + [cfg.weights[name] for name in cfg.active])
-    products = stacked * weights.reshape(weights.shape + (1,) * (stacked.ndim - 1))
-    return np.add.accumulate(products, axis=0, out=products)[-1]
-
-
 def reward_terms(inputs: RewardInputs, cfg: RewardConfig) -> RewardBreakdown:
     """Evaluate every active term and the weighted total; inactive terms report 0.
 
@@ -229,20 +216,12 @@ def reward_terms(inputs: RewardInputs, cfg: RewardConfig) -> RewardBreakdown:
         _TERMS[name][0](inputs, cfg, stacked[k, ...])
     terms = dict.fromkeys(TERM_NAMES, stacked[0])
     terms.update((name, stacked[k]) for k, name in enumerate(active, 1))
-    return RewardBreakdown(**terms, total=_weighted_total(stacked, cfg))
-
-
-def total_reward(breakdown: RewardBreakdown, cfg: RewardConfig) -> float | np.ndarray:
-    """Weighted sum over active terms; also stored into breakdown.total.
-
-    The sum `reward_terms` takes, over the terms as `breakdown` holds them,
-    with the shape of all its term fields broadcast together.
-    """
-    fields = np.broadcast_arrays(*(getattr(breakdown, name) for name in TERM_NAMES))
-    terms = dict(zip(TERM_NAMES, fields))
-    stacked = np.stack([np.zeros_like(terms["chinup"]), *(terms[t] for t in cfg.active)])
-    breakdown.total = _weighted_total(stacked, cfg)
-    return breakdown.total
+    # The running sum adds one row at a time, so the total has the bits of
+    # 0.0 + w1 t1 + w2 t2 + ... (the leading zero makes a -0.0 positive).
+    weights = np.array([1.0] + [cfg.weights[name] for name in active])
+    products = stacked * weights.reshape(weights.shape + (1,) * (stacked.ndim - 1))
+    total = np.add.accumulate(products, axis=0, out=products)[-1]
+    return RewardBreakdown(**terms, total=total)
 
 
 BREAKDOWN_COLUMNS = ("step", *TERM_NAMES, "total")

@@ -60,7 +60,6 @@ def reference_rollout(bank, design_mat, params, horizon, rng) -> RolloutBatch:
     out = RolloutBatch(
         proprio=np.empty((n, horizon, reference_proprio(bank).shape[1]), np.float32),
         design=np.asarray(design_mat, dtype=np.float64),
-        design_idx=np.asarray(bank.env_to_design, dtype=np.int64),
         actions=np.empty((n, horizon, params.action_dim)),
         log_probs=np.empty((n, horizon)),
         rewards=np.empty((n, horizon)),

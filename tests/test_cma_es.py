@@ -200,6 +200,18 @@ def test_tell_accepts_inf_fitness_for_failed_candidates():
     assert np.isfinite(new.sigma)
 
 
+def test_tell_without_a_scored_candidate_keeps_the_distribution():
+    state = cma_init(small_config())
+    cands = evaluate(cma_ask(state), lambda x: np.inf)
+    new = cma_tell(state, cands)
+    assert new.generation == state.generation + 1
+    for name in ("mean", "sigma", "cov", "path_sigma", "path_c"):
+        assert np.array_equal(getattr(new, name), getattr(state, name)), name
+    # the next ask is keyed by the advanced generation, so it draws anew
+    again = np.stack([c.raw_sample for c in cma_ask(new)])
+    assert not np.array_equal(again, np.stack([c.raw_sample for c in cands]))
+
+
 def test_tell_stationary_input_keeps_mean_shrinks_sigma():
     state = cma_init(small_config())
     cands = [

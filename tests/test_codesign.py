@@ -43,7 +43,7 @@ from gearevo.codesign import (
 from gearevo.design_space import DesignSpace, DesignVector, read_designs_csv
 from gearevo.errors import CheckpointError, ConfigError
 from gearevo.policy import adam_init, policy_init
-from gearevo.ppo import PpoConfig, collect_rollouts
+from gearevo.ppo import PpoConfig, collect_rollouts, train_on_env
 from gearevo.reward import RewardConfig
 from gearevo.seeding import stream
 
@@ -155,21 +155,31 @@ def test_mode_mismatch_entry_points():
 # --- evaluate_population --------------------------------------------------------
 
 
-def test_evaluate_population_sign_identity():
+def test_evaluate_population_sign_identity(monkeypatch):
     """Fitness is exactly the negative per-design mean return."""
+    from gearevo import codesign
+
+    mean_returns = []
+
+    def recording_train(*args):
+        out = train_on_env(*args)
+        mean_returns.append(out[2])
+        return out
+
+    monkeypatch.setattr(codesign, "train_on_env", recording_train)
     cfg = micro_config()
     params = policy_init(
         PROPRIO_DIM + POLICY_LATENT, ACTION_DIM, 2, cfg.seed, latent=POLICY_LATENT
     )
     opt = adam_init(params, cfg.ppo.learning_rate)
     designs = [DesignVector(np.array([1.0, 1.0])), DesignVector(np.array([2.0, 0.5]))]
-    new_params, j_pop, mean_returns, history, failed = evaluate_population(
+    new_params, j_pop, history, failed = evaluate_population(
         params, opt, designs, cfg, cfg.adapt_train_iters, phase=1
     )
     assert not failed
-    assert j_pop.shape == (2,) and mean_returns.shape == (2,)
+    assert j_pop.shape == (2,) and mean_returns[0].shape == (2,)
     assert np.all(np.isfinite(j_pop))
-    np.testing.assert_array_equal(j_pop, -mean_returns)
+    np.testing.assert_array_equal(j_pop, -mean_returns[0])
     assert len(history) == cfg.adapt_train_iters
     assert new_params is not params
 
@@ -189,14 +199,33 @@ def test_evaluate_population_failure_path(monkeypatch):
     )
     opt = adam_init(params, cfg.ppo.learning_rate)
     designs = [DesignVector(np.array([1.0, 1.0])), DesignVector(np.array([2.0, 0.5]))]
-    out_params, j_pop, mean_returns, history, failed = evaluate_population(
+    out_params, j_pop, history, failed = evaluate_population(
         params, opt, designs, cfg, cfg.adapt_train_iters, phase=1
     )
     assert failed
     assert out_params is params  # snapshot handed back unchanged
     assert np.all(np.isposinf(j_pop))
-    assert np.all(np.isnan(mean_returns))
     assert history == []
+
+
+def test_unscored_population_leaves_cma_es_in_place():
+    """An iteration in which no design is scored (all +inf) leaves the search
+    distribution where it was, and the next iteration asks new designs."""
+    cfg = synthetic_config(iterations=3, seed=3)
+    calls = []
+
+    def fails_in_iteration_2(design):
+        calls.append(design)
+        iteration = (len(calls) - 1) // cfg.n_pop + 1
+        return np.inf if iteration == 2 else sphere_at_1p5(design)
+
+    r1, r2, r3 = run_ea_corl(cfg, fitness_fn=fails_in_iteration_2).history
+    assert np.all(np.isposinf(r2.j_pop)) and np.all(np.isnan(r2.mean_returns))
+    assert np.array_equal(r2.dist_mean, r1.dist_mean)
+    assert r2.sigma == r1.sigma
+    factors = [np.stack([d.factors for d in r.designs]) for r in (r2, r3)]
+    assert not np.array_equal(factors[0], factors[1])
+    assert np.all(np.isfinite(r3.j_pop))
 
 
 # --- single-iteration reduction ---------------------------------------------

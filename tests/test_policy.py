@@ -12,12 +12,12 @@ from gearevo.policy import (
     LOG_STD_MAX,
     LOG_STD_MIN,
     PARAM_ORDER,
-    ActionDistribution,
     PolicyParams,
     Rows,
     adam_init,
     adam_step,
     entropy,
+    gaussian_constants,
     gaussian_log_prob,
     load_policy,
     loss_and_grads,
@@ -66,7 +66,7 @@ def test_small_actor_init_keeps_initial_actions_small():
     for _ in range(20):
         proprio = rng.uniform(-1, 1, 10)
         design = rng.uniform(0.5, 4.0, 2)
-        means, _, _ = policy_forward_batch(params, design[None], proprio[None])
+        means, _ = policy_forward_batch(params, design[None], proprio[None])
         assert np.all(np.abs(means) <= 0.1)
 
 
@@ -84,7 +84,7 @@ def test_zero_network_outputs_zero():
     params = policy_init(14, 4, 2, 0)
     zeroed = dataclasses.replace(params, flat=np.zeros(params.n_params))
     design = np.array([[1.0, 2.0]])
-    means, values, _ = policy_forward_batch(zeroed, design, np.ones((1, 10)))
+    means, values = policy_forward_batch(zeroed, design, np.ones((1, 10)))
     assert np.array_equal(means, np.zeros((1, 4)))
     assert np.array_equal(values, [0.0])
     latent = rollout_work(zeroed, design).obs[:, 10:]
@@ -106,8 +106,8 @@ def test_design_latent_bounded_by_tanh():
 def test_design_changes_output_distribution():
     params = policy_init(14, 4, 2, 0)
     proprio = np.linspace(-1, 1, 10)[None]
-    m1, _, _ = policy_forward_batch(params, np.array([[0.5, 0.5]]), proprio)
-    m2, _, _ = policy_forward_batch(params, np.array([[4.0, 4.0]]), proprio)
+    m1, _ = policy_forward_batch(params, np.array([[0.5, 0.5]]), proprio)
+    m2, _ = policy_forward_batch(params, np.array([[4.0, 4.0]]), proprio)
     assert not np.allclose(m1, m2)
 
 
@@ -155,19 +155,18 @@ def test_blocked_rollout_forward_keeps_the_bits(monkeypatch, rows, blocks):
 
 def test_sample_near_deterministic_at_log_std_floor():
     mean = np.array([0.3, -0.7])
-    dist = ActionDistribution(mean=mean, log_std=np.full(2, LOG_STD_MIN))
+    gaussian = gaussian_constants(np.full(2, LOG_STD_MIN))
     rng = np.random.default_rng(0)
     sigma = math.exp(LOG_STD_MIN)  # ~6.7e-3
     for _ in range(100):
-        actions, _ = sample_action(dist, rng)
+        actions, _ = sample_action(mean, gaussian, rng)
         assert np.all(np.abs(actions - mean) < 6 * sigma)
 
 
 def test_log_prob_at_mode():
     mean = np.array([0.1, 0.2, 0.3])
     log_std = np.array([-0.5, 0.0, 0.25])
-    dist = ActionDistribution(mean=mean, log_std=log_std)
-    lp = gaussian_log_prob(dist, mean)
+    lp = gaussian_log_prob(mean, mean, gaussian_constants(log_std))
     expected = -np.sum(log_std) - 1.5 * math.log(2 * math.pi)
     assert lp == pytest.approx(expected, abs=1e-12)
 
@@ -175,18 +174,16 @@ def test_log_prob_at_mode():
 def test_sample_statistics():
     mean = np.array([1.0, -2.0])
     log_std = np.array([0.0, -0.5])
-    dist = ActionDistribution(mean=mean, log_std=log_std)
+    gaussian = gaussian_constants(log_std)
     rng = np.random.default_rng(5)
     n = 100_000
-    actions, log_probs = sample_action(
-        ActionDistribution(np.tile(mean, (n, 1)), log_std), rng
-    )
+    actions, log_probs = sample_action(np.tile(mean, (n, 1)), gaussian, rng)
     sigma = np.exp(log_std)
     tol = 4 * sigma / math.sqrt(n)
     assert np.all(np.abs(actions.mean(axis=0) - mean) < tol)
     assert np.allclose(actions.std(axis=0), sigma, rtol=0.02)
     # log_probs agree with direct evaluation
-    direct = gaussian_log_prob(ActionDistribution(np.tile(mean, (n, 1)), log_std), actions)
+    direct = gaussian_log_prob(np.tile(mean, (n, 1)), actions, gaussian)
     assert np.allclose(log_probs, direct, atol=1e-12)
 
 
@@ -205,8 +202,8 @@ def test_zero_advantage_ratio_one_policy_loss_zero():
     n = 12
     proprio = rng.uniform(-1, 1, (n, 4))
     design = rng.uniform(0.5, 4.0, (n, 2))
-    means, values, log_std = policy_forward_batch(params, design, proprio)
-    actions, log_probs = sample_action(ActionDistribution(means, log_std), rng)
+    means, values = policy_forward_batch(params, design, proprio)
+    actions, log_probs = sample_action(means, gaussian_constants(params.log_std), rng)
     minibatch = {
         "proprio": proprio,
         "design": design,
@@ -227,8 +224,8 @@ def _random_minibatch(params, n, seed):
     rng = np.random.default_rng(seed)
     proprio = rng.standard_normal((n, params.obs_dim - params.latent))
     design = rng.uniform(0.5, 4.0, (n, params.design_dim))
-    means, values, log_std = policy_forward_batch(params, design, proprio)
-    actions, log_probs = sample_action(ActionDistribution(means, log_std), rng)
+    means, values = policy_forward_batch(params, design, proprio)
+    actions, log_probs = sample_action(means, gaussian_constants(params.log_std), rng)
     return {
         "proprio": proprio,
         "design": design,
@@ -332,8 +329,8 @@ def test_float32_workspace_matches_float64(rows):
     # approx_kl is the mean of signed log-ratios about 3e-3 in size, and
     # here cancels to about 1e-4 of that: bound its error relative to the
     # mean size of the terms it averages.
-    means, _, log_std = policy_forward_batch(params, minibatch["design"], minibatch["proprio"])
-    new_lp = gaussian_log_prob(ActionDistribution(means, log_std), minibatch["action"])
+    means, _ = policy_forward_batch(params, minibatch["design"], minibatch["proprio"])
+    new_lp = gaussian_log_prob(means, minibatch["action"], gaussian_constants(params.log_std))
     assert abs(kl32 - kl64) <= 1e-6 * np.mean(np.abs(minibatch["old_log_prob"] - new_lp))
     differs = False
     grads32, grads64 = params.views(grads32), params.views(grads64)
@@ -377,7 +374,7 @@ def test_loss_statistics_sum_per_block(rows):
                                     minibatch["proprio"][lo:lo + 1024])
                for lo in range(0, rows, 1024)]
     mean, value = (np.concatenate(parts) for parts in list(zip(*forward))[:2])
-    new_lp = gaussian_log_prob(ActionDistribution(mean, params.log_std), minibatch["action"])
+    new_lp = gaussian_log_prob(mean, minibatch["action"], gaussian_constants(params.log_std))
     ratio = np.exp(new_lp - minibatch["old_log_prob"])
     adv, eps = minibatch["advantage"], cfg.clip_epsilon
     want = {

@@ -45,7 +45,6 @@ def make_batch(rewards, values, dones, bootstrap):
     return RolloutBatch(
         proprio=np.zeros((n, T, 2)),
         design=np.ones((n, 1)),
-        design_idx=np.zeros(n, dtype=np.int64),
         actions=np.zeros((n, T, 1)),
         log_probs=np.zeros((n, T)),
         rewards=rewards,
@@ -78,7 +77,7 @@ def test_gae_hand_example():
     # r=[1,1,1], v=0, gamma=0.5, lambda=1 -> A=[1.75, 1.5, 1]
     batch = make_batch([[1.0, 1.0, 1.0]], [[0.0, 0.0, 0.0]], [[0.0, 0.0, 1.0]], [0.0])
     out = compute_gae(batch, gamma=0.5, gae_lambda=1.0)
-    assert np.allclose(out.advantages_raw[0], [1.75, 1.5, 1.0], atol=1e-15)
+    # v = 0, so the returns are the raw advantages
     assert np.allclose(out.returns[0], [1.75, 1.5, 1.0], atol=1e-15)
 
 
@@ -89,7 +88,7 @@ def test_gae_gamma_zero_reduces_to_reward_minus_value():
     dones = np.zeros((2, 5))
     batch = make_batch(r, v, dones, rng.standard_normal(2))
     out = compute_gae(batch, gamma=1e-12, gae_lambda=0.95)
-    assert np.allclose(out.advantages_raw, r - v, atol=1e-9)
+    assert np.allclose(out.returns - v, r - v, atol=1e-9)
 
 
 def test_gae_lambda_zero_reduces_to_td_residual():
@@ -104,7 +103,7 @@ def test_gae_lambda_zero_reduces_to_td_residual():
     v_next = np.concatenate([v[:, 1:], boot[:, None]], axis=1)
     v_next[:, -1] = 0.0  # terminal
     delta = r + 0.9 * v_next - v
-    assert np.allclose(out.advantages_raw, delta, atol=1e-12)
+    assert np.allclose(out.returns - v, delta, atol=1e-12)
 
 
 def test_gae_matches_brute_force_oracle():
@@ -133,7 +132,7 @@ def test_gae_matches_brute_force_oracle():
                         break
                     scale *= gamma * lam
                 brute[e, t] = acc
-        assert np.allclose(out.advantages_raw, brute, atol=1e-10)
+        assert np.allclose(out.returns - v, brute, atol=1e-10)
         assert np.allclose(out.returns, brute + v, atol=1e-10)
 
 
@@ -146,7 +145,7 @@ def test_gae_normalization_shift_invariant():
     dones = np.zeros((2, 8))
     boot = rng.standard_normal(2)
     a = compute_gae(make_batch(r, v, dones, boot), 0.99, 0.95)
-    shifted_raw = a.advantages_raw + 123.0
+    shifted_raw = (a.returns - v) + 123.0
     renorm = (shifted_raw - shifted_raw.mean()) / (shifted_raw.std() + 1e-8)
     assert np.allclose(renorm, a.advantages, atol=1e-9)
 
@@ -195,7 +194,7 @@ def test_collect_rollouts_design_tagging():
                        seed=0, phase=0)
     params = policy_init(14, ACTION_DIM, 2, 0)
     batch = collect_rollouts(vec, params, horizon=12, rng=stream("rollout", 0, 0))
-    assert np.array_equal(batch.design_idx, [0, 0, 1, 1])
+    assert np.array_equal(batch.design, pop[[0, 0, 1, 1]])
     # 12 steps of 6-step episodes: every env completed exactly 2 episodes
     by_design = {}
     for rec in batch.episodes:
@@ -582,8 +581,8 @@ def test_train_keeps_only_the_logs_the_window_reads(
 
 
 def test_train_frees_gae_inputs_before_the_update(monkeypatch):
-    """GAE's inputs and the raw advantages are dead by the update's first
-    loss call; GAE itself still returns every output."""
+    """GAE's inputs are dead by the update's first loss call; GAE itself
+    still returns both outputs."""
     refs, checked = [], []
 
     def recording_rollouts(*args):
@@ -594,9 +593,7 @@ def test_train_frees_gae_inputs_before_the_update(monkeypatch):
     def recording_gae(batch, gamma, gae_lambda):
         refs[-1] += [weakref.ref(getattr(batch, k)) for k in ("rewards", "values", "dones")]
         out = compute_gae(batch, gamma, gae_lambda)
-        assert all(isinstance(getattr(out, k), np.ndarray)
-                   for k in ("advantages_raw", "returns", "advantages"))
-        refs[-1].append(weakref.ref(out.advantages_raw))
+        assert all(isinstance(getattr(out, k), np.ndarray) for k in ("returns", "advantages"))
         return out
 
     def recording_loss(params, minibatch, cfg, work=None):
@@ -611,8 +608,8 @@ def test_train_frees_gae_inputs_before_the_update(monkeypatch):
     cfg = PpoConfig(horizon=16, epochs=2, minibatches=2, reward_scale=0.02)
     train_on_env(params, adam_init(params, 1e-3), env, 3, cfg, 0)
     # per iteration: the rollout's rewards, values and dones, then the
-    # scaled rewards, values and dones GAE read and its raw advantages
-    assert checked == [[True] * 7] * 3
+    # scaled rewards, values and dones GAE read
+    assert checked == [[True] * 6] * 3
 
 
 def test_update_memory_budget(monkeypatch):
@@ -684,9 +681,10 @@ def test_rollout_memory_budget():
 
 def test_gae_memory_budget():
     """GAE frees its inputs as it spends them: counting the rewards, values
-    and dones it was handed, its traced peak is at most its three outputs
-    plus one batch-sized temporary (np.std's).  Holding the inputs to the
-    end would add two more."""
+    and dones it was handed, its traced peak is at most four batch-sized
+    arrays (the inputs and the advantages during the recursion, then the
+    two outputs and np.std's temporary).  Holding the inputs to the end
+    would add two more."""
     n, horizon = 512, 64
     rng = np.random.default_rng(0)
     tracemalloc.start()
@@ -694,7 +692,7 @@ def test_gae_memory_budget():
         start = tracemalloc.get_traced_memory()[0]
         # GAE reads only these fields, and the batch holds the only reference.
         batch = RolloutBatch(
-            proprio=None, design=None, design_idx=None, actions=None, log_probs=None,
+            proprio=None, design=None, actions=None, log_probs=None,
             rewards=rng.standard_normal((n, horizon)), values=rng.standard_normal((n, horizon)),
             dones=rng.random((n, horizon)) < 0.05, bootstrap_values=rng.standard_normal(n),
         )

@@ -10,12 +10,10 @@ from gearevo.reward import (
     DEFAULT_ACTIVE,
     DEFAULT_WEIGHTS,
     TERM_NAMES,
-    RewardBreakdown,
     RewardConfig,
     RewardInputs,
     read_breakdown_csv,
     reward_terms,
-    total_reward,
     write_breakdown_csv,
 )
 
@@ -150,22 +148,29 @@ def test_inactive_terms_report_zero():
 # --- totals ----------------------------------------------------------------------
 
 
+AT_GOAL = np.array([0.0, 0.1])
+
+
 def test_total_only_chinup_active():
     cfg = RewardConfig(active=("chinup",))
-    b = RewardBreakdown(chinup=1.0)
-    assert total_reward(b, cfg) == 30.0
+    b = reward_terms(make_inputs(pos_head=AT_GOAL), cfg)
+    assert b.chinup == 1.0
     assert b.total == 30.0
 
 
 def test_total_all_terms_zero():
-    b = RewardBreakdown()
-    assert total_reward(b, RewardConfig()) == 0.0
+    # at rest with no symmetric joint pair, every default term but the
+    # chinup reward is zero
+    cfg = RewardConfig(active=tuple(t for t in DEFAULT_ACTIVE if t != "chinup"))
+    b = reward_terms(make_inputs(sym_pairs=()), cfg)
+    assert b.total == 0.0
 
 
 def test_total_chinup_and_torque():
     cfg = RewardConfig(active=("chinup", "torque"))
-    b = RewardBreakdown(chinup=1.0, torque=25.0)
-    assert total_reward(b, cfg) == pytest.approx(29.99975, abs=1e-12)
+    b = reward_terms(make_inputs(pos_head=AT_GOAL, tau=np.array([3.0, 4.0])), cfg)
+    assert (b.chinup, b.torque) == (1.0, 25.0)
+    assert b.total == pytest.approx(29.99975, abs=1e-12)
 
 
 def test_default_weights_match_task_table():
@@ -187,8 +192,8 @@ def test_default_weights_match_task_table():
 @given(st.floats(-10, 10), st.floats(-10, 10))
 def test_total_is_linear_in_terms(a, b_):
     cfg = RewardConfig(active=("chinup", "torque"))
-    t1 = total_reward(RewardBreakdown(chinup=a, torque=b_), cfg)
-    assert t1 == pytest.approx(30.0 * a + (-1e-5) * b_, rel=1e-12, abs=1e-12)
+    b = reward_terms(make_inputs(pos_head=np.array([a, 0.1]), tau=np.array([b_, 0.0])), cfg)
+    assert b.total == pytest.approx(30.0 * b.chinup + (-1e-5) * b.torque, rel=1e-12, abs=1e-12)
 
 
 def test_total_keeps_positive_zero():
@@ -241,7 +246,6 @@ def test_reward_terms_match_term_by_term_oracle_bitwise(batch):
         want.total = reference_env.total_reward(want, cfg) + np.zeros(batch)
         for name in (*TERM_NAMES, "total"):
             assert _same_bits(getattr(got, name), getattr(want, name)), (trial, name)
-        assert _same_bits(total_reward(got, cfg), want.total)
 
 
 # --- batching ---------------------------------------------------------------------
@@ -264,7 +268,7 @@ def test_batched_inputs_match_loop():
     )
     cfg = RewardConfig()
     out = reward_terms(batch, cfg)
-    total = total_reward(out, cfg)
+    total = out.total
     assert np.shape(total) == (B,)
     for i in range(B):
         one = dataclasses.replace(
@@ -280,7 +284,7 @@ def test_batched_inputs_match_loop():
             q=batch.q[i],
         )
         b1 = reward_terms(one, cfg)
-        assert total_reward(b1, cfg) == total[i]
+        assert b1.total == total[i]
         for t in TERM_NAMES:
             assert np.asarray(getattr(out, t))[i] == getattr(b1, t)
 
@@ -317,9 +321,7 @@ def test_breakdown_csv_round_trip(tmp_path):
     cfg = RewardConfig()
     rows = []
     for gap in (0.6, 0.9):
-        b = reward_terms(make_inputs(cyl_gap=gap, tau=np.array([1.0, 2.0])), cfg)
-        total_reward(b, cfg)
-        rows.append(b)
+        rows.append(reward_terms(make_inputs(cyl_gap=gap, tau=np.array([1.0, 2.0])), cfg))
     path = tmp_path / "rewards.csv"
     write_breakdown_csv(rows, path)
     back = read_breakdown_csv(path)
