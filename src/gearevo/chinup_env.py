@@ -536,10 +536,9 @@ def rollout_trajectory(
             q = qdot = head = np.full(N_JOINTS, np.nan)
             breakdowns.append(RewardBreakdown())
         else:
-            q, qdot = env.q[0], env.qdot[0]
-            head = forward_kinematics(q, config)
+            q, qdot, head = env.q[0], env.qdot[0], env._head[0]
             breakdowns.append(RewardBreakdown(**{
-                f.name: np.broadcast_to(getattr(env.breakdown, f.name), (1,))[0]
+                f.name: getattr(env.breakdown, f.name)[0]
                 for f in dataclasses.fields(RewardBreakdown)
             }))
         rows.append(

@@ -389,7 +389,7 @@ def cmd_evaluate(args) -> int:
         design = DesignVector(factors)
     elif design is None:
         raise CheckpointError(f"{args.run_dir}: no committed best design; pass --design")
-    design = clamp_to_bounds(design, cfg.space)
+    design = DesignVector(clamp_to_bounds(design.factors, cfg.space))
     episodes = cfg.n_env // cfg.n_pop if args.episodes is None else args.episodes
     returns = codesign.rollout_returns(
         cfg.env, cfg.reward, params, design, episodes, args.seed

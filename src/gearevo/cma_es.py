@@ -1,11 +1,11 @@
 """Covariance Matrix Adaptation Evolution Strategy with an ask/tell interface.
 
 Standard formulation: log recombination weights, cumulative step-size
-adaptation, and a rank-1 plus rank-mu covariance update.  Candidates are
-sampled from N(mean, sigma^2 C); the distribution update always works on
-raw (unclamped) samples while fitness is evaluated on designs clamped to
-the search space bounds, which keeps the update equations unbiased while
-honoring the bounds.
+adaptation, and a rank-1 plus rank-mu covariance update.  Ask and tell work
+on arrays of raw samples drawn from N(mean, sigma^2 C).  The outer loop
+clamps the samples into the design box to score them and tells the raw
+samples back, which keeps the update equations unbiased while honoring the
+bounds.
 
 Minimization throughout: lower fitness is better.
 """
@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design_space import DesignSpace, DesignVector
-from .errors import ConfigError, ContractError, DimensionError, OptimizerDegenerateError
+from .errors import ConfigError, ContractError, OptimizerDegenerateError
 from .seeding import stream
 from .tables import read_table, write_table
 
@@ -72,13 +71,6 @@ class CmaEsState:
         return self.mean.size
 
 
-@dataclass
-class EvaluatedCandidate:
-    design: DesignVector
-    raw_sample: np.ndarray
-    fitness: float | None = None
-
-
 def cma_init(config: CmaEsConfig) -> CmaEsState:
     """Fresh optimizer state with canonical strategy constants."""
     n = config.dim
@@ -126,63 +118,46 @@ def _cov_eigh(state: CmaEsState) -> tuple[np.ndarray, np.ndarray]:
     return eigvals, eigvecs
 
 
-def cma_ask(
-    state: CmaEsState,
-    space: DesignSpace | None = None,
-    rng: np.random.Generator | None = None,
-) -> list[EvaluatedCandidate]:
-    """Sample one population of candidates from the current distribution.
+def cma_ask(state: CmaEsState) -> np.ndarray:
+    """Sample one population, a (lam, dim) array, from the current distribution.
 
-    With rng=None the draw is keyed by (state.seed, state.generation), so
-    asking twice from the same state yields the identical candidate list.
-    When `space` is given, designs are clamped to its bounds; raw samples
-    are kept alongside for the distribution update.
+    The draw is keyed by (state.seed, state.generation), so asking twice
+    from the same state yields the identical samples.
     """
-    if rng is None:
-        rng = stream("cma-ask", state.seed, state.generation)
+    rng = stream("cma-ask", state.seed, state.generation)
     eigvals, eigvecs = _cov_eigh(state)
     z = rng.standard_normal((state.lam, state.dim))
     samples = state.mean + state.sigma * (z * np.sqrt(eigvals)) @ eigvecs.T
     if not np.all(np.isfinite(samples)):
         raise ContractError("design factors must be finite")
-    if space is None:
-        factors = samples.copy()
-    else:
-        if space.dim != state.dim:
-            raise DimensionError(f"design dim {state.dim} != space dim {space.dim}")
-        factors = np.clip(samples, space.lower_bound, space.upper_bound)
-    return [
-        EvaluatedCandidate(design=DesignVector(f), raw_sample=x)
-        for f, x in zip(factors, samples)
-    ]
+    return samples
 
 
-def cma_tell(state: CmaEsState, evaluated: list[EvaluatedCandidate]) -> CmaEsState:
-    """Update the search distribution from one evaluated population.
+def cma_tell(state: CmaEsState, samples: np.ndarray, fitness: np.ndarray) -> CmaEsState:
+    """Update the search distribution from one scored population.
 
-    Candidates are ranked ascending by fitness (stable in the given order);
-    the mu best raw samples recombine into the new mean, then the standard
-    evolution-path, covariance, and CSA step-size updates apply.  +inf
-    fitness marks a failed evaluation and ranks last, so parents beyond the
-    scored candidates are taken in the given order; NaN is rejected.  When
-    no candidate is scored (every fitness +inf) the distribution stays as
-    it is and only the generation advances, so the next ask draws new
-    samples.
+    `samples` are the (lam, dim) raw samples that `cma_ask` gave and
+    `fitness` their (lam,) scores.  Samples are ranked ascending by fitness
+    (stable in the given order); the mu best recombine into the new mean,
+    then the standard evolution-path, covariance, and CSA step-size updates
+    apply.  +inf fitness marks a failed evaluation and ranks last, so
+    parents beyond the scored samples are taken in the given order; NaN is
+    rejected.  When no sample is scored (every fitness +inf) the
+    distribution stays as it is and only the generation advances, so the
+    next ask draws new samples.
     """
-    if len(evaluated) != state.lam:
+    if samples.shape != (state.lam, state.dim) or fitness.shape != (state.lam,):
         raise ContractError(
-            f"cma_tell needs exactly {state.lam} candidates, got {len(evaluated)}"
+            f"cma_tell needs samples of shape {(state.lam, state.dim)} and fitness of "
+            f"shape {(state.lam,)}, got {samples.shape} and {fitness.shape}"
         )
-    fitness = np.array(
-        [np.nan if c.fitness is None else float(c.fitness) for c in evaluated]
-    )
     if np.any(np.isnan(fitness)):
-        raise ContractError("cma_tell: candidate fitness unset or NaN")
+        raise ContractError("cma_tell: a fitness is NaN")
     if np.all(fitness == np.inf):
         return dataclasses.replace(state, generation=state.generation + 1)
 
     order = np.argsort(fitness, kind="stable")
-    selected = np.stack([evaluated[i].raw_sample for i in order[: state.mu]])
+    selected = samples[order[: state.mu]]
     y = (selected - state.mean) / state.sigma
     y_w = state.weights @ y
     mean_new = state.mean + state.sigma * y_w

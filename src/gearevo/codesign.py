@@ -49,6 +49,7 @@ from .cma_es import (
 from .design_space import (
     DesignSpace,
     DesignVector,
+    clamp_to_bounds,
     expand_designs,
     grid_slice,
     write_designs_csv,
@@ -265,8 +266,8 @@ def run(
         last_iter = min(last_iter, stop_after)
 
     for i in range(start_iter, last_iter + 1):
-        candidates = cma_ask(state, cfg.space)
-        designs = [c.design for c in candidates]
+        samples = cma_ask(state)
+        designs = [DesignVector(f) for f in clamp_to_bounds(samples, cfg.space)]
         failed = False
         train_history: list[dict] = []
 
@@ -302,9 +303,7 @@ def run(
             if fitness_fn is None and cfg.mode is Mode.EA_CORL:
                 params_best = params_i
 
-        for cand, fitness in zip(candidates, j_pop):
-            cand.fitness = float(fitness)
-        state = cma_tell(state, candidates)
+        state = cma_tell(state, samples, j_pop)
 
         record = FitnessRecord(
             iteration=i,

@@ -114,11 +114,11 @@ def scale_actuator_limits(
     return ActuatorLimits(tau_max=tau_default * factors, qdot_max=qdot_default / factors)
 
 
-def clamp_to_bounds(design: DesignVector, space: DesignSpace) -> DesignVector:
-    """Project a design onto the box bounds, coordinate-wise."""
-    if design.dim != space.dim:
-        raise DimensionError(f"design dim {design.dim} != space dim {space.dim}")
-    return DesignVector(np.clip(design.factors, space.lower_bound, space.upper_bound))
+def clamp_to_bounds(factors: np.ndarray, space: DesignSpace) -> np.ndarray:
+    """Project factors of shape (..., dim) onto the box bounds, coordinate-wise."""
+    if np.shape(factors)[-1:] != (space.dim,):
+        raise DimensionError(f"factors of shape {np.shape(factors)} != space dim {space.dim}")
+    return np.clip(factors, space.lower_bound, space.upper_bound)
 
 
 def expand_designs(n_pop: int, n_env: int) -> ExpansionPlan:

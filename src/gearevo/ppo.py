@@ -273,8 +273,7 @@ def train_on_env(
         batch = collect_rollouts(vec_env, params, cfg.horizon, rollout_rng)
         log = batch.episodes
         logs.append(log)
-        if cfg.reward_scale != 1.0:
-            batch.rewards = batch.rewards * cfg.reward_scale
+        batch.rewards *= cfg.reward_scale
         compute_gae(batch, cfg.gamma, cfg.gae_lambda)
         params, opt, stats = ppo_update(params, opt, batch, cfg, shuffle_rng)
         if log.returns.size:

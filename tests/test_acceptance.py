@@ -25,12 +25,7 @@ from gearevo.chinup_env import ACTION_DIM, PROPRIO_DIM, EnvConfig, VecChinupEnv
 from gearevo.cli import parse_config
 from gearevo.cma_es import CmaEsConfig, cma_ask, cma_init, cma_tell
 from gearevo.codesign import POLICY_LATENT, evaluate_population, run_ea_corl
-from gearevo.design_space import (
-    DesignSpace,
-    DesignVector,
-    expand_designs,
-    scale_actuator_limits,
-)
+from gearevo.design_space import DesignVector, expand_designs, scale_actuator_limits
 from gearevo.policy import (
     adam_init,
     gaussian_constants,
@@ -149,7 +144,6 @@ def test_criterion_02_expansion_exactness():
 
 def _run_cma(objective, generations, seed):
     """Drive the production sampler on raw (unclamped) samples."""
-    wide = DesignSpace(dim=2, lower_bound=1e-9, upper_bound=1e9)
     state = cma_init(
         CmaEsConfig(
             dim=2, initial_mean=0.2, initial_sigma=0.3,
@@ -159,11 +153,10 @@ def _run_cma(objective, generations, seed):
     )
     best = np.inf
     for _ in range(generations):
-        candidates = cma_ask(state, wide)
-        for cand in candidates:
-            cand.fitness = objective(cand.raw_sample)
-        best = min(best, min(c.fitness for c in candidates))
-        state = cma_tell(state, candidates)
+        samples = cma_ask(state)
+        fitness = np.array([objective(x) for x in samples])
+        best = min(best, fitness.min())
+        state = cma_tell(state, samples, fitness)
     return state.mean, best
 
 

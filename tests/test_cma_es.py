@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from gearevo.cma_es import (
     CmaEsConfig,
-    EvaluatedCandidate,
     GenerationLogRow,
     cma_ask,
     cma_init,
@@ -15,8 +14,8 @@ from gearevo.cma_es import (
     read_generation_log,
     write_generation_log,
 )
-from gearevo.design_space import DesignSpace, DesignVector, clamp_to_bounds
-from gearevo.errors import ConfigError, ContractError, DimensionError
+from gearevo.design_space import DesignSpace, clamp_to_bounds
+from gearevo.errors import ConfigError, ContractError
 
 
 def small_config(**kw) -> CmaEsConfig:
@@ -33,8 +32,8 @@ def small_config(**kw) -> CmaEsConfig:
     return CmaEsConfig(**base)
 
 
-def evaluate(cands, f):
-    return [dataclasses.replace(c, fitness=float(f(c.design.factors))) for c in cands]
+def fitness_of(samples, f):
+    return np.array([float(f(x)) for x in samples])
 
 
 # --- init -----------------------------------------------------------------------
@@ -99,75 +98,39 @@ def test_ask_is_deterministic_for_identical_state():
     state = cma_init(small_config())
     a = cma_ask(state)
     b = cma_ask(state)
-    for ca, cb in zip(a, b):
-        assert np.array_equal(ca.design.factors, cb.design.factors)
-        assert np.array_equal(ca.raw_sample, cb.raw_sample)
+    assert a.tobytes() == b.tobytes()
 
 
 def test_ask_population_size_and_fitness_unset():
+    """Ask returns the bare (lam, dim) raw samples; their fitness is the caller's to set."""
     state = cma_init(small_config())
-    cands = cma_ask(state)
-    assert len(cands) == 8
-    assert all(c.fitness is None for c in cands)
+    samples = cma_ask(state)
+    assert type(samples) is np.ndarray
+    assert samples.shape == (8, 2)
+    assert samples.dtype == np.float64
 
 
 def test_ask_degenerate_sigma_collapses_to_mean():
     state = dataclasses.replace(cma_init(small_config()), sigma=1e-300)
-    for c in cma_ask(state):
-        assert np.allclose(c.design.factors, state.mean, atol=1e-290)
+    assert np.allclose(cma_ask(state), state.mean, atol=1e-290)
 
 
 def test_ask_identity_cov_sampling_moments():
     state = dataclasses.replace(cma_init(small_config()), sigma=0.5)
-    rng = np.random.default_rng(123)
     n = 100_000
-    draws = np.empty((n, 2))
-    idx = 0
-    while idx < n:
-        for c in cma_ask(state, rng=rng):
-            if idx < n:
-                draws[idx] = c.raw_sample
-                idx += 1
+    draws = np.concatenate(
+        [cma_ask(dataclasses.replace(state, generation=g)) for g in range(n // state.lam)]
+    )
+    assert draws.shape == (n, 2)
     tol = 4 * 0.5 / np.sqrt(n)
     assert np.all(np.abs(draws.mean(axis=0) - state.mean) < tol)
     assert np.allclose(draws.std(axis=0), 0.5, rtol=0.02)
 
 
-def test_ask_clamps_design_keeps_raw_sample():
-    space = DesignSpace(dim=2, lower_bound=0.5, upper_bound=4.0)
-    state = dataclasses.replace(cma_init(small_config()), sigma=5.0)
-    cands = cma_ask(state, space)
-    out_of_bounds = 0
-    for c in cands:
-        assert np.all(c.design.factors >= 0.5) and np.all(c.design.factors <= 4.0)
-        if not np.array_equal(c.design.factors, c.raw_sample):
-            out_of_bounds += 1
-            clamped = np.clip(c.raw_sample, 0.5, 4.0)
-            assert np.array_equal(c.design.factors, clamped)
-    assert out_of_bounds > 0  # sigma=5 guarantees excursions
-
-
-@pytest.mark.parametrize("space", [None, DesignSpace(dim=2, lower_bound=0.5, upper_bound=4.0)])
-def test_ask_designs_match_per_candidate_construction(space):
-    """The whole-population clip gives each candidate's own clamp, bit for bit."""
-    state = dataclasses.replace(cma_init(small_config()), sigma=5.0)
-    for c in cma_ask(state, space):
-        want = DesignVector(c.raw_sample.copy())
-        if space is not None:
-            want = clamp_to_bounds(want, space)
-        assert c.design.factors.tobytes() == want.factors.tobytes()
-        assert not np.shares_memory(c.design.factors, c.raw_sample)
-
-
 def test_ask_rejects_nonfinite_samples():
     state = dataclasses.replace(cma_init(small_config()), mean=np.array([0.2, np.nan]))
     with pytest.raises(ContractError, match="finite"):
-        cma_ask(state, DesignSpace(dim=2))
-
-
-def test_ask_rejects_space_of_other_dim():
-    with pytest.raises(DimensionError, match="space dim"):
-        cma_ask(cma_init(small_config()), DesignSpace(dim=3))
+        cma_ask(state)
 
 
 # --- tell ------------------------------------------------------------------------
@@ -175,54 +138,55 @@ def test_ask_rejects_space_of_other_dim():
 
 def test_tell_wrong_count_rejected():
     state = cma_init(small_config())
-    cands = evaluate(cma_ask(state), lambda x: np.sum(x**2))
-    with pytest.raises(ContractError):
-        cma_tell(state, cands[:-1])
+    samples = cma_ask(state)
+    fitness = fitness_of(samples, lambda x: np.sum(x**2))
+    for bad_samples, bad_fitness in (
+        (samples[:-1], fitness[:-1]),  # one row short
+        (samples, fitness[:-1]),  # one fitness short
+        (samples[:, :1], fitness),  # samples of another dim
+    ):
+        with pytest.raises(ContractError, match=r"\(8, 2\).*\(8,\)"):
+            cma_tell(state, bad_samples, bad_fitness)
 
 
 def test_tell_unset_or_nan_fitness_rejected():
     state = cma_init(small_config())
-    cands = cma_ask(state)
-    with pytest.raises(ContractError):
-        cma_tell(state, cands)
-    cands = evaluate(cands, lambda x: np.sum(x**2))
-    cands[3] = dataclasses.replace(cands[3], fitness=float("nan"))
-    with pytest.raises(ContractError):
-        cma_tell(state, cands)
+    samples = cma_ask(state)
+    fitness = fitness_of(samples, lambda x: np.sum(x**2))
+    # no fitness set, or not one (lam,) entry per sample
+    for unset in (np.empty(0), fitness[:, None]):
+        with pytest.raises(ContractError, match="shape"):
+            cma_tell(state, samples, unset)
+    fitness[3] = np.nan
+    with pytest.raises(ContractError, match="NaN"):
+        cma_tell(state, samples, fitness)
 
 
 def test_tell_accepts_inf_fitness_for_failed_candidates():
     state = cma_init(small_config())
-    cands = evaluate(cma_ask(state), lambda x: np.sum(x**2))
-    cands[0] = dataclasses.replace(cands[0], fitness=float("inf"))
-    new = cma_tell(state, cands)
+    samples = cma_ask(state)
+    fitness = fitness_of(samples, lambda x: np.sum(x**2))
+    fitness[0] = np.inf
+    new = cma_tell(state, samples, fitness)
     assert np.all(np.isfinite(new.mean))
     assert np.isfinite(new.sigma)
 
 
 def test_tell_without_a_scored_candidate_keeps_the_distribution():
     state = cma_init(small_config())
-    cands = evaluate(cma_ask(state), lambda x: np.inf)
-    new = cma_tell(state, cands)
+    samples = cma_ask(state)
+    new = cma_tell(state, samples, fitness_of(samples, lambda x: np.inf))
     assert new.generation == state.generation + 1
     for name in ("mean", "sigma", "cov", "path_sigma", "path_c"):
         assert np.array_equal(getattr(new, name), getattr(state, name)), name
     # the next ask is keyed by the advanced generation, so it draws anew
-    again = np.stack([c.raw_sample for c in cma_ask(new)])
-    assert not np.array_equal(again, np.stack([c.raw_sample for c in cands]))
+    assert not np.array_equal(cma_ask(new), samples)
 
 
 def test_tell_stationary_input_keeps_mean_shrinks_sigma():
     state = cma_init(small_config())
-    cands = [
-        EvaluatedCandidate(
-            design=DesignVector(state.mean.copy()),
-            raw_sample=state.mean.copy(),
-            fitness=1.0,
-        )
-        for _ in range(state.lam)
-    ]
-    new = cma_tell(state, cands)
+    samples = np.tile(state.mean, (state.lam, 1))
+    new = cma_tell(state, samples, np.ones(state.lam))
     assert np.array_equal(new.mean, state.mean)
     assert new.sigma < state.sigma
     assert new.generation == 1
@@ -233,19 +197,15 @@ def test_tell_uniform_two_parent_recombination():
     state = dataclasses.replace(state, weights=np.array([0.5, 0.5]))
     s1 = np.array([1.0, 0.0])
     s2 = np.array([0.0, 1.0])
-    cands = [
-        EvaluatedCandidate(design=DesignVector(s1.copy()), raw_sample=s1, fitness=0.1),
-        EvaluatedCandidate(design=DesignVector(s2.copy()), raw_sample=s2, fitness=0.2),
-    ]
-    new = cma_tell(state, cands)
+    new = cma_tell(state, np.stack([s1, s2]), np.array([0.1, 0.2]))
     assert np.allclose(new.mean, (s1 + s2) / 2, atol=1e-15)
 
 
 def test_tell_updates_are_functional():
     state = cma_init(small_config())
     frozen = (state.mean.copy(), state.sigma, state.cov.copy(), state.generation)
-    cands = evaluate(cma_ask(state), lambda x: np.sum(x**2))
-    cma_tell(state, cands)
+    samples = cma_ask(state)
+    cma_tell(state, samples, fitness_of(samples, lambda x: np.sum(x**2)))
     assert np.array_equal(state.mean, frozen[0])
     assert state.sigma == frozen[1]
     assert np.array_equal(state.cov, frozen[2])
@@ -255,11 +215,12 @@ def test_tell_updates_are_functional():
 def test_tell_uses_raw_samples_not_clamped_designs():
     space = DesignSpace(dim=2, lower_bound=0.5, upper_bound=4.0)
     state = dataclasses.replace(cma_init(small_config()), sigma=6.0)
-    cands = evaluate(cma_ask(state, space), lambda x: np.sum(x**2))
-    new = cma_tell(state, cands)
+    samples = cma_ask(state)
+    fitness = fitness_of(clamp_to_bounds(samples, space), lambda x: np.sum(x**2))
+    new = cma_tell(state, samples, fitness)
     # recompute the expected mean from raw samples of the selected parents
-    order = np.argsort([c.fitness for c in cands], kind="stable")
-    sel = np.array([cands[i].raw_sample for i in order[: state.mu]])
+    order = np.argsort(fitness, kind="stable")
+    sel = samples[order[: state.mu]]
     y = (sel - state.mean) / state.sigma
     expected = state.mean + state.sigma * (state.weights @ y)
     assert np.allclose(new.mean, expected, atol=1e-12)
@@ -269,14 +230,11 @@ def test_tell_uses_raw_samples_not_clamped_designs():
 @given(st.permutations(list(range(8))))
 def test_tell_is_permutation_invariant(perm):
     state = cma_init(small_config())
-    cands = evaluate(cma_ask(state), lambda x: float(np.sum(x**2)))
+    samples = cma_ask(state)
     # make fitness strictly distinct so ordering is unambiguous
-    cands = [
-        dataclasses.replace(c, fitness=c.fitness + 1e-9 * i)
-        for i, c in enumerate(cands)
-    ]
-    a = cma_tell(state, cands)
-    b = cma_tell(state, [cands[i] for i in perm])
+    fitness = fitness_of(samples, lambda x: float(np.sum(x**2))) + 1e-9 * np.arange(8)
+    a = cma_tell(state, samples, fitness)
+    b = cma_tell(state, samples[perm], fitness[perm])
     assert np.allclose(a.mean, b.mean, atol=1e-14)
     assert a.sigma == pytest.approx(b.sigma, abs=1e-14)
     assert np.allclose(a.cov, b.cov, atol=1e-14)
@@ -284,10 +242,9 @@ def test_tell_is_permutation_invariant(perm):
 
 def test_cov_stays_symmetric_over_generations():
     state = cma_init(small_config())
-    rng = np.random.default_rng(9)
     for _ in range(25):
-        cands = evaluate(cma_ask(state), lambda x: np.sum((x - 1.0) ** 2))
-        state = cma_tell(state, cands)
+        samples = cma_ask(state)
+        state = cma_tell(state, samples, fitness_of(samples, lambda x: np.sum((x - 1.0) ** 2)))
         assert np.array_equal(state.cov, state.cov.T)
     assert np.all(np.linalg.eigvalsh(state.cov) > 0)
 
@@ -297,17 +254,17 @@ def test_cov_stays_symmetric_over_generations():
 
 def test_sphere_converges_with_default_config():
     state = cma_init(CmaEsConfig(seed=0))
-    best = np.inf
-    history = []
+    best, top = np.inf, None
     for _ in range(200):
-        cands = evaluate(cma_ask(state), lambda x: np.sum(x**2))
-        history.extend(cands)
-        best = min(best, min(c.fitness for c in cands))
-        state = cma_tell(state, cands)
+        samples = cma_ask(state)
+        fitness = fitness_of(samples, lambda x: np.sum(x**2))
+        k = int(np.argmin(fitness))
+        if fitness[k] < best:
+            best, top = fitness[k], samples[k]
+        state = cma_tell(state, samples, fitness)
     assert best < 1e-9
-    # best candidate near the origin in pre-clamp coordinates
-    top = min(history, key=lambda c: c.fitness)
-    assert np.linalg.norm(top.raw_sample) < 1e-4
+    # best sample near the origin in pre-clamp coordinates
+    assert np.linalg.norm(top) < 1e-4
 
 
 # --- generation log -----------------------------------------------------------------

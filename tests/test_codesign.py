@@ -40,7 +40,7 @@ from gearevo.codesign import (
     write_evolution_csv,
     write_heatmap_csv,
 )
-from gearevo.design_space import DesignSpace, DesignVector, read_designs_csv
+from gearevo.design_space import DesignSpace, DesignVector, clamp_to_bounds, read_designs_csv
 from gearevo.errors import CheckpointError, ConfigError
 from gearevo.policy import adam_init, policy_init
 from gearevo.ppo import PpoConfig, collect_rollouts, train_on_env
@@ -226,6 +226,27 @@ def test_unscored_population_leaves_cma_es_in_place():
     factors = [np.stack([d.factors for d in r.designs]) for r in (r2, r3)]
     assert not np.array_equal(factors[0], factors[1])
     assert np.all(np.isfinite(r3.j_pop))
+
+
+def test_run_scores_clamped_designs_and_tells_raw_samples():
+    """Replaying the run's ask/tell pairs: each iteration scores the asked
+    samples clamped into the box, and updates CMA-ES from the raw samples."""
+    cfg = synthetic_config(iterations=3)
+    history = run_ea_corl(cfg, fitness_fn=sphere_at_1p5).history
+    state = cma_init(dataclasses.replace(cfg.cma, seed=cfg.seed))
+    clamped_rows = 0
+    for rec in history:
+        samples = cma_ask(state)
+        clamped = clamp_to_bounds(samples, cfg.space)
+        assert len(rec.designs) == len(clamped)
+        for design, row in zip(rec.designs, clamped):
+            assert design.factors.tobytes() == row.tobytes()
+        clamped_rows += int(np.any(clamped != samples, axis=1).sum())
+        state = cma_tell(state, samples, rec.j_pop)
+        assert rec.dist_mean.tobytes() == state.mean.tobytes()
+        assert rec.sigma == state.sigma
+    # the default initial mean (0.2) lies below the lower bound (0.5)
+    assert clamped_rows > 0
 
 
 # --- single-iteration reduction ---------------------------------------------
@@ -649,12 +670,13 @@ def test_every_record_field_has_a_json_codec(cls):
 def test_state_json_round_trip_continues_bitwise():
     """A CMA-ES state restored from JSON text asks and tells exactly like the original."""
 
-    def evaluate(cands, f):
-        return [dataclasses.replace(c, fitness=float(f(c.design.factors))) for c in cands]
+    def ask_and_tell(state, f):
+        samples = cma_ask(state)
+        return cma_tell(state, samples, np.array([float(f(x)) for x in samples]))
 
     state = cma_init(CmaEsConfig(dim=3, population_size=10, parent_count=5))
     for _ in range(4):
-        state = cma_tell(state, evaluate(cma_ask(state), lambda x: float(np.sum(x**2))))
+        state = ask_and_tell(state, lambda x: float(np.sum(x**2)))
     back = codesign._from_json(CmaEsState, json.loads(json.dumps(codesign._to_json(state))))
     for f in dataclasses.fields(state):
         a, b = getattr(state, f.name), getattr(back, f.name)
@@ -665,8 +687,8 @@ def test_state_json_round_trip_continues_bitwise():
             assert type(a) is type(b) and a == b, f.name
     objective = lambda x: float(np.sum((x - 1.0) ** 2))  # noqa: E731
     for _ in range(3):
-        state = cma_tell(state, evaluate(cma_ask(state), objective))
-        back = cma_tell(back, evaluate(cma_ask(back), objective))
+        state = ask_and_tell(state, objective)
+        back = ask_and_tell(back, objective)
     np.testing.assert_array_equal(state.mean, back.mean)
     np.testing.assert_array_equal(state.cov, back.cov)
     assert state.sigma == back.sigma

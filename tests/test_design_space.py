@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from gearevo.chinup_env import N_JOINTS, EnvConfig, VecChinupEnv
+from gearevo.cma_es import CmaEsConfig, cma_ask, cma_init
 from gearevo.design_space import (
     ActuatorLimits,
     DesignSpace,
@@ -152,23 +155,51 @@ def test_indivisible_expansion_rejected():
 
 def test_clamp_examples():
     space = DesignSpace()
-    assert np.array_equal(
-        clamp_to_bounds(DesignVector(np.array([0.7, 3.0])), space).factors, [0.7, 3.0]
-    )
-    assert np.array_equal(
-        clamp_to_bounds(DesignVector(np.array([0.1, 5.0])), space).factors, [0.5, 4.0]
-    )
-    assert np.array_equal(
-        clamp_to_bounds(DesignVector(np.array([-1.0, 2.0])), space).factors, [0.5, 2.0]
-    )
+    assert np.array_equal(clamp_to_bounds(np.array([0.7, 3.0]), space), [0.7, 3.0])
+    assert np.array_equal(clamp_to_bounds(np.array([0.1, 5.0]), space), [0.5, 4.0])
+    assert np.array_equal(clamp_to_bounds(np.array([-1.0, 2.0]), space), [0.5, 2.0])
 
 
 @given(st.lists(st.floats(-100, 100, allow_nan=False), min_size=2, max_size=2))
 def test_clamp_always_inside_bounds(values):
     space = DesignSpace()
-    clamped = clamp_to_bounds(DesignVector(np.array(values)), space)
-    assert np.all(clamped.factors >= space.lower_bound)
-    assert np.all(clamped.factors <= space.upper_bound)
+    clamped = clamp_to_bounds(np.array(values), space)
+    assert np.all(clamped >= space.lower_bound)
+    assert np.all(clamped <= space.upper_bound)
+
+
+def wide_population():
+    """Raw CMA-ES samples at sigma 5 around (0.2, 0.2): many fall outside the box."""
+    state = cma_init(CmaEsConfig(population_size=8, parent_count=4))
+    return cma_ask(dataclasses.replace(state, sigma=5.0))
+
+
+def test_clamp_population_lies_in_box_and_clips_changed_rows():
+    space = DesignSpace(dim=2, lower_bound=0.5, upper_bound=4.0)
+    samples = wide_population()
+    clamped = clamp_to_bounds(samples, space)
+    assert np.all(clamped >= 0.5) and np.all(clamped <= 4.0)
+    changed = [k for k in range(len(samples)) if not np.array_equal(clamped[k], samples[k])]
+    assert changed  # sigma=5 guarantees excursions
+    for k in changed:
+        assert np.array_equal(clamped[k], np.clip(samples[k], 0.5, 4.0))
+
+
+def test_clamp_population_matches_each_rows_own_clamp_bitwise():
+    """The whole-population clip gives each row's own clamp, bit for bit."""
+    space = DesignSpace(dim=2, lower_bound=0.5, upper_bound=4.0)
+    samples = wide_population()
+    clamped = clamp_to_bounds(samples, space)
+    assert not np.shares_memory(clamped, samples)
+    for row, sample in zip(clamped, samples):
+        assert row.tobytes() == clamp_to_bounds(sample.copy(), space).tobytes()
+
+
+def test_clamp_rejects_factors_of_other_dim():
+    with pytest.raises(DimensionError, match="space dim"):
+        clamp_to_bounds(np.ones((4, 3)), DesignSpace(dim=2))
+    with pytest.raises(DimensionError, match="space dim"):
+        clamp_to_bounds(np.ones(3), DesignSpace(dim=2))
 
 
 # --- grid slices ------------------------------------------------------------------
