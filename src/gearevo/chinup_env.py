@@ -43,7 +43,7 @@ from .design_space import DesignVector, scale_actuator_limits
 from .errors import ConfigError, ContractError
 from .reward import RewardBreakdown, RewardConfig, RewardInputs, reward_terms
 from .seeding import stream
-from .tables import read_table, write_table
+from .tables import write_table
 
 N_JOINTS = 2
 ACTION_DIM = 4  # [q_target (2), qdot_target (2)]
@@ -568,12 +568,3 @@ TRAJECTORY_COLUMNS = (
 def write_trajectory_csv(rows: list[dict], path) -> None:
     columns = TRAJECTORY_COLUMNS
     write_table(path, columns, ([row[c] for c in columns] for row in rows))
-
-
-def read_trajectory_csv(path) -> list[dict]:
-    columns = TRAJECTORY_COLUMNS
-    rows = read_table(path, lambda h: tuple(h) == columns, "a trajectory CSV")
-    return [
-        {"step": int(row[0]), **{c: float(v) for c, v in zip(columns[1:], row[1:])}}
-        for row in rows
-    ]

@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, OptimizerDegenerateError
 from .seeding import stream
-from .tables import read_table, write_table
 
 
 @dataclass(frozen=True)
@@ -202,44 +201,3 @@ def cma_tell(state: CmaEsState, samples: np.ndarray, fitness: np.ndarray) -> Cma
         path_c=path_c,
         generation=gen_new,
     )
-
-
-@dataclass
-class GenerationLogRow:
-    generation: int
-    best_fitness: float
-    mean_fitness: float
-    sigma: float
-    mean: np.ndarray
-
-
-GENERATION_LOG_COLUMNS = ("generation", "best_fitness", "mean_fitness", "sigma")
-
-
-def write_generation_log(rows: list[GenerationLogRow], path, append: bool = False) -> None:
-    """CSV log: generation,best_fitness,mean_fitness,sigma,mean_0,..."""
-    if not rows:
-        raise ContractError("cannot write an empty generation log")
-    dim = rows[0].mean.size
-    write_table(
-        path,
-        list(GENERATION_LOG_COLUMNS) + [f"mean_{i}" for i in range(dim)],
-        ([r.generation, r.best_fitness, r.mean_fitness, r.sigma, *r.mean.tolist()] for r in rows),
-        append=append,
-    )
-
-
-def read_generation_log(path) -> list[GenerationLogRow]:
-    rows = read_table(
-        path, lambda h: tuple(h[:4]) == GENERATION_LOG_COLUMNS, "a generation log CSV"
-    )
-    return [
-        GenerationLogRow(
-            generation=int(row[0]),
-            best_fitness=float(row[1]),
-            mean_fitness=float(row[2]),
-            sigma=float(row[3]),
-            mean=np.array([float(x) for x in row[4:]]),
-        )
-        for row in rows
-    ]

@@ -37,15 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chinup_env import ACTION_DIM, N_JOINTS, PROPRIO_DIM, EnvConfig, VecChinupEnv
-from .cma_es import (
-    CmaEsConfig,
-    CmaEsState,
-    GenerationLogRow,
-    cma_ask,
-    cma_init,
-    cma_tell,
-    write_generation_log,
-)
+from .cma_es import CmaEsConfig, CmaEsState, cma_ask, cma_init, cma_tell
 from .design_space import (
     DesignSpace,
     DesignVector,
@@ -66,7 +58,7 @@ from .policy import (
 from .ppo import PpoConfig, collect_rollouts, train_on_env, write_learning_curve_csv
 from .reward import RewardConfig
 from .seeding import stream
-from .tables import atomic_write, read_table, write_table
+from .tables import atomic_write, write_table
 
 logger = logging.getLogger("gearevo.codesign")
 
@@ -353,7 +345,6 @@ BEST_DESIGN_FILE = "best_design.csv"
 # Files that grow by one record per iteration.  checkpoint.json holds the
 # byte length of each at the last commit; resume cuts them back to it.
 APPEND_FILES = (EVOLUTION_FILE, CMA_LOG_FILE, HISTORY_FILE)
-EVOLUTION_COLUMNS = ("iteration", "population_best", "global_best")
 
 
 def _write_json(payload, path) -> None:
@@ -369,28 +360,34 @@ def _remove_if_exists(path: str) -> None:
         pass
 
 
+# evolution.csv and cma_log.csv are projections of the history.jsonl records:
+# one row per record, every cell a field of it except the computed mean_fitness.
+
+
 def write_evolution_csv(history: list[FitnessRecord], path, append: bool = False) -> None:
-    """Fitness trajectory: per-design fitness plus bests, one row per iteration."""
+    """Fitness trajectory: iteration,population_best,global_best,j_0,..."""
     n_pop = len(history[0].j_pop) if history else 0
     write_table(
         path,
-        list(EVOLUTION_COLUMNS) + [f"j_{k}" for k in range(n_pop)],
+        ["iteration", "population_best", "global_best"] + [f"j_{k}" for k in range(n_pop)],
         ([r.iteration, r.population_best_j, r.global_best_j, *r.j_pop.tolist()] for r in history),
         append=append,
     )
 
 
-def read_evolution_csv(path) -> list[dict]:
-    rows = read_table(path, lambda h: tuple(h[:3]) == EVOLUTION_COLUMNS, "an evolution CSV")
-    return [
-        {
-            "iteration": int(row[0]),
-            "population_best": float(row[1]),
-            "global_best": float(row[2]),
-            "j_pop": np.array([float(x) for x in row[3:]]),
-        }
-        for row in rows
-    ]
+def write_cma_log(history: list[FitnessRecord], path, append: bool = False) -> None:
+    """CMA-ES trajectory: generation,best_fitness,mean_fitness,sigma,mean_0,..."""
+    dim = len(history[0].dist_mean) if history else 0
+    write_table(
+        path,
+        ["generation", "best_fitness", "mean_fitness", "sigma"] + [f"mean_{i}" for i in range(dim)],
+        (
+            [r.iteration, r.population_best_j, float(np.mean(r.j_pop)), r.sigma,
+             *r.dist_mean.tolist()]
+            for r in history
+        ),
+        append=append,
+    )
 
 
 # --- JSON records: history.jsonl lines and checkpoint.json ------------------
@@ -538,14 +535,7 @@ def _checkpoint(
     append = iteration > 1
 
     write_evolution_csv([record], os.path.join(out_dir, EVOLUTION_FILE), append=append)
-    log_row = GenerationLogRow(
-        generation=iteration,
-        best_fitness=record.population_best_j,
-        mean_fitness=float(np.mean(record.j_pop)),
-        sigma=record.sigma,
-        mean=record.dist_mean,
-    )
-    write_generation_log([log_row], os.path.join(out_dir, CMA_LOG_FILE), append=append)
+    write_cma_log([record], os.path.join(out_dir, CMA_LOG_FILE), append=append)
     _write_history([record], os.path.join(out_dir, HISTORY_FILE), append=append)
 
     if params_current is not None:
@@ -770,8 +760,3 @@ def write_heatmap_csv(grid: list[tuple[DesignVector, float]], axis_a: int, axis_
         [f"factor_{axis_a}", f"factor_{axis_b}", "fitness"],
         ([d.factors[axis_a], d.factors[axis_b], fitness] for d, fitness in grid),
     )
-
-
-def read_heatmap_csv(path) -> list[dict]:
-    rows = read_table(path, lambda h: len(h) == 3 and h[2] == "fitness", "a heatmap CSV")
-    return [{"a": float(r[0]), "b": float(r[1]), "fitness": float(r[2])} for r in rows]

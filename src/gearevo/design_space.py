@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ContractError, DimensionError
-from .tables import read_table, write_table
+from .tables import write_table
 
 
 @dataclass(eq=False)
@@ -171,9 +171,3 @@ def write_designs_csv(designs: list[DesignVector], path) -> None:
         ["design_id"] + [f"factor_{i}" for i in range(dim)],
         ([idx] + [f"{x:.6g}" for x in d.factors] for idx, d in enumerate(designs)),
     )
-
-
-def read_designs_csv(path) -> list[DesignVector]:
-    """Read a design CSV written by write_designs_csv."""
-    rows = read_table(path, lambda h: h[:1] == ["design_id"], "a design CSV (bad header)")
-    return [DesignVector(np.array([float(x) for x in row[1:]])) for row in rows]

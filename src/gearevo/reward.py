@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, make_dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .tables import read_table, write_table
+from .tables import write_table
 
 
 @dataclass
@@ -233,10 +233,3 @@ def write_breakdown_csv(breakdowns: list[RewardBreakdown], path) -> None:
         [step, *(getattr(b, t) for t in TERM_NAMES), b.total] for step, b in enumerate(breakdowns)
     )
     write_table(path, BREAKDOWN_COLUMNS, rows)
-
-
-def read_breakdown_csv(path) -> list[RewardBreakdown]:
-    rows = read_table(path, lambda h: tuple(h) == BREAKDOWN_COLUMNS, "a reward breakdown CSV")
-    return [
-        RewardBreakdown(**dict(zip(BREAKDOWN_COLUMNS[1:], map(float, row[1:])))) for row in rows
-    ]

@@ -1,8 +1,8 @@
 """How a run-directory file is written: CSV tables and atomic replacement.
 
-Every CSV file gearevo writes goes through `write_table` and is read back
-through `read_table`; a file that must never be seen half-written goes
-through `atomic_write`.  No numpy here: the CLI imports this module before
+Every CSV file gearevo writes goes through `write_table`; `read_table`
+parses one back into its rows of strings.  A file that must never be seen
+half-written goes through `atomic_write`.  No numpy here: the CLI imports this module before
 CODESIGN_THREADS applies.
 """
 

@@ -7,11 +7,11 @@ from gearevo.chinup_env import (
     ACTION_DIM,
     PROPRIO_DIM,
     RESET_DRAWS,
+    TRAJECTORY_COLUMNS,
     EnvConfig,
     VecChinupEnv,
     forward_kinematics,
     observation_proprio,
-    read_trajectory_csv,
     rollout_trajectory,
     write_trajectory_csv,
 )
@@ -20,6 +20,7 @@ from gearevo.errors import ConfigError, ContractError
 from gearevo.cli import parse_config
 from gearevo.reward import DEFAULT_ACTIVE, TERM_NAMES, RewardBreakdown, RewardConfig
 from gearevo.seeding import stream
+from gearevo.tables import read_table
 
 from reference_env import (
     ReferenceBank,
@@ -467,9 +468,10 @@ def test_rollout_trajectory_csv_round_trip(tmp_path):
     assert episode_return == pytest.approx(sum(r["reward_total"] for r in rows), abs=1e-9)
     path = tmp_path / "traj.csv"
     write_trajectory_csv(rows, path)
-    back = read_trajectory_csv(path)
+    back = read_table(path, lambda h: tuple(h) == TRAJECTORY_COLUMNS, "a trajectory CSV")
     assert len(back) == 12
-    for a, b in zip(rows, back):
+    for a, cells in zip(rows, back):
+        b = dict(zip(TRAJECTORY_COLUMNS, map(float, cells)))
         for key in a:
             assert float(a[key]) == pytest.approx(b[key], abs=1e-12)
 

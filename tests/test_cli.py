@@ -30,9 +30,10 @@ from gearevo.cli import (
     parse_config,
     render_config,
 )
-from gearevo.codesign import EVOLUTION_FILE, Mode, read_evolution_csv
+from gearevo.codesign import EVOLUTION_FILE, Mode
 from gearevo.errors import CheckpointError, ConfigError
 from gearevo.policy import load_policy
+from gearevo.tables import read_table
 
 MICRO_INI = """\
 [run]
@@ -319,7 +320,10 @@ def test_run_writes_manifest_and_artifacts(completed_run, capsys):
     assert manifest["run_id"].startswith(manifest["config_hash"][:12])
     assert os.path.exists(os.path.join(out, EVOLUTION_FILE))
     assert os.path.exists(os.path.join(out, "policies", "best.bin"))
-    assert len(read_evolution_csv(os.path.join(out, EVOLUTION_FILE))) == 2
+    evolution = read_table(
+        os.path.join(out, EVOLUTION_FILE), lambda h: h[0] == "iteration", "an evolution CSV"
+    )
+    assert len(evolution) == 2
 
 
 def test_run_same_seed_reproducible(micro_ini, completed_run, tmp_path, capsys):

@@ -1,21 +1,18 @@
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gearevo.cma_es import (
-    CmaEsConfig,
-    GenerationLogRow,
-    cma_ask,
-    cma_init,
-    cma_tell,
-    read_generation_log,
-    write_generation_log,
-)
+from gearevo import cma_es
+from gearevo.cma_es import CmaEsConfig, cma_ask, cma_init, cma_tell
+from gearevo.codesign import FitnessRecord, write_cma_log
 from gearevo.design_space import DesignSpace, clamp_to_bounds
 from gearevo.errors import ConfigError, ContractError
+from gearevo.tables import read_table
 
 
 def small_config(**kw) -> CmaEsConfig:
@@ -270,30 +267,47 @@ def test_sphere_converges_with_default_config():
 # --- generation log -----------------------------------------------------------------
 
 
+def fitness_record(iteration, j_pop, sigma, dist_mean) -> FitnessRecord:
+    j_pop = np.array(j_pop)
+    best = int(np.argmin(j_pop))
+    return FitnessRecord(
+        iteration, [], j_pop, -j_pop, float(j_pop[best]), best, float(j_pop[best]), None,
+        iteration, iteration - 1, sigma, np.array(dist_mean),
+    )
+
+
 def test_generation_log_round_trip(tmp_path):
-    rows = [
-        GenerationLogRow(1, -1.5, -0.25, 0.3, np.array([0.2, 0.21])),
-        GenerationLogRow(2, -2.0, -1.0, 0.28, np.array([0.3, 0.19])),
+    """cma_log.csv, written from the per-iteration records, reads back exactly."""
+    records = [
+        fitness_record(1, [-1.5, 1.0], 0.3, [0.2, 0.21]),
+        fitness_record(2, [-2.0, 0.0], 0.28, [0.3, 0.19]),
     ]
     path = tmp_path / "cma_log.csv"
-    write_generation_log(rows, path)
-    back = read_generation_log(path)
+    write_cma_log(records, path)
+    back = read_table(
+        path,
+        lambda h: h == ["generation", "best_fitness", "mean_fitness", "sigma", "mean_0", "mean_1"],
+        "a CMA-ES log",
+    )
     assert len(back) == 2
-    for a, b in zip(rows, back):
-        assert a.generation == b.generation
-        assert a.best_fitness == b.best_fitness
-        assert a.mean_fitness == b.mean_fitness
-        assert a.sigma == b.sigma
-        assert np.array_equal(a.mean, b.mean)
+    for rec, row, want in zip(records, back, [(-1.5, -0.25), (-2.0, -1.0)]):
+        assert int(row[0]) == rec.iteration
+        assert (float(row[1]), float(row[2])) == want
+        assert float(row[3]) == rec.sigma
+        assert np.array_equal([float(x) for x in row[4:]], rec.dist_mean)
 
 
-def test_generation_log_append_matches_whole_file(tmp_path):
-    rows = [
-        GenerationLogRow(1, -1.5, -0.25, 0.3, np.array([0.2, 0.21])),
-        GenerationLogRow(2, np.inf, np.inf, 0.28, np.array([0.3, 0.19])),
-    ]
-    whole, appended = tmp_path / "whole.csv", tmp_path / "appended.csv"
-    write_generation_log(rows, whole)
-    for row in rows:
-        write_generation_log([row], appended, append=True)
-    assert whole.read_bytes() == appended.read_bytes()
+# --- module layering ---------------------------------------------------------------
+
+
+def test_imports_from_the_package_only_errors_and_seeding():
+    """The optimizer knows no run-directory format: codesign writes cma_log.csv."""
+    nodes = list(ast.walk(ast.parse(Path(cma_es.__file__).read_text())))
+    names = ["." * n.level + (n.module or "") for n in nodes if isinstance(n, ast.ImportFrom)]
+    names += [a.name for n in nodes if isinstance(n, ast.Import) for a in n.names]
+    package = {
+        name.lstrip(".").removeprefix("gearevo.")
+        for name in names
+        if name.startswith((".", "gearevo"))
+    }
+    assert package == {"errors", "seeding"}

@@ -32,20 +32,20 @@ from gearevo.codesign import (
     Mode,
     evaluate_population,
     heatmap_sweep,
-    read_evolution_csv,
-    read_heatmap_csv,
     rollout_returns,
     run,
     run_ea_corl,
+    write_cma_log,
     write_evolution_csv,
     write_heatmap_csv,
 )
-from gearevo.design_space import DesignSpace, DesignVector, clamp_to_bounds, read_designs_csv
+from gearevo.design_space import DesignSpace, DesignVector, clamp_to_bounds
 from gearevo.errors import CheckpointError, ConfigError
 from gearevo.policy import adam_init, policy_init
 from gearevo.ppo import PpoConfig, collect_rollouts, train_on_env
 from gearevo.reward import RewardConfig
 from gearevo.seeding import stream
+from gearevo.tables import read_table
 
 from reference_rollout import NanDraws, reference_rollout_returns
 
@@ -84,6 +84,11 @@ def synthetic_config(*, n_pop=16, iterations=30, seed=0):
 
 def sphere_at_1p5(design):
     return float(np.sum((design.factors - 1.5) ** 2))
+
+
+def walled(design):
+    """sphere_at_1p5 behind a wall: +inf for a design with factor_0 > 1."""
+    return np.inf if design.factors[0] > 1.0 else sphere_at_1p5(design)
 
 
 # --- config validation --------------------------------------------------------
@@ -460,8 +465,10 @@ def test_rl_run_checkpoints_policies(tmp_path):
     for name in ("base.bin", "best.bin", "iter_0001.bin", "iter_0002.bin"):
         assert os.path.exists(os.path.join(policies, name)), name
     assert os.path.exists(os.path.join(out, "learning_curve_iter_0002.csv"))
-    best = read_designs_csv(os.path.join(out, BEST_DESIGN_FILE))
-    assert len(best) == 1 and best[0].factors.shape == (2,)
+    best = read_table(
+        os.path.join(out, BEST_DESIGN_FILE), lambda h: h[0] == "design_id", "a design CSV"
+    )
+    assert len(best) == 1 and len(best[0]) == 3
 
 
 def test_rl_resume_matches_straight_through(tmp_path):
@@ -558,12 +565,76 @@ def test_evolution_csv_append_matches_whole_file(tmp_path):
         assert fa.read() == fb.read()
 
 
+def test_cma_log_append_matches_whole_file(tmp_path):
+    res = run_ea_corl(synthetic_config(iterations=4), fitness_fn=walled)
+    assert any(np.isinf(rec.j_pop).any() for rec in res.history)
+    whole, appended = str(tmp_path / "whole.csv"), str(tmp_path / "appended.csv")
+    write_cma_log(res.history, whole)
+    for rec in res.history:
+        write_cma_log([rec], appended, append=True)
+    with open(whole, "rb") as fa, open(appended, "rb") as fb:
+        assert fa.read() == fb.read()
+
+
+def test_evolution_csv_round_trip(tmp_path):
+    out = str(tmp_path)
+    res = run_ea_corl(
+        synthetic_config(iterations=4), out_dir=out, fitness_fn=sphere_at_1p5
+    )
+    n_pop = len(res.history[0].j_pop)
+    rows = read_table(
+        os.path.join(out, EVOLUTION_FILE),
+        lambda h: h == ["iteration", "population_best", "global_best"]
+        + [f"j_{k}" for k in range(n_pop)],
+        "an evolution CSV",
+    )
+    assert len(rows) == 4
+    for row, rec in zip(rows, res.history):
+        assert int(row[0]) == rec.iteration
+        assert float(row[1]) == rec.population_best_j
+        assert float(row[2]) == rec.global_best_j
+        np.testing.assert_array_equal([float(x) for x in row[3:]], rec.j_pop)
+
+
+def test_csv_rows_are_projections_of_history_records(tmp_path):
+    """Each evolution.csv and cma_log.csv row is the repr of its history.jsonl record's cells.
+
+    The run hits +inf designs and is stopped and resumed, so rows of both
+    halves and non-finite cells are covered.
+    """
+    cfg = synthetic_config(iterations=8)
+    out = str(tmp_path)
+    run_ea_corl(cfg, out_dir=out, fitness_fn=walled, stop_after=5)
+    run_ea_corl(cfg, out_dir=out, fitness_fn=walled, resume=True)
+    with open(os.path.join(out, HISTORY_FILE)) as fh:
+        history = [codesign._from_json(FitnessRecord, json.loads(line)) for line in fh]
+    assert any(np.isinf(rec.j_pop).any() for rec in history)
+    n_pop, dim = cfg.n_pop, cfg.cma.dim
+    evolution = read_table(
+        os.path.join(out, EVOLUTION_FILE),
+        lambda h: h == ["iteration", "population_best", "global_best"]
+        + [f"j_{k}" for k in range(n_pop)],
+        "an evolution CSV",
+    )
+    cma_log = read_table(
+        os.path.join(out, CMA_LOG_FILE),
+        lambda h: h == ["generation", "best_fitness", "mean_fitness", "sigma"]
+        + [f"mean_{i}" for i in range(dim)],
+        "a CMA-ES log",
+    )
+    assert len(evolution) == len(cma_log) == len(history) == 8
+    for rec, evolution_row, cma_row in zip(history, evolution, cma_log):
+        assert evolution_row == [repr(rec.iteration)] + [
+            repr(x) for x in (rec.population_best_j, rec.global_best_j, *rec.j_pop.tolist())
+        ]
+        assert cma_row == [repr(rec.iteration)] + [
+            repr(x) for x in (rec.population_best_j, float(np.mean(rec.j_pop)), rec.sigma,
+                              *rec.dist_mean.tolist())
+        ]
+
+
 def test_resume_history_round_trips_inf_and_nan(tmp_path):
     """The resumed history equals the straight-through one field by field."""
-
-    def walled(design):
-        return np.inf if design.factors[0] > 1.0 else sphere_at_1p5(design)
-
     cfg = synthetic_config(iterations=8)
     full = run_ea_corl(cfg, out_dir=str(tmp_path / "full"), fitness_fn=walled)
     assert any(np.isinf(rec.j_pop).any() for rec in full.history)
@@ -761,7 +832,7 @@ def test_resume_refuses_history_record_with_extra_field(tmp_path):
 # Functions _checkpoint writes through; the path is each one's second argument.
 CHECKPOINT_WRITERS = (
     "write_evolution_csv",
-    "write_generation_log",
+    "write_cma_log",
     "_write_history",
     "write_designs_csv",
     "save_policy",
@@ -816,8 +887,8 @@ def test_crash_at_any_checkpoint_write_resumes_byte_identically(tmp_path, monkey
     starts = [k for k, (name, _) in enumerate(calls) if name == "write_evolution_csv"]
     targets = range(starts[2], starts[3])
     written = {calls[k] for k in targets}
-    assert {("save_policy", "best.bin.tmp"), ("_write_json", "checkpoint.json.tmp"),
-            ("_write_history", HISTORY_FILE)} <= written
+    assert {("write_cma_log", CMA_LOG_FILE), ("save_policy", "best.bin.tmp"),
+            ("_write_json", "checkpoint.json.tmp"), ("_write_history", HISTORY_FILE)} <= written
     for k in targets:
         out = str(tmp_path / f"crash{k}")
         with monkeypatch.context() as m:
@@ -867,27 +938,6 @@ def test_resume_that_runs_no_iteration_restores_the_commit(tmp_path, monkeypatch
     resumed = run_ea_corl(cfg, out_dir=got, resume=True, stop_after=2)
     assert [rec.iteration for rec in resumed.history] == [1, 2]
     assert_same_tree(got, want)
-
-
-def test_evolution_csv_round_trip(tmp_path):
-    out = str(tmp_path)
-    res = run_ea_corl(
-        synthetic_config(iterations=4), out_dir=out, fitness_fn=sphere_at_1p5
-    )
-    rows = read_evolution_csv(os.path.join(out, EVOLUTION_FILE))
-    assert len(rows) == 4
-    for row, rec in zip(rows, res.history):
-        assert row["iteration"] == rec.iteration
-        assert row["population_best"] == rec.population_best_j
-        assert row["global_best"] == rec.global_best_j
-        np.testing.assert_array_equal(row["j_pop"], rec.j_pop)
-
-
-def test_read_evolution_csv_rejects_other_files(tmp_path):
-    path = tmp_path / "bogus.csv"
-    path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ValueError, match="not an evolution CSV"):
-        read_evolution_csv(str(path))
 
 
 # --- rollout-only evaluation and heatmaps -------------------------------------
@@ -980,13 +1030,7 @@ def test_heatmap_csv_round_trip(tmp_path):
     grid = heatmap_sweep(cfg, params, 0, 1, resolution=2)
     path = str(tmp_path / "heatmap_0_1.csv")
     write_heatmap_csv(grid, 0, 1, path)
-    rows = read_heatmap_csv(path)
+    rows = read_table(path, lambda h: h == ["factor_0", "factor_1", "fitness"], "a heatmap CSV")
     assert len(rows) == 4
     for row, (design, fitness) in zip(rows, grid):
-        assert row["a"] == design.factors[0]
-        assert row["b"] == design.factors[1]
-        assert row["fitness"] == fitness
-    with pytest.raises(ValueError, match="not a heatmap CSV"):
-        bogus = tmp_path / "bogus.csv"
-        bogus.write_text("x,y\n1,2\n")
-        read_heatmap_csv(str(bogus))
+        assert [float(x) for x in row] == [*design.factors, fitness]

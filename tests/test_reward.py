@@ -7,15 +7,16 @@ from hypothesis import strategies as st
 
 from gearevo.errors import ConfigError
 from gearevo.reward import (
+    BREAKDOWN_COLUMNS,
     DEFAULT_ACTIVE,
     DEFAULT_WEIGHTS,
     TERM_NAMES,
     RewardConfig,
     RewardInputs,
-    read_breakdown_csv,
     reward_terms,
     write_breakdown_csv,
 )
+from gearevo.tables import read_table
 
 import reference_env
 
@@ -324,9 +325,10 @@ def test_breakdown_csv_round_trip(tmp_path):
         rows.append(reward_terms(make_inputs(cyl_gap=gap, tau=np.array([1.0, 2.0])), cfg))
     path = tmp_path / "rewards.csv"
     write_breakdown_csv(rows, path)
-    back = read_breakdown_csv(path)
+    back = read_table(path, lambda h: tuple(h) == BREAKDOWN_COLUMNS, "a reward breakdown CSV")
     assert len(back) == 2
-    for a, b in zip(rows, back):
+    for a, cells in zip(rows, back):
+        b = dict(zip(BREAKDOWN_COLUMNS, map(float, cells)))
         for t in TERM_NAMES:
-            assert float(getattr(a, t)) == getattr(b, t)
-        assert float(a.total) == b.total
+            assert float(getattr(a, t)) == b[t]
+        assert float(a.total) == b["total"]
