@@ -8,7 +8,7 @@ and a float must be finite.  Resolution order: dataclass defaults, then
 file values (as `section.key=value` items, read by the --set resolver),
 then --set overrides, then explicit flags.  The fully resolved config is
 echoed to <out>/config.snapshot and hashed; the hash is recorded in the
-run manifest and must match on resume.
+run manifest and must match on resume, evaluate and sweep.
 
 The environment variable CODESIGN_THREADS caps numeric worker threads; it
 is applied before numpy is imported, which is why the heavy modules are
@@ -242,8 +242,13 @@ def _read_manifest(out_dir: str) -> dict:
             manifest = json.load(fh)
     except ValueError as exc:
         raise CheckpointError(f"corrupt manifest {path}: {exc}") from exc
-    if not isinstance(manifest, dict) or "config_hash" not in manifest:
-        raise CheckpointError(f"corrupt manifest {path}: no config_hash")
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"corrupt manifest {path}: not a JSON object")
+    for key in ("config_hash", "run_id"):
+        if not isinstance(manifest.get(key), str):
+            raise CheckpointError(
+                f"corrupt manifest {path}: {key} must be a string, got {manifest.get(key)!r:.40}"
+            )
     return manifest
 
 
@@ -312,18 +317,23 @@ def cmd_run(args) -> int:
     )
 
 
-def cmd_resume(args) -> int:
-    out_dir = args.run_dir
-    manifest = _read_manifest(out_dir)
-    snapshot = os.path.join(out_dir, CONFIG_SNAPSHOT_FILE)
-    cfg = parse_config(snapshot)
+def _open_run(run_dir: str):
+    """Manifest and config of a run directory whose config.snapshot matches its hash."""
+    manifest = _read_manifest(run_dir)
+    cfg = parse_config(os.path.join(run_dir, CONFIG_SNAPSHOT_FILE))
     digest = config_hash(cfg)
     if digest != manifest["config_hash"]:
         raise CheckpointError(
-            f"config hash mismatch in {out_dir}: manifest has "
+            f"config hash mismatch in {run_dir}: manifest has "
             f"{manifest['config_hash'][:12]}, config.snapshot resolves to "
-            f"{digest[:12]}; refusing to resume"
+            f"{digest[:12]}; refusing to open the run"
         )
+    return manifest, cfg
+
+
+def cmd_resume(args) -> int:
+    out_dir = args.run_dir
+    manifest, cfg = _open_run(out_dir)
     if manifest.get("status") == "complete":
         print(f"run {manifest['run_id']} already complete; nothing to do")
         return EXIT_OK
@@ -332,13 +342,13 @@ def cmd_resume(args) -> int:
     )
 
 
-def _load_run(out_dir: str):
+def _load_run(run_dir: str):
     """Config, best policy and best design of the run's last committed iteration."""
-    from .codesign import load_committed_best
+    from .codesign import read_run
 
-    cfg = parse_config(os.path.join(out_dir, CONFIG_SNAPSHOT_FILE))
-    params, d_star = load_committed_best(out_dir)
-    return cfg, params, d_star
+    _, cfg = _open_run(run_dir)
+    commit, _, _, params_best = read_run(cfg, run_dir)
+    return cfg, params_best, commit.d_star
 
 
 def cmd_sweep(args) -> int:

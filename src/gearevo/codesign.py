@@ -580,7 +580,7 @@ def _load_snapshot(out_dir, commit: _Commit, name: str) -> PolicyParams:
     if digest != entry.sha256:
         raise CheckpointError(
             f"{path}: SHA-256 {digest[:12]} does not match the committed "
-            f"{entry.sha256[:12]}; refusing to resume"
+            f"{entry.sha256[:12]}; refusing to open the run"
         )
     return load_policy(path)
 
@@ -611,25 +611,30 @@ def _read_commit(out_dir) -> _Commit:
         raise CheckpointError(f"{path}: corrupt commit record: {exc}") from exc
 
 
-def load_committed_best(out_dir) -> tuple[PolicyParams, DesignVector | None]:
-    """The best policy and design of the last committed iteration.
+def _check_cma_state(cfg, commit: _Commit, path) -> None:
+    """Refuse a committed CMA-ES state whose sizes or counters do not fit `cfg`."""
+    state, dim = commit.cma_state, cfg.space.dim
+    expected = {
+        "mean": (dim,), "path_sigma": (dim,), "path_c": (dim,), "cov": (dim, dim),
+        "weights": (cfg.cma.parent_count,), "lam": cfg.n_pop, "mu": cfg.cma.parent_count,
+        "seed": cfg.seed, "generation": commit.iteration,
+    }
+    for name, want in expected.items():
+        value = getattr(state, name)
+        found, kind = (value.shape, "shape ") if isinstance(value, np.ndarray) else (value, "")
+        if found != want:
+            raise CheckpointError(
+                f"{path}: cma_state.{name}: expected {kind}{want}, found {kind}{found}"
+            )
 
-    The policy is the per-iteration snapshot checkpoint.json names, checked
-    against its SHA-256; `policies/best.bin` and `best_design.csv` may hold
-    an iteration that crashed before its commit.
-    """
-    commit = _read_commit(out_dir)
-    return _load_snapshot(out_dir, commit, "best"), commit.d_star
 
+def read_run(cfg, out_dir, load_policies: bool = True):
+    """The last commit of a run directory and its history, checked; modifies nothing.
 
-def _load_checkpoint(cfg, out_dir, load_policies: bool):
-    """Read checkpoint.json, verify the run directory against it, roll back.
-
-    Nothing is modified unless every check passes; then each append-only
-    file is cut back to its committed length, dropping the rows of an
-    iteration that crashed before its commit, and the other files of such
-    an iteration are undone (`_restore_committed_files`).  Returns the
-    commit, its history and the base and best policies (or None, None).
+    Refuses a commit whose mode or CMA-ES state does not fit `cfg`, an
+    append-only file shorter than its committed length, and a corrupt
+    history.  Returns the commit, its history records and the digest-checked
+    base and best policies (None, None without `load_policies`).
     """
     path = os.path.join(out_dir, CHECKPOINT_FILE)
     commit = _read_commit(out_dir)
@@ -638,6 +643,7 @@ def _load_checkpoint(cfg, out_dir, load_policies: bool):
             f"{path}: checkpoint mode {commit.mode} does not match config "
             f"mode {cfg.mode.value}"
         )
+    _check_cma_state(cfg, commit, path)
     iteration, lengths = commit.iteration, commit.files
     if lengths.keys() != set(APPEND_FILES):
         raise CheckpointError(f"{path}: files {sorted(lengths)}, expected {sorted(APPEND_FILES)}")
@@ -647,7 +653,7 @@ def _load_checkpoint(cfg, out_dir, load_policies: bool):
         if size < lengths[name]:
             raise CheckpointError(
                 f"{file}: {size} bytes, shorter than the {lengths[name]} committed "
-                f"at iteration {iteration}; refusing to resume"
+                f"at iteration {iteration}; refusing to open the run"
             )
     with open(os.path.join(out_dir, HISTORY_FILE), "rb") as fh:
         lines = fh.read(lengths[HISTORY_FILE]).splitlines()
@@ -663,10 +669,17 @@ def _load_checkpoint(cfg, out_dir, load_policies: bool):
     if load_policies:
         params_base = _load_snapshot(out_dir, commit, "base")
         params_best = _load_snapshot(out_dir, commit, "best")
+    return commit, history, params_base, params_best
 
+
+def _load_checkpoint(cfg, out_dir, load_policies: bool):
+    """`read_run`, then roll back an iteration that crashed before its commit:
+    cut each append-only file to its committed length and undo the other
+    files (`_restore_committed_files`)."""
+    commit, history, params_base, params_best = read_run(cfg, out_dir, load_policies)
     for name in APPEND_FILES:
-        os.truncate(os.path.join(out_dir, name), lengths[name])
-    _restore_committed_files(out_dir, iteration, commit.d_star, params_base, params_best)
+        os.truncate(os.path.join(out_dir, name), commit.files[name])
+    _restore_committed_files(out_dir, commit.iteration, commit.d_star, params_base, params_best)
     return commit, history, params_base, params_best
 
 

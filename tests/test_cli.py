@@ -81,6 +81,16 @@ def read_bytes(out_dir, name):
         return fh.read()
 
 
+def tree_bytes(out_dir):
+    """Relative path -> bytes of every file under a run directory."""
+    files = {}
+    for folder, _, names in os.walk(out_dir):
+        for name in names:
+            path = os.path.join(folder, name)
+            files[os.path.relpath(path, out_dir)] = read_bytes(folder, name)
+    return files
+
+
 # --- config resolution ---------------------------------------------------------
 
 
@@ -530,12 +540,33 @@ def test_resume_refuses_on_config_hash_mismatch(
     assert "config hash mismatch" in err and "refusing" in err
 
 
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+def test_commands_refuse_an_edited_config_snapshot(completed_run, tmp_path, capsys, command):
+    """Evaluate and sweep check config.snapshot against the manifest's hash, as resume does."""
+    run_dir = str(tmp_path / "copy")
+    shutil.copytree(completed_run, run_dir)
+    snapshot = os.path.join(run_dir, CONFIG_SNAPSHOT_FILE)
+    text = open(snapshot).read()
+    assert "kp = 60.0\n" in text
+    with open(snapshot, "w") as fh:
+        fh.write(text.replace("kp = 60.0\n", "kp = 5.0\n"))
+    before = tree_bytes(run_dir)
+    capsys.readouterr()
+    assert main([command, run_dir]) == EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: config hash mismatch")
+    assert tree_bytes(run_dir) == before
+
+
 def test_resume_missing_manifest(tmp_path, capsys):
     assert main(["resume", str(tmp_path)]) == EXIT_ERROR
     assert "missing manifest" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("damage", ["torn", "without config_hash"])
+@pytest.mark.parametrize(
+    "damage",
+    ["torn", "without config_hash", "config_hash not a string", "complete without run_id"],
+)
 def test_resume_refuses_corrupt_manifest(completed_run, tmp_path, capsys, damage):
     run_dir = str(tmp_path / "copy")
     shutil.copytree(completed_run, run_dir)
@@ -546,7 +577,13 @@ def test_resume_refuses_corrupt_manifest(completed_run, tmp_path, capsys, damage
             fh.write(text[: len(text) // 2])
     else:
         manifest = read_manifest(run_dir)
-        del manifest["config_hash"]
+        if damage == "without config_hash":
+            del manifest["config_hash"]
+        elif damage == "config_hash not a string":
+            manifest["config_hash"] = 5
+        else:
+            assert manifest["status"] == "complete"
+            del manifest["run_id"]
         with open(path, "w") as fh:
             json.dump(manifest, fh)
     capsys.readouterr()
@@ -606,6 +643,56 @@ def test_commit_with_a_scalar_of_another_type_is_refused(
     assert main(["evaluate", run_dir, "--episodes", "1"]) == EXIT_ERROR
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+
+
+def _grow(values):
+    """A list one entry longer; a square list of lists one row and column larger."""
+    if values and isinstance(values[0], list):
+        return [row + [0.0] for row in values] + [[0.0] * (len(values) + 1)]
+    return values + [0.0]
+
+
+CMA_STATE_EDITS = [
+    ("mean", _grow, "expected shape (2,), found shape (3,)"),
+    ("path_sigma", _grow, "expected shape (2,), found shape (3,)"),
+    ("path_c", _grow, "expected shape (2,), found shape (3,)"),
+    ("cov", _grow, "expected shape (2, 2), found shape (3, 3)"),
+    ("weights", _grow, "expected shape (1,), found shape (2,)"),
+    ("lam", lambda v: v + 1, "expected 2, found 3"),
+    ("mu", lambda v: v + 1, "expected 1, found 2"),
+    ("seed", lambda v: v + 1, "expected 0, found 1"),
+    ("generation", lambda v: v + 1, "expected 2, found 3"),
+]
+
+
+@pytest.mark.parametrize(
+    "field, edit, named", CMA_STATE_EDITS, ids=[edit[0] for edit in CMA_STATE_EDITS]
+)
+def test_cma_state_that_does_not_fit_the_config_is_refused(
+    completed_run, tmp_path, capsys, field, edit, named
+):
+    """Resume and evaluate refuse a committed CMA-ES state of other sizes or
+    counters than the config gives, naming the field, before touching a file."""
+    run_dir = str(tmp_path / "copy")
+    shutil.copytree(completed_run, run_dir)
+    manifest = read_manifest(run_dir)
+    manifest["status"] = "interrupted"  # so that resume opens the commit
+    with open(os.path.join(run_dir, MANIFEST_FILE), "w") as fh:
+        json.dump(manifest, fh)
+    path = os.path.join(run_dir, codesign.CHECKPOINT_FILE)
+    with open(path) as fh:
+        commit = json.load(fh)
+    commit["cma_state"][field] = edit(commit["cma_state"][field])
+    with open(path, "w") as fh:
+        json.dump(commit, fh)
+    before = tree_bytes(run_dir)
+    capsys.readouterr()
+    for command in ("resume", "evaluate"):
+        assert main([command, run_dir]) == EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert f"cma_state.{field}: {named}" in err[0]
+        assert tree_bytes(run_dir) == before
 
 
 # --- sweep ----------------------------------------------------------------------
@@ -685,11 +772,10 @@ def test_evaluate_wrong_design_dim(completed_run, capsys):
     assert "dim" in capsys.readouterr().err
 
 
-def test_evaluate_and_sweep_use_the_committed_best(micro_ini, tmp_path, monkeypatch, capsys):
-    """A crash before the commit of iteration 3 leaves best.bin holding its
-    snapshot 3; evaluate and sweep still use snapshot 1, which the commit of
-    iteration 2 names, and the committed best design."""
-    out = str(tmp_path / "run")
+def run_with_failed_commit(micro_ini, out, monkeypatch):
+    """A 4-iteration micro run whose iteration 3 fails at its commit: the
+    append-only files hold its rows and best.bin its snapshot 3, and
+    checkpoint.json the commit of iteration 2, whose best is snapshot 1."""
     write_json = codesign._write_json
 
     def failing_commit(payload, path):
@@ -705,6 +791,15 @@ def test_evaluate_and_sweep_use_the_committed_best(micro_ini, tmp_path, monkeypa
         commit = json.load(fh)
     assert commit["iteration"] == 2 and commit["policies"]["best"]["snapshot_id"] == 1
     assert load_policy(os.path.join(out, "policies", "best.bin")).snapshot_id == 3
+    return commit
+
+
+def test_evaluate_and_sweep_use_the_committed_best(micro_ini, tmp_path, monkeypatch, capsys):
+    """A crash before the commit of iteration 3 leaves best.bin holding its
+    snapshot 3; evaluate and sweep still use snapshot 1, which the commit of
+    iteration 2 names, and the committed best design."""
+    out = str(tmp_path / "run")
+    commit = run_with_failed_commit(micro_ini, out, monkeypatch)
 
     seen = []
     rollout_returns, heatmap_sweep = codesign.rollout_returns, codesign.heatmap_sweep
@@ -723,6 +818,24 @@ def test_evaluate_and_sweep_use_the_committed_best(micro_ini, tmp_path, monkeypa
     monkeypatch.setattr(codesign, "heatmap_sweep", recording_sweep)
     assert main(["sweep", out, "--resolution", "2"]) == EXIT_OK
     assert seen == [(1, commit["d_star"])] * 2
+
+
+def test_read_run_modifies_nothing(micro_ini, tmp_path, monkeypatch, capsys):
+    """read_run returns the committed records of a run whose last iteration
+    crashed before its commit and leaves every file as it was; a resume
+    then still rolls back and finishes as a straight-through run."""
+    out = str(tmp_path / "run")
+    run_with_failed_commit(micro_ini, out, monkeypatch)
+    before = tree_bytes(out)
+    _, cfg = cli._open_run(out)
+    commit, history, base, best = codesign.read_run(cfg, out)
+    assert tree_bytes(out) == before
+    assert commit.iteration == 2 and [rec.iteration for rec in history] == [1, 2]
+    assert (base.snapshot_id, best.snapshot_id) == (1, 1)
+    assert main(["resume", out]) == EXIT_OK
+    straight = str(tmp_path / "straight")
+    assert main(["run", "--config", micro_ini, "--out", straight, "--iterations", "4"]) == EXIT_OK
+    assert read_bytes(out, EVOLUTION_FILE) == read_bytes(straight, EVOLUTION_FILE)
 
 
 def test_evaluate_refuses_tampered_best_snapshot(completed_run, tmp_path, capsys):

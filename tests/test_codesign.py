@@ -684,7 +684,7 @@ def test_policies_of_a_run_that_saved_none_are_refused(tmp_path):
     out = str(tmp_path)
     run_ea_corl(synthetic_config(iterations=3), out_dir=out, fitness_fn=sphere_at_1p5, stop_after=2)
     with pytest.raises(CheckpointError, match="the run saved no policy snapshots"):
-        codesign.load_committed_best(out)
+        codesign.read_run(synthetic_config(iterations=3), out)
     with pytest.raises(CheckpointError, match="the run saved no policy snapshots"):
         run_ea_corl(synthetic_config(iterations=3), out_dir=out, resume=True)
 
