@@ -332,9 +332,12 @@ def _open_run(run_dir: str):
 
 
 def cmd_resume(args) -> int:
+    from .codesign import read_run
+
     out_dir = args.run_dir
     manifest, cfg = _open_run(out_dir)
     if manifest.get("status") == "complete":
+        read_run(cfg, out_dir)  # a finished run's commit is checked as evaluate checks it
         print(f"run {manifest['run_id']} already complete; nothing to do")
         return EXIT_OK
     return _run_and_record(

@@ -198,6 +198,27 @@ def evaluate_population(
     return new_params, j_pop, history, False
 
 
+def _train_population(cfg, i, params_best, designs):
+    """Outer iteration `i`'s training phase: iteration 1 pre-trains a fresh policy,
+    and later ones adapt `params_best` at the adaptation rate and length.
+
+    Returns (the trained snapshot, numbered `i`; the source's snapshot id;
+    j_pop; the learning curve; failed), as `evaluate_population` scores it.
+    """
+    if i == 1:
+        source = policy_init(
+            PROPRIO_DIM + POLICY_LATENT, ACTION_DIM, cfg.cma.dim, cfg.seed, latent=POLICY_LATENT
+        )
+        learning_rate, n_iterations = cfg.ppo.learning_rate, cfg.base_train_iters
+    else:
+        source = params_best
+        learning_rate, n_iterations = cfg.adapt_learning_rate, cfg.adapt_train_iters
+    params_i, j_pop, curve, failed = evaluate_population(
+        source, adam_init(source, learning_rate), designs, cfg, n_iterations, i
+    )
+    return dataclasses.replace(params_i, snapshot_id=i), source.snapshot_id, j_pop, curve, failed
+
+
 def run_ea_corl(
     cfg: CodesignConfig,
     out_dir=None,
@@ -260,30 +281,15 @@ def run(
     for i in range(start_iter, last_iter + 1):
         samples = cma_ask(state)
         designs = [DesignVector(f) for f in clamp_to_bounds(samples, cfg.space)]
-        failed = False
-        train_history: list[dict] = []
-
-        if fitness_fn is not None:
-            j_pop = np.array([float(fitness_fn(d)) for d in designs])
-            source_id = 0
-        else:
-            # Iteration 1 pre-trains a fresh policy; later ones adapt the best snapshot.
-            if i == 1:
-                source = policy_init(
-                    PROPRIO_DIM + POLICY_LATENT, ACTION_DIM, cfg.cma.dim,
-                    cfg.seed, latent=POLICY_LATENT,
-                )
-                learning_rate, n_iterations = cfg.ppo.learning_rate, cfg.base_train_iters
-            else:
-                source = params_best
-                learning_rate, n_iterations = cfg.adapt_learning_rate, cfg.adapt_train_iters
-            source_id = source.snapshot_id
-            params_i, j_pop, train_history, failed = evaluate_population(
-                source, adam_init(source, learning_rate), designs, cfg, n_iterations, i
+        if fitness_fn is None:
+            params_i, source_id, j_pop, train_history, failed = _train_population(
+                cfg, i, params_best, designs
             )
-            params_i = dataclasses.replace(params_i, snapshot_id=i)
-            if i == 1:
-                params_base = params_best = params_i
+        else:
+            params_i, source_id, train_history, failed = None, 0, [], False
+            j_pop = np.array([float(fitness_fn(d)) for d in designs])
+        if i == 1:
+            params_base = params_best = params_i
         # A design without a score (+inf) has no mean return; -(-x) == x.
         mean_returns = np.where(j_pop == np.inf, np.nan, -j_pop)
 
@@ -292,7 +298,7 @@ def run(
         if pop_best < j_star:
             j_star = pop_best
             d_star = designs[best_idx]
-            if fitness_fn is None and cfg.mode is Mode.EA_CORL:
+            if cfg.mode is Mode.EA_CORL:
                 params_best = params_i
 
         state = cma_tell(state, samples, j_pop)
@@ -306,7 +312,7 @@ def run(
             population_best_idx=best_idx,
             global_best_j=float(j_star),
             global_best_design=d_star,
-            snapshot_id=0 if fitness_fn is not None else params_best.snapshot_id,
+            snapshot_id=0 if params_best is None else params_best.snapshot_id,
             source_snapshot_id=source_id,
             sigma=state.sigma,
             dist_mean=state.mean.copy(),
@@ -317,7 +323,7 @@ def run(
         if out_dir is not None:
             _checkpoint(
                 cfg, out_dir, state, record, wall_accum + (time.monotonic() - t_start),
-                params_base, params_best, params_i if fitness_fn is None else None, train_history,
+                params_base, params_best, params_i, train_history,
             )
 
     completed = last_iter >= cfg.cma.max_iterations

@@ -237,6 +237,60 @@ def ppo_update(
     return params, opt, stats
 
 
+class TrainingPhase:
+    """One PPO training phase over an existing environment bank, and all its state.
+
+    `step()` runs one PPO iteration on the policy (`params`, `opt`), the
+    `rollout` and `shuffle` streams and the bank, and appends one history
+    row keyed by LEARNING_CURVE_COLUMNS.  `per_design_returns()` gives the
+    per-design mean episode returns over the terminal window of up to
+    `FITNESS_WINDOW` iterations.  History rows carry the latest
+    completed-episode statistics forward through iterations in which no
+    episode finished.
+
+    `compute_gae` frees the batch's GAE inputs (rewards, values, dones),
+    and the batch is a local of `step()`, freed before the next rollout.
+    Every environment ends an episode at most `vec_env.episode_length`
+    steps after its last one ended, so when a window of iterations spans
+    that many steps, every design has an episode in any full window and
+    the full-history fallback of `_per_design_returns` never runs: the
+    phase then keeps only the last `FITNESS_WINDOW` episode logs.
+    Otherwise it keeps them all.
+    """
+
+    def __init__(self, params: PolicyParams, opt: AdamState, vec_env, cfg: PpoConfig,
+                 seed: int, phase: str | int = 0):
+        self.params, self.opt, self.vec_env, self.cfg = params, opt, vec_env, cfg
+        self.rollout_rng = stream("rollout", seed, phase)
+        self.shuffle_rng = stream("shuffle", seed, phase)
+        self.history: list[dict] = []
+        window_covers_episode = vec_env.episode_length <= FITNESS_WINDOW * cfg.horizon
+        self.logs = deque(maxlen=FITNESS_WINDOW if window_covers_episode else None)
+        self.last_mean = self.last_std = float("nan")
+
+    def step(self) -> None:
+        """One PPO iteration: rollout, GAE, update, then one history row."""
+        cfg = self.cfg
+        batch = collect_rollouts(self.vec_env, self.params, cfg.horizon, self.rollout_rng)
+        log = batch.episodes
+        self.logs.append(log)
+        batch.rewards *= cfg.reward_scale
+        compute_gae(batch, cfg.gamma, cfg.gae_lambda)
+        self.params, self.opt, stats = ppo_update(
+            self.params, self.opt, batch, cfg, self.shuffle_rng
+        )
+        if log.returns.size:
+            self.last_mean = float(np.mean(log.returns))
+            self.last_std = float(np.std(log.returns))
+        row = (len(self.history) + 1, self.last_mean, self.last_std,
+               *(stats[key] for key in LOSS_STATISTICS[1:]))
+        self.history.append(dict(zip(LEARNING_CURVE_COLUMNS, row)))
+
+    def per_design_returns(self) -> np.ndarray:
+        n_designs = int(np.max(self.vec_env.env_to_design)) + 1 if self.history else 0
+        return _per_design_returns(list(self.logs), n_designs)
+
+
 def train_on_env(
     params: PolicyParams,
     opt: AdamState,
@@ -246,46 +300,14 @@ def train_on_env(
     seed: int,
     phase: str | int = 0,
 ) -> tuple[PolicyParams, list[dict], np.ndarray]:
-    """Core training loop over an existing environment bank.
+    """`n_iterations` steps of one `TrainingPhase`.
 
-    Returns (final params, per-iteration history rows keyed by
-    LEARNING_CURVE_COLUMNS, per-design mean episode returns over the
-    terminal window of up to `FITNESS_WINDOW` iterations).  History rows
-    carry the latest completed-episode statistics forward through
-    iterations in which no episode finished.
-
-    `compute_gae` frees the batch's GAE inputs (rewards, values, dones),
-    and each iteration frees the whole batch before the next rollout.
-    Every environment ends an episode at most `vec_env.episode_length`
-    steps after its last one ended, so when a window of iterations spans
-    that many steps, every design has an episode in any full window and
-    the full-history fallback of `_per_design_returns` never runs: the
-    phase then keeps only the last `FITNESS_WINDOW` episode logs.
-    Otherwise it keeps them all.
+    Returns (final params, history rows, per-design mean episode returns).
     """
-    rollout_rng = stream("rollout", seed, phase)
-    shuffle_rng = stream("shuffle", seed, phase)
-    history: list[dict] = []
-    window_covers_episode = vec_env.episode_length <= FITNESS_WINDOW * cfg.horizon
-    logs: deque[EpisodeLog] = deque(maxlen=FITNESS_WINDOW if window_covers_episode else None)
-    last_mean, last_std = float("nan"), float("nan")
-    for it in range(n_iterations):
-        batch = collect_rollouts(vec_env, params, cfg.horizon, rollout_rng)
-        log = batch.episodes
-        logs.append(log)
-        batch.rewards *= cfg.reward_scale
-        compute_gae(batch, cfg.gamma, cfg.gae_lambda)
-        params, opt, stats = ppo_update(params, opt, batch, cfg, shuffle_rng)
-        if log.returns.size:
-            last_mean = float(np.mean(log.returns))
-            last_std = float(np.std(log.returns))
-        row = (it + 1, last_mean, last_std, *(stats[key] for key in LOSS_STATISTICS[1:]))
-        history.append(dict(zip(LEARNING_CURVE_COLUMNS, row)))
-        # Free this batch before the next rollout fills a new one.
-        del batch
-    n_designs = int(np.max(vec_env.env_to_design)) + 1 if n_iterations > 0 else 0
-    per_design = _per_design_returns(list(logs), n_designs)
-    return params, history, per_design
+    training = TrainingPhase(params, opt, vec_env, cfg, seed, phase)
+    for _ in range(n_iterations):
+        training.step()
+    return training.params, training.history, training.per_design_returns()
 
 
 def _per_design_returns(logs: list[EpisodeLog], n_designs: int) -> np.ndarray:

@@ -665,18 +665,25 @@ CMA_STATE_EDITS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "field, edit, named", CMA_STATE_EDITS, ids=[edit[0] for edit in CMA_STATE_EDITS]
-)
+# A case's id is its field, with the manifest status after it unless that is "interrupted".
+CMA_STATE_CASES = [
+    pytest.param(status, *edit, id=edit[0] if status == "interrupted" else f"{edit[0]}-{status}")
+    for status in ("interrupted", "complete")
+    for edit in CMA_STATE_EDITS
+]
+
+
+@pytest.mark.parametrize("status, field, edit, named", CMA_STATE_CASES)
 def test_cma_state_that_does_not_fit_the_config_is_refused(
-    completed_run, tmp_path, capsys, field, edit, named
+    completed_run, tmp_path, capsys, status, field, edit, named
 ):
     """Resume and evaluate refuse a committed CMA-ES state of other sizes or
-    counters than the config gives, naming the field, before touching a file."""
+    counters than the config gives, naming the field, before touching a file;
+    resume does so also for a run whose manifest says it is complete."""
     run_dir = str(tmp_path / "copy")
     shutil.copytree(completed_run, run_dir)
     manifest = read_manifest(run_dir)
-    manifest["status"] = "interrupted"  # so that resume opens the commit
+    manifest["status"] = status
     with open(os.path.join(run_dir, MANIFEST_FILE), "w") as fh:
         json.dump(manifest, fh)
     path = os.path.join(run_dir, codesign.CHECKPOINT_FILE)

@@ -612,6 +612,47 @@ def test_train_frees_gae_inputs_before_the_update(monkeypatch):
     assert checked == [[True] * 6] * 3
 
 
+def test_training_phases_hold_all_their_state():
+    """Two phases on two banks, stepped alternately, each give the bytes of
+    their own `train_on_env`: nothing a phase reads or writes lives outside it."""
+    cfg = PpoConfig(horizon=8, epochs=2, minibatches=2, reward_scale=0.02)
+    n_iters = 4
+    phases, want = [], []
+    for seed, phase in ((0, 1), (1, "other")):
+        env, params = chinup_bank(6, 12, seed)
+        want.append(train_on_env(params, adam_init(params, 1e-3), env, n_iters, cfg, seed, phase))
+        env, params = chinup_bank(6, 12, seed)
+        phases.append(ppo.TrainingPhase(params, adam_init(params, 1e-3), env, cfg, seed, phase))
+    assert want[0][0].flat.tobytes() != want[1][0].flat.tobytes()
+    for _ in range(n_iters):
+        for training in phases:
+            training.step()
+    for training, (params, history, per_design) in zip(phases, want):
+        assert training.params.flat.tobytes() == params.flat.tobytes()
+        assert repr(training.history) == repr(history)
+        assert training.per_design_returns().tobytes() == per_design.tobytes()
+        assert np.all(np.isfinite(per_design))
+
+
+def test_a_step_frees_its_batch(monkeypatch):
+    """No rollout batch outlives the step that collected it, so a phase never
+    holds one batch while the next rollout fills another."""
+    refs = []
+
+    def recording_rollouts(*args):
+        batch = collect_rollouts(*args)
+        refs.append(weakref.ref(batch))
+        return batch
+
+    monkeypatch.setattr(ppo, "collect_rollouts", recording_rollouts)
+    env, params = chinup_bank(6, 24)
+    cfg = PpoConfig(horizon=8, epochs=1, minibatches=2)
+    training = ppo.TrainingPhase(params, adam_init(params, 1e-3), env, cfg, 0)
+    for n in range(1, 4):
+        training.step()
+        assert len(refs) == n and refs[-1]() is None
+
+
 def test_update_memory_budget(monkeypatch):
     """The traced peak of one update, over the memory held before the
     rollout, stays within what the update trains on, its row indices and
