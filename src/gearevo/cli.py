@@ -151,6 +151,10 @@ def _file_items(path: str) -> list[str]:
         raise ConfigError(f"config file not found: {path}") from None
     except (OSError, UnicodeDecodeError, configparser.Error) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    # configparser would copy [DEFAULT]'s keys into every other section.
+    if parser.defaults():
+        raise ConfigError(f"config file {path}: section [{parser.default_section}] is not "
+                          f"supported; put each key in its own section")
     return [f"{section}.{key}={raw}" for section in parser.sections()
             for key, raw in parser.items(section)]
 
@@ -375,7 +379,7 @@ def cmd_sweep(args) -> int:
     for a, b in pairs:
         grid = codesign.heatmap_sweep(cfg, params, a, b, args.resolution, fixed=fixed)
         path = os.path.join(args.run_dir, f"heatmap_{a}_{b}.csv")
-        codesign.write_heatmap_csv(grid, a, b, path)
+        atomic_write(path, lambda p: codesign.write_heatmap_csv(grid, a, b, p))
         print(f"wrote {path} ({len(grid)} cells)")
     return EXIT_OK
 
@@ -423,10 +427,10 @@ def cmd_evaluate(args) -> int:
             cfg.env, design, cfg.reward, mean_action, args.seed
         )
         if args.dump_trajectory:
-            write_trajectory_csv(rows, args.dump_trajectory)
+            atomic_write(args.dump_trajectory, lambda p: write_trajectory_csv(rows, p))
             print(f"wrote {args.dump_trajectory}")
         if args.dump_rewards:
-            write_breakdown_csv(breakdowns, args.dump_rewards)
+            atomic_write(args.dump_rewards, lambda p: write_breakdown_csv(breakdowns, p))
             print(f"wrote {args.dump_rewards}")
     return EXIT_OK
 

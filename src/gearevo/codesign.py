@@ -48,7 +48,6 @@ from .design_space import (
 )
 from .errors import CheckpointError, ConfigError, NumericError
 from .policy import (
-    AdamState,
     PolicyParams,
     adam_init,
     load_policy,
@@ -156,54 +155,22 @@ class CodesignResult:
 
 
 def evaluate_population(
-    params: PolicyParams,
-    opt: AdamState,
-    designs: list[DesignVector],
     cfg: CodesignConfig,
-    n_iterations: int,
-    phase: str | int,
-) -> tuple[PolicyParams, np.ndarray, list[dict], bool]:
-    """Train on the expanded population and score each design.
+    i: int,
+    params_best: PolicyParams | None,
+    designs: list[DesignVector],
+) -> tuple[PolicyParams, int, np.ndarray, list[dict], bool]:
+    """Outer iteration `i`'s training phase, and the fitness of each design.
 
-    Runs `n_iterations` PPO iterations from `params`, with the learning
-    rate that `opt` carries, on the chin-up bank expanded from `designs`.
-    Returns (task-adapted snapshot, j_pop, training history, failed).
-    Fitness is the exact negative of each design's terminal-window mean
-    return, +inf for a design with no episode.  A numeric training failure
-    marks the whole population failed (+inf fitness) and hands back the
-    input snapshot so the run can continue.
-    """
-    plan = expand_designs(cfg.n_pop, cfg.n_env)
-    if len(designs) != plan.n_pop:
-        raise ConfigError(
-            f"expansion plan expects {plan.n_pop} designs, got {len(designs)}"
-        )
-    pop = np.stack([d.factors for d in designs])
-    vec_env = VecChinupEnv(
-        config=cfg.env,
-        reward_cfg=cfg.reward,
-        design_mat=pop[plan.env_to_design],
-        env_to_design=plan.env_to_design,
-        seed=cfg.seed,
-        phase=phase,
-    )
-    try:
-        new_params, history, per_design = train_on_env(
-            params, opt, vec_env, n_iterations, cfg.ppo, cfg.seed, phase
-        )
-    except NumericError as exc:
-        logger.error("population evaluation failed at phase %s: %s", phase, exc)
-        return params, np.full(len(designs), np.inf), [], True
-    j_pop = np.where(np.isnan(per_design), np.inf, -per_design)
-    return new_params, j_pop, history, False
-
-
-def _train_population(cfg, i, params_best, designs):
-    """Outer iteration `i`'s training phase: iteration 1 pre-trains a fresh policy,
-    and later ones adapt `params_best` at the adaptation rate and length.
-
-    Returns (the trained snapshot, numbered `i`; the source's snapshot id;
-    j_pop; the learning curve; failed), as `evaluate_population` scores it.
+    Iteration 1 pre-trains a fresh policy for base_train_iters at the PPO
+    learning rate; later ones adapt `params_best` for adapt_train_iters at
+    adapt_learning_rate.  Either phase trains on the chin-up bank expanded
+    from `designs`, with phase key `i`.  Returns (the trained snapshot,
+    numbered `i`; the source's snapshot id; j_pop; the learning curve;
+    failed).  Fitness is the exact negative of each design's terminal-window
+    mean return, +inf for a design with no episode.  A numeric training
+    failure marks the whole population failed (+inf fitness) and hands back
+    the source snapshot, numbered `i`, so the run can continue.
     """
     if i == 1:
         source = policy_init(
@@ -213,10 +180,28 @@ def _train_population(cfg, i, params_best, designs):
     else:
         source = params_best
         learning_rate, n_iterations = cfg.adapt_learning_rate, cfg.adapt_train_iters
-    params_i, j_pop, curve, failed = evaluate_population(
-        source, adam_init(source, learning_rate), designs, cfg, n_iterations, i
+    plan = expand_designs(cfg.n_pop, cfg.n_env)
+    if len(designs) != plan.n_pop:
+        raise ConfigError(f"expansion plan expects {plan.n_pop} designs, got {len(designs)}")
+    pop = np.stack([d.factors for d in designs])
+    vec_env = VecChinupEnv(
+        config=cfg.env,
+        reward_cfg=cfg.reward,
+        design_mat=pop[plan.env_to_design],
+        env_to_design=plan.env_to_design,
+        seed=cfg.seed,
+        phase=i,
     )
-    return dataclasses.replace(params_i, snapshot_id=i), source.snapshot_id, j_pop, curve, failed
+    try:
+        params, curve, per_design = train_on_env(
+            source, adam_init(source, learning_rate), vec_env, n_iterations, cfg.ppo, cfg.seed, i
+        )
+        failed = False
+    except NumericError as exc:
+        logger.error("population evaluation failed at phase %s: %s", i, exc)
+        params, curve, per_design, failed = source, [], np.full(len(designs), np.nan), True
+    j_pop = np.where(np.isnan(per_design), np.inf, -per_design)
+    return dataclasses.replace(params, snapshot_id=i), source.snapshot_id, j_pop, curve, failed
 
 
 def run_ea_corl(
@@ -260,19 +245,19 @@ def run(
     if resume:
         if out_dir is None:
             raise CheckpointError("resume requires a run directory")
-        commit, history, params_base, params_best = _load_checkpoint(
+        commit, history, params_base, params_best = read_run(
             cfg, out_dir, load_policies=fitness_fn is None
         )
         state, j_star, d_star = commit.cma_state, commit.j_star, commit.d_star
-        wall_accum, start_iter = commit.wall_time_s, commit.iteration + 1
+        wall_accum, start_iter, lengths = commit.wall_time_s, commit.iteration + 1, commit.files
     else:
         state = cma_init(dataclasses.replace(cfg.cma, seed=cfg.seed))
-        start_iter = 1
+        start_iter, lengths = 1, dict.fromkeys(APPEND_FILES, 0)
         if out_dir is not None:
-            # A stale commit record would describe files this run truncates;
-            # the rest of an earlier run goes as in a resume to iteration 0.
+            # A stale commit record would describe files this run truncates.
             _remove_if_exists(os.path.join(out_dir, CHECKPOINT_FILE))
-            _restore_committed_files(out_dir, 0, None, None, None)
+    if out_dir is not None:
+        _roll_back(out_dir, lengths, start_iter - 1, d_star, params_base, params_best)
 
     last_iter = cfg.cma.max_iterations
     if stop_after is not None:
@@ -282,7 +267,7 @@ def run(
         samples = cma_ask(state)
         designs = [DesignVector(f) for f in clamp_to_bounds(samples, cfg.space)]
         if fitness_fn is None:
-            params_i, source_id, j_pop, train_history, failed = _train_population(
+            params_i, source_id, j_pop, train_history, failed = evaluate_population(
                 cfg, i, params_best, designs
             )
         else:
@@ -498,9 +483,9 @@ _JSON_CODECS = {
 }
 
 
-def _write_history(history: list[FitnessRecord], path, append: bool = False) -> None:
-    """history.jsonl: one JSON line per record."""
-    with open(path, "ab" if append else "wb") as fh:
+def _write_history(history: list[FitnessRecord], path) -> None:
+    """Append one history.jsonl line per record."""
+    with open(path, "ab") as fh:
         fh.writelines(json.dumps(_to_json(rec)).encode("ascii") + b"\n" for rec in history)
 
 
@@ -527,8 +512,8 @@ def _checkpoint(
 ) -> None:
     """Persist one finished iteration, committing checkpoint.json last.
 
-    Order: one row onto each of APPEND_FILES (the first iteration creates
-    or truncates them); then, each written atomically, the iteration's
+    Order: one row onto each of APPEND_FILES, which `_roll_back` left at
+    the last commit's length; then, each written atomically, the iteration's
     snapshot, the best files, the learning curve and last checkpoint.json,
     with the byte length of each append-only file and the SHA-256 of the
     base and best policies.  A crash before the commit leaves the previous
@@ -538,11 +523,10 @@ def _checkpoint(
     iteration = record.iteration
     policies = os.path.join(out_dir, POLICY_DIR)
     os.makedirs(policies, exist_ok=True)
-    append = iteration > 1
 
-    write_evolution_csv([record], os.path.join(out_dir, EVOLUTION_FILE), append=append)
-    write_cma_log([record], os.path.join(out_dir, CMA_LOG_FILE), append=append)
-    _write_history([record], os.path.join(out_dir, HISTORY_FILE), append=append)
+    write_evolution_csv([record], os.path.join(out_dir, EVOLUTION_FILE), append=True)
+    write_cma_log([record], os.path.join(out_dir, CMA_LOG_FILE), append=True)
+    _write_history([record], os.path.join(out_dir, HISTORY_FILE))
 
     if params_current is not None:
         atomic_write(
@@ -678,31 +662,25 @@ def read_run(cfg, out_dir, load_policies: bool = True):
     return commit, history, params_base, params_best
 
 
-def _load_checkpoint(cfg, out_dir, load_policies: bool):
-    """`read_run`, then roll back an iteration that crashed before its commit:
-    cut each append-only file to its committed length and undo the other
-    files (`_restore_committed_files`)."""
-    commit, history, params_base, params_best = read_run(cfg, out_dir, load_policies)
-    for name in APPEND_FILES:
-        os.truncate(os.path.join(out_dir, name), commit.files[name])
-    _restore_committed_files(out_dir, commit.iteration, commit.d_star, params_base, params_best)
-    return commit, history, params_base, params_best
-
-
 # An iteration's own files: its policy snapshot and its learning curve.
 _ITERATION_FILE = re.compile(r"(?:iter|learning_curve_iter)_(\d+)\.(?:bin|csv)")
 
 
-def _restore_committed_files(out_dir, iteration, d_star, params_base, params_best) -> None:
-    """Make the files that are not append-only match the commit of `iteration`.
+def _roll_back(out_dir, lengths, iteration, d_star, params_base, params_best) -> None:
+    """Make a run directory match the commit of `iteration`; 0 is a fresh run.
 
-    An iteration that crashed before its commit may have replaced the best
-    design, base.bin and best.bin, written its own snapshot and learning
-    curve, and left the .tmp file of a write it did not finish.  A resume
-    that runs no further iteration would leave them all; so the best design
-    and the two policies are rewritten from the commit, or removed if it has
-    none, and the rest are deleted.  A fresh run restores iteration 0.
+    An iteration that crashed before its commit, or an earlier run in the
+    directory of a fresh one, may have appended to the append-only files,
+    replaced the best design, base.bin and best.bin, written later
+    snapshots and learning curves, and left the .tmp file of a write it did
+    not finish.  So each append-only file is cut to its length in
+    `lengths`, the best design and the two policies are rewritten from the
+    commit, or removed if it has none, and the rest are deleted.
     """
+    for name in APPEND_FILES:
+        path = os.path.join(out_dir, name)
+        if os.path.exists(path):
+            os.truncate(path, lengths[name])
     _write_best_files(out_dir, d_star, params_base, params_best)
     for folder in (out_dir, os.path.join(out_dir, POLICY_DIR)):
         if not os.path.isdir(folder):

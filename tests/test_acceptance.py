@@ -24,7 +24,7 @@ from gearevo import codesign
 from gearevo.chinup_env import ACTION_DIM, PROPRIO_DIM, EnvConfig, VecChinupEnv
 from gearevo.cli import parse_config
 from gearevo.cma_es import CmaEsConfig, cma_ask, cma_init, cma_tell
-from gearevo.codesign import POLICY_LATENT, evaluate_population, run_ea_corl
+from gearevo.codesign import POLICY_LATENT, run_ea_corl
 from gearevo.design_space import DesignVector, expand_designs, scale_actuator_limits
 from gearevo.policy import (
     adam_init,
@@ -551,11 +551,15 @@ def test_stronger_actuators_adapt_to_better_fitness():
         params = policy_init(
             PROPRIO_DIM + POLICY_LATENT, ACTION_DIM, 2, seed, latent=POLICY_LATENT
         )
-        opt = adam_init(params, cfg.ppo.learning_rate)
-        _, j_pop, _, failed = evaluate_population(
-            params, opt, designs, cfg, n_iterations=150, phase=seed
+        plan = expand_designs(cfg.n_pop, cfg.n_env)
+        env = VecChinupEnv(
+            config=cfg.env, reward_cfg=cfg.reward,
+            design_mat=np.stack([d.factors for d in designs])[plan.env_to_design],
+            env_to_design=plan.env_to_design, seed=cfg.seed, phase=seed,
         )
-        assert not failed
+        opt = adam_init(params, cfg.ppo.learning_rate)
+        _, _, per_design = train_on_env(params, opt, env, 150, cfg.ppo, cfg.seed, phase=seed)
+        j_pop = np.where(np.isnan(per_design), np.inf, -per_design)
         assert j_pop[1] < j_pop[0], (
             f"seed {seed}: J(2.0)={j_pop[1]:.2f} not below J(0.5)={j_pop[0]:.2f}"
         )

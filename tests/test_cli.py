@@ -230,6 +230,25 @@ def test_malformed_config_file_is_an_error_line(tmp_path, capsys, text, named):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["[DEFAULT]\nn_pop = 8\n", "[DEFAULT]\nseed = 3\n[run]\nn_pop = 2\n[ppo]\nhorizon = 8\n"],
+    ids=["alone", "beside_sections"],
+)
+def test_default_section_is_refused(tmp_path, capsys, text):
+    """configparser copies [DEFAULT]'s keys into every other section, so a
+    key there would be dropped or charged to sections that never wrote it."""
+    path = tmp_path / "default.ini"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: section [DEFAULT]")):
+        parse_config(str(path))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "[DEFAULT]" in err[0], err
+    assert not out.exists()
+
+
 NON_DEFAULT_OVERRIDES = [
     "run.n_pop=8", "run.n_env=64", "cma.parent_count=4", "run.seed=7",
     "run.mode=pt-ft", "env.goal=0.1,0.2", "reward.active=chinup,torque",
@@ -719,6 +738,29 @@ def test_sweep_explicit_axes_match_all(completed_run, capsys):
     before = read_bytes(completed_run, "heatmap_0_1.csv")
     assert main(["sweep", completed_run, "--axes", "0,1", "--resolution", "2"]) == EXIT_OK
     assert read_bytes(completed_run, "heatmap_0_1.csv") == before
+
+
+class Killed(RuntimeError):
+    pass
+
+
+def test_sweep_killed_mid_write_keeps_the_earlier_heatmap(completed_run, tmp_path, monkeypatch):
+    """A sweep killed halfway through writing a heatmap leaves the earlier one whole."""
+    run_dir = str(tmp_path / "run")
+    shutil.copytree(completed_run, run_dir)
+    assert main(["sweep", run_dir, "--axes", "0,1", "--resolution", "2"]) == EXIT_OK
+    before = read_bytes(run_dir, "heatmap_0_1.csv")
+    original = codesign.write_heatmap_csv
+
+    def torn(grid, axis_a, axis_b, path):
+        original(grid, axis_a, axis_b, path)
+        os.truncate(path, os.path.getsize(path) // 2)
+        raise Killed(path)
+
+    monkeypatch.setattr(codesign, "write_heatmap_csv", torn)
+    with pytest.raises(Killed):
+        main(["sweep", run_dir, "--axes", "0,1", "--resolution", "3"])
+    assert read_bytes(run_dir, "heatmap_0_1.csv") == before
 
 
 def test_sweep_malformed_axes(completed_run, capsys):

@@ -41,7 +41,7 @@ from gearevo.codesign import (
 )
 from gearevo.design_space import DesignSpace, DesignVector, clamp_to_bounds
 from gearevo.errors import CheckpointError, ConfigError
-from gearevo.policy import adam_init, policy_init
+from gearevo.policy import policy_init
 from gearevo.ppo import PpoConfig, collect_rollouts, train_on_env
 from gearevo.reward import RewardConfig
 from gearevo.seeding import stream
@@ -176,17 +176,15 @@ def test_evaluate_population_sign_identity(monkeypatch):
     params = policy_init(
         PROPRIO_DIM + POLICY_LATENT, ACTION_DIM, 2, cfg.seed, latent=POLICY_LATENT
     )
-    opt = adam_init(params, cfg.ppo.learning_rate)
     designs = [DesignVector(np.array([1.0, 1.0])), DesignVector(np.array([2.0, 0.5]))]
-    new_params, j_pop, history, failed = evaluate_population(
-        params, opt, designs, cfg, cfg.adapt_train_iters, phase=1
-    )
+    new_params, source_id, j_pop, history, failed = evaluate_population(cfg, 1, None, designs)
     assert not failed
     assert j_pop.shape == (2,) and mean_returns[0].shape == (2,)
     assert np.all(np.isfinite(j_pop))
     np.testing.assert_array_equal(j_pop, -mean_returns[0])
-    assert len(history) == cfg.adapt_train_iters
-    assert new_params is not params
+    assert len(history) == cfg.base_train_iters
+    assert new_params.snapshot_id == 1 and source_id == params.snapshot_id
+    assert new_params.flat.tobytes() != params.flat.tobytes()
 
 
 def test_evaluate_population_failure_path(monkeypatch):
@@ -202,13 +200,12 @@ def test_evaluate_population_failure_path(monkeypatch):
     params = policy_init(
         PROPRIO_DIM + POLICY_LATENT, ACTION_DIM, 2, cfg.seed, latent=POLICY_LATENT
     )
-    opt = adam_init(params, cfg.ppo.learning_rate)
     designs = [DesignVector(np.array([1.0, 1.0])), DesignVector(np.array([2.0, 0.5]))]
-    out_params, j_pop, history, failed = evaluate_population(
-        params, opt, designs, cfg, cfg.adapt_train_iters, phase=1
-    )
+    out_params, _, j_pop, history, failed = evaluate_population(cfg, 1, None, designs)
     assert failed
-    assert out_params is params  # snapshot handed back unchanged
+    # The source snapshot is handed back unchanged, numbered as the iteration.
+    assert out_params.flat.tobytes() == params.flat.tobytes()
+    assert out_params.snapshot_id == 1
     assert np.all(np.isposinf(j_pop))
     assert history == []
 
@@ -704,12 +701,14 @@ def test_resume_rejects_tampered_policy_snapshot(tmp_path):
         run_ea_corl(micro_config(iterations=4), out_dir=out, resume=True)
 
 
-def test_fresh_run_into_used_directory(tmp_path):
+def test_fresh_run_into_used_directory(tmp_path, monkeypatch):
     """A non-resume run replaces what an earlier run left, rows included.
 
     The earlier run has another seed, or more iterations (its later
     snapshots and learning curves must go), or it trained policies that a
-    synthetic run, which writes none, must not keep.
+    synthetic run, which writes none, must not keep, or it was killed at
+    each write of its iteration 3 in turn, leaving a torn append row, a
+    .tmp file or that iteration's snapshot.
     """
     cases = [
         (micro_config(iterations=3, seed=1), micro_config(iterations=3), None),
@@ -722,6 +721,28 @@ def test_fresh_run_into_used_directory(tmp_path):
         run_ea_corl(cfg, out_dir=used, fitness_fn=fitness_fn)
         run_ea_corl(cfg, out_dir=clean, fitness_fn=fitness_fn)
         assert_same_tree(used, clean)
+
+    earlier, cfg = micro_config(iterations=4), micro_config(iterations=2)
+    clean = str(tmp_path / "clean")
+    run_ea_corl(cfg, out_dir=clean)
+    with monkeypatch.context() as m:
+        calls = _patch_writers(m)
+        run_ea_corl(earlier, out_dir=str(tmp_path / "probe"))
+    starts = [k for k, (name, _) in enumerate(calls) if name == "write_evolution_csv"]
+    left, torn = set(), False
+    for k in range(starts[2], starts[3]):
+        used = str(tmp_path / f"crash{k}")
+        with monkeypatch.context() as m:
+            _patch_writers(m, crash_at=k)
+            with pytest.raises(InjectedCrash):
+                run_ea_corl(earlier, out_dir=used)
+        tree = _tree(used)
+        left |= set(tree)
+        torn |= any(not tree[name].endswith(b"\n") for name in APPEND_FILES)
+        run_ea_corl(cfg, out_dir=used)
+        assert_same_tree(used, clean)
+    assert torn
+    assert {"checkpoint.json.tmp", os.path.join("policies", "iter_0003.bin")} <= left
 
 
 # --- JSON records: one codec for history.jsonl and checkpoint.json -------------
