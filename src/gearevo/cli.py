@@ -10,9 +10,9 @@ then --set overrides, then explicit flags.  The fully resolved config is
 echoed to <out>/config.snapshot and hashed; the hash is recorded in the
 run manifest and must match on resume, evaluate and sweep.
 
-The environment variable CODESIGN_THREADS caps numeric worker threads; it
-is applied before numpy is imported, which is why the heavy modules are
-imported lazily inside the command functions.
+The environment variable CODESIGN_THREADS sets the BLAS/OpenMP thread count,
+1 if unset; it is applied before numpy is imported, which is why the heavy
+modules are imported lazily inside the command functions.
 """
 
 from __future__ import annotations
@@ -150,7 +150,8 @@ def _file_items(path: str) -> list[str]:
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except (OSError, UnicodeDecodeError, configparser.Error) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+        # A parse error's message spans lines (reason, line number, the line).
+        raise ConfigError(f"cannot read config file {path}: {' '.join(str(exc).split())}") from None
     # configparser would copy [DEFAULT]'s keys into every other section.
     if parser.defaults():
         raise ConfigError(f"config file {path}: section [{parser.default_section}] is not "
@@ -477,10 +478,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_thread_cap() -> None:
-    cap = os.environ.get("CODESIGN_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = cap
+    cap = os.environ.get("CODESIGN_THREADS") or "1"
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = cap
 
 
 def main(argv=None) -> int:

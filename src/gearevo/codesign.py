@@ -46,7 +46,7 @@ from .design_space import (
     grid_slice,
     write_designs_csv,
 )
-from .errors import CheckpointError, ConfigError, NumericError
+from .errors import CheckpointError, ConfigError, DimensionError, NumericError
 from .policy import (
     PolicyParams,
     adam_init,
@@ -63,7 +63,9 @@ logger = logging.getLogger("gearevo.codesign")
 
 # 3: PPO updates run the network math in float32, so a version-2 run
 # directory (float64 training) would continue under different numerics.
-CHECKPOINT_VERSION = 3
+# 4: a history.jsonl record holds its population as one array and no longer
+# holds mean_returns, population_best_idx or global_best_design.
+CHECKPOINT_VERSION = 4
 POLICY_LATENT = 4
 
 
@@ -129,13 +131,10 @@ class CodesignConfig:
 @dataclass
 class FitnessRecord:
     iteration: int
-    designs: list[DesignVector]
+    designs: np.ndarray
     j_pop: np.ndarray
-    mean_returns: np.ndarray
     population_best_j: float
-    population_best_idx: int
     global_best_j: float
-    global_best_design: DesignVector | None
     snapshot_id: int
     source_snapshot_id: int
     sigma: float
@@ -158,7 +157,7 @@ def evaluate_population(
     cfg: CodesignConfig,
     i: int,
     params_best: PolicyParams | None,
-    designs: list[DesignVector],
+    designs: np.ndarray,
 ) -> tuple[PolicyParams, int, np.ndarray, list[dict], bool]:
     """Outer iteration `i`'s training phase, and the fitness of each design.
 
@@ -180,14 +179,13 @@ def evaluate_population(
     else:
         source = params_best
         learning_rate, n_iterations = cfg.adapt_learning_rate, cfg.adapt_train_iters
+    if designs.shape != (cfg.n_pop, cfg.space.dim):
+        raise DimensionError(f"designs of shape {designs.shape} != ({cfg.n_pop}, {cfg.space.dim})")
     plan = expand_designs(cfg.n_pop, cfg.n_env)
-    if len(designs) != plan.n_pop:
-        raise ConfigError(f"expansion plan expects {plan.n_pop} designs, got {len(designs)}")
-    pop = np.stack([d.factors for d in designs])
     vec_env = VecChinupEnv(
         config=cfg.env,
         reward_cfg=cfg.reward,
-        design_mat=pop[plan.env_to_design],
+        design_mat=designs[plan.env_to_design],
         env_to_design=plan.env_to_design,
         seed=cfg.seed,
         phase=i,
@@ -199,7 +197,7 @@ def evaluate_population(
         failed = False
     except NumericError as exc:
         logger.error("population evaluation failed at phase %s: %s", i, exc)
-        params, curve, per_design, failed = source, [], np.full(len(designs), np.nan), True
+        params, curve, per_design, failed = source, [], np.full(cfg.n_pop, np.nan), True
     j_pop = np.where(np.isnan(per_design), np.inf, -per_design)
     return dataclasses.replace(params, snapshot_id=i), source.snapshot_id, j_pop, curve, failed
 
@@ -265,24 +263,22 @@ def run(
 
     for i in range(start_iter, last_iter + 1):
         samples = cma_ask(state)
-        designs = [DesignVector(f) for f in clamp_to_bounds(samples, cfg.space)]
+        designs = clamp_to_bounds(samples, cfg.space)
         if fitness_fn is None:
             params_i, source_id, j_pop, train_history, failed = evaluate_population(
                 cfg, i, params_best, designs
             )
         else:
             params_i, source_id, train_history, failed = None, 0, [], False
-            j_pop = np.array([float(fitness_fn(d)) for d in designs])
+            j_pop = np.array([float(fitness_fn(DesignVector(row))) for row in designs])
         if i == 1:
             params_base = params_best = params_i
-        # A design without a score (+inf) has no mean return; -(-x) == x.
-        mean_returns = np.where(j_pop == np.inf, np.nan, -j_pop)
 
         best_idx = int(np.argmin(j_pop))
         pop_best = float(j_pop[best_idx])
         if pop_best < j_star:
             j_star = pop_best
-            d_star = designs[best_idx]
+            d_star = DesignVector(designs[best_idx])
             if cfg.mode is Mode.EA_CORL:
                 params_best = params_i
 
@@ -292,11 +288,8 @@ def run(
             iteration=i,
             designs=designs,
             j_pop=j_pop,
-            mean_returns=mean_returns,
             population_best_j=pop_best,
-            population_best_idx=best_idx,
             global_best_j=float(j_star),
-            global_best_design=d_star,
             snapshot_id=0 if params_best is None else params_best.snapshot_id,
             source_snapshot_id=source_id,
             sigma=state.sigma,
@@ -307,7 +300,7 @@ def run(
 
         if out_dir is not None:
             _checkpoint(
-                cfg, out_dir, state, record, wall_accum + (time.monotonic() - t_start),
+                cfg, out_dir, state, record, d_star, wall_accum + (time.monotonic() - t_start),
                 params_base, params_best, params_i, train_history,
             )
 
@@ -351,22 +344,22 @@ def _remove_if_exists(path: str) -> None:
         pass
 
 
-# evolution.csv and cma_log.csv are projections of the history.jsonl records:
-# one row per record, every cell a field of it except the computed mean_fitness.
+# evolution.csv and cma_log.csv are projections of the history.jsonl records,
+# appended one row per record; every cell is a field of it but mean_fitness.
 
 
-def write_evolution_csv(history: list[FitnessRecord], path, append: bool = False) -> None:
+def write_evolution_csv(history: list[FitnessRecord], path) -> None:
     """Fitness trajectory: iteration,population_best,global_best,j_0,..."""
     n_pop = len(history[0].j_pop) if history else 0
     write_table(
         path,
         ["iteration", "population_best", "global_best"] + [f"j_{k}" for k in range(n_pop)],
         ([r.iteration, r.population_best_j, r.global_best_j, *r.j_pop.tolist()] for r in history),
-        append=append,
+        append=True,
     )
 
 
-def write_cma_log(history: list[FitnessRecord], path, append: bool = False) -> None:
+def write_cma_log(history: list[FitnessRecord], path) -> None:
     """CMA-ES trajectory: generation,best_fitness,mean_fitness,sigma,mean_0,..."""
     dim = len(history[0].dist_mean) if history else 0
     write_table(
@@ -377,7 +370,7 @@ def write_cma_log(history: list[FitnessRecord], path, append: bool = False) -> N
              *r.dist_mean.tolist()]
             for r in history
         ),
-        append=append,
+        append=True,
     )
 
 
@@ -472,10 +465,6 @@ _SCALAR_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
 _JSON_CODECS = {
     "np.ndarray": (np.ndarray.tolist, lambda v: np.array(v, dtype=np.float64)),
     "DesignVector | None": _optional((lambda d: d.factors.tolist(), DesignVector)),
-    "list[DesignVector]": (
-        lambda ds: [d.factors.tolist() for d in ds],
-        lambda vs: [DesignVector(v) for v in vs],
-    ),
     "dict[str, int]": (dict, dict),
     "CmaEsState": (_to_json, functools.partial(_from_json, CmaEsState)),
     "_Snapshot": (_to_json, functools.partial(_from_json, _Snapshot)),
@@ -508,7 +497,8 @@ def _write_best_files(out_dir, d_star, params_base, params_best) -> _Policies | 
 
 
 def _checkpoint(
-    cfg, out_dir, state, record, wall_time, params_base, params_best, params_current, train_history,
+    cfg, out_dir, state, record, d_star, wall_time, params_base, params_best, params_current,
+    train_history,
 ) -> None:
     """Persist one finished iteration, committing checkpoint.json last.
 
@@ -524,8 +514,8 @@ def _checkpoint(
     policies = os.path.join(out_dir, POLICY_DIR)
     os.makedirs(policies, exist_ok=True)
 
-    write_evolution_csv([record], os.path.join(out_dir, EVOLUTION_FILE), append=True)
-    write_cma_log([record], os.path.join(out_dir, CMA_LOG_FILE), append=True)
+    write_evolution_csv([record], os.path.join(out_dir, EVOLUTION_FILE))
+    write_cma_log([record], os.path.join(out_dir, CMA_LOG_FILE))
     _write_history([record], os.path.join(out_dir, HISTORY_FILE))
 
     if params_current is not None:
@@ -533,7 +523,7 @@ def _checkpoint(
             os.path.join(policies, f"iter_{iteration:04d}.bin"),
             lambda p: save_policy(params_current, p),
         )
-    snapshots = _write_best_files(out_dir, record.global_best_design, params_base, params_best)
+    snapshots = _write_best_files(out_dir, d_star, params_base, params_best)
     if train_history:
         atomic_write(
             os.path.join(out_dir, f"learning_curve_iter_{iteration:04d}.csv"),
@@ -546,7 +536,7 @@ def _checkpoint(
         iteration=iteration,
         cma_state=state,
         j_star=record.global_best_j,
-        d_star=record.global_best_design,
+        d_star=d_star,
         wall_time_s=float(wall_time),
         files={name: os.path.getsize(os.path.join(out_dir, name)) for name in APPEND_FILES},
         policies=snapshots,
@@ -623,8 +613,9 @@ def read_run(cfg, out_dir, load_policies: bool = True):
 
     Refuses a commit whose mode or CMA-ES state does not fit `cfg`, an
     append-only file shorter than its committed length, and a corrupt
-    history.  Returns the commit, its history records and the digest-checked
-    base and best policies (None, None without `load_policies`).
+    history, or one whose population is not a finite (n_pop, dim) array.
+    Returns the commit, its history records and the digest-checked base and
+    best policies (None, None without `load_policies`).
     """
     path = os.path.join(out_dir, CHECKPOINT_FILE)
     commit = _read_commit(out_dir)
@@ -655,6 +646,10 @@ def read_run(cfg, out_dir, load_policies: bool = True):
         history = [_from_json(FitnessRecord, json.loads(line)) for line in lines]
     except (CheckpointError, ValueError, TypeError) as exc:
         raise CheckpointError(f"{HISTORY_FILE}: corrupt record: {exc}") from exc
+    shape = (cfg.n_pop, cfg.space.dim)
+    for line, record in enumerate(history, 1):
+        if record.designs.shape != shape or not np.all(np.isfinite(record.designs)):
+            raise CheckpointError(f"{HISTORY_FILE} line {line}: designs not a finite {shape} array")
     params_base = params_best = None
     if load_policies:
         params_base = _load_snapshot(out_dir, commit, "base")

@@ -61,7 +61,7 @@ from .seeding import stream
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
 LOG_STD_INIT = -0.5
-CHECKPOINT_VERSION = 1
+POLICY_FORMAT_VERSION = 1
 # Rows per block in loss_and_grads and the rollout forward: a block's (rows,
 # hidden) activations stay in cache through the element-wise passes.
 _BLOCK_ROWS = 1024
@@ -626,7 +626,7 @@ _HEADER_FIELDS = tuple(f.name for f in dataclasses.fields(PolicyParams) if f.nam
 def save_policy(params: PolicyParams, path) -> str:
     """Write `params` to `path`; returns the SHA-256 hex digest of the file."""
     header = {
-        "format_version": CHECKPOINT_VERSION,
+        "format_version": POLICY_FORMAT_VERSION,
         **{key: getattr(params, key) for key in _HEADER_FIELDS},
         "n_params": params.n_params,
     }
@@ -646,7 +646,7 @@ def load_policy(path) -> PolicyParams:
         raise ContractError(f"{path}: corrupt policy checkpoint header") from exc
     if not isinstance(header, dict):
         raise ContractError(f"{path}: policy checkpoint header is not a JSON object")
-    if header.get("format_version") != CHECKPOINT_VERSION:
+    if header.get("format_version") != POLICY_FORMAT_VERSION:
         raise ContractError(
             f"{path}: unsupported checkpoint version {header.get('format_version')}"
         )

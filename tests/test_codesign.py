@@ -11,6 +11,7 @@ import itertools
 import json
 import os
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -176,7 +177,7 @@ def test_evaluate_population_sign_identity(monkeypatch):
     params = policy_init(
         PROPRIO_DIM + POLICY_LATENT, ACTION_DIM, 2, cfg.seed, latent=POLICY_LATENT
     )
-    designs = [DesignVector(np.array([1.0, 1.0])), DesignVector(np.array([2.0, 0.5]))]
+    designs = np.array([[1.0, 1.0], [2.0, 0.5]])
     new_params, source_id, j_pop, history, failed = evaluate_population(cfg, 1, None, designs)
     assert not failed
     assert j_pop.shape == (2,) and mean_returns[0].shape == (2,)
@@ -200,7 +201,7 @@ def test_evaluate_population_failure_path(monkeypatch):
     params = policy_init(
         PROPRIO_DIM + POLICY_LATENT, ACTION_DIM, 2, cfg.seed, latent=POLICY_LATENT
     )
-    designs = [DesignVector(np.array([1.0, 1.0])), DesignVector(np.array([2.0, 0.5]))]
+    designs = np.array([[1.0, 1.0], [2.0, 0.5]])
     out_params, _, j_pop, history, failed = evaluate_population(cfg, 1, None, designs)
     assert failed
     # The source snapshot is handed back unchanged, numbered as the iteration.
@@ -222,11 +223,10 @@ def test_unscored_population_leaves_cma_es_in_place():
         return np.inf if iteration == 2 else sphere_at_1p5(design)
 
     r1, r2, r3 = run_ea_corl(cfg, fitness_fn=fails_in_iteration_2).history
-    assert np.all(np.isposinf(r2.j_pop)) and np.all(np.isnan(r2.mean_returns))
+    assert np.all(np.isposinf(r2.j_pop))
     assert np.array_equal(r2.dist_mean, r1.dist_mean)
     assert r2.sigma == r1.sigma
-    factors = [np.stack([d.factors for d in r.designs]) for r in (r2, r3)]
-    assert not np.array_equal(factors[0], factors[1])
+    assert not np.array_equal(r2.designs, r3.designs)
     assert np.all(np.isfinite(r3.j_pop))
 
 
@@ -240,9 +240,8 @@ def test_run_scores_clamped_designs_and_tells_raw_samples():
     for rec in history:
         samples = cma_ask(state)
         clamped = clamp_to_bounds(samples, cfg.space)
-        assert len(rec.designs) == len(clamped)
-        for design, row in zip(rec.designs, clamped):
-            assert design.factors.tobytes() == row.tobytes()
+        assert rec.designs.shape == clamped.shape
+        assert rec.designs.tobytes() == clamped.tobytes()
         clamped_rows += int(np.any(clamped != samples, axis=1).sum())
         state = cma_tell(state, samples, rec.j_pop)
         assert rec.dist_mean.tobytes() == state.mean.tobytes()
@@ -279,7 +278,7 @@ def test_result_agrees_with_history_minimum():
     assert res.history[-1].global_best_j == res.best_fitness
     winner = res.history[int(np.argmin(bests))]
     np.testing.assert_array_equal(
-        res.best_design.factors, winner.designs[winner.population_best_idx].factors
+        res.best_design.factors, winner.designs[int(np.argmin(winner.j_pop))]
     )
 
 
@@ -287,15 +286,11 @@ def test_result_agrees_with_history_minimum():
 
 
 def assert_promotion_invariants(history, mode):
-    """Shared ledger checks: J* monotone, fitness identity, snapshot wiring."""
+    """Shared ledger checks: J* monotone, population best, snapshot wiring."""
     prev_best = np.inf
     prev_snapshot = None
     for rec in history:
-        # fitness identity on every record
-        np.testing.assert_array_equal(
-            rec.j_pop, np.where(np.isnan(rec.mean_returns), np.inf, -rec.mean_returns)
-        )
-        assert rec.population_best_j == rec.j_pop[rec.population_best_idx]
+        assert rec.population_best_j == np.min(rec.j_pop)
         # global best is the running minimum
         assert rec.global_best_j == min(prev_best, rec.population_best_j)
         improved = rec.population_best_j < prev_best
@@ -434,24 +429,30 @@ def test_resume_rejects_unknown_version(tmp_path):
         )
 
 
-def test_resume_refuses_version_2_checkpoint(tmp_path):
-    # version 2 directories were trained with float64 PPO network math
-    run_ea_corl(
-        synthetic_config(iterations=3), out_dir=str(tmp_path),
-        fitness_fn=sphere_at_1p5, stop_after=2,
-    )
-    path = os.path.join(str(tmp_path), CHECKPOINT_FILE)
+def _assert_older_version_refused(out, version):
+    run_ea_corl(synthetic_config(iterations=3), out_dir=out, fitness_fn=sphere_at_1p5, stop_after=2)
+    path = os.path.join(out, CHECKPOINT_FILE)
     with open(path) as fh:
         payload = json.load(fh)
-    assert payload["version"] == 3
-    payload["version"] = 2
+    assert payload["version"] == 4
+    payload["version"] = version
     with open(path, "w") as fh:
         json.dump(payload, fh)
-    with pytest.raises(CheckpointError, match="unsupported checkpoint version 2;"):
+    with pytest.raises(CheckpointError, match=f"unsupported checkpoint version {version};"):
         run_ea_corl(
-            synthetic_config(iterations=3), out_dir=str(tmp_path),
-            fitness_fn=sphere_at_1p5, resume=True,
+            synthetic_config(iterations=3), out_dir=out, fitness_fn=sphere_at_1p5, resume=True,
         )
+
+
+def test_resume_refuses_version_2_checkpoint(tmp_path):
+    # version 2 directories were trained with float64 PPO network math
+    _assert_older_version_refused(str(tmp_path), 2)
+
+
+def test_resume_refuses_version_3_checkpoint(tmp_path):
+    # version 3 history records hold a population as a list of designs, plus
+    # mean_returns, population_best_idx and global_best_design
+    _assert_older_version_refused(str(tmp_path), 3)
 
 
 def test_rl_run_checkpoints_policies(tmp_path):
@@ -521,15 +522,7 @@ def assert_same_history(got, want):
     for a, b in zip(got, want):
         for f in dataclasses.fields(b):
             x, y = getattr(a, f.name), getattr(b, f.name)
-            if f.name == "designs":
-                assert len(x) == len(y)
-                for dx, dy in zip(x, y):
-                    np.testing.assert_array_equal(dx.factors, dy.factors)
-            elif f.name == "global_best_design":
-                assert (x is None) == (y is None)
-                if y is not None:
-                    np.testing.assert_array_equal(x.factors, y.factors)
-            elif isinstance(y, np.ndarray):
+            if isinstance(y, np.ndarray):
                 assert x.dtype == y.dtype and x.shape == y.shape, f.name
                 np.testing.assert_array_equal(x, y, err_msg=f.name)
             else:
@@ -557,7 +550,7 @@ def test_evolution_csv_append_matches_whole_file(tmp_path):
     whole, appended = str(tmp_path / "whole.csv"), str(tmp_path / "appended.csv")
     write_evolution_csv(res.history, whole)
     for rec in res.history:
-        write_evolution_csv([rec], appended, append=True)
+        write_evolution_csv([rec], appended)
     with open(whole, "rb") as fa, open(appended, "rb") as fb:
         assert fa.read() == fb.read()
 
@@ -568,7 +561,7 @@ def test_cma_log_append_matches_whole_file(tmp_path):
     whole, appended = str(tmp_path / "whole.csv"), str(tmp_path / "appended.csv")
     write_cma_log(res.history, whole)
     for rec in res.history:
-        write_cma_log([rec], appended, append=True)
+        write_cma_log([rec], appended)
     with open(whole, "rb") as fa, open(appended, "rb") as fb:
         assert fa.read() == fb.read()
 
@@ -635,7 +628,6 @@ def test_resume_history_round_trips_inf_and_nan(tmp_path):
     cfg = synthetic_config(iterations=8)
     full = run_ea_corl(cfg, out_dir=str(tmp_path / "full"), fitness_fn=walled)
     assert any(np.isinf(rec.j_pop).any() for rec in full.history)
-    assert any(np.isnan(rec.mean_returns).any() for rec in full.history)
     split = str(tmp_path / "split")
     run_ea_corl(cfg, out_dir=split, fitness_fn=walled, stop_after=5)
     resumed = run_ea_corl(cfg, out_dir=split, fitness_fn=walled, resume=True)
@@ -828,25 +820,52 @@ def test_checkpoint_json_round_trips_to_its_own_bytes(tmp_path, kind):
         assert fa.read() == fb.read()
 
 
-def test_resume_refuses_history_record_with_extra_field(tmp_path):
-    out = str(tmp_path)
-    cfg = synthetic_config(iterations=4)
-    run_ea_corl(cfg, out_dir=out, fitness_fn=sphere_at_1p5, stop_after=2)
+def _edit_first_history_record(out, edit):
+    """Apply `edit` to the first of a run's two history.jsonl records.
+
+    The commit covers the edited file's length, so only the record is wrong.
+    """
     history = os.path.join(out, HISTORY_FILE)
     with open(history, "rb") as fh:
         lines = fh.read().splitlines()
     record = json.loads(lines[0])
-    record["episodes"] = 3
+    edit(record)
     with open(history, "wb") as fh:
         fh.write(json.dumps(record).encode() + b"\n" + lines[1] + b"\n")
-    # The commit covers the longer file, so only the extra field is wrong.
     path = os.path.join(out, CHECKPOINT_FILE)
     with open(path) as fh:
         commit = json.load(fh)
     commit["files"][HISTORY_FILE] = os.path.getsize(history)
     with open(path, "w") as fh:
         json.dump(commit, fh)
+
+
+def test_resume_refuses_history_record_with_extra_field(tmp_path):
+    out = str(tmp_path)
+    cfg = synthetic_config(iterations=4)
+    run_ea_corl(cfg, out_dir=out, fitness_fn=sphere_at_1p5, stop_after=2)
+    _edit_first_history_record(out, lambda record: record.update(episodes=3))
     with pytest.raises(CheckpointError, match=r"corrupt record: .*\['episodes'\] unexpected"):
+        run_ea_corl(cfg, out_dir=out, fitness_fn=sphere_at_1p5, resume=True)
+
+
+@pytest.mark.parametrize("case", ["nan", "short"])
+def test_resume_refuses_history_record_with_bad_designs(tmp_path, case):
+    """A population that is not a finite (n_pop, dim) array is refused, naming its line."""
+
+    def edit(record):
+        if case == "nan":
+            record["designs"][1][0] = float("nan")
+        else:
+            record["designs"].pop()
+
+    out = str(tmp_path)
+    cfg = synthetic_config(iterations=4)
+    run_ea_corl(cfg, out_dir=out, fitness_fn=sphere_at_1p5, stop_after=2)
+    _edit_first_history_record(out, edit)
+    with pytest.raises(
+        CheckpointError, match=re.escape(f"{HISTORY_FILE} line 1: designs not a finite (16, 2) array")
+    ):
         run_ea_corl(cfg, out_dir=out, fitness_fn=sphere_at_1p5, resume=True)
 
 

@@ -32,10 +32,9 @@ def cells(n, shift):
 def record(it):
     j = np.array(cells(4, it))
     return FitnessRecord(
-        iteration=it, designs=[], j_pop=j, mean_returns=-j,
-        population_best_j=cells(1, it + 2)[0], population_best_idx=0,
-        global_best_j=cells(1, it + 3)[0], global_best_design=None,
-        snapshot_id=it, source_snapshot_id=0, sigma=0.3, dist_mean=np.array(cells(2, it - 1)),
+        iteration=it, designs=np.ones((4, 2)), j_pop=j, population_best_j=cells(1, it + 2)[0],
+        global_best_j=cells(1, it + 3)[0], snapshot_id=it, source_snapshot_id=0, sigma=0.3,
+        dist_mean=np.array(cells(2, it - 1)),
     )
 
 
@@ -45,8 +44,8 @@ def write_designs(path):
 
 def write_evolution(path):
     # Two appending calls, the first onto a missing file, as a run makes them.
-    write_evolution_csv([record(1)], path, append=True)
-    write_evolution_csv([record(2), record(3)], path, append=True)
+    write_evolution_csv([record(1)], path)
+    write_evolution_csv([record(2), record(3)], path)
 
 
 def write_heatmap(path):
@@ -56,8 +55,8 @@ def write_heatmap(path):
 
 def write_log(path):
     # mean_fitness is np.mean(j_pop), so unlike the other cells it is never -0.0.
-    write_cma_log([record(1)], path, append=True)
-    write_cma_log([record(2), record(3)], path, append=True)
+    write_cma_log([record(1)], path)
+    write_cma_log([record(2), record(3)], path)
 
 
 def write_curve(path):
