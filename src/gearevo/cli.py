@@ -7,8 +7,10 @@ _keys below and the README); _KINDS gives each kind's parse and format,
 and a float must be finite.  Resolution order: dataclass defaults, then
 file values (as `section.key=value` items, read by the --set resolver),
 then --set overrides, then explicit flags.  The fully resolved config is
-echoed to <out>/config.snapshot and hashed; the hash is recorded in the
-run manifest and must match on resume, evaluate and sweep.
+echoed to <out>/config.snapshot and hashed; the hash is recorded in
+manifest.json, the run's identity, and must match on resume, evaluate and
+sweep.  manifest.json is written once, before iteration 1; how far a run
+got is checkpoint.json's alone.
 
 The environment variable CODESIGN_THREADS sets the BLAS/OpenMP thread count,
 1 if unset; it is applied before numpy is imported, which is why the heavy
@@ -39,8 +41,8 @@ from .errors import (
 )
 from .tables import atomic_write
 
-# Exit codes: 0 success (manifest complete / no-op), 1 error,
-# 3 deliberate partial run (resumable, manifest interrupted).
+# Exit codes: 0 the run is complete, 1 error, 3 the run stopped early and
+# is resumable (--stop-after, Ctrl-C).
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_PARTIAL = 3
@@ -234,10 +236,6 @@ def _write_text(out_dir: str, name: str, text: str) -> None:
     atomic_write(os.path.join(out_dir, name), lambda p: pathlib.Path(p).write_text(text))
 
 
-def _write_manifest(out_dir: str, manifest: dict) -> None:
-    _write_text(out_dir, MANIFEST_FILE, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
 def _read_manifest(out_dir: str) -> dict:
     path = os.path.join(out_dir, MANIFEST_FILE)
     if not os.path.exists(path):
@@ -260,27 +258,18 @@ def _read_manifest(out_dir: str) -> dict:
 # --- commands ----------------------------------------------------------------
 
 
-def _run_and_record(cfg, out_dir: str, manifest: dict, label: str, **run_kwargs) -> int:
-    """Run (or resume) the co-design loop and record its outcome in the manifest.
+def _run_and_report(cfg, out_dir: str, label: str, **run_kwargs) -> int:
+    """Run (or resume) the co-design loop, print how far it got, return the exit code.
 
-    A Ctrl-C marks the manifest interrupted; the run stays resumable.
+    A Ctrl-C leaves the run resumable from its last commit.
     """
     from . import codesign
 
     try:
         result = codesign.run(cfg, out_dir=out_dir, **run_kwargs)
     except KeyboardInterrupt:
-        manifest["status"] = "interrupted"
-        manifest["updated_at"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-        _write_manifest(out_dir, manifest)
         print(f"interrupted; resume with: gearevo resume {out_dir}", file=sys.stderr)
         return EXIT_PARTIAL
-    manifest["iterations_done"] = len(result.history)
-    manifest["status"] = "complete" if result.completed else "interrupted"
-    manifest["updated_at"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    manifest["best_fitness"] = result.best_fitness
-    manifest["wall_time_s"] = result.wall_time_s
-    _write_manifest(out_dir, manifest)
     print(
         f"{label}: {len(result.history)} iterations, "
         f"best fitness {result.best_fitness:.6g}"
@@ -309,21 +298,14 @@ def cmd_run(args) -> int:
     manifest = {
         "run_id": f"{digest[:12]}-s{cfg.seed}",
         "config_hash": digest,
-        "seed": cfg.seed,
-        "mode": cfg.mode.value,
-        "max_iterations": cfg.cma.max_iterations,
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "status": "running",
-        "iterations_done": 0,
     }
-    _write_manifest(out_dir, manifest)
-    return _run_and_record(
-        cfg, out_dir, manifest, cfg.mode.value, stop_after=args.stop_after
-    )
+    _write_text(out_dir, MANIFEST_FILE, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    return _run_and_report(cfg, out_dir, cfg.mode.value, stop_after=args.stop_after)
 
 
 def _open_run(run_dir: str):
-    """Manifest and config of a run directory whose config.snapshot matches its hash."""
+    """Config of a run directory whose config.snapshot matches its manifest's hash."""
     manifest = _read_manifest(run_dir)
     cfg = parse_config(os.path.join(run_dir, CONFIG_SNAPSHOT_FILE))
     digest = config_hash(cfg)
@@ -333,28 +315,19 @@ def _open_run(run_dir: str):
             f"{manifest['config_hash'][:12]}, config.snapshot resolves to "
             f"{digest[:12]}; refusing to open the run"
         )
-    return manifest, cfg
+    return cfg
 
 
 def cmd_resume(args) -> int:
-    from .codesign import read_run
-
-    out_dir = args.run_dir
-    manifest, cfg = _open_run(out_dir)
-    if manifest.get("status") == "complete":
-        read_run(cfg, out_dir)  # a finished run's commit is checked as evaluate checks it
-        print(f"run {manifest['run_id']} already complete; nothing to do")
-        return EXIT_OK
-    return _run_and_record(
-        cfg, out_dir, manifest, f"resumed {cfg.mode.value}", resume=True
-    )
+    cfg = _open_run(args.run_dir)
+    return _run_and_report(cfg, args.run_dir, f"resumed {cfg.mode.value}", resume=True)
 
 
 def _load_run(run_dir: str):
     """Config, best policy and best design of the run's last committed iteration."""
     from .codesign import read_run
 
-    _, cfg = _open_run(run_dir)
+    cfg = _open_run(run_dir)
     commit, _, _, params_best = read_run(cfg, run_dir)
     return cfg, params_best, commit.d_star
 

@@ -613,7 +613,9 @@ def read_run(cfg, out_dir, load_policies: bool = True):
 
     Refuses a commit whose mode or CMA-ES state does not fit `cfg`, an
     append-only file shorter than its committed length, and a corrupt
-    history, or one whose population is not a finite (n_pop, dim) array.
+    history, or a record whose population is not a finite (n_pop, dim)
+    array, whose j_pop is not a NaN-free (n_pop,) array (+inf marks an
+    unscored design), or whose dist_mean is not a finite (dim,) array.
     Returns the commit, its history records and the digest-checked base and
     best policies (None, None without `load_policies`).
     """
@@ -646,10 +648,19 @@ def read_run(cfg, out_dir, load_policies: bool = True):
         history = [_from_json(FitnessRecord, json.loads(line)) for line in lines]
     except (CheckpointError, ValueError, TypeError) as exc:
         raise CheckpointError(f"{HISTORY_FILE}: corrupt record: {exc}") from exc
-    shape = (cfg.n_pop, cfg.space.dim)
+    # Record array -> (shape, test of each value, what the test asks).
+    arrays = {
+        "designs": ((cfg.n_pop, cfg.space.dim), np.isfinite, "finite"),
+        "j_pop": ((cfg.n_pop,), lambda a: ~np.isnan(a), "NaN-free"),
+        "dist_mean": ((cfg.space.dim,), np.isfinite, "finite"),
+    }
     for line, record in enumerate(history, 1):
-        if record.designs.shape != shape or not np.all(np.isfinite(record.designs)):
-            raise CheckpointError(f"{HISTORY_FILE} line {line}: designs not a finite {shape} array")
+        for name, (shape, test, kind) in arrays.items():
+            values = getattr(record, name)
+            if values.shape != shape or not np.all(test(values)):
+                raise CheckpointError(
+                    f"{HISTORY_FILE} line {line}: {name} not a {kind} {shape} array"
+                )
     params_base = params_best = None
     if load_policies:
         params_base = _load_snapshot(out_dir, commit, "base")

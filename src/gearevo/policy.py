@@ -648,7 +648,8 @@ def load_policy(path) -> PolicyParams:
         raise ContractError(f"{path}: policy checkpoint header is not a JSON object")
     if header.get("format_version") != POLICY_FORMAT_VERSION:
         raise ContractError(
-            f"{path}: unsupported checkpoint version {header.get('format_version')}"
+            f"{path}: unsupported policy format version {header.get('format_version')}; "
+            f"this version reads only version {POLICY_FORMAT_VERSION}"
         )
     missing = [key for key in (*_HEADER_FIELDS, "n_params") if key not in header]
     if missing:

@@ -1,5 +1,5 @@
 """Command-line interface: config resolution, run/resume/sweep/evaluate
-commands, manifest bookkeeping, and exit codes.
+commands, the run manifest (written once, before iteration 1), and exit codes.
 
 Commands are exercised in-process via main(argv); runs use a micro config so
 each invocation finishes in well under a second.
@@ -73,6 +73,12 @@ def completed_run(micro_ini, tmp_path_factory):
 
 def read_manifest(out_dir):
     with open(os.path.join(out_dir, MANIFEST_FILE)) as fh:
+        return json.load(fh)
+
+
+def read_commit(out_dir):
+    """checkpoint.json, the one record of how far a run got."""
+    with open(os.path.join(out_dir, codesign.CHECKPOINT_FILE)) as fh:
         return json.load(fh)
 
 
@@ -355,10 +361,10 @@ def test_thread_cap_pins_blas_threads(monkeypatch, cap, threads):
 def test_run_writes_manifest_and_artifacts(completed_run, capsys):
     out = completed_run
     manifest = read_manifest(out)
-    assert manifest["status"] == "complete"
-    assert manifest["mode"] == "ea-corl"
-    assert manifest["seed"] == 0
-    assert manifest["iterations_done"] == 2
+    assert sorted(manifest) == ["config_hash", "created_at", "run_id"]
+    cfg = parse_config(os.path.join(out, CONFIG_SNAPSHOT_FILE))
+    assert cfg.mode is Mode.EA_CORL and cfg.seed == 0
+    assert read_commit(out)["iteration"] == cfg.cma.max_iterations == 2
     snapshot_text = open(os.path.join(out, CONFIG_SNAPSHOT_FILE)).read()
     assert manifest["config_hash"] == hashlib.sha256(
         snapshot_text.encode("utf-8")
@@ -384,7 +390,7 @@ def test_run_mode_flag(micro_ini, tmp_path, capsys):
         ["run", "--config", micro_ini, "--out", out, "--seed", "0", "--mode", "pt-ft"]
     )
     assert code == EXIT_OK
-    assert read_manifest(out)["mode"] == "pt-ft"
+    assert read_commit(out)["mode"] == "pt-ft"
 
 
 def test_run_single_iteration_modes_agree(micro_ini, tmp_path, capsys):
@@ -398,7 +404,7 @@ def test_run_single_iteration_modes_agree(micro_ini, tmp_path, capsys):
             ]
         )
         assert code == EXIT_OK
-        outs[mode] = read_manifest(out)["best_fitness"]
+        outs[mode] = read_commit(out)["j_star"]
     assert outs["ea-corl"] == outs["pt-ft"]
 
 
@@ -408,7 +414,7 @@ def test_iterations_flag_resolves_after_file_values(tmp_path, capsys):
     out = str(tmp_path / "out")
     args = ["run", "--config", str(path), "--out", out, "--iterations", "5"]
     assert main(args) == EXIT_OK
-    assert read_manifest(out)["iterations_done"] == 5
+    assert read_commit(out)["iteration"] == 5
 
 
 @pytest.mark.parametrize("stop_after", ["0", "-1"])
@@ -503,12 +509,10 @@ def test_stop_after_then_resume_matches_straight_through(
         ]
     )
     assert code == EXIT_PARTIAL
-    assert read_manifest(out)["status"] == "interrupted"
+    assert read_commit(out)["iteration"] == 1
 
     assert main(["resume", out]) == EXIT_OK
-    manifest = read_manifest(out)
-    assert manifest["status"] == "complete"
-    assert manifest["iterations_done"] == 2
+    assert read_commit(out)["iteration"] == 2
     assert read_bytes(out, EVOLUTION_FILE) == read_bytes(completed_run, EVOLUTION_FILE)
 
 
@@ -516,18 +520,18 @@ def _raise_keyboard_interrupt(*args, **kwargs):
     raise KeyboardInterrupt
 
 
-def test_run_ctrl_c_exits_partial_and_marks_interrupted(
+def test_run_ctrl_c_exits_partial_and_prints_resume_hint(
     micro_ini, tmp_path, monkeypatch, capsys
 ):
     monkeypatch.setattr(codesign, "run", _raise_keyboard_interrupt)
     out = str(tmp_path / "ctrl-c")
     code = main(["run", "--config", micro_ini, "--out", out, "--seed", "0"])
     assert code == EXIT_PARTIAL
-    assert read_manifest(out)["status"] == "interrupted"
+    assert not os.path.exists(os.path.join(out, codesign.CHECKPOINT_FILE))
     assert f"gearevo resume {out}" in capsys.readouterr().err
 
 
-def test_resume_ctrl_c_exits_partial_and_marks_interrupted(
+def test_resume_ctrl_c_exits_partial_and_prints_resume_hint(
     micro_ini, tmp_path, monkeypatch, capsys
 ):
     out = str(tmp_path / "killed")
@@ -537,24 +541,47 @@ def test_resume_ctrl_c_exits_partial_and_marks_interrupted(
             "--seed", "0", "--stop-after", "1",
         ]
     )
-    # a run killed outright never updates its manifest from "running"
-    manifest = read_manifest(out)
-    manifest["status"] = "running"
-    with open(os.path.join(out, MANIFEST_FILE), "w") as fh:
-        json.dump(manifest, fh)
+    before = tree_bytes(out)
     capsys.readouterr()
 
     monkeypatch.setattr(codesign, "run", _raise_keyboard_interrupt)
     assert main(["resume", out]) == EXIT_PARTIAL
-    assert read_manifest(out)["status"] == "interrupted"
+    assert tree_bytes(out) == before
     assert f"gearevo resume {out}" in capsys.readouterr().err
 
 
 def test_resume_completed_run_is_noop(completed_run, capsys):
-    before = read_bytes(completed_run, EVOLUTION_FILE)
+    """A resume of a finished run checks its commit and changes no byte."""
+    before = tree_bytes(completed_run)
+    best = read_commit(completed_run)["j_star"]
+    capsys.readouterr()
     assert main(["resume", completed_run]) == EXIT_OK
-    assert "nothing to do" in capsys.readouterr().out
-    assert read_bytes(completed_run, EVOLUTION_FILE) == before
+    assert capsys.readouterr().out == f"resumed ea-corl: 2 iterations, best fitness {best:.6g}\n"
+    assert tree_bytes(completed_run) == before
+
+
+def test_manifest_is_written_once(micro_ini, tmp_path, monkeypatch, capsys):
+    """`run` writes manifest.json before iteration 1, and neither a stop, a
+    resume nor a Ctrl-C rewrites it."""
+    out = str(tmp_path / "once")
+    written = []
+    run = codesign.run
+
+    def recording_run(*args, **kwargs):
+        written.append(read_bytes(out, MANIFEST_FILE))
+        return run(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(codesign, "run", recording_run)
+        args = ["run", "--config", micro_ini, "--out", out, "--stop-after", "1"]
+        assert main(args) == EXIT_PARTIAL
+    assert sorted(json.loads(written[0])) == ["config_hash", "created_at", "run_id"]
+    assert read_bytes(out, MANIFEST_FILE) == written[0]
+    assert main(["resume", out]) == EXIT_OK
+    assert read_bytes(out, MANIFEST_FILE) == written[0]
+    monkeypatch.setattr(codesign, "run", _raise_keyboard_interrupt)
+    assert main(["resume", out]) == EXIT_PARTIAL
+    assert read_bytes(out, MANIFEST_FILE) == written[0]
 
 
 def test_resume_refuses_on_config_hash_mismatch(
@@ -618,7 +645,7 @@ def test_resume_refuses_corrupt_manifest(completed_run, tmp_path, capsys, damage
         elif damage == "config_hash not a string":
             manifest["config_hash"] = 5
         else:
-            assert manifest["status"] == "complete"
+            assert read_commit(run_dir)["iteration"] == 2  # the run is complete
             del manifest["run_id"]
         with open(path, "w") as fh:
             json.dump(manifest, fh)
@@ -697,35 +724,42 @@ CMA_STATE_EDITS = [
     ("lam", lambda v: v + 1, "expected 2, found 3"),
     ("mu", lambda v: v + 1, "expected 1, found 2"),
     ("seed", lambda v: v + 1, "expected 0, found 1"),
-    ("generation", lambda v: v + 1, "expected 2, found 3"),
+    ("generation", lambda v: v + 1, "expected {}, found {}"),  # the commit's iteration, + 1
 ]
 
 
-# A case's id is its field, with the manifest status after it unless that is "interrupted".
+@pytest.fixture(scope="module")
+def stopped_run(micro_ini, tmp_path_factory):
+    """A micro run stopped after iteration 1 of 2."""
+    out = str(tmp_path_factory.mktemp("runs") / "stopped")
+    args = ["run", "--config", micro_ini, "--out", out, "--seed", "0", "--stop-after", "1"]
+    assert main(args) == EXIT_PARTIAL
+    return out
+
+
+# A case's id is its field, with "-complete" after it for the finished run.
 CMA_STATE_CASES = [
-    pytest.param(status, *edit, id=edit[0] if status == "interrupted" else f"{edit[0]}-{status}")
-    for status in ("interrupted", "complete")
+    pytest.param(complete, *edit, id=f"{edit[0]}-complete" if complete else edit[0])
+    for complete in (False, True)
     for edit in CMA_STATE_EDITS
 ]
 
 
-@pytest.mark.parametrize("status, field, edit, named", CMA_STATE_CASES)
+@pytest.mark.parametrize("complete, field, edit, named", CMA_STATE_CASES)
 def test_cma_state_that_does_not_fit_the_config_is_refused(
-    completed_run, tmp_path, capsys, status, field, edit, named
+    request, tmp_path, capsys, complete, field, edit, named
 ):
     """Resume and evaluate refuse a committed CMA-ES state of other sizes or
     counters than the config gives, naming the field, before touching a file;
-    resume does so also for a run whose manifest says it is complete."""
+    resume does so both where it would train on (a run stopped after
+    iteration 1) and where it has nothing left to run (a finished run)."""
     run_dir = str(tmp_path / "copy")
-    shutil.copytree(completed_run, run_dir)
-    manifest = read_manifest(run_dir)
-    manifest["status"] = status
-    with open(os.path.join(run_dir, MANIFEST_FILE), "w") as fh:
-        json.dump(manifest, fh)
+    shutil.copytree(request.getfixturevalue("completed_run" if complete else "stopped_run"), run_dir)
     path = os.path.join(run_dir, codesign.CHECKPOINT_FILE)
     with open(path) as fh:
         commit = json.load(fh)
     commit["cma_state"][field] = edit(commit["cma_state"][field])
+    named = named.format(commit["iteration"], commit["iteration"] + 1)
     with open(path, "w") as fh:
         json.dump(commit, fh)
     before = tree_bytes(run_dir)
@@ -893,7 +927,7 @@ def test_read_run_modifies_nothing(micro_ini, tmp_path, monkeypatch, capsys):
     out = str(tmp_path / "run")
     run_with_failed_commit(micro_ini, out, monkeypatch)
     before = tree_bytes(out)
-    _, cfg = cli._open_run(out)
+    cfg = cli._open_run(out)
     commit, history, base, best = codesign.read_run(cfg, out)
     assert tree_bytes(out) == before
     assert commit.iteration == 2 and [rec.iteration for rec in history] == [1, 2]

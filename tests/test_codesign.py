@@ -849,23 +849,35 @@ def test_resume_refuses_history_record_with_extra_field(tmp_path):
         run_ea_corl(cfg, out_dir=out, fitness_fn=sphere_at_1p5, resume=True)
 
 
-@pytest.mark.parametrize("case", ["nan", "short"])
-def test_resume_refuses_history_record_with_bad_designs(tmp_path, case):
-    """A population that is not a finite (n_pop, dim) array is refused, naming its line."""
+def _set_nan(values):
+    values[-1] = float("nan")
 
-    def edit(record):
-        if case == "nan":
-            record["designs"][1][0] = float("nan")
-        else:
-            record["designs"].pop()
 
+def _keep_one(values):
+    del values[1:]
+
+
+@pytest.mark.parametrize(
+    "field, edit, wrong",
+    [
+        ("designs", lambda designs: _set_nan(designs[1]), "not a finite (16, 2) array"),
+        ("designs", list.pop, "not a finite (16, 2) array"),
+        ("j_pop", _keep_one, "not a NaN-free (16,) array"),
+        ("j_pop", _set_nan, "not a NaN-free (16,) array"),
+        ("dist_mean", list.clear, "not a finite (2,) array"),
+        ("dist_mean", _set_nan, "not a finite (2,) array"),
+    ],
+    ids=["nan", "short", "j_pop-one", "j_pop-nan", "dist_mean-empty", "dist_mean-nan"],
+)
+def test_resume_refuses_history_record_with_bad_designs(tmp_path, field, edit, wrong):
+    """A record whose population is not a finite (n_pop, dim) array, whose
+    j_pop is not a NaN-free (n_pop,) array or whose dist_mean is not a finite
+    (dim,) array is refused, naming its line."""
     out = str(tmp_path)
     cfg = synthetic_config(iterations=4)
     run_ea_corl(cfg, out_dir=out, fitness_fn=sphere_at_1p5, stop_after=2)
-    _edit_first_history_record(out, edit)
-    with pytest.raises(
-        CheckpointError, match=re.escape(f"{HISTORY_FILE} line 1: designs not a finite (16, 2) array")
-    ):
+    _edit_first_history_record(out, lambda record: edit(record[field]))
+    with pytest.raises(CheckpointError, match=re.escape(f"{HISTORY_FILE} line 1: {field} {wrong}")):
         run_ea_corl(cfg, out_dir=out, fitness_fn=sphere_at_1p5, resume=True)
 
 

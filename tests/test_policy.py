@@ -640,6 +640,19 @@ def test_load_rejects_incomplete_header(tmp_path, header):
         load_policy(path)
 
 
+def test_load_rejects_other_format_version_naming_the_policy_format(tmp_path):
+    path = tmp_path / "v2.bin"
+    save_policy(policy_init(6, 2, 2, 0, hidden=8, latent=2), path)
+    data = path.read_bytes()
+    assert data.count(b'"format_version": 1,') == 1
+    path.write_bytes(data.replace(b'"format_version": 1,', b'"format_version": 2,'))
+    with pytest.raises(ContractError) as err:
+        load_policy(path)
+    assert str(err.value) == (
+        f"{path}: unsupported policy format version 2; this version reads only version 1"
+    )
+
+
 def test_load_rejects_truncated_payload(tmp_path):
     params = policy_init(6, 2, 2, 0, hidden=8, latent=2)
     path = tmp_path / "trunc.bin"
