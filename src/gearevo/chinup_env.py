@@ -380,7 +380,8 @@ class VecChinupEnv:
         """
         actions = self._checked(actions)
         cfg = self.config
-        target = np.asfortranarray(actions)
+        # A copy in column order: the PD target, then the bank's prev_action.
+        target = np.array(actions, order="F")
         w = self._work
         dt, two, zero = w.dt, w.two, w.zero
         (q12, q1, q2, qd1, qd2, q, qdot, state, angles, fk_angles,
@@ -479,7 +480,7 @@ class VecChinupEnv:
 
         self.q = q.copy(order="F")
         self.qdot = qdot.copy(order="F")
-        self.prev_action = actions.copy()
+        self.prev_action = target
         self.prev_qdot = qdot_pre.copy(order="F")
         self.step_count += 1
         self.ep_return += rewards

@@ -230,7 +230,10 @@ def run(
     `out_dir` is the run directory (None: nothing is written); `fitness_fn`,
     if given, scores each design in place of policy training; `stop_after`
     ends the run after that outer iteration; `resume` continues the run
-    committed in `out_dir`.
+    committed in `out_dir`.  A run stopped before its first commit has
+    nothing to continue: its resume starts at iteration 1, through the same
+    roll-back to iteration 0 as a fresh run (a legacy checkpoint.pkl is
+    still refused).
     """
     t_start = time.monotonic()
     wall_accum = 0.0
@@ -243,6 +246,9 @@ def run(
     if resume:
         if out_dir is None:
             raise CheckpointError("resume requires a run directory")
+        resume = any(os.path.exists(os.path.join(out_dir, name))
+                     for name in (CHECKPOINT_FILE, LEGACY_CHECKPOINT_FILE))
+    if resume:
         commit, history, params_base, params_best = read_run(
             cfg, out_dir, load_policies=fitness_fn is None
         )

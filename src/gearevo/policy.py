@@ -263,7 +263,8 @@ class GaussianConstants:
 
 def gaussian_constants(log_std: np.ndarray) -> GaussianConstants:
     n = log_std.shape[-1]
-    return GaussianConstants(np.exp(log_std), np.sum(log_std), 0.5 * n * np.log(2.0 * np.pi))
+    log_std_sum = np.add.reduce(log_std, axis=None)
+    return GaussianConstants(np.exp(log_std), log_std_sum, 0.5 * n * np.log(2.0 * np.pi))
 
 
 @dataclass(frozen=True)
@@ -307,21 +308,25 @@ def policy_forward_batch(
 
     With `work` (`rollout_work(params, designs)`), the design latent is not
     recomputed, proprio is copied into the work's observation buffer, and
-    the trunk runs through the work's hidden buffers in the fewest blocks
-    of at most `_BLOCK_ROWS` rows: each but the last has the same multiple
-    of 8 rows, so 4,000 rows run in blocks of 1,000 and 1,030 in 520 and
-    510.  The means and values are new arrays.  On OpenBLAS 0.3.31 at one
-    BLAS thread they have the bits of the one pass without a work at every
-    size checked (108 sizes from 1 to 8,000 rows); that rests on how the
-    BLAS kernels round a block, and another BLAS, CPU kernel or thread
-    count may round differently.  There, a block that starts off a
-    multiple of 4 rows, or a short one (a last block of 294 of 1,030
-    rows), rounded some rows differently from one pass.
+    the trunk runs through the work's hidden buffers: a bank of at most
+    `_BLOCK_ROWS` rows in one pass, a larger one in the fewest blocks of at
+    most `_BLOCK_ROWS` rows, each but the last of the same multiple of 8
+    rows, so 4,000 rows run in blocks of 1,000 and 1,030 in 520 and 510.
+    The means and values are new arrays.  On OpenBLAS 0.3.31 at one BLAS
+    thread they have the bits of the one pass without a work at every size
+    checked (108 sizes from 1 to 8,000 rows); that rests on how the BLAS
+    kernels round a block, and another BLAS, CPU kernel or thread count may
+    round differently.  There, a block that starts off a multiple of 4
+    rows, or a short one (a last block of 294 of 1,030 rows), rounded some
+    rows differently from one pass.
     """
     if work is None:
         acts = _forward(params, designs, proprio)
         return acts["mean"], acts["value"]
     n = len(proprio)
+    if n <= _BLOCK_ROWS:
+        acts = _forward(params, designs, proprio, work.hidden, work.obs)
+        return acts["mean"], acts["value"]
     blocks = -(-n // _BLOCK_ROWS)
     size = 8 * -(-n // (8 * blocks))  # rows per block, a multiple of 8
     means, values = np.empty((n, params.action_dim)), np.empty(n)
@@ -340,38 +345,53 @@ def sample_action(
 
     Broadcasts over a leading batch axis in `mean`.
     """
-    z = rng.standard_normal(mean.shape)
-    action = mean + gaussian.std * z
+    action = rng.standard_normal(mean.shape)  # z, scaled and shifted in place
+    action *= gaussian.std
+    action += mean
     return action, gaussian_log_prob(mean, action, gaussian)
 
 
 def gaussian_log_prob(
     mean: np.ndarray, action: np.ndarray, gaussian: GaussianConstants
 ) -> np.ndarray:
-    return _log_density((action - mean) / gaussian.std, gaussian)
+    z = action - mean
+    z /= gaussian.std
+    return _log_density(np.square(z, out=z), gaussian)
 
 
-def _log_density(z: np.ndarray, gaussian: GaussianConstants) -> np.ndarray:
-    """Log density of standardized draws z = (action - mean) / std, one per row."""
-    return -0.5 * np.sum(z**2, axis=-1) - gaussian.log_std_sum - gaussian.half_n_log_2pi
+def _log_density(sq: np.ndarray, gaussian: GaussianConstants) -> np.ndarray:
+    """Log density of standardized draws z = (action - mean) / std, one per row.
+
+    `sq` holds z * z.  The result has the bits of
+    -0.5 * np.sum(z**2, axis=-1) - log_std_sum - half_n_log_2pi.
+    """
+    density = _row_sums(sq)
+    density *= -0.5
+    density -= gaussian.log_std_sum
+    density -= gaussian.half_n_log_2pi
+    return density
+
+
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, with the bits of np.add.reduce(x, axis=-1).
+
+    NumPy adds a row of 2 to 7 entries in order, entry by entry; here each
+    of those adds runs over a whole column, several times faster than the
+    reduction on a few entries per row.  Other widths go to np.add.reduce,
+    which sums 8 or more entries pairwise.
+    """
+    width = x.shape[-1]
+    if not 2 <= width < 8:
+        return np.add.reduce(x, axis=-1)
+    total = x[..., 0] + x[..., 1]
+    for k in range(2, width):
+        total += x[..., k]
+    return total
 
 
 def entropy(log_std: np.ndarray) -> float:
     n = log_std.size
-    return float(np.sum(log_std) + 0.5 * n * (1.0 + np.log(2.0 * np.pi)))
-
-
-def loss_workspace(rows: int, hidden: int, dtype=np.float64) -> list[np.ndarray]:
-    """The five (min(rows, _BLOCK_ROWS), hidden) work arrays of loss_and_grads.
-
-    h1, h2, d_h2, d_h1, and a scratch for the critic's share of d_h2, then
-    each 1 - h*h.  Every block overwrites them before reading, so one
-    workspace serves any number of calls with at most `rows` rows each.
-    Five separate arrays: as slices of one (5, rows, hidden) array they
-    ran slower.  `dtype` is the dtype loss_and_grads computes the network
-    in: float64, or float32 for training.
-    """
-    return [np.empty((min(rows, _BLOCK_ROWS), hidden), dtype=dtype) for _ in range(5)]
+    return float(np.add.reduce(log_std, axis=None) + 0.5 * n * (1.0 + np.log(2.0 * np.pi)))
 
 
 @dataclass(frozen=True)
@@ -412,8 +432,45 @@ _MINIBATCH_COLUMNS = ("proprio", "design", "action", "old_log_prob", "advantage"
 LOSS_STATISTICS = ("total", "policy_loss", "value_loss", "entropy", "clip_fraction", "approx_kl")
 
 
+class LossWorkspace:
+    """The buffers loss_and_grads works in, kept across its calls.
+
+    `rows` is the rows of one block, `hidden` the trunk width and `dtype`
+    the dtype loss_and_grads computes the network in: float64, or float32
+    for training.  `arrays` holds five (rows, hidden) arrays of that dtype:
+    h1, h2, d_h2, d_h1, and a scratch for the critic's share of d_h2, then
+    each 1 - h*h (five separate arrays: as slices of one (5, rows, hidden)
+    array they ran slower).  `ones` is the (rows,) vector `_column_sums`
+    multiplies by, None for float64.  A minibatch column given as `Rows`
+    is gathered block by block into `column_buffer(k, column)`, made on the
+    first call that gathers column k and kept while later calls' column k
+    has the same row shape and dtype.  Every block overwrites the rows it
+    reads, so one workspace serves any number of calls whose blocks have at
+    most `rows` rows, and a caller making many calls passes one, so that
+    nothing is allocated and faulted in again per call.
+    """
+
+    def __init__(self, rows: int, hidden: int, dtype=np.float64):
+        self.rows, self.hidden, self.dtype = rows, hidden, np.dtype(dtype)
+        self.arrays = tuple(np.empty((rows, hidden), self.dtype) for _ in range(5))
+        self.ones = None if self.dtype == np.float64 else np.ones(rows, self.dtype)
+        self._columns: list[np.ndarray | None] = [None] * len(_MINIBATCH_COLUMNS)
+
+    def column_buffer(self, k: int, column: Rows) -> np.ndarray:
+        """A (rows, *row shape) buffer of `column`'s dtype for minibatch column k."""
+        buf, source = self._columns[k], column.source
+        if buf is None or buf.dtype != source.dtype or buf.shape[1:] != source.shape[1:]:
+            buf = self._columns[k] = np.empty((self.rows, *source.shape[1:]), source.dtype)
+        return buf
+
+
+def loss_workspace(rows: int, hidden: int, dtype=np.float64) -> LossWorkspace:
+    """The `LossWorkspace` for calls of at most `rows` rows: one block of min(rows, _BLOCK_ROWS)."""
+    return LossWorkspace(min(rows, _BLOCK_ROWS), hidden, dtype)
+
+
 def loss_and_grads(
-    params: PolicyParams, minibatch: dict, ppo_cfg, work: list[np.ndarray] | None = None
+    params: PolicyParams, minibatch: dict, ppo_cfg, work: LossWorkspace | None = None
 ) -> tuple[dict, np.ndarray]:
     """PPO clipped-surrogate loss and its exact gradient for one minibatch.
 
@@ -439,16 +496,14 @@ def loss_and_grads(
     (`clip_fraction`, a count, stays exact).
 
     `work` is a `loss_workspace` for at least this many rows; without one,
-    the call allocates a float64 one.  A caller making many calls passes
-    one, so that the work arrays are not freed and faulted in again on
-    every call.  The workspace's dtype is the compute dtype.  With float32,
-    the call casts the parameters and the proprio and design rows to
-    float32 and runs the network's matmuls and tanh in float32.  The
-    action mean and value are upcast, so the log-prob, ratio, surrogate,
-    value error and every statistic are float64, and each block's
-    gradients are summed into float64 arrays.  Against float64, each
-    gradient array then moves by up to about 2e-6 of its largest entry and
-    each loss statistic by under 1e-7 relative; `approx_kl`, a mean of
+    the call makes a float64 one.  The workspace's dtype is the compute
+    dtype.  With float32, the call casts the parameters and the proprio
+    and design rows to float32 and runs the network's matmuls and tanh in
+    float32.  The action mean and value are upcast, so the log-prob, ratio,
+    surrogate, value error and every statistic are float64, and each
+    block's gradients are summed into float64 arrays.  Against float64,
+    each gradient array then moves by up to about 2e-6 of its largest entry
+    and each loss statistic by under 1e-7 relative; `approx_kl`, a mean of
     signed log-ratios that may cancel, moves by under 1e-7 of the mean size
     of those log-ratios (measured on 7 to 64,000 rows; the tests bound
     these at 1e-5 and 1e-6).
@@ -460,23 +515,15 @@ def loss_and_grads(
     batch = len(columns[0])
     if work is None:
         work = loss_workspace(batch, params.hidden)
-    elif any(w.shape[0] < min(batch, _BLOCK_ROWS) or w.shape[1:] != (params.hidden,)
-             for w in work):
+    elif work.rows < min(batch, _BLOCK_ROWS) or work.hidden != params.hidden:
         raise ContractError(
             f"loss workspace too small for {batch} rows of hidden size {params.hidden}"
         )
-    dtype = work[0].dtype
-    net, ones = params, None
-    if dtype != np.float64:
-        # The network's parameters in the compute dtype.
-        net = dataclasses.replace(params, flat=params.flat.astype(dtype))
-        ones = np.ones(min(batch, _BLOCK_ROWS), dtype)
-    # One block buffer per Rows column, reused by every block.
-    buffers = [
-        np.empty((min(batch, _BLOCK_ROWS), *col.source.shape[1:]), col.dtype)
-        if isinstance(col, Rows) else None
-        for col in columns
-    ]
+    dtype, ones = work.dtype, work.ones
+    # The network's parameters in the compute dtype.
+    net = params if dtype == np.float64 else PolicyParams(params.flat.astype(dtype), *params.dims)
+    buffers = [work.column_buffer(k, col) if isinstance(col, Rows) else None
+               for k, col in enumerate(columns)]
     eps = ppo_cfg.clip_epsilon
     gaussian = gaussian_constants(params.log_std)
 
@@ -497,36 +544,52 @@ def loss_and_grads(
         # The network reads proprio and design in the compute dtype.
         proprio_b = proprio_b.astype(dtype, copy=False)
         design_b = design_b.astype(dtype, copy=False)
-        h1_out, h2_out, d_h2_out, d_h1_out, scratch = (w[:n] for w in work)
+        h1_out, h2_out, d_h2_out, d_h1_out, scratch = (w[:n] for w in work.arrays)
         acts = _forward(net, design_b, proprio_b, (h1_out, h2_out))
-        value_err = acts["value"].astype(np.float64, copy=False) - ret_b
-        z = (action_b - acts["mean"].astype(np.float64, copy=False)) / gaussian.std
-        lp = _log_density(z, gaussian)
+        # The (n, A) section runs in float64, each product, sum and clip
+        # formed in place where its operand is spent; dtype=float64 upcasts
+        # the float32 mean and value exactly, as astype does.
+        value_err = np.subtract(acts["value"], ret_b, dtype=np.float64)
+        z = np.subtract(action_b, acts["mean"], dtype=np.float64)
+        z /= gaussian.std
+        sq = np.square(z)
+        lp = _log_density(sq, gaussian)
         ratio = np.exp(lp - old_lp_b)
 
         # d(policy_loss)/d(new_lp): gradient flows only where the unclipped
-        # branch is selected by the min.
+        # branch is selected by the min.  np.maximum then np.minimum clip as
+        # np.clip does, a ratio being never -0.0.
         surr1 = ratio * adv_b
-        surr2 = np.clip(ratio, 1.0 - eps, 1.0 + eps) * adv_b
-        d_lp = np.where(surr1 <= surr2, -ratio * adv_b / batch, 0.0)
+        surr2 = np.maximum(ratio, 1.0 - eps)
+        np.minimum(surr2, 1.0 + eps, out=surr2)
+        surr2 *= adv_b
+        d_lp = np.negative(ratio)
+        d_lp *= adv_b
+        d_lp /= batch
+        d_lp = np.where(surr1 <= surr2, d_lp, 0.0)
+        ratio -= 1.0
         sums += (
-            np.sum(np.minimum(surr1, surr2)),
-            np.sum(value_err**2),
-            np.count_nonzero(np.abs(ratio - 1.0) > eps),
-            np.sum(old_lp_b - lp),
+            np.add.reduce(np.minimum(surr1, surr2, out=surr1)),
+            np.add.reduce(value_err * value_err),
+            np.count_nonzero(np.abs(ratio, out=ratio) > eps),
+            np.add.reduce(old_lp_b - lp),
         )
-        d_mean = d_lp[:, None] * (z / gaussian.std)
-        grads["log_std"] += d_lp @ (z**2 - 1.0)
-        d_value = ppo_cfg.value_coef * 2.0 * value_err / batch
-        grads["actor_b"] += d_mean.sum(axis=0)
-        grads["critic_b"] += d_value.sum()
+        d_mean = np.divide(z, gaussian.std, out=z)
+        d_mean *= d_lp[:, None]
+        sq -= 1.0
+        grads["log_std"] += d_lp @ sq
+        d_value = value_err
+        d_value *= ppo_cfg.value_coef * 2.0
+        d_value /= batch
+        grads["actor_b"] += np.add.reduce(d_mean, axis=0)
+        grads["critic_b"] += np.add.reduce(d_value)
         # The backward passes of the heads and the trunk run in the compute dtype.
         d_mean = d_mean.astype(dtype, copy=False)
         d_value = d_value.astype(dtype, copy=False)
 
         h2, h1, obs = acts["h2"], acts["h1"], acts["obs"]
         d_h2 = np.matmul(d_mean, net.actor_w, out=d_h2_out)
-        d_h2 += np.multiply(d_value[:, None], net.critic_w[None, :], out=scratch)
+        d_h2 += np.multiply(net.critic_w[None, :], d_value[:, None], out=scratch)
         grads["actor_w"] += d_mean.T @ h2
         grads["critic_w"] += h2.T @ d_value
         d_z2 = d_h2
@@ -564,8 +627,11 @@ def _column_sums(x: np.ndarray, ones: np.ndarray | None) -> np.ndarray:
 
 
 def _one_minus_square(h: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """1 - h*h written into `out`: the tanh derivative at output h."""
-    np.multiply(h, h, out=out)
+    """1 - h*h written into `out`: the tanh derivative at output h.
+
+    np.square is the one product h*h, in about half the time of np.multiply(h, h).
+    """
+    np.square(h, out=out)
     return np.subtract(1.0, out, out=out)
 
 
@@ -600,7 +666,7 @@ def adam_step(
     w = grad * (1.0 - ADAM_BETA1)
     m = opt.m * ADAM_BETA1
     m += w
-    np.multiply(grad, grad, out=w)
+    np.square(grad, out=w)
     w *= 1.0 - ADAM_BETA2
     v = opt.v * ADAM_BETA2
     v += w
@@ -610,13 +676,13 @@ def adam_step(
     np.sqrt(denom, out=denom)
     denom += ADAM_EPS
     step /= denom
-    flat = params.flat - step
+    flat = np.subtract(params.flat, step, out=step)
     _, slices = _param_layout(*params.dims)
     log_std = flat[slices["log_std"][0]]
     np.maximum(log_std, LOG_STD_MIN, out=log_std)
     np.minimum(log_std, LOG_STD_MAX, out=log_std)
     new_opt = AdamState(m=m, v=v, step=t, learning_rate=opt.learning_rate)
-    return dataclasses.replace(params, flat=flat), new_opt
+    return PolicyParams(flat, *params.dims, params.snapshot_id, params.seed), new_opt
 
 
 # The header keys between format_version and n_params, in file order.

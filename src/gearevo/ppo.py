@@ -193,11 +193,12 @@ def ppo_update(
     batch's own arrays (reshaped views, one row per step), and the loss
     gathers each 1024-row block just before it uses it, so no minibatch is
     copied.  Every minibatch step shares one loss workspace, sized for the
-    largest minibatch, allocated once per update and freed when the update
-    returns.  The workspace is float32, so the network's matmuls and tanh
-    run in float32: the rollout stores the proprio rows in float32, and the
-    design rows are cast once here.  The parameters, the Adam moments, the
-    gradient sums and the loss reductions stay float64.
+    largest minibatch, allocated once per update with its ones vector and,
+    on the first step, the block buffers of the six columns, and freed when
+    the update returns.  The workspace is float32, so the network's matmuls
+    and tanh run in float32: the rollout stores the proprio rows in
+    float32, and the design rows are cast once here.  The parameters, the
+    Adam moments, the gradient sums and the loss reductions stay float64.
     """
     n, horizon = batch.log_probs.shape
     total = n * horizon

@@ -11,14 +11,17 @@ All terms broadcast over an optional leading batch axis: vector inputs of
 shape (n,) describe one environment, (B, n) a batch of B environments.
 
 `reward_terms` stacks the active terms as the rows of one array behind a
-zero row and takes the total as one product with the weights and one
-in-order `np.add.accumulate`, which has the bits of the term-by-term sum
-`0.0 + w1 t1 + w2 t2 + ...` in `active` order.
+zero row and takes the total as one product with the weight column, which
+each `RewardConfig` builds once, and one in-order `np.add.accumulate`,
+which has the bits of the term-by-term sum `0.0 + w1 t1 + w2 t2 + ...` in
+`active` order.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field, make_dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -175,9 +178,18 @@ RewardBreakdown = make_dataclass(
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class RewardConfig:
-    weights: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_WEIGHTS))
+    """The reward's weights, active terms and constants.
+
+    A config is immutable (its `weights` a read-only mapping), because it
+    holds what `reward_terms` reads at every step, built once from
+    `weights` and `active`: the weight column of the total and the
+    breakdown row of every term.  Make a new config
+    (`dataclasses.replace`) to change them.
+    """
+
+    weights: Mapping[str, float] = field(default_factory=lambda: dict(DEFAULT_WEIGHTS))
     active: tuple[str, ...] = DEFAULT_ACTIVE
     cyl_window: tuple[float, float] = (0.5, 0.8)
     cyl_out_value: float = 10.0
@@ -197,6 +209,16 @@ class RewardConfig:
             raise ConfigError(f"weights missing for terms: {missing}")
         if not all(np.isfinite(w) for w in self.weights.values()):
             raise ConfigError("reward weights must be finite")
+        object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
+        # The (1 + active, 1) weight column of reward_terms' stacked rows (1.0
+        # for the zero row), and each term's row in TERM_NAMES order (0, the
+        # zero row, for an inactive term).  Not fields: no config key.
+        column = np.array([1.0] + [self.weights[name] for name in self.active])[:, None]
+        column.flags.writeable = False
+        object.__setattr__(self, "_weight_column", column)
+        object.__setattr__(self, "_term_rows", tuple(
+            self.active.index(name) + 1 if name in self.active else 0 for name in TERM_NAMES
+        ))
 
 
 def reward_terms(inputs: RewardInputs, cfg: RewardConfig) -> RewardBreakdown:
@@ -205,23 +227,24 @@ def reward_terms(inputs: RewardInputs, cfg: RewardConfig) -> RewardBreakdown:
     The batch shape is that of `inputs.q` without its last axis; every
     input broadcasts to it.  The active terms are written into the rows of
     one (1 + active, *batch) array behind a zero row, and each breakdown
-    field is its row, so the total is one product and one accumulation over
-    that array.  `total` has the batch shape even when no term is active.
+    field is its row, so the total is one product with the config's weight
+    column and one accumulation over that array.  `total` has the batch
+    shape even when no term is active.
     """
-    active = cfg.active
-    stacked = np.empty((1 + len(active),) + np.shape(inputs.q)[:-1])
+    stacked = np.empty((1 + len(cfg.active),) + np.shape(inputs.q)[:-1])
     stacked[0] = 0.0
     # stacked[k, ...] is a view even unbatched (0-d); stacked[k] is then a scalar.
-    for k, name in enumerate(active, 1):
+    for k, name in enumerate(cfg.active, 1):
         _TERMS[name][0](inputs, cfg, stacked[k, ...])
-    terms = dict.fromkeys(TERM_NAMES, stacked[0])
-    terms.update((name, stacked[k]) for k, name in enumerate(active, 1))
+    rows = list(stacked)
     # The running sum adds one row at a time, so the total has the bits of
     # 0.0 + w1 t1 + w2 t2 + ... (the leading zero makes a -0.0 positive).
-    weights = np.array([1.0] + [cfg.weights[name] for name in active])
-    products = stacked * weights.reshape(weights.shape + (1,) * (stacked.ndim - 1))
+    weights = cfg._weight_column
+    if stacked.ndim != 2:
+        weights = weights.reshape((-1,) + (1,) * (stacked.ndim - 1))
+    products = stacked * weights
     total = np.add.accumulate(products, axis=0, out=products)[-1]
-    return RewardBreakdown(**terms, total=total)
+    return RewardBreakdown(*map(rows.__getitem__, cfg._term_rows), total)
 
 
 BREAKDOWN_COLUMNS = ("step", *TERM_NAMES, "total")

@@ -361,6 +361,34 @@ def _same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def test_two_reward_configs_stepped_alternately_keep_their_own_weights():
+    # two banks whose reward configs differ in weights and active terms,
+    # stepped in turn, give every step's rewards and breakdown with the
+    # bits of banks stepped alone on configs made fresh for them: each
+    # config's weight column and term rows are its own
+    specs = [
+        ({name: 1.0 + k for k, name in enumerate(TERM_NAMES)}, DEFAULT_ACTIVE),
+        ({name: -0.5 * (k + 2) for k, name in enumerate(TERM_NAMES)},
+         ("torque", "chinup", "action_rate", "joint_position_limit")),
+    ]
+    cfg = EnvConfig(episode_length=20)
+    paired = [make_vec(4, 4, seed=7, cfg=cfg, rcfg=RewardConfig(dict(w), a))[0] for w, a in specs]
+    rng = np.random.default_rng(8)
+    actions = rng.uniform(-3, 3, (30, 16, ACTION_DIM))
+    stepped = [[], []]
+    for step_actions in actions:
+        for k, env in enumerate(paired):
+            rewards, _, _ = env.step(step_actions)
+            stepped[k].append((rewards, dataclasses.astuple(env.breakdown)))
+    for (weights, active), got in zip(specs, stepped):
+        alone = make_vec(4, 4, seed=7, cfg=cfg, rcfg=RewardConfig(dict(weights), active))[0]
+        for t, step_actions in enumerate(actions):
+            rewards, _, _ = alone.step(step_actions)
+            assert _same_bits(got[t][0], rewards), t
+            for a, b in zip(got[t][1], dataclasses.astuple(alone.breakdown)):
+                assert _same_bits(a, b), t
+
+
 @pytest.mark.parametrize("n_envs", [1, 64])
 def test_vec_env_matches_reference_step_bitwise(n_envs):
     # 600 steps of 50-step episodes, actions far past every limit, and a

@@ -531,6 +531,22 @@ def test_run_ctrl_c_exits_partial_and_prints_resume_hint(
     assert f"gearevo resume {out}" in capsys.readouterr().err
 
 
+def test_ctrl_c_in_iteration_1_then_resume_matches_straight_through(
+    micro_ini, completed_run, tmp_path, monkeypatch, capsys
+):
+    """A Ctrl-C before the first commit prints the resume hint, and the resume
+    it names starts at iteration 1 and ends with the straight-through files."""
+    out = str(tmp_path / "first-iteration")
+    with monkeypatch.context() as m:
+        m.setattr(codesign, "evaluate_population", _raise_keyboard_interrupt)
+        assert main(["run", "--config", micro_ini, "--out", out, "--seed", "0"]) == EXIT_PARTIAL
+    assert not os.path.exists(os.path.join(out, codesign.CHECKPOINT_FILE))
+    assert f"gearevo resume {out}" in capsys.readouterr().err
+    assert main(["resume", out]) == EXIT_OK
+    for name in (EVOLUTION_FILE, codesign.CMA_LOG_FILE, os.path.join(codesign.POLICY_DIR, "best.bin")):
+        assert read_bytes(out, name) == read_bytes(completed_run, name), name
+
+
 def test_resume_ctrl_c_exits_partial_and_prints_resume_hint(
     micro_ini, tmp_path, monkeypatch, capsys
 ):

@@ -393,12 +393,23 @@ def test_resume_requires_directory():
         run_ea_corl(synthetic_config(), fitness_fn=sphere_at_1p5, resume=True)
 
 
-def test_resume_missing_checkpoint(tmp_path):
-    with pytest.raises(CheckpointError, match="cannot read"):
-        run_ea_corl(
-            synthetic_config(), out_dir=str(tmp_path),
-            fitness_fn=sphere_at_1p5, resume=True,
-        )
+def test_resume_without_a_commit_starts_at_iteration_1(tmp_path):
+    """A run stopped before its first commit resumes from iteration 1, through
+    the roll-back of a fresh run, to the straight-through files; read_run
+    (behind evaluate and sweep) still refuses the directory."""
+    cfg = synthetic_config(iterations=3)
+    straight, out = str(tmp_path / "straight"), str(tmp_path / "resumed")
+    run_ea_corl(cfg, out_dir=straight, fitness_fn=sphere_at_1p5)
+    os.makedirs(out)
+    with open(os.path.join(out, EVOLUTION_FILE), "w") as fh:
+        fh.write("a row of an iteration that never committed\n")
+    with pytest.raises(CheckpointError, match="cannot read checkpoint"):
+        codesign.read_run(cfg, out)
+    result = run_ea_corl(cfg, out_dir=out, fitness_fn=sphere_at_1p5, resume=True)
+    assert [rec.iteration for rec in result.history] == [1, 2, 3]
+    for name in (EVOLUTION_FILE, CMA_LOG_FILE, HISTORY_FILE, BEST_DESIGN_FILE):
+        with open(os.path.join(out, name), "rb") as got, open(os.path.join(straight, name), "rb") as want:
+            assert got.read() == want.read(), name
 
 
 def test_resume_mode_mismatch(tmp_path):

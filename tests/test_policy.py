@@ -187,6 +187,27 @@ def test_sample_statistics():
     assert np.allclose(log_probs, direct, atol=1e-12)
 
 
+@pytest.mark.parametrize("rows", [1, 64, 1024])
+@pytest.mark.parametrize("cols", range(1, 9))
+def test_log_density_has_the_bits_of_numpy_sum(rows, cols):
+    """The column-by-column adds give np.sum's bits, batched and unbatched,
+    at every scale, and so does gaussian_log_prob."""
+    rng = np.random.default_rng(100 * rows + cols)
+    gaussian = gaussian_constants(rng.normal(-0.5, 0.5, cols))
+    for scale in (1e-6, 1e-3, 1.0, 1e3):
+        z = rng.standard_normal((rows, cols)) * scale * rng.uniform(0.1, 10.0, (rows, cols))
+        for zz in (z, z[0]):  # a batch, and one unbatched row
+            want = -0.5 * np.sum(zz**2, axis=-1) - gaussian.log_std_sum - gaussian.half_n_log_2pi
+            got = policy._log_density(zz * zz, gaussian)
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (scale, zz.ndim)
+        mean = rng.standard_normal((rows, cols)) * scale
+        action = mean + z * gaussian.std
+        std_z = (action - mean) / gaussian.std
+        want = -0.5 * np.sum(std_z**2, axis=-1) - gaussian.log_std_sum - gaussian.half_n_log_2pi
+        assert gaussian_log_prob(mean, action, gaussian).tobytes() == want.tobytes(), scale
+
+
 def test_entropy_closed_form():
     log_std = np.array([-0.5, -0.5])
     expected = np.sum(log_std) + 1.0 * (1 + math.log(2 * math.pi))
@@ -305,8 +326,8 @@ def test_reused_workspace_gives_same_bits(monkeypatch, rows, block_rows):
     minibatch = _random_minibatch(params, rows, 11)
     fresh_losses, fresh_grads = loss_and_grads(params, minibatch, PpoConfig())
     work = loss_workspace(rows, params.hidden)
-    assert [w.shape for w in work] == [(block_rows, params.hidden)] * 5
-    for w in work:
+    assert [w.shape for w in work.arrays] == [(block_rows, params.hidden)] * 5
+    for w in work.arrays:
         w.fill(np.nan)
     losses, grads = loss_and_grads(params, minibatch, PpoConfig(), work)
     assert losses == fresh_losses
@@ -322,7 +343,7 @@ def test_float32_workspace_matches_float64(rows):
     cfg = PpoConfig()
     losses64, grads64 = loss_and_grads(params, minibatch, cfg)
     work = loss_workspace(rows, params.hidden, np.float32)
-    assert all(w.dtype == np.float32 for w in work)
+    assert all(w.dtype == np.float32 for w in work.arrays)
     losses32, grads32 = loss_and_grads(params, minibatch, cfg, work)
     kl32, kl64 = losses32.pop("approx_kl"), losses64.pop("approx_kl")
     assert losses32 == pytest.approx(losses64, rel=1e-6, abs=0.0)
@@ -404,6 +425,37 @@ def test_rows_columns_give_the_bits_of_a_gathered_minibatch(monkeypatch, rows, b
         work = loss_workspace(rows, params.hidden, dtype)
         want_losses, want = loss_and_grads(params, gathered, PpoConfig(), work)
         got_losses, got = loss_and_grads(params, indexed, PpoConfig(), work)
+        assert got_losses == want_losses
+        assert got.tobytes() == want.tobytes()
+
+
+def _indexed_minibatch(params, rows, repeat, seed, dtypes):
+    """A minibatch of `Rows` columns over sources of twice `rows` rows in the
+    given dtypes, the design one row per `repeat` rows."""
+    source = _random_minibatch(params, 2 * rows, seed)
+    source["design"] = source["design"][:-(-2 * rows // repeat)]
+    picked = np.random.default_rng(seed).permutation(2 * rows)[:rows]
+    return {key: Rows(value.astype(dtypes.get(key, np.float64)), picked,
+                      repeat if key == "design" else 1)
+            for key, value in source.items()}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_workspace_that_served_other_minibatches_gives_fresh_bits(dtype):
+    """A workspace keeps its block buffers across calls: a call after one on
+    other rows of other sources (other dtypes, another design repeat) gives
+    the bytes of a call on a fresh workspace, and so does the first minibatch
+    after it."""
+    params = policy_init(14, 4, 2, 3)
+    first = _indexed_minibatch(params, 96, 4, 21, {
+        "proprio": np.float32, "design": np.float32, "ret": np.float32, "advantage": np.float32,
+    })
+    second = _indexed_minibatch(params, 80, 2, 22, {})
+    work = loss_workspace(96, params.hidden, dtype)
+    for minibatch, rows in ((first, 96), (second, 80), (first, 96)):
+        got_losses, got = loss_and_grads(params, minibatch, PpoConfig(), work)
+        fresh = loss_workspace(rows, params.hidden, dtype)
+        want_losses, want = loss_and_grads(params, minibatch, PpoConfig(), fresh)
         assert got_losses == want_losses
         assert got.tobytes() == want.tobytes()
 

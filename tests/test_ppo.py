@@ -292,8 +292,9 @@ def test_update_is_deterministic():
 
 
 def test_update_allocates_one_loss_workspace(monkeypatch):
-    """Every minibatch step of one update shares a single workspace."""
-    workspaces, used = [], []
+    """Every minibatch step of one update shares a single workspace, and with
+    it one block buffer per minibatch column."""
+    workspaces, used, buffers = [], [], []
 
     def counting_workspace(rows, hidden, dtype=np.float64):
         workspaces.append(policy.loss_workspace(rows, hidden, dtype))
@@ -303,8 +304,15 @@ def test_update_allocates_one_loss_workspace(monkeypatch):
         used.append(work)
         return policy.loss_and_grads(params, minibatch, cfg, work)
 
+    column_buffer = policy.LossWorkspace.column_buffer
+
+    def recording_buffer(self, k, column):
+        buffers.append(column_buffer(self, k, column))
+        return buffers[-1]
+
     monkeypatch.setattr(ppo, "loss_workspace", counting_workspace)
     monkeypatch.setattr(ppo, "loss_and_grads", recording_loss)
+    monkeypatch.setattr(policy.LossWorkspace, "column_buffer", recording_buffer)
     env = HoldPositionEnv(4, seed=0)
     params = hold_policy()
     batch = compute_gae(collect_rollouts(env, params, 9, stream("rollout", 0, 0)), 0.99, 0.95)
@@ -312,7 +320,8 @@ def test_update_allocates_one_loss_workspace(monkeypatch):
     ppo_update(params, adam_init(params, 1e-3), batch, cfg, stream("shuffle", 0, 0))
     assert len(workspaces) == 1
     assert len(used) == 8 and all(w is workspaces[0] for w in used)
-    assert workspaces[0][0].shape == (9, params.hidden)
+    assert workspaces[0].arrays[0].shape == (9, params.hidden)
+    assert len(buffers) == 8 * 6 and len({id(buf) for buf in buffers}) == 6
 
 
 def test_update_runs_network_math_in_float32(monkeypatch):
@@ -320,7 +329,7 @@ def test_update_runs_network_math_in_float32(monkeypatch):
     seen = []
 
     def recording_loss(params, minibatch, cfg, work=None):
-        seen.append((work[0].dtype, minibatch["proprio"].dtype, minibatch["design"].dtype))
+        seen.append((work.dtype, minibatch["proprio"].dtype, minibatch["design"].dtype))
         return policy.loss_and_grads(params, minibatch, cfg, work)
 
     def update():

@@ -293,6 +293,21 @@ def test_batched_inputs_match_loop():
 # --- config validation and CSV ------------------------------------------------------
 
 
+def test_config_cannot_change_after_construction():
+    """The weight column and term rows are built at construction, so a config
+    refuses a later change; a changed config is a new one."""
+    cfg = RewardConfig()
+    with pytest.raises(TypeError):
+        cfg.weights["chinup"] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.active = ("chinup",)
+    changed = dataclasses.replace(cfg, weights={**cfg.weights, "chinup": 1.0}, active=("chinup",))
+    inputs = make_inputs(pos_head=np.array([0.0, 0.1]))
+    assert reward_terms(inputs, changed).total == 1.0
+    assert reward_terms(inputs, cfg).total == reference_env.total_reward(
+        reference_env.reward_terms(inputs, cfg), cfg)
+
+
 def test_unknown_term_rejected():
     with pytest.raises(ConfigError):
         RewardConfig(weights={**DEFAULT_WEIGHTS, "bogus": 1.0})
