@@ -363,8 +363,8 @@ def cmd_evaluate(args) -> int:
 
     from . import codesign
     from .chinup_env import rollout_trajectory, write_trajectory_csv
-    from .design_space import DesignVector, clamp_to_bounds
-    from .policy import policy_forward_batch
+    from .design_space import DesignVector, clamp_to_bounds, expand_designs
+    from .policy import policy_forward_batch, rollout_work
     from .reward import write_breakdown_csv
 
     if args.episodes is not None and args.episodes < 1:
@@ -381,7 +381,7 @@ def cmd_evaluate(args) -> int:
     elif design is None:
         raise CheckpointError(f"{args.run_dir}: no committed best design; pass --design")
     design = DesignVector(clamp_to_bounds(design.factors, cfg.space))
-    episodes = cfg.n_env // cfg.n_pop if args.episodes is None else args.episodes
+    episodes = args.episodes or expand_designs(cfg.n_pop, cfg.n_env).n_exp
     returns = codesign.rollout_returns(
         cfg.env, cfg.reward, params, design, episodes, args.seed
     )
@@ -393,8 +393,10 @@ def cmd_evaluate(args) -> int:
         f"({episodes} episodes)"
     )
     if args.dump_trajectory or args.dump_rewards:
+        work = rollout_work(params, design.factors[None, :])
+
         def mean_action(proprio, dsn):
-            means, _ = policy_forward_batch(params, dsn.factors[None, :], proprio[None, :])
+            means, _ = policy_forward_batch(params, dsn.factors[None, :], proprio[None, :], work)
             return means[0]
 
         rows, _, breakdowns = rollout_trajectory(

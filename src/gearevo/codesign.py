@@ -173,7 +173,7 @@ def evaluate_population(
     """
     if i == 1:
         source = policy_init(
-            PROPRIO_DIM + POLICY_LATENT, ACTION_DIM, cfg.cma.dim, cfg.seed, latent=POLICY_LATENT
+            PROPRIO_DIM + POLICY_LATENT, ACTION_DIM, cfg.space.dim, cfg.seed, latent=POLICY_LATENT
         )
         learning_rate, n_iterations = cfg.ppo.learning_rate, cfg.base_train_iters
     else:
@@ -752,7 +752,7 @@ def heatmap_sweep(
     if fixed is None:
         fixed = DesignVector(np.ones(cfg.space.dim))
     grid = grid_slice(cfg.space, axis_a, axis_b, resolution, fixed)
-    n_exp = cfg.n_env // cfg.n_pop
+    n_exp = expand_designs(cfg.n_pop, cfg.n_env).n_exp
     out = []
     for cell, design in enumerate(grid):
         returns = rollout_returns(

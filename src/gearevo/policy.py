@@ -55,7 +55,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, NumericError
+from .errors import ConfigError, ContractError, DimensionError, NumericError
 from .seeding import stream
 
 LOG_STD_MIN = -5.0
@@ -215,41 +215,30 @@ def _dense_tanh(
 
 
 def _forward(
-    params: PolicyParams,
-    design: np.ndarray,
-    proprio: np.ndarray,
-    hidden_out=(None, None),
-    obs: np.ndarray | None = None,
-) -> dict:
-    """Batched forward pass keeping the activations needed for backprop.
+    params: PolicyParams, obs: np.ndarray, hidden
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The trunk and heads on one observation block: (h1, h2, mean, value).
 
-    `hidden_out` may give the (rows, hidden) arrays to write h1 and h2 into.
-    `obs` may give a (rows, obs_dim) array whose trailing `latent` columns
-    already hold the design latent: proprio is then copied into its leading
-    columns, and the encoder does not run.
+    `obs` is a (rows, obs_dim) block whose trailing `latent` columns already
+    hold the design latent; the encoder runs where the designs are known
+    (`rollout_work`, and each block of `loss_and_grads`).  `hidden` gives the
+    two (rows, hidden) arrays that h1 and h2 are written into.
     Only the two heads are checked for finiteness: every hidden layer is a
     tanh, non-finite only as NaN, and a NaN reaches both heads.  When a head
     is non-finite, the layers are checked in order so that the error names
     the first bad one.
     """
-    if obs is None:
-        latent = _dense_tanh(design, params.enc_w, params.enc_b)
-        obs = np.concatenate([proprio, latent], axis=-1)
-    else:
-        n_proprio = params.obs_dim - params.latent
-        obs[:, :n_proprio] = proprio
-        latent = obs[:, n_proprio:]
-    h1 = _dense_tanh(obs, params.w1, params.b1, hidden_out[0])
-    h2 = _dense_tanh(h1, params.w2, params.b2, hidden_out[1])
+    h1 = _dense_tanh(obs, params.w1, params.b1, hidden[0])
+    h2 = _dense_tanh(h1, params.w2, params.b2, hidden[1])
     mean = h2 @ params.actor_w.T
     mean += params.actor_b
     value = h2 @ params.critic_w + params.critic_b[0]
     if not (np.isfinite(mean).all() and np.isfinite(value).all()):
         layers = zip(("encoder", "trunk1", "trunk2", "actor", "critic"),
-                     (latent, h1, h2, mean, value))
+                     (obs[:, params.obs_dim - params.latent:], h1, h2, mean, value))
         for name, x in layers:
             _check_finite(name, x)
-    return {"latent": latent, "obs": obs, "h1": h1, "h2": h2, "mean": mean, "value": value}
+    return h1, h2, mean, value
 
 
 @dataclass(frozen=True)
@@ -306,35 +295,34 @@ def policy_forward_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized forward for rollouts: (means, values).
 
-    With `work` (`rollout_work(params, designs)`), the design latent is not
-    recomputed, proprio is copied into the work's observation buffer, and
+    `work` is `rollout_work(params, designs)`, built here when not given, so
+    a rollout that passes one encodes its designs once.  proprio, one row
+    per row of the work, is copied into the work's observation buffer, and
     the trunk runs through the work's hidden buffers: a bank of at most
     `_BLOCK_ROWS` rows in one pass, a larger one in the fewest blocks of at
     most `_BLOCK_ROWS` rows, each but the last of the same multiple of 8
-    rows, so 4,000 rows run in blocks of 1,000 and 1,030 in 520 and 510.
-    The means and values are new arrays.  On OpenBLAS 0.3.31 at one BLAS
-    thread they have the bits of the one pass without a work at every size
-    checked (108 sizes from 1 to 8,000 rows); that rests on how the BLAS
-    kernels round a block, and another BLAS, CPU kernel or thread count may
-    round differently.  There, a block that starts off a multiple of 4
-    rows, or a short one (a last block of 294 of 1,030 rows), rounded some
-    rows differently from one pass.
+    rows where that fits, so 4,000 rows run in blocks of 1,000 and 1,030 in
+    520 and 510.  The means and values are new arrays.  On OpenBLAS 0.3.31
+    at one BLAS thread they have the bits of one unblocked pass at every
+    size checked (108 sizes from 1 to 8,000 rows); that rests on how the
+    BLAS kernels round a block, and another BLAS, CPU kernel or thread
+    count may round differently.  There, a block that starts off a multiple
+    of 4 rows, or a short one (a last block of 294 of 1,030 rows), rounded
+    some rows differently from one pass.
     """
     if work is None:
-        acts = _forward(params, designs, proprio)
-        return acts["mean"], acts["value"]
-    n = len(proprio)
-    if n <= _BLOCK_ROWS:
-        acts = _forward(params, designs, proprio, work.hidden, work.obs)
-        return acts["mean"], acts["value"]
+        work = rollout_work(params, designs)
+    n = len(work.obs)
+    if len(proprio) != n:
+        raise DimensionError(f"proprio of {len(proprio)} rows for a rollout work of {n} rows")
+    work.obs[:, :params.obs_dim - params.latent] = proprio
     blocks = -(-n // _BLOCK_ROWS)
-    size = 8 * -(-n // (8 * blocks))  # rows per block, a multiple of 8
+    size = min(8 * -(-n // (8 * blocks)), _BLOCK_ROWS)  # rows per block
     means, values = np.empty((n, params.action_dim)), np.empty(n)
     for lo in range(0, n, size):
-        hi = min(lo + size, n)
-        hidden = [h[:hi - lo] for h in work.hidden]
-        acts = _forward(params, designs, proprio[lo:hi], hidden, work.obs[lo:hi])
-        means[lo:hi], values[lo:hi] = acts["mean"], acts["value"]
+        obs = work.obs[lo:lo + size]
+        hidden = [h[:len(obs)] for h in work.hidden]
+        _, _, means[lo:lo + size], values[lo:lo + size] = _forward(params, obs, hidden)
     return means, values
 
 
@@ -545,12 +533,14 @@ def loss_and_grads(
         proprio_b = proprio_b.astype(dtype, copy=False)
         design_b = design_b.astype(dtype, copy=False)
         h1_out, h2_out, d_h2_out, d_h1_out, scratch = (w[:n] for w in work.arrays)
-        acts = _forward(net, design_b, proprio_b, (h1_out, h2_out))
+        latent = _dense_tanh(design_b, net.enc_w, net.enc_b)
+        obs = np.concatenate([proprio_b, latent], axis=-1)
+        h1, h2, mean, value = _forward(net, obs, (h1_out, h2_out))
         # The (n, A) section runs in float64, each product, sum and clip
         # formed in place where its operand is spent; dtype=float64 upcasts
         # the float32 mean and value exactly, as astype does.
-        value_err = np.subtract(acts["value"], ret_b, dtype=np.float64)
-        z = np.subtract(action_b, acts["mean"], dtype=np.float64)
+        value_err = np.subtract(value, ret_b, dtype=np.float64)
+        z = np.subtract(action_b, mean, dtype=np.float64)
         z /= gaussian.std
         sq = np.square(z)
         lp = _log_density(sq, gaussian)
@@ -587,7 +577,6 @@ def loss_and_grads(
         d_mean = d_mean.astype(dtype, copy=False)
         d_value = d_value.astype(dtype, copy=False)
 
-        h2, h1, obs = acts["h2"], acts["h1"], acts["obs"]
         d_h2 = np.matmul(d_mean, net.actor_w, out=d_h2_out)
         d_h2 += np.multiply(net.critic_w[None, :], d_value[:, None], out=scratch)
         grads["actor_w"] += d_mean.T @ h2
@@ -602,7 +591,7 @@ def loss_and_grads(
         grads["b1"] += _column_sums(d_z1, ones)
         d_obs = d_z1 @ net.w1
         d_latent = d_obs[:, params.obs_dim - params.latent:]
-        d_ze = d_latent * (1.0 - acts["latent"]**2)
+        d_ze = d_latent * (1.0 - latent**2)
         grads["enc_w"] += d_ze.T @ design_b
         grads["enc_b"] += _column_sums(d_ze, ones)
     grads["log_std"] -= ppo_cfg.entropy_coef

@@ -12,8 +12,10 @@ policy's return level faster than training from scratch, and stronger
 actuators never adapting to a worse fitness.
 """
 
+import concurrent.futures
 import dataclasses
 import math
+import multiprocessing
 import os
 import time
 
@@ -60,17 +62,35 @@ def desk_config(seed: int, mode: str):
     return parse_config(None, DESK_OVERRIDES + [f"run.seed={seed}", f"run.mode={mode}"])
 
 
+def desk_run(seed: int, mode: str, out_dir: str) -> codesign.CodesignResult:
+    """The desk run of `seed` and `mode` into `out_dir`.
+
+    A pool worker builds the config itself: a `CodesignConfig` does not
+    pickle (its reward weights are a read-only mapping).
+    """
+    return codesign.run(desk_config(seed, mode), out_dir=out_dir)
+
+
 @pytest.fixture(scope="session")
 def desk_runs(tmp_path_factory):
-    """Paired EA-CoRL / PT-FT desk runs for seeds 0-2: (mode, seed) -> (result, dir)."""
+    """Paired EA-CoRL / PT-FT desk runs for seeds 0-2: (mode, seed) -> (result, dir).
+
+    The six runs are independent, so they run on min(2, cpu count) worker
+    processes.  The workers inherit this process's environment, and with it
+    the one BLAS thread conftest.py pins, so each run directory has the
+    bytes of the same run made in this process.
+    """
     root = tmp_path_factory.mktemp("desk")
-    runs = {}
-    for seed in (0, 1, 2):
-        for mode in ("ea-corl", "pt-ft"):
-            out = str(root / f"{mode}-s{seed}")
-            res = codesign.run(desk_config(seed, mode), out_dir=out)
-            assert res.completed
-            runs[(mode, seed)] = (res, out)
+    futures = {}
+    workers, context = min(2, os.cpu_count() or 1), multiprocessing.get_context("spawn")
+    with concurrent.futures.ProcessPoolExecutor(workers, mp_context=context) as pool:
+        for seed in (0, 1, 2):
+            for mode in ("ea-corl", "pt-ft"):
+                out = str(root / f"{mode}-s{seed}")
+                futures[(mode, seed)] = pool.submit(desk_run, seed, mode, out), out
+    runs = {key: (future.result(), out) for key, (future, out) in futures.items()}
+    for res, _ in runs.values():
+        assert res.completed
     return runs
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gearevo import policy
-from gearevo.errors import ConfigError, ContractError, NumericError
+from gearevo.errors import ConfigError, ContractError, DimensionError, NumericError
 from gearevo.policy import (
     LOG_STD_INIT,
     LOG_STD_MAX,
@@ -29,6 +29,8 @@ from gearevo.policy import (
     save_policy,
 )
 from gearevo.ppo import PpoConfig
+
+from reference_rollout import _forward as reference_forward
 
 
 # --- init ------------------------------------------------------------------------
@@ -122,32 +124,45 @@ def test_forward_raises_on_nonfinite_input():
     (2500, [840, 840, 820]), (3000, [1000] * 3), (4000, [1000] * 4), (8000, [1000] * 8),
 ])
 def test_blocked_rollout_forward_keeps_the_bits(monkeypatch, rows, blocks):
-    # with a rollout work the trunk runs in the fewest blocks of at most
-    # 1024 rows, all but the last of one multiple of 8 rows, through one
-    # block of buffers; the means and values keep the bytes of the one-pass
-    # forward, twice over the same buffers.  The equality rests on how the
-    # BLAS rounds each block (it held on OpenBLAS 0.3.31 at one thread), so
-    # a BLAS that rounds a block's rows differently fails here
+    # the trunk runs in the fewest blocks of at most 1024 rows, all but the
+    # last of one multiple of 8 rows, through one block of buffers; the
+    # means and values, from a work the call builds and from one work used
+    # twice, keep the bytes of the reference's one unblocked pass.  The
+    # equality rests on how the BLAS rounds each block (it held on OpenBLAS
+    # 0.3.31 at one thread), so a BLAS that rounds a block's rows
+    # differently fails here
     params = policy_init(14, 4, 2, 3)
     rng = np.random.default_rng(rows)
     design = rng.uniform(0.5, 3.0, (rows, 2))
     proprios = [rng.standard_normal((rows, 10)) for _ in range(2)]
-    want = [policy_forward_batch(params, design, proprio) for proprio in proprios]
     work = rollout_work(params, design)
     assert [h.shape for h in work.hidden] == [(min(rows, 1024), params.hidden)] * 2
     seen = []
 
-    def recording_forward(params, design, proprio, *args):
-        seen.append(len(proprio))
-        return real_forward(params, design, proprio, *args)
+    def recording_forward(params, obs, hidden):
+        seen.append(len(obs))
+        return real_forward(params, obs, hidden)
 
     real_forward = policy._forward
     monkeypatch.setattr(policy, "_forward", recording_forward)
-    for proprio, expected in zip(proprios, want):
-        got = policy_forward_batch(params, design, proprio, work)
-        for a, b in zip(got, expected):
-            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-    assert seen == blocks * 2
+    for proprio in proprios:
+        want = reference_forward(params, design, proprio)
+        for got in (policy_forward_batch(params, design, proprio),
+                    policy_forward_batch(params, design, proprio, work)):
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert seen == blocks * 4
+
+
+@pytest.mark.parametrize("proprio_rows", [1, 2, 4])
+def test_rollout_forward_refuses_proprio_of_other_rows(proprio_rows):
+    params = policy_init(14, 4, 2, 3)
+    design = np.ones((3, 2))
+    proprio = np.ones((proprio_rows, 10))
+    with pytest.raises(DimensionError, match=f"proprio of {proprio_rows} rows"):
+        policy_forward_batch(params, design, proprio, rollout_work(params, design))
+    with pytest.raises(DimensionError, match=f"proprio of {proprio_rows} rows"):
+        policy_forward_batch(params, design, proprio)
 
 
 # --- distribution -----------------------------------------------------------------
@@ -363,50 +378,48 @@ def test_float32_workspace_matches_float64(rows):
     assert differs  # the float32 path really ran
 
 
-# SHA-256 of the four statistics of `test_loss_statistics_sum_per_block`
-# (float64, then float32 workspace), taken while they were means over
-# whole-minibatch arrays.
 STATISTICS = ("policy_loss", "value_loss", "clip_fraction", "approx_kl")
-STATISTICS_DIGESTS = {
-    7: "3dca5b5491379a92c35276347d164921354b8f26e2eb13b48129d802f0cb6bce",
-    1024: "b2aaeb8c035a9c2f1f8974e7ee05fe1ab6ba1668d803510de78d7ab152ff22b4",
-}
 
 
-@pytest.mark.parametrize("rows", [7, 1024, 64_000])
-def test_loss_statistics_sum_per_block(rows):
-    """One block keeps the statistics' bits; many stay within 1e-12 of the
-    formulas applied per row in float64, and the clipped fraction is exact."""
-    params = policy_init(14, 4, 2, 3)
-    minibatch = _random_minibatch(params, rows, 17)
-    # log-ratios of about 0.3, so that about half of the ratios clip
-    minibatch["old_log_prob"] += np.random.default_rng(18).normal(0.0, 0.3, rows)
-    cfg = PpoConfig()
-    stats = []
-    for dtype in (np.float64, np.float32):
-        work = loss_workspace(rows, params.hidden, dtype)
-        losses, _ = loss_and_grads(params, minibatch, cfg, work)
-        stats.append({key: losses[key] for key in STATISTICS})
-    if rows in STATISTICS_DIGESTS:
-        values = [s[key] for s in stats for key in STATISTICS]
-        assert hashlib.sha256(np.array(values).tobytes()).hexdigest() == STATISTICS_DIGESTS[rows]
-    # The per-row values, from the float64 forward pass of each block
-    forward = [policy_forward_batch(params, minibatch["design"][lo:lo + 1024],
-                                    minibatch["proprio"][lo:lo + 1024])
-               for lo in range(0, rows, 1024)]
-    mean, value = (np.concatenate(parts) for parts in list(zip(*forward))[:2])
+def _statistics_by_row(params, minibatch, cfg, dtype):
+    """The four statistics by their formulas over the rows, on the reference
+    forward pass in `dtype`: the parameters and the proprio and design rows
+    cast to it, the means and values upcast to float64 afterwards."""
+    net = PolicyParams(params.flat.astype(dtype), *params.dims)
+    mean, value = (x.astype(np.float64) for x in reference_forward(
+        net, minibatch["design"].astype(dtype), minibatch["proprio"].astype(dtype)))
     new_lp = gaussian_log_prob(mean, minibatch["action"], gaussian_constants(params.log_std))
     ratio = np.exp(new_lp - minibatch["old_log_prob"])
     adv, eps = minibatch["advantage"], cfg.clip_epsilon
-    want = {
+    return {
         "policy_loss": -np.mean(np.minimum(ratio * adv, np.clip(ratio, 1 - eps, 1 + eps) * adv)),
         "value_loss": np.mean((value - minibatch["ret"]) ** 2),
         "clip_fraction": np.mean(np.abs(ratio - 1.0) > eps),
         "approx_kl": np.mean(minibatch["old_log_prob"] - new_lp),
     }
-    assert 0.0 < want["clip_fraction"] < 1.0
-    assert stats[0]["clip_fraction"] == want["clip_fraction"]
-    assert stats[0] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("rows", [7, 1024, 64_000])
+def test_loss_statistics_sum_per_block(rows):
+    """One block gives the bits of the statistics' formulas over the rows of
+    the reference forward pass, in float64 and in float32; many blocks stay
+    within 1e-12 of them in float64, and the clipped fraction is exact."""
+    params = policy_init(14, 4, 2, 3)
+    minibatch = _random_minibatch(params, rows, 17)
+    # log-ratios of about 0.3, so that about half of the ratios clip
+    minibatch["old_log_prob"] += np.random.default_rng(18).normal(0.0, 0.3, rows)
+    cfg = PpoConfig()
+    got, want = {}, {}
+    for dtype in (np.float64, np.float32):
+        work = loss_workspace(rows, params.hidden, dtype)
+        losses, _ = loss_and_grads(params, minibatch, cfg, work)
+        got[dtype] = {key: losses[key] for key in STATISTICS}
+        want[dtype] = _statistics_by_row(params, minibatch, cfg, dtype)
+    assert 0.0 < want[np.float64]["clip_fraction"] < 1.0
+    assert got[np.float64]["clip_fraction"] == want[np.float64]["clip_fraction"]
+    assert got[np.float64] == pytest.approx(want[np.float64], rel=1e-12, abs=0.0)
+    if rows <= 1024:  # one block
+        assert got == want
 
 
 @pytest.mark.parametrize("rows, block_rows", [(10, 3), (1500, 1024)])
@@ -477,19 +490,37 @@ POISON = {
 }
 
 
-@pytest.mark.parametrize("layer", list(POISON))
-def test_nonfinite_error_names_first_bad_layer(layer):
+def _poisoned(layer, rows, bad_row):
+    """A policy and a minibatch of `rows` rows whose first non-finite layer is `layer`."""
     params = policy_init(6, 2, 2, 1, hidden=8, latent=2)
-    minibatch = _random_minibatch(params, 10, 7)
+    minibatch = _random_minibatch(params, rows, 7)
     key, value = POISON[layer]
     if key in minibatch:
-        minibatch[key][4] = value
+        minibatch[key][bad_row] = value
     else:
         vec = params.flat.copy()
         params.views(vec)[key].flat[0] = value
         params = dataclasses.replace(params, flat=vec)
-    with pytest.raises(NumericError, match=f"non-finite activation in layer {layer}$"):
+    return params, minibatch
+
+
+@pytest.mark.parametrize("layer", list(POISON))
+def test_nonfinite_error_names_first_bad_layer(layer):
+    # the loss, the rollout forward without a work and with one, and the
+    # rollout forward of a 1,500-row bank (blocks of 752 and 748 rows) whose
+    # bad row is in its second block, all name the same layer
+    match = f"non-finite activation in layer {layer}$"
+    params, minibatch = _poisoned(layer, 10, 4)
+    design, proprio = minibatch["design"], minibatch["proprio"]
+    with pytest.raises(NumericError, match=match):
         loss_and_grads(params, minibatch, PpoConfig())
+    for work in (None, rollout_work(params, design)):
+        with pytest.raises(NumericError, match=match):
+            policy_forward_batch(params, design, proprio, work)
+    params, minibatch = _poisoned(layer, 1500, 1000)
+    design, proprio = minibatch["design"], minibatch["proprio"]
+    with pytest.raises(NumericError, match=match):
+        policy_forward_batch(params, design, proprio, rollout_work(params, design))
 
 
 def test_loss_raises_on_nonfinite():
