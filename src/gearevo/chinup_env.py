@@ -230,10 +230,12 @@ class _StepWork:
         solve[:, 0] = solve[:, 6] = k.b
         self.tau_raw = np.empty((n, 2), order="F")
         self.clamped = np.empty((n, 2), dtype=bool, order="F")
+        # The halves of pd that hold qdot and q before the clamps of the last substep.
+        self.qdot_pre, self.q_pre = pd[:, :2], pd[:, 2:]
         # The column views, in the order `step` unpacks them.
         self.views = (
             *s.T, s[:, 1:3], s[:, 3:5], s[:, 1:5], s[:, :3], s[:, :2],
-            trig, *trig.T, pd, pd[:, :2], pd[:, 2:], pd[:, :3], *pd.T,
+            trig, *trig.T, pd, self.qdot_pre, self.q_pre, pd[:, :3], *pd.T,
             *solve.T[1:6], solve[:, :3], solve[:, 4:], solve[:, 4:6], solve[:, 1:3],
         )
 
@@ -286,9 +288,17 @@ class VecChinupEnv:
         self._neg_qdot_max = -self.qdot_max
         self._q_lo = np.asfortranarray(np.broadcast_to(config.q_min, (n, N_JOINTS)))
         self._q_hi = np.asfortranarray(np.broadcast_to(config.q_max, (n, N_JOINTS)))
-        self._goal = np.array(config.goal)
-        self._g_proj_xy = np.zeros((n, 2))
-        self._work = _StepWork(n, k, config)
+        self._work = w = _StepWork(n, k, config)
+        # The reward's inputs: the per-step fields (head, base_ok, action,
+        # prev_action, prev_qdot) are set by each step; the rest are
+        # constants or the step's work buffers.
+        self._reward_inputs = RewardInputs(
+            pos_head=None, pos_goal=np.array(config.goal), cyl_gap=config.cyl_gap,
+            base_ok=None, sym_pairs=config.sym_pairs, g_proj_xy=np.zeros((n, 2)),
+            tau=w.tau_raw, qdot=w.qdot_pre, prev_qdot=None,
+            dt=config.dt_sim * config.decimation, action=None, prev_action=None, q=w.q_pre,
+            q_min=self._q_lo, q_max=self._q_hi, qdot_max=self.qdot_max, tau_max=self.tau_max,
+        )
         # The reward breakdown of the last step, before a diverged
         # environment's reward is zeroed.
         self.breakdown: RewardBreakdown | None = None
@@ -357,7 +367,8 @@ class VecChinupEnv:
         return raw, np.minimum(tau, self.tau_max, out=tau)
 
     def _checked(self, actions) -> np.ndarray:
-        actions = np.asarray(actions, dtype=np.float64)
+        """`actions` as a new float64 array in column order, its shape checked."""
+        actions = np.array(actions, dtype=np.float64, order="F")
         if actions.shape != (self.n_envs, ACTION_DIM):
             raise ContractError(f"actions must be ({self.n_envs}, {ACTION_DIM})")
         return actions
@@ -378,10 +389,9 @@ class VecChinupEnv:
         Returns (rewards, dones, the finished episodes); environments that
         finished are reset in place after their episode is logged.
         """
-        actions = self._checked(actions)
-        cfg = self.config
         # A copy in column order: the PD target, then the bank's prev_action.
-        target = np.array(actions, order="F")
+        target = self._checked(actions)
+        cfg = self.config
         w = self._work
         dt, two, zero = w.dt, w.two, w.zero
         (q12, q1, q2, qd1, qd2, q, qdot, state, angles, fk_angles,
@@ -443,8 +453,8 @@ class VecChinupEnv:
         # Forward kinematics: head = [l1 s1 + l2 s12, -l1 c1 - l2 c12].
         np.add(q1, q2, out=q12)
         np.sin(fk_angles, out=trig[:, :2])
-        np.cos(fk_angles, out=cos)  # the spent M11 columns
-        c12, c1 = cos.T
+        np.cos(fk_angles, out=cos)
+        c12, c1 = m11, m11_copy  # the columns of cos: the spent M11 ones
         head = np.empty((self.n_envs, N_JOINTS), order="F")
         s1 *= w.l1
         s12 *= w.l2
@@ -452,25 +462,9 @@ class VecChinupEnv:
         c1 *= w.neg_l1
         c12 *= w.l2
         np.subtract(c1, c12, out=head[:, 1])
-        inputs = RewardInputs(
-            pos_head=head,
-            pos_goal=self._goal,
-            cyl_gap=cfg.cyl_gap,
-            base_ok=_base_ok(head),
-            sym_pairs=cfg.sym_pairs,
-            g_proj_xy=self._g_proj_xy,
-            tau=tau_raw,
-            qdot=qdot_pre,
-            prev_qdot=self.prev_qdot,
-            dt=cfg.dt_sim * cfg.decimation,
-            action=actions,
-            prev_action=self.prev_action,
-            q=q_pre,
-            q_min=self._q_lo,
-            q_max=self._q_hi,
-            qdot_max=self.qdot_max,
-            tau_max=self.tau_max,
-        )
+        inputs = self._reward_inputs
+        inputs.pos_head, inputs.base_ok = head, _base_ok(head)
+        inputs.action, inputs.prev_action, inputs.prev_qdot = target, self.prev_action, self.prev_qdot
         self.breakdown = reward_terms(inputs, self.reward_cfg)
         rewards = self.breakdown.total
         diverged = ~np.isfinite(state).all(axis=1)

@@ -20,10 +20,11 @@ Layout: a snapshot (`PolicyParams`) owns one float64 vector `flat`: the
 eleven arrays of PARAM_ORDER (ENC_W, ENC_B, W1, B1, W2, B2, ACTOR_W,
 ACTOR_B, LOG_STD, CRITIC_W, CRITIC_B) end to end, each in C order, with the
 shapes `param_shapes` gives for the five dims.  The named arrays
-(`params.w1`, ...) are views of `flat`; `params.views(vec)` lays out any
-vector of its size the same way, such as the gradient of `loss_and_grads`
-or the Adam moments.  Snapshots are immutable: the dataclass is frozen and
-`flat` is read-only, so updates return new snapshots.
+(`params.w1`, ...) are views of `flat`, each made on first use;
+`params.views(vec)` lays out any vector of its size the same way, such as
+the gradient of `loss_and_grads` or the Adam moments.  Snapshots are
+immutable: the dataclass is frozen and `flat` is read-only, so updates
+return new snapshots.
 
 Precision: everything is float64 except, in training, the network math of
 `loss_and_grads`.  Its compute dtype is the dtype of its loss workspace,
@@ -112,7 +113,7 @@ class PolicyParams:
 
     `flat` holds the arrays of `param_shapes(*dims)` end to end and is made
     read-only on construction.  Snapshots hold float64; `loss_and_grads`
-    makes a float32 copy of one to compute in.
+    copies one into its float32 workspace to compute in.
     """
 
     flat: np.ndarray
@@ -125,14 +126,28 @@ class PolicyParams:
     seed: int = -1
 
     def __post_init__(self) -> None:
-        size, slices = _param_layout(*self.dims)
+        size, _ = _param_layout(*self.dims)
         if self.flat.shape != (size,):
             raise ContractError(
                 f"parameter vector of shape {self.flat.shape}; dims {self.dims} need {size} floats"
             )
         self.flat.flags.writeable = False
-        # Each array as an attribute of its name (`params.w1`): a view of flat.
-        self.__dict__.update(_views(self.flat, slices))
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        # Each array as an attribute of its name (`params.w1`): a view of flat,
+        # made on first use and kept, so a snapshot that is only stepped (Adam's)
+        # makes none.  Only names that normal lookup misses get here.
+        if name not in PARAM_ORDER:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        sl, shape = _param_layout(*self.dims)[1][name]
+        view = self.flat[sl] if len(shape) == 1 else self.flat[sl].reshape(shape)
+        self.__dict__[name] = view
+        return view
+
+    def __reduce__(self):
+        # Pickled as its constructor call: the copy's flat is read-only again,
+        # and its named arrays are views of it.
+        return type(self), tuple(getattr(self, f.name) for f in dataclasses.fields(self))
 
     @property
     def dims(self) -> tuple[int, int, int, int, int]:
@@ -214,31 +229,33 @@ def _dense_tanh(
     return np.tanh(h, out=h)
 
 
-def _forward(
-    params: PolicyParams, obs: np.ndarray, hidden
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The trunk and heads on one observation block: (h1, h2, mean, value).
+def _forward(params: PolicyParams, obs: np.ndarray, out) -> tuple:
+    """The trunk and heads on one observation block, written into `out`.
 
     `obs` is a (rows, obs_dim) block whose trailing `latent` columns already
     hold the design latent; the encoder runs where the designs are known
-    (`rollout_work`, and each block of `loss_and_grads`).  `hidden` gives the
-    two (rows, hidden) arrays that h1 and h2 are written into.
+    (`rollout_work`, and each block of `loss_and_grads`).  `out` is the four
+    arrays (h1, h2, mean, value) of the parameters' dtype that the layers
+    are written into: two (rows, hidden), a (rows, action_dim) and a
+    (rows,), which may be rows of a caller's result.  Returns `out`.
     Only the two heads are checked for finiteness: every hidden layer is a
     tanh, non-finite only as NaN, and a NaN reaches both heads.  When a head
     is non-finite, the layers are checked in order so that the error names
     the first bad one.
     """
-    h1 = _dense_tanh(obs, params.w1, params.b1, hidden[0])
-    h2 = _dense_tanh(h1, params.w2, params.b2, hidden[1])
-    mean = h2 @ params.actor_w.T
+    h1, h2, mean, value = out
+    _dense_tanh(obs, params.w1, params.b1, h1)
+    _dense_tanh(h1, params.w2, params.b2, h2)
+    np.matmul(h2, params.actor_w.T, out=mean)
     mean += params.actor_b
-    value = h2 @ params.critic_w + params.critic_b[0]
+    np.matmul(h2, params.critic_w, out=value)
+    value += params.critic_b[0]
     if not (np.isfinite(mean).all() and np.isfinite(value).all()):
         layers = zip(("encoder", "trunk1", "trunk2", "actor", "critic"),
                      (obs[:, params.obs_dim - params.latent:], h1, h2, mean, value))
         for name, x in layers:
             _check_finite(name, x)
-    return h1, h2, mean, value
+    return out
 
 
 @dataclass(frozen=True)
@@ -302,11 +319,12 @@ def policy_forward_batch(
     `_BLOCK_ROWS` rows in one pass, a larger one in the fewest blocks of at
     most `_BLOCK_ROWS` rows, each but the last of the same multiple of 8
     rows where that fits, so 4,000 rows run in blocks of 1,000 and 1,030 in
-    520 and 510.  The means and values are new arrays.  On OpenBLAS 0.3.31
-    at one BLAS thread they have the bits of one unblocked pass at every
-    size checked (108 sizes from 1 to 8,000 rows); that rests on how the
-    BLAS kernels round a block, and another BLAS, CPU kernel or thread
-    count may round differently.  There, a block that starts off a multiple
+    520 and 510.  The means and values are new arrays, into whose rows
+    `_forward` writes each block's heads.  On OpenBLAS 0.3.31 at one BLAS
+    thread they have the bits of one unblocked pass at every size checked
+    (108 sizes from 1 to 8,000 rows); that rests on how the BLAS kernels
+    round a block, and another BLAS, CPU kernel or thread count may round
+    differently.  There, a block that starts off a multiple
     of 4 rows, or a short one (a last block of 294 of 1,030 rows), rounded
     some rows differently from one pass.
     """
@@ -319,10 +337,10 @@ def policy_forward_batch(
     blocks = -(-n // _BLOCK_ROWS)
     size = min(8 * -(-n // (8 * blocks)), _BLOCK_ROWS)  # rows per block
     means, values = np.empty((n, params.action_dim)), np.empty(n)
+    h1, h2 = work.hidden
     for lo in range(0, n, size):
-        obs = work.obs[lo:lo + size]
-        hidden = [h[:len(obs)] for h in work.hidden]
-        _, _, means[lo:lo + size], values[lo:lo + size] = _forward(params, obs, hidden)
+        hi = min(lo + size, n)
+        _forward(params, work.obs[lo:hi], (h1[:hi - lo], h2[:hi - lo], means[lo:hi], values[lo:hi]))
     return means, values
 
 
@@ -432,10 +450,13 @@ class LossWorkspace:
     multiplies by, None for float64.  A minibatch column given as `Rows`
     is gathered block by block into `column_buffer(k, column)`, made on the
     first call that gathers column k and kept while later calls' column k
-    has the same row shape and dtype.  Every block overwrites the rows it
-    reads, so one workspace serves any number of calls whose blocks have at
-    most `rows` rows, and a caller making many calls passes one, so that
-    nothing is allocated and faulted in again per call.
+    has the same row shape and dtype.  The buffers shaped by the other
+    dims of the parameters are a `NetworkBuffers`, made on the first call
+    and kept while later calls' parameters have the same dims.  Every block
+    overwrites the rows it reads, so one workspace serves any number of
+    calls whose blocks have at most `rows` rows, and a caller making many
+    calls passes one, so that nothing is allocated and faulted in again per
+    call.
     """
 
     def __init__(self, rows: int, hidden: int, dtype=np.float64):
@@ -443,6 +464,7 @@ class LossWorkspace:
         self.arrays = tuple(np.empty((rows, hidden), self.dtype) for _ in range(5))
         self.ones = None if self.dtype == np.float64 else np.ones(rows, self.dtype)
         self._columns: list[np.ndarray | None] = [None] * len(_MINIBATCH_COLUMNS)
+        self._network: NetworkBuffers | None = None
 
     def column_buffer(self, k: int, column: Rows) -> np.ndarray:
         """A (rows, *row shape) buffer of `column`'s dtype for minibatch column k."""
@@ -450,6 +472,53 @@ class LossWorkspace:
         if buf is None or buf.dtype != source.dtype or buf.shape[1:] != source.shape[1:]:
             buf = self._columns[k] = np.empty((self.rows, *source.shape[1:]), source.dtype)
         return buf
+
+    def network(self, params: PolicyParams) -> tuple[PolicyParams, NetworkBuffers]:
+        """`params` in the compute dtype, and the `NetworkBuffers` of its dims."""
+        bufs = self._network
+        if bufs is None or bufs.dims != params.dims:
+            bufs = self._network = NetworkBuffers(params.dims, self.rows, self.dtype)
+        if bufs.copy is None:
+            return params, bufs
+        np.copyto(bufs.copy, params.flat)  # the cast of astype
+        return bufs.net, bufs
+
+
+class NetworkBuffers:
+    """A loss workspace's buffers for parameters of one `dims`, in its compute dtype.
+
+    For float32, `net` is a snapshot over a read-only view of `copy`, which
+    each call overwrites with its parameters (`LossWorkspace.network`); a
+    float64 call reads its own snapshot, and both are None.  `grads` are
+    the named arrays of one vector laid out as `flat`, into which each
+    block writes its network gradients; `grad_net` is its part from enc_w
+    to actor_w.  `parts` are the `flat` slices of that part, critic_w,
+    actor_b, log_std and critic_b, by which a call adds each block's
+    gradients into its float64 result, and `proprio_cols` and `latent_cols`
+    split an observation's columns.  `obs` and `d_obs` are (rows,
+    obs_dim), `mean` (rows, action_dim), `value` (rows,), and `latent` and
+    `d_ze` (rows, latent): contiguous, because BLAS rounds the column sums
+    of a strided block differently and the element-wise passes run slower
+    on one.
+    """
+
+    def __init__(self, dims: tuple[int, int, int, int, int], rows: int, dtype: np.dtype):
+        obs_dim, action_dim, _, _, latent = dims
+        size, slices = _param_layout(*dims)
+        self.dims = dims
+        self.copy = None if dtype == np.float64 else np.empty(size, dtype)
+        self.net = None if self.copy is None else PolicyParams(self.copy.view(), *dims)
+        grad = np.empty(size, dtype)
+        self.grads = _views(grad, slices)
+        net_part = slice(slices["enc_w"][0].start, slices["actor_w"][0].stop)
+        self.grad_net = grad[net_part]
+        self.parts = (net_part, *(slices[name][0]
+                                  for name in ("critic_w", "actor_b", "log_std", "critic_b")))
+        self.proprio_cols = slice(None, obs_dim - latent)
+        self.latent_cols = slice(obs_dim - latent, None)
+        self.obs, self.d_obs = (np.empty((rows, obs_dim), dtype) for _ in range(2))
+        self.mean, self.value = np.empty((rows, action_dim), dtype), np.empty(rows, dtype)
+        self.latent, self.d_ze = (np.empty((rows, latent), dtype) for _ in range(2))
 
 
 def loss_workspace(rows: int, hidden: int, dtype=np.float64) -> LossWorkspace:
@@ -508,20 +577,25 @@ def loss_and_grads(
             f"loss workspace too small for {batch} rows of hidden size {params.hidden}"
         )
     dtype, ones = work.dtype, work.ones
-    # The network's parameters in the compute dtype.
-    net = params if dtype == np.float64 else PolicyParams(params.flat.astype(dtype), *params.dims)
+    net, bufs = work.network(params)
+    grads = bufs.grads
     buffers = [work.column_buffer(k, col) if isinstance(col, Rows) else None
                for k, col in enumerate(columns)]
     eps = ppo_cfg.clip_epsilon
     gaussian = gaussian_constants(params.log_std)
+    proprio_cols, latent_cols = bufs.proprio_cols, bufs.latent_cols
 
-    # Named views of one zeroed float64 vector, fresh for every call.
+    # One zeroed float64 vector, fresh for every call; each block adds its
+    # network gradients (`bufs.grads`), upcast, and the float64 ones of its
+    # (n, A) section.
     grad = np.zeros(params.n_params)
-    grads = params.views(grad)
+    grad_net, grad_critic_w, grad_actor_b, grad_log_std, grad_critic_b = (
+        grad[part] for part in bufs.parts
+    )
     # Sums of the surrogate, the squared value error, the clipped count and
-    # the log-ratio.  -0.0 is the identity of addition, so a single block's
-    # sums keep their bits.
-    sums = np.full(4, -0.0)
+    # the log-ratio, as float64 scalars.  -0.0 is the identity of addition,
+    # so a single block's sums keep their bits.
+    sums = [-0.0] * 4
     for lo in range(0, batch, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, batch)
         n = hi - lo
@@ -529,13 +603,15 @@ def loss_and_grads(
             col[lo:hi] if buf is None else col.take(lo, hi, buf)
             for col, buf in zip(columns, buffers)
         )
-        # The network reads proprio and design in the compute dtype.
-        proprio_b = proprio_b.astype(dtype, copy=False)
+        h1, h2, d_h2_out, d_h1_out, scratch = (w[:n] for w in work.arrays)
+        obs, d_obs, mean, value = bufs.obs[:n], bufs.d_obs[:n], bufs.mean[:n], bufs.value[:n]
+        # The network reads proprio and design in the compute dtype (copyto
+        # casts as astype does).
         design_b = design_b.astype(dtype, copy=False)
-        h1_out, h2_out, d_h2_out, d_h1_out, scratch = (w[:n] for w in work.arrays)
-        latent = _dense_tanh(design_b, net.enc_w, net.enc_b)
-        obs = np.concatenate([proprio_b, latent], axis=-1)
-        h1, h2, mean, value = _forward(net, obs, (h1_out, h2_out))
+        latent = _dense_tanh(design_b, net.enc_w, net.enc_b, bufs.latent[:n])
+        np.copyto(obs[:, proprio_cols], proprio_b)
+        np.copyto(obs[:, latent_cols], latent)
+        _forward(net, obs, (h1, h2, mean, value))
         # The (n, A) section runs in float64, each product, sum and clip
         # formed in place where its operand is spent; dtype=float64 upcasts
         # the float32 mean and value exactly, as astype does.
@@ -558,61 +634,66 @@ def loss_and_grads(
         d_lp /= batch
         d_lp = np.where(surr1 <= surr2, d_lp, 0.0)
         ratio -= 1.0
-        sums += (
+        block_sums = (
             np.add.reduce(np.minimum(surr1, surr2, out=surr1)),
             np.add.reduce(value_err * value_err),
             np.count_nonzero(np.abs(ratio, out=ratio) > eps),
             np.add.reduce(old_lp_b - lp),
         )
+        sums = [acc + block for acc, block in zip(sums, block_sums)]
         d_mean = np.divide(z, gaussian.std, out=z)
         d_mean *= d_lp[:, None]
         sq -= 1.0
-        grads["log_std"] += d_lp @ sq
+        grad_log_std += d_lp @ sq
         d_value = value_err
         d_value *= ppo_cfg.value_coef * 2.0
         d_value /= batch
-        grads["actor_b"] += np.add.reduce(d_mean, axis=0)
-        grads["critic_b"] += np.add.reduce(d_value)
-        # The backward passes of the heads and the trunk run in the compute dtype.
+        grad_actor_b += np.add.reduce(d_mean, axis=0)
+        grad_critic_b += np.add.reduce(d_value)
+        # The backward passes of the heads and the trunk run in the compute
+        # dtype, each network gradient written into `grads`.
         d_mean = d_mean.astype(dtype, copy=False)
         d_value = d_value.astype(dtype, copy=False)
 
         d_h2 = np.matmul(d_mean, net.actor_w, out=d_h2_out)
         d_h2 += np.multiply(net.critic_w[None, :], d_value[:, None], out=scratch)
-        grads["actor_w"] += d_mean.T @ h2
-        grads["critic_w"] += h2.T @ d_value
+        np.matmul(d_mean.T, h2, out=grads["actor_w"])
+        np.matmul(h2.T, d_value, out=grads["critic_w"])
         d_z2 = d_h2
         d_z2 *= _one_minus_square(h2, scratch)
-        grads["w2"] += d_z2.T @ h1
-        grads["b2"] += _column_sums(d_z2, ones)
+        np.matmul(d_z2.T, h1, out=grads["w2"])
+        _column_sums(d_z2, ones, grads["b2"])
         d_z1 = np.matmul(d_z2, net.w2, out=d_h1_out)
         d_z1 *= _one_minus_square(h1, scratch)
-        grads["w1"] += d_z1.T @ obs
-        grads["b1"] += _column_sums(d_z1, ones)
-        d_obs = d_z1 @ net.w1
-        d_latent = d_obs[:, params.obs_dim - params.latent:]
-        d_ze = d_latent * (1.0 - latent**2)
-        grads["enc_w"] += d_ze.T @ design_b
-        grads["enc_b"] += _column_sums(d_ze, ones)
-    grads["log_std"] -= ppo_cfg.entropy_coef
+        np.matmul(d_z1.T, obs, out=grads["w1"])
+        _column_sums(d_z1, ones, grads["b1"])
+        d_latent = np.matmul(d_z1, net.w1, out=d_obs)[:, latent_cols]
+        d_ze = np.multiply(d_latent, _one_minus_square(latent, latent), out=bufs.d_ze[:n])
+        np.matmul(d_ze.T, design_b, out=grads["enc_w"])
+        _column_sums(d_ze, ones, grads["enc_b"])
+        grad_net += bufs.grad_net
+        grad_critic_w += bufs.grads["critic_w"]
+    grad_log_std -= ppo_cfg.entropy_coef
 
-    mean_surrogate, value_loss, clip_fraction, approx_kl = sums / batch
+    mean_surrogate, value_loss, clip_fraction, approx_kl = (acc / batch for acc in sums)
     policy_loss = -mean_surrogate
     ent = entropy(params.log_std)
     total = policy_loss + ppo_cfg.value_coef * value_loss - ppo_cfg.entropy_coef * ent
-    if not np.isfinite(total):
+    if not math.isfinite(total):
         raise NumericError("non-finite PPO loss")
     stats = (total, policy_loss, value_loss, ent, clip_fraction, approx_kl)
     return dict(zip(LOSS_STATISTICS, map(float, stats))), grad
 
 
-def _column_sums(x: np.ndarray, ones: np.ndarray | None) -> np.ndarray:
-    """Column sums of x: numpy's sum, or a BLAS gemv against `ones`.
+def _column_sums(x: np.ndarray, ones: np.ndarray | None, out: np.ndarray) -> np.ndarray:
+    """Column sums of x into `out`: numpy's sum, or a BLAS gemv against `ones`.
 
     For float32 the gemv is several times faster than numpy's row-by-row
     float32 sum and rounds less; float64 keeps numpy's sum, and its bits.
     """
-    return x.sum(axis=0) if ones is None else ones[: len(x)] @ x
+    if ones is None:
+        return np.add.reduce(x, axis=0, out=out)
+    return np.matmul(ones[: len(x)], x, out=out)
 
 
 def _one_minus_square(h: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -156,26 +156,40 @@ def compute_gae(batch: RolloutBatch, gamma: float, gae_lambda: float) -> Rollout
     returns = A_raw + v; advantages standardized to mean 0, std 1 (eps 1e-8).
 
     `dones` may be bool: 1.0 - done is then the same float64 as for 0/1.
-    The batch drops its inputs as they are spent: rewards and dones when
-    the recursion ends, values once the returns are formed.  The raw
-    advantages are then standardized in place, so GAE never holds its
-    inputs beside both outputs, and at most one batch-sized temporary at a
-    time.
+    Every delta and every coefficient gamma*lambda*(1-done) is formed over
+    the whole batch at once, each product and sum in the order of the
+    formulas, so only the recursion runs step by step.  The batch drops its
+    inputs as they are spent: rewards once the deltas are formed, dones
+    once the coefficients are, values once the returns are.  The
+    coefficients take the buffer the returns then fill, and the raw
+    advantages are standardized in place, so GAE never holds its inputs
+    beside both outputs, and at most one batch-sized temporary at a time.
     """
     n, horizon = batch.rewards.shape
-    adv = np.zeros((n, horizon))
-    next_adv = np.zeros(n)
-    next_value = np.asarray(batch.bootstrap_values, dtype=np.float64)
+    values = batch.values
+    done = np.asarray(batch.dones, dtype=bool)
+    # The deltas, formed in adv: gamma*v_{t+1}, times 1 - done, plus r,
+    # minus v.  x * 1.0 is x, so only the done entries are multiplied, by 0.0.
+    adv = np.empty((n, horizon))
+    adv[:, :-1] = values[:, 1:]
+    adv[:, -1] = batch.bootstrap_values
+    adv *= gamma
+    np.multiply(adv, 0.0, out=adv, where=done)
+    np.add(batch.rewards, adv, out=adv)  # r + x, in the formula's order
+    adv -= values
+    batch.rewards = None
+    coef = np.subtract(1.0, done, dtype=np.float64)
+    coef *= gamma * gae_lambda
+    batch.dones = done = None
+    # A_t = delta_t + coef_t * A_{t+1}, with A_horizon = 0: the last step
+    # adds coef * 0.0 too, which turns a -0.0 delta into +0.0.
+    next_adv, term = np.zeros(n), np.empty(n)
     for t in range(horizon - 1, -1, -1):
-        not_done = 1.0 - batch.dones[:, t]
-        delta = batch.rewards[:, t] + gamma * next_value * not_done - batch.values[:, t]
-        next_adv = delta + gamma * gae_lambda * not_done * next_adv
-        adv[:, t] = next_adv
-        next_value = batch.values[:, t]
-    del next_value  # a view of values
-    batch.rewards = batch.dones = None
-    batch.returns = adv + batch.values
-    batch.values = None
+        np.multiply(coef[:, t], next_adv, out=term)
+        next_adv = adv[:, t]
+        next_adv += term
+    batch.returns = np.add(adv, values, out=coef)
+    batch.values = values = coef = None
     mean, std = adv.mean(), adv.std()
     adv -= mean
     adv /= std + 1e-8

@@ -86,11 +86,12 @@ def _chinup(inputs: RewardInputs, cfg: RewardConfig, out: np.ndarray) -> None:
 
 
 def _hollow_cylinder(inputs: RewardInputs, cfg: RewardConfig, out: np.ndarray) -> None:
-    # The env passes its config's constant gap: one value fills the row.
+    # The env passes its config's constant gap, a Python float: the row is
+    # one value, filled, and no array is made for the comparisons.
     lo, hi = cfg.cyl_window
     gap = inputs.cyl_gap
-    in_window = (gap > lo) & (gap < hi)
-    out[...] = np.where(in_window, 0.0, cfg.cyl_out_value) + 0.0
+    out[...] = cfg.cyl_out_value + 0.0
+    np.copyto(out, 0.0, where=(gap > lo) & (gap < hi))
 
 
 def _base_position(inputs: RewardInputs, cfg: RewardConfig, out: np.ndarray) -> None:
@@ -98,10 +99,24 @@ def _base_position(inputs: RewardInputs, cfg: RewardConfig, out: np.ndarray) -> 
 
 
 def _joint_regularization(inputs: RewardInputs, cfg: RewardConfig, out: np.ndarray) -> None:
+    # A pair's term is never -0.0, so the first one, written as it is, has
+    # the bits of 0.0 plus it; later pairs add theirs in order.
     q = np.asarray(inputs.q)
-    out[...] = 0.0
-    for i, j in inputs.sym_pairs:
-        out += np.exp(-np.square(q[..., i] - q[..., j]))
+    pairs = inputs.sym_pairs
+    if not pairs:
+        out[...] = 0.0
+        return
+    _pair_term(q, *pairs[0], out)
+    for i, j in pairs[1:]:
+        out += _pair_term(q, i, j, np.empty_like(out))
+
+
+def _pair_term(q: np.ndarray, i: int, j: int, out: np.ndarray) -> np.ndarray:
+    """exp(-(q_i - q_j)^2), each step written into `out`."""
+    np.subtract(q[..., i], q[..., j], out=out)
+    np.square(out, out=out)
+    np.negative(out, out=out)
+    return np.exp(out, out=out)
 
 
 def _orientation(inputs: RewardInputs, cfg: RewardConfig, out: np.ndarray) -> None:

@@ -71,19 +71,34 @@ def desk_run(seed: int, mode: str, out_dir: str) -> codesign.CodesignResult:
     return codesign.run(desk_config(seed, mode), out_dir=out_dir)
 
 
+def desk_stop_and_resume(seed: int, mode: str, out_dir: str, stop_after: int):
+    """The desk run of `seed` and `mode`, stopped after `stop_after`
+    iterations and then resumed in `out_dir`: (partial result, resumed result)."""
+    partial = codesign.run(desk_config(seed, mode), out_dir=out_dir, stop_after=stop_after)
+    resumed = codesign.run(desk_config(seed, mode), out_dir=out_dir, resume=True)
+    return partial, resumed
+
+
+def desk_pool() -> concurrent.futures.ProcessPoolExecutor:
+    """min(2, cpu count) spawned workers for independent desk runs.
+
+    The workers inherit this process's environment, and with it the one
+    BLAS thread conftest.py pins, so each run directory has the bytes of
+    the same run made in this process.
+    """
+    context = multiprocessing.get_context("spawn")
+    return concurrent.futures.ProcessPoolExecutor(min(2, os.cpu_count() or 1), mp_context=context)
+
+
 @pytest.fixture(scope="session")
 def desk_runs(tmp_path_factory):
     """Paired EA-CoRL / PT-FT desk runs for seeds 0-2: (mode, seed) -> (result, dir).
 
-    The six runs are independent, so they run on min(2, cpu count) worker
-    processes.  The workers inherit this process's environment, and with it
-    the one BLAS thread conftest.py pins, so each run directory has the
-    bytes of the same run made in this process.
+    The six runs are independent, so they run on the `desk_pool` workers.
     """
     root = tmp_path_factory.mktemp("desk")
     futures = {}
-    workers, context = min(2, os.cpu_count() or 1), multiprocessing.get_context("spawn")
-    with concurrent.futures.ProcessPoolExecutor(workers, mp_context=context) as pool:
+    with desk_pool() as pool:
         for seed in (0, 1, 2):
             for mode in ("ea-corl", "pt-ft"):
                 out = str(root / f"{mode}-s{seed}")
@@ -500,18 +515,21 @@ def _files_equal(dir_a, dir_b, names):
 def test_criterion_12_reproducibility_and_resume(desk_runs, tmp_path_factory):
     _, first_dir = desk_runs[("ea-corl", 0)]
     root = tmp_path_factory.mktemp("repro")
+    rerun_dir, split_dir = str(root / "rerun"), str(root / "split")
+    # The rerun and the stop-and-resume are independent of each other, so
+    # they run side by side on the `desk_pool` workers.
+    with desk_pool() as pool:
+        rerun_future = pool.submit(desk_run, 0, "ea-corl", rerun_dir)
+        split_future = pool.submit(desk_stop_and_resume, 0, "ea-corl", split_dir, 3)
+    rerun = rerun_future.result()
+    partial, resumed = split_future.result()
 
     # same seed, fresh directory: identical evolution record
-    rerun_dir = str(root / "rerun")
-    rerun = codesign.run(desk_config(0, "ea-corl"), out_dir=rerun_dir)
     assert rerun.completed
     _files_equal(first_dir, rerun_dir, [codesign.EVOLUTION_FILE])
 
     # interrupt after 3 of 6 iterations, resume: byte-identical artifacts
-    split_dir = str(root / "split")
-    partial = codesign.run(desk_config(0, "ea-corl"), out_dir=split_dir, stop_after=3)
     assert not partial.completed
-    resumed = codesign.run(desk_config(0, "ea-corl"), out_dir=split_dir, resume=True)
     assert resumed.completed
     _files_equal(
         rerun_dir,

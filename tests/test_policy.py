@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from gearevo.policy import (
 )
 from gearevo.ppo import PpoConfig
 
+from reference_loss import reference_loss_and_grads
 from reference_rollout import _forward as reference_forward
 
 
@@ -122,15 +124,18 @@ def test_forward_raises_on_nonfinite_input():
 @pytest.mark.parametrize("rows, blocks", [
     (7, [7]), (64, [64]), (1025, [520, 505]), (1030, [520, 510]), (1100, [552, 548]),
     (2500, [840, 840, 820]), (3000, [1000] * 3), (4000, [1000] * 4), (8000, [1000] * 8),
+    (1, [1]), (2, [2]),
 ])
 def test_blocked_rollout_forward_keeps_the_bits(monkeypatch, rows, blocks):
     # the trunk runs in the fewest blocks of at most 1024 rows, all but the
-    # last of one multiple of 8 rows, through one block of buffers; the
-    # means and values, from a work the call builds and from one work used
-    # twice, keep the bytes of the reference's one unblocked pass.  The
-    # equality rests on how the BLAS rounds each block (it held on OpenBLAS
-    # 0.3.31 at one thread), so a BLAS that rounds a block's rows
-    # differently fails here
+    # last of one multiple of 8 rows, through one block of buffers, and the
+    # heads write each block's rows of the results; the means and values,
+    # from a work the call builds and from one work used twice, keep the
+    # bytes of the reference's one unblocked pass.  The equality rests on
+    # how the BLAS rounds each block (it held on OpenBLAS 0.3.31 at one
+    # thread), so a BLAS that rounds a block's rows differently fails here.
+    # One and two rows are where BLAS takes other kernels: `evaluate`'s
+    # trajectory dump runs a one-row bank
     params = policy_init(14, 4, 2, 3)
     rng = np.random.default_rng(rows)
     design = rng.uniform(0.5, 3.0, (rows, 2))
@@ -139,9 +144,9 @@ def test_blocked_rollout_forward_keeps_the_bits(monkeypatch, rows, blocks):
     assert [h.shape for h in work.hidden] == [(min(rows, 1024), params.hidden)] * 2
     seen = []
 
-    def recording_forward(params, obs, hidden):
+    def recording_forward(params, obs, out):
         seen.append(len(obs))
-        return real_forward(params, obs, hidden)
+        return real_forward(params, obs, out)
 
     real_forward = policy._forward
     monkeypatch.setattr(policy, "_forward", recording_forward)
@@ -399,11 +404,12 @@ def _statistics_by_row(params, minibatch, cfg, dtype):
     }
 
 
-@pytest.mark.parametrize("rows", [7, 1024, 64_000])
+@pytest.mark.parametrize("rows", [7, 1024, 64_000, 1])
 def test_loss_statistics_sum_per_block(rows):
     """One block gives the bits of the statistics' formulas over the rows of
     the reference forward pass, in float64 and in float32; many blocks stay
-    within 1e-12 of them in float64, and the clipped fraction is exact."""
+    within 1e-12 of them in float64, and the clipped fraction is exact.  A
+    single row, where BLAS takes other kernels, clips or does not."""
     params = policy_init(14, 4, 2, 3)
     minibatch = _random_minibatch(params, rows, 17)
     # log-ratios of about 0.3, so that about half of the ratios clip
@@ -415,11 +421,30 @@ def test_loss_statistics_sum_per_block(rows):
         losses, _ = loss_and_grads(params, minibatch, cfg, work)
         got[dtype] = {key: losses[key] for key in STATISTICS}
         want[dtype] = _statistics_by_row(params, minibatch, cfg, dtype)
-    assert 0.0 < want[np.float64]["clip_fraction"] < 1.0
+    assert 0.0 < want[np.float64]["clip_fraction"] < 1.0 or rows == 1
     assert got[np.float64]["clip_fraction"] == want[np.float64]["clip_fraction"]
     assert got[np.float64] == pytest.approx(want[np.float64], rel=1e-12, abs=0.0)
     if rows <= 1024:  # one block
         assert got == want
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("rows", [1, 2, 7, 64, 1024])
+def test_one_block_matches_plain_formulas_bitwise(rows, dtype):
+    """One block's statistics and gradient have the bits of the plain
+    formulas of tests/reference_loss.py, which form every layer and every
+    gradient product as a fresh array: the workspace's buffers and the
+    gradients written in place change no bit.  One and two rows are where
+    BLAS takes other kernels."""
+    params = policy_init(14, 4, 2, 3)
+    minibatch = _random_minibatch(params, rows, 23)
+    minibatch["old_log_prob"] += np.random.default_rng(24).normal(0.0, 0.3, rows)
+    want_losses, want = reference_loss_and_grads(params, minibatch, PpoConfig(), dtype)
+    work = loss_workspace(rows, params.hidden, dtype)
+    for _ in range(2):  # a fresh workspace, then the same one again
+        losses, got = loss_and_grads(params, minibatch, PpoConfig(), work)
+        assert losses == want_losses
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("rows, block_rows", [(10, 3), (1500, 1024)])
@@ -691,6 +716,23 @@ def test_snapshots_are_read_only():
 
 
 # --- serialization ---------------------------------------------------------------------
+
+
+def test_pickled_snapshot_reads_the_same_values():
+    # a pool worker returns its snapshots by pickle: the copy reads the same
+    # values, whether or not the original had made its named arrays, and is
+    # read-only with named arrays that are views of its own flat
+    params = policy_init(14, 4, 2, 3)
+    untouched = pickle.loads(pickle.dumps(params))
+    _ = params.w1, params.log_std  # make two of the named arrays
+    for copy in (untouched, pickle.loads(pickle.dumps(params))):
+        assert copy.flat.tobytes() == params.flat.tobytes()
+        assert (copy.dims, copy.snapshot_id, copy.seed) == (params.dims, 0, 3)
+        assert not copy.flat.flags.writeable
+        for name in PARAM_ORDER:
+            got = getattr(copy, name)
+            assert got.tobytes() == getattr(params, name).tobytes(), name
+            assert np.shares_memory(got, copy.flat), name
 
 
 def test_save_load_round_trip_bitwise(tmp_path):

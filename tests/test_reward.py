@@ -216,35 +216,50 @@ def _same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("batch", [(), (1,), (9,)])
+@pytest.mark.parametrize("batch", [(), (1,), (9,), (64,)])
 def test_reward_terms_match_term_by_term_oracle_bitwise(batch):
     # random subsets of the terms in random order and random finite weights
     # (zeros of both signs included), against the frozen term-by-term
-    # formulas and Python-loop total of tests/reference_env.py
+    # formulas and Python-loop total of tests/reference_env.py; also on the
+    # operands VecChinupEnv passes: (n, 2) arrays in column order, its
+    # config's Python-float gap (in and out of the window), no, one or two
+    # symmetry pairs, and rows holding NaN or +-inf, as a diverged
+    # environment gives
     rng = np.random.default_rng(len(batch) and batch[0])
+    gaps = (lambda: rng.uniform(0.3, 1.0, batch), lambda: 0.9, lambda: 0.65)
+    pairs = (((0, 1),), (), ((0, 1), (1, 0)))
 
-    def arr(*shape, scale=1.0):
+    def arr(*shape, scale=1.0, fortran=False):
         x = rng.normal(size=batch + shape) * scale
         x[rng.random(x.shape) < 0.1] = 0.0
-        return x
+        return np.asfortranarray(x) if fortran else x
 
-    for trial in range(40):
+    for trial in range(60):
         active = tuple(rng.permutation(TERM_NAMES)[: rng.integers(0, len(TERM_NAMES) + 1)])
         weights = {t: float(rng.choice([0.0, -0.0, 1e-5, -2.0, 30.0]) * rng.random())
                    for t in TERM_NAMES}
         cfg = RewardConfig(weights=weights, active=active)
+        fortran = trial % 2 == 1
+        columns = {
+            key: arr(2, scale=scale, fortran=fortran)
+            for key, scale in (("pos_head", 1.0), ("g_proj_xy", 1.0), ("tau", 20.0),
+                               ("qdot", 10.0), ("prev_qdot", 10.0), ("q", 3.0))
+        }
+        if batch and trial % 4 == 3:
+            for key in ("pos_head", "tau", "qdot", "q"):
+                row = rng.integers(batch[0])
+                columns[key][row, rng.integers(2)] = rng.choice([np.nan, np.inf, -np.inf])
         inputs = make_inputs(
-            pos_head=arr(2), cyl_gap=rng.uniform(0.3, 1.0, batch) if trial % 2 else 0.9,
-            base_ok=rng.random(batch) > 0.5, g_proj_xy=arr(2), tau=arr(2, scale=20.0),
-            qdot=arr(2, scale=10.0), prev_qdot=arr(2, scale=10.0), action=arr(4),
-            prev_action=arr(4), q=arr(2, scale=3.0),
+            cyl_gap=gaps[trial % 3](), base_ok=rng.random(batch) > 0.5,
+            sym_pairs=pairs[trial // 3 % 3], action=arr(4), prev_action=arr(4),
             qdot_max=np.broadcast_to([8.0, 6.0], batch + (2,)),
-            tau_max=np.broadcast_to([12.0, 9.0], batch + (2,)),
+            tau_max=np.broadcast_to([12.0, 9.0], batch + (2,)), **columns,
         )
-        got = reward_terms(inputs, cfg)
-        want = reference_env.reward_terms(inputs, cfg)
-        # with no term active the frozen total is a bare 0.0: the batch shape is the fix
-        want.total = reference_env.total_reward(want, cfg) + np.zeros(batch)
+        with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf in the NaN rows
+            got = reward_terms(inputs, cfg)
+            want = reference_env.reward_terms(inputs, cfg)
+            # with no term active the frozen total is a bare 0.0: the batch shape is the fix
+            want.total = reference_env.total_reward(want, cfg) + np.zeros(batch)
         for name in (*TERM_NAMES, "total"):
             assert _same_bits(getattr(got, name), getattr(want, name)), (trial, name)
 
